@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import math
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .curves import CurveResult
 from .engine import statistics_from_stacks
@@ -119,13 +119,10 @@ def read_cube_binary(path) -> DataCube:
 def write_cube_csv(cube: DataCube, path) -> None:
     """One row per pulse; 2R columns alternating re, im per range bin."""
     p, r = cube.data.shape
+    cells = np.ascontiguousarray(cube.data).view(np.float64).reshape(p, 2 * r)
     with open(path, "w", encoding="ascii", newline="") as fh:
-        for i in range(p):
-            cells = []
-            for j in range(r):
-                cells.append(repr(float(cube.data[i, j].real)))
-                cells.append(repr(float(cube.data[i, j].imag)))
-            fh.write(",".join(cells) + "\n")
+        for row in cells:
+            fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 def read_cube_csv(path) -> DataCube:
@@ -193,16 +190,18 @@ def synthesize_cube(
     sigma_c = math.sqrt(cfg.noise_power * 10.0 ** (cfg.cnr_db / 10.0))
     rho = cfg.rho
     seed = derive_stream_seed(cfg.master_seed, _PHASE_CUBE)
-    data = np.empty((pulses, range_bins), dtype=np.complex128)
+    clutter = np.empty((pulses, range_bins), dtype=np.complex128)
+    noise = np.empty_like(clutter)
     for j in range(range_bins):
-        rng = trial_rng(seed, j)
-        draws = _standard_complex(rng, pulses, 2)
-        # x_0 = w_0 at full power, then x_t = rho x_{t-1} + sqrt(1-rho^2) w_t:
-        # the exact stationary unit-power process with lag-h correlation rho^h
-        drive = draws[:, 0].copy()
-        drive[1:] *= math.sqrt(1.0 - rho**2)
-        x = lfilter([1.0], [1.0, -rho], drive)
-        data[:, j] = sigma_c * x + math.sqrt(cfg.noise_power) * draws[:, 1]
+        draws = _standard_complex(trial_rng(seed, j), pulses, 2)
+        clutter[:, j] = draws[:, 0]
+        noise[:, j] = draws[:, 1]
+    # x_0 = w_0 at full power, then x_t = rho x_{t-1} + sqrt(1-rho^2) w_t:
+    # the exact stationary unit-power process with lag-h correlation rho^h
+    clutter[1:] *= math.sqrt(1.0 - rho**2)
+    for t in range(1, pulses):
+        clutter[t] += rho * clutter[t - 1]
+    data = sigma_c * clutter + math.sqrt(cfg.noise_power) * noise
     return DataCube(data=data, source="synthetic")
 
 
@@ -259,6 +258,27 @@ def _region_covariance(zs: np.ndarray) -> HermitianMatrix:
     return HermitianMatrix(flat.T @ flat.conj() / flat.shape[0])
 
 
+@contextmanager
+def _singular_windows_named(cube: DataCube, zs: np.ndarray, range_bin: int):
+    """Turn a singular-covariance failure into a FormatError naming its place.
+
+    The range bin and the first window whose secondary covariance is
+    singular are located only once the failure has happened.
+    """
+    try:
+        yield
+    except np.linalg.LinAlgError as err:
+        s_stack = zs @ zs.conj().swapaxes(1, 2)
+        ranks = np.linalg.matrix_rank(s_stack, hermitian=True)
+        singular = np.flatnonzero(ranks < zs.shape[1])
+        if singular.size == 0:
+            raise
+        raise FormatError(
+            f"{cube.source}: range bin {range_bin}, window {singular[0]}: "
+            "secondary covariance is singular"
+        ) from err
+
+
 def sliding_window_run(cube: DataCube, spec) -> CubeRunResult:
     """Calibrate on one range bin of a cube and measure rates on another.
 
@@ -269,7 +289,9 @@ def sliding_window_run(cube: DataCube, spec) -> CubeRunResult:
     target is injected into every evaluation window, normalized by the
     evaluation region's sample covariance (the true covariance of recorded
     data being unknown), so the measured rate is a detection probability;
-    otherwise it is an empirical false-alarm probability.
+    otherwise it is an empirical false-alarm probability. A window whose
+    secondary covariance is singular raises FormatError naming the cube,
+    the range bin and the window.
     """
     cfg = spec.scenario
     n, k = cfg.n, cfg.k
@@ -294,13 +316,16 @@ def sliding_window_run(cube: DataCube, spec) -> CubeRunResult:
 
     scnr_db = cfg.scnr_db
     if scnr_db is not None:
-        m_hat = _region_covariance(zs_ev)
-        # |alpha|^2 v^H M^-1 v = SCNR with the region estimate standing in for M
-        alpha = math.sqrt(10.0 ** (scnr_db / 10.0) / m_hat.quad_form(v))
+        with _singular_windows_named(cube, zs_ev, eval_bin):
+            m_hat = _region_covariance(zs_ev)
+            # |alpha|^2 v^H M^-1 v = SCNR with the region estimate standing in for M
+            alpha = math.sqrt(10.0 ** (scnr_db / 10.0) / m_hat.quad_form(v))
         z_ev = z_ev + alpha * v
 
-    cal_stats, *_ = statistics_from_stacks(z_cal, zs_cal, v, labels)
-    ev_stats, *_ = statistics_from_stacks(z_ev, zs_ev, v, labels)
+    with _singular_windows_named(cube, zs_cal, cut_bin):
+        cal_stats = statistics_from_stacks(z_cal, zs_cal, v, labels).statistics
+    with _singular_windows_named(cube, zs_ev, eval_bin):
+        ev_stats = statistics_from_stacks(z_ev, zs_ev, v, labels).statistics
 
     cal_scenario = replace(cfg, scnr_db=None)
     thresholds = {}

@@ -35,7 +35,6 @@ __all__ = [
     "benchmark_statistic",
     "detector_label",
     "parse_detector_label",
-    "DEFAULT_LMAXES",
 ]
 
 
@@ -48,9 +47,6 @@ class DetectorId(Enum):
     ACE = "ace"
     BENCHMARK = "benchmark"
     EM_BML_D = "em-bml-d"
-
-
-DEFAULT_LMAXES = (5, 7)
 
 
 class InsufficientSecondaryData(ValueError):

@@ -91,8 +91,16 @@ def _trace_solve(m: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.einsum("bii->b", x).real
 
 
+def _pair(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """(B, n, 2) right-hand sides [p, q]; p may be one (n,) vector for all B."""
+    out = np.empty(q.shape + (2,), dtype=np.complex128)
+    out[:, :, 0] = p
+    out[:, :, 1] = q
+    return out
+
+
 def _classical_batched(
-    z: np.ndarray, s_stack: np.ndarray, v: np.ndarray
+    a: np.ndarray, b: np.ndarray, c: np.ndarray
 ) -> dict[str, np.ndarray]:
     """AMF/GLRT/ACE/Rao for a trial stack from three whitened scalars.
 
@@ -100,15 +108,6 @@ def _classical_batched(
     v^H T^-1 z = b / (1 + c) and v^H T^-1 v = a - |b|^2 / (1 + c)
     with a = v^H S^-1 v, b = v^H S^-1 z, c = z^H S^-1 z.
     """
-    b_sz = z.shape[0]
-    rhs = np.empty((b_sz, v.shape[0], 2), dtype=np.complex128)
-    rhs[:, :, 0] = v
-    rhs[:, :, 1] = z
-    x = np.linalg.solve(s_stack, rhs)
-    a = np.einsum("i,bi->b", v.conj(), x[:, :, 0]).real
-    b = np.einsum("i,bi->b", v.conj(), x[:, :, 1])
-    c = _vdot_rows(z, x[:, :, 1]).real
-
     b2 = np.abs(b) ** 2
     one_c = 1.0 + c
     return {
@@ -123,6 +122,8 @@ def _em_batched(
     z: np.ndarray,
     s_stack: np.ndarray,
     v: np.ndarray,
+    a0: np.ndarray,
+    b0: np.ndarray,
     l_top: int,
     snapshot_ls: tuple[int, ...],
     record_trace: bool,
@@ -131,17 +132,13 @@ def _em_batched(
     """Run the EM recursion on a trial stack, snapshotting the statistic.
 
     Mirrors em.run_em exactly: shared covariance, amplitude first inside
-    the M-step, log-domain posterior ratio throughout.
+    the M-step, log-domain posterior ratio throughout. a0 = v^H S^-1 v and
+    b0 = v^H S^-1 z are the start values, from the solve the classical
+    statistics share.
     """
     b_sz, n = z.shape
     kp1 = k + 1
-    rhs = np.empty((b_sz, n, 2), dtype=np.complex128)
-    rhs[:, :, 0] = v
-    rhs[:, :, 1] = z
-
-    x = np.linalg.solve(s_stack, rhs)
-    a0 = np.einsum("i,bi->b", v.conj(), x[:, :, 0]).real
-    b0 = np.einsum("i,bi->b", v.conj(), x[:, :, 1])
+    rhs = _pair(v, z)
     alpha = b0 / a0
     log_prior = np.zeros(b_sz)
     log_post = np.abs(b0) ** 2 / a0
@@ -177,10 +174,7 @@ def _em_batched(
         d = z - alpha[:, None] * v
         m_new = (a_stack + q1[:, None, None] * _outer_rows(d)) / kp1
 
-        rhs_zd = np.empty_like(rhs)
-        rhs_zd[:, :, 0] = z
-        rhs_zd[:, :, 1] = d
-        y = np.linalg.solve(m_new, rhs_zd)
+        y = np.linalg.solve(m_new, _pair(z, d))
         qz = _vdot_rows(z, y[:, :, 0]).real
         qd = _vdot_rows(d, y[:, :, 1]).real
         g = qz - qd
@@ -228,13 +222,13 @@ def statistics_from_stacks(
     capture_benchmark_aux: bool = False,
     record_em_trace: bool = False,
     trace_l_max: int | None = None,
-):
+) -> SimulatedStatistics:
     """Evaluate detector statistics on stacked trials.
 
-    z is (B, n), zs is (B, n, k). Returns (statistics dict, benchmark_u,
-    benchmark_c, em_delta_l, em_mixture); the aux entries are None unless
-    requested. Labels may name any subset of detectors; EM variant labels
-    like em-bml-d5 share a single EM recursion run to the largest cap.
+    z is (B, n), zs is (B, n, k). The benchmark aux and EM trace fields of
+    the result are None unless requested. Labels may name any subset of
+    detectors; EM variant labels like em-bml-d5 share a single EM recursion
+    run to the largest cap.
     """
     v = np.asarray(v, dtype=np.complex128)
     k = zs.shape[2]
@@ -248,11 +242,18 @@ def statistics_from_stacks(
         for det, _ in parsed
     )
     em_ls = sorted({lmax for det, lmax in parsed if det is DetectorId.EM_BML_D})
+    want_em = bool(em_ls) or record_em_trace
     want_benchmark = any(det is DetectorId.BENCHMARK for det, _ in parsed)
 
     stats: dict[str, np.ndarray] = {}
+    if need_classical or want_em:
+        # one solve of S against [v, z] feeds the classical statistics and
+        # the EM start
+        x = np.linalg.solve(s_stack, _pair(v, z))
+        a = np.einsum("i,bi->b", v.conj(), x[:, :, 0]).real
+        b = np.einsum("i,bi->b", v.conj(), x[:, :, 1])
     if need_classical:
-        classical = _classical_batched(z, s_stack, v)
+        classical = _classical_batched(a, b, _vdot_rows(z, x[:, :, 1]).real)
         for det, _ in parsed:
             if det.value in classical:
                 stats[det.value] = classical[det.value]
@@ -274,17 +275,25 @@ def statistics_from_stacks(
             benchmark_u = benchmark_c = None
 
     em_delta = em_mixture = None
-    if em_ls or record_em_trace:
+    if want_em:
         l_top = max(em_ls, default=0)
         if record_em_trace:
             l_top = max(l_top, trace_l_max or 0)
         snaps, em_delta, em_mixture = _em_batched(
-            z, s_stack, v, l_top, tuple(em_ls), record_em_trace, k
+            z, s_stack, v, a, b, l_top, tuple(em_ls), record_em_trace, k
         )
         for l in em_ls:
             stats[f"{DetectorId.EM_BML_D.value}{l}"] = snaps[l]
 
-    return stats, benchmark_u, benchmark_c, em_delta, em_mixture
+    return SimulatedStatistics(
+        labels=tuple(labels),
+        statistics=stats,
+        trial_count=z.shape[0],
+        benchmark_u=benchmark_u,
+        benchmark_c=benchmark_c,
+        em_delta_l=em_delta,
+        em_mixture=em_mixture,
+    )
 
 
 def benchmark_statistic_from_aux(
@@ -310,7 +319,7 @@ def _generate_stack(
     return out
 
 
-def _compute_chunk(args) -> tuple:
+def _compute_chunk(args) -> SimulatedStatistics:
     (cfg, labels, stream_seed, start, stop, inject, capture_aux, record_trace,
      trace_l_max) = args
     m = build_covariance(cfg)
@@ -386,24 +395,19 @@ def simulate_statistics(
     else:
         parts = [_compute_chunk(a) for a in args]
 
-    stats = {
-        lab: np.concatenate([p[0][lab] for p in parts]) for lab in parts[0][0]
-    }
-    benchmark_u = benchmark_c = None
-    if capture_benchmark_aux:
-        benchmark_u = np.concatenate([p[1] for p in parts])
-        benchmark_c = parts[0][2]
-    em_delta = em_mixture = None
-    if record_em_trace:
-        em_delta = np.concatenate([p[3] for p in parts])
-        em_mixture = np.concatenate([p[4] for p in parts])
+    def joined(field: str):
+        arrays = [getattr(p, field) for p in parts]
+        return None if arrays[0] is None else np.concatenate(arrays)
 
     return SimulatedStatistics(
         labels=tuple(labels),
-        statistics=stats,
+        statistics={
+            lab: np.concatenate([p.statistics[lab] for p in parts])
+            for lab in parts[0].statistics
+        },
         trial_count=n_trials,
-        benchmark_u=benchmark_u,
-        benchmark_c=benchmark_c,
-        em_delta_l=em_delta,
-        em_mixture=em_mixture,
+        benchmark_u=joined("benchmark_u"),
+        benchmark_c=parts[0].benchmark_c,
+        em_delta_l=joined("em_delta_l"),
+        em_mixture=joined("em_mixture"),
     )

@@ -267,6 +267,68 @@ def _benchmark_threshold(
     return calibrate_threshold(ens, pfa)
 
 
+def _injected_grid(
+    cfg: ScenarioConfig,
+    pfa: float,
+    axis_names: tuple[str, ...],
+    rows: list[tuple[float, ...]],
+    detectors,
+    trials: int,
+    phase: int,
+    calibration_trials: int | None,
+    workers: int,
+) -> CurveResult:
+    """Pd at each row of scenario overrides, named by axis_names.
+
+    Thresholds come from one matched null calibration (mismatch does not
+    affect the null hypothesis). The benchmark's threshold is recalibrated
+    at every point's SCNR (its statistic depends on the hypothesized
+    amplitude) from aux statistics captured during that calibration run.
+    """
+    labels = order_labels(detectors)
+    want_benchmark = "benchmark" in labels
+    cal = calibrate(
+        cfg,
+        [lab for lab in labels if lab != "benchmark"],
+        [pfa],
+        calibration_trials or _required_trials(pfa),
+        workers=workers,
+        capture_benchmark_aux=want_benchmark,
+    )
+    m = build_covariance(cfg)
+    v = steering_vector(cfg.n, cfg.doppler)
+
+    rates = np.empty((len(rows), len(labels)))
+    cis = np.empty_like(rates)
+    for i, row in enumerate(rows):
+        point_cfg = replace(cfg, **dict(zip(axis_names, row)))
+        sim = simulate_statistics(
+            point_cfg,
+            labels,
+            trials,
+            stream_seed=derive_stream_seed(cfg.master_seed, phase, i),
+            inject=True,
+            workers=workers,
+        )
+        for j, lab in enumerate(labels):
+            if lab == "benchmark":
+                alpha = injection_amplitude(v, m, point_cfg.scnr_db)
+                thr = _benchmark_threshold(cal, alpha, pfa, cal.table.scenario)
+            else:
+                thr = cal.table.threshold(lab, pfa)
+            rates[i, j], cis[i, j] = estimate_rate(sim.statistics[lab], thr)
+
+    axis_values = np.array(rows, dtype=float).reshape(len(rows), len(axis_names))
+    return CurveResult(
+        axis_names=axis_names,
+        axis_values=axis_values,
+        detectors=labels,
+        rates=rates,
+        cis=cis,
+        trial_counts=np.full(len(rows), trials),
+    )
+
+
 def pd_curve(
     cfg: ScenarioConfig,
     pfa: float,
@@ -277,55 +339,11 @@ def pd_curve(
     calibration_trials: int | None = None,
     workers: int = 1,
 ) -> CurveResult:
-    """Detection probability versus SCNR at a fixed false alarm probability.
-
-    The benchmark's threshold is recalibrated at every SCNR point (its
-    statistic depends on the hypothesized amplitude) from aux statistics
-    captured during the single null calibration run.
-    """
-    labels = order_labels(detectors)
-    want_benchmark = "benchmark" in labels
-    cal_trials = calibration_trials or _required_trials(pfa)
-    cal = calibrate(
-        cfg,
-        [lab for lab in labels if lab != "benchmark"],
-        [pfa],
-        cal_trials,
-        workers=workers,
-        capture_benchmark_aux=want_benchmark,
-    )
-    m = build_covariance(cfg)
-    v = steering_vector(cfg.n, cfg.doppler)
-
-    grid = [float(s) for s in scnr_grid_db]
-    rates = np.empty((len(grid), len(labels)))
-    cis = np.empty_like(rates)
-    for i, scnr_db in enumerate(grid):
-        point_cfg = replace(cfg, scnr_db=scnr_db)
-        sim = simulate_statistics(
-            point_cfg,
-            labels,
-            trials,
-            stream_seed=derive_stream_seed(cfg.master_seed, _PHASE_CURVE, i),
-            inject=True,
-            workers=workers,
-        )
-        for j, lab in enumerate(labels):
-            if lab == "benchmark":
-                thr = _benchmark_threshold(
-                    cal, injection_amplitude(v, m, scnr_db), pfa, cal.table.scenario
-                )
-            else:
-                thr = cal.table.threshold(lab, pfa)
-            rates[i, j], cis[i, j] = estimate_rate(sim.statistics[lab], thr)
-
-    return CurveResult(
-        axis_names=("scnr_db",),
-        axis_values=np.array(grid, dtype=float)[:, None],
-        detectors=labels,
-        rates=rates,
-        cis=cis,
-        trial_counts=np.full(len(grid), trials),
+    """Detection probability versus SCNR at a fixed false alarm probability."""
+    rows = [(float(s),) for s in scnr_grid_db]
+    return _injected_grid(
+        cfg, pfa, ("scnr_db",), rows, detectors, trials, _PHASE_CURVE,
+        calibration_trials, workers,
     )
 
 
@@ -342,54 +360,14 @@ def mismatch_contour(
 ) -> CurveResult:
     """Pd over the (cos^2 phi, SCNR) grid with mismatched target injection.
 
-    Thresholds come from the matched null calibration (mismatch does not
-    affect the null hypothesis). Rows are lexicographic in (cos^2 phi, SCNR).
+    Rows are lexicographic in (cos^2 phi, SCNR).
     """
-    labels = order_labels(detectors)
-    want_benchmark = "benchmark" in labels
-    cal_trials = calibration_trials or _required_trials(pfa)
-    cal = calibrate(
-        cfg,
-        [lab for lab in labels if lab != "benchmark"],
-        [pfa],
-        cal_trials,
-        workers=workers,
-        capture_benchmark_aux=want_benchmark,
-    )
-    m = build_covariance(cfg)
-    v = steering_vector(cfg.n, cfg.doppler)
-
     rows = sorted(
         (float(c), float(s)) for c in cos_sq_phi_grid for s in scnr_grid_db
     )
-    rates = np.empty((len(rows), len(labels)))
-    cis = np.empty_like(rates)
-    for i, (cos_sq_phi, scnr_db) in enumerate(rows):
-        point_cfg = replace(cfg, cos_sq_phi=cos_sq_phi, scnr_db=scnr_db)
-        sim = simulate_statistics(
-            point_cfg,
-            labels,
-            trials,
-            stream_seed=derive_stream_seed(cfg.master_seed, _PHASE_CONTOUR, i),
-            inject=True,
-            workers=workers,
-        )
-        for j, lab in enumerate(labels):
-            if lab == "benchmark":
-                thr = _benchmark_threshold(
-                    cal, injection_amplitude(v, m, scnr_db), pfa, cal.table.scenario
-                )
-            else:
-                thr = cal.table.threshold(lab, pfa)
-            rates[i, j], cis[i, j] = estimate_rate(sim.statistics[lab], thr)
-
-    return CurveResult(
-        axis_names=("cos_sq_phi", "scnr_db"),
-        axis_values=np.array(rows, dtype=float),
-        detectors=labels,
-        rates=rates,
-        cis=cis,
-        trial_counts=np.full(len(rows), trials),
+    return _injected_grid(
+        cfg, pfa, ("cos_sq_phi", "scnr_db"), rows, detectors, trials,
+        _PHASE_CONTOUR, calibration_trials, workers,
     )
 
 

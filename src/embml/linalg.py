@@ -10,16 +10,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-__all__ = [
-    "NotPositiveDefinite",
-    "HermitianMatrix",
-    "hermitian_part",
-    "cholesky",
-    "solve_hermitian",
-    "quad_form",
-    "log_det",
-    "rank_one_update",
-]
+__all__ = ["NotPositiveDefinite", "HermitianMatrix", "hermitian_part"]
 
 
 class NotPositiveDefinite(np.linalg.LinAlgError):
@@ -123,31 +114,3 @@ class HermitianMatrix:
     def __repr__(self) -> str:
         return f"HermitianMatrix(n={self.n})"
 
-
-def _as_hermitian(m) -> HermitianMatrix:
-    return m if isinstance(m, HermitianMatrix) else HermitianMatrix(m)
-
-
-def cholesky(m) -> np.ndarray:
-    """Lower Cholesky factor of a Hermitian positive definite matrix."""
-    return _as_hermitian(m).chol
-
-
-def solve_hermitian(m, b: np.ndarray) -> np.ndarray:
-    """Solve m x = b for Hermitian positive definite m."""
-    return _as_hermitian(m).solve(b)
-
-
-def quad_form(a: np.ndarray, m, b: np.ndarray | None = None):
-    """a^H m^-1 b; real-valued when b is omitted (meaning b = a)."""
-    return _as_hermitian(m).quad_form(a, b)
-
-
-def log_det(m) -> float:
-    """Log determinant of a Hermitian positive definite matrix."""
-    return _as_hermitian(m).log_det()
-
-
-def rank_one_update(m, w: float, x: np.ndarray) -> HermitianMatrix:
-    """m + w x x^H as a new HermitianMatrix; w must be nonnegative."""
-    return _as_hermitian(m).rank_one_update(w, x)

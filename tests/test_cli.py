@@ -1,11 +1,13 @@
 """End-to-end tests for the batch CLI: exit codes, flag plumbing, outputs."""
 
+import re
+
 import numpy as np
 import pytest
 
 from embml.cli import main
 from embml.curves import read_curve
-from embml.cube import synthesize_cube, write_cube
+from embml.cube import DataCube, synthesize_cube, write_cube
 from embml.scenario import ScenarioConfig
 
 FAST = ["--n", "4", "--k", "8", "--pfa", "0.05", "--trials", "2000",
@@ -71,6 +73,24 @@ class TestExitCodes:
              "--overlap", "0", "--pfa", "0.2",
              "--out", str(tmp_path / "x.csv")], capsys)
         assert code == 3
+
+    @pytest.mark.parametrize("scnr", [[], ["--scnr", "10"]])
+    def test_zero_region_ingest_is_three_and_names_place(
+        self, tmp_path, capsys, scnr
+    ):
+        cfg = ScenarioConfig(n=4, k=8, master_seed=78)
+        data = synthesize_cube(cfg, pulses=4 * 300, range_bins=18).data.copy()
+        data[:, 9:] = 0.0  # the evaluation region of bin 13
+        cube_path = tmp_path / "zero.bin"
+        write_cube(DataCube(data), cube_path, "interleaved-binary")
+        code, _, stderr = run_cli(
+            ["ingest-run", "--cube", str(cube_path), "--n", "4", "--k", "8",
+             "--cut-bin", "4", "--eval-bin", "13", "--overlap", "0",
+             "--pfa", "0.2", *scnr, "--out", str(tmp_path / "x.csv")], capsys)
+        assert code == 3
+        assert "zero.bin" in stderr
+        assert re.search(r"\bbin 13\b", stderr)
+        assert re.search(r"\bwindow 0\b", stderr)
 
 
 class TestFlagPlumbing:
@@ -158,3 +178,27 @@ class TestSubcommands:
         # threshold estimate and the 500-window evaluation
         sigma = np.sqrt(2 * 0.2 * 0.8 / 500)
         assert abs(rates[0] - 0.2) <= 3 * sigma
+
+
+class TestWorkerCountReproducibility:
+    # more trials than one 4096-trial chunk, so two workers really share them
+    GRID = ["--n", "4", "--k", "8", "--pfa", "0.05", "--trials", "4200",
+            "--calibration-trials", "2000", "--detectors", "benchmark", "glrt",
+            "em-bml-d2", "--seed", "41", "--scnr-grid", "6.0"]
+
+    @pytest.mark.parametrize("command,extra", [
+        ("pd-curve", ["--cos-sq-phi", "0.7"]),
+        ("mismatch-contour", ["--cos-sq-phi-grid", "0.5", "1.0"]),
+    ])
+    def test_grid_csv_identical_for_one_and_two_workers(
+        self, tmp_path, capsys, command, extra
+    ):
+        texts = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}.csv"
+            code, _, _ = run_cli(
+                [command, *self.GRID, *extra, "--workers", workers,
+                 "--out", str(out)], capsys)
+            assert code == 0
+            texts.append(out.read_bytes())
+        assert texts[0] == texts[1]

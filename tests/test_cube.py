@@ -1,7 +1,14 @@
 """Tests for cube file formats, synthesis, and sliding-window evaluation."""
 
+import math
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import embml
 
 from embml.config import ExperimentSpec
 from embml.cube import (
@@ -18,7 +25,13 @@ from embml.cube import (
     write_cube_binary,
     write_cube_csv,
 )
-from embml.scenario import ScenarioConfig, build_covariance
+from embml.scenario import (
+    ScenarioConfig,
+    _standard_complex,
+    build_covariance,
+    derive_stream_seed,
+    trial_rng,
+)
 
 
 class TestBinaryFormat:
@@ -83,6 +96,23 @@ class TestCsvFormat:
         with pytest.raises(FormatError):
             read_cube_csv(path)
 
+    def test_writer_matches_cell_by_cell_reference(self, tmp_path):
+        rng = np.random.default_rng(67)
+        data = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+        data[0, 0] = complex(-0.0, 5e-324)
+        data[1, 2] = complex(1e300, -0.0)
+        data[4, 1] = complex(-1e300, 2.2250738585072014e-308)
+        path = tmp_path / "cube.csv"
+        write_cube_csv(DataCube(data), path)
+        lines = []
+        for i in range(data.shape[0]):
+            cells = []
+            for j in range(data.shape[1]):
+                cells.append(repr(float(data[i, j].real)))
+                cells.append(repr(float(data[i, j].imag)))
+            lines.append(",".join(cells) + "\n")
+        assert path.read_text() == "".join(lines)
+
 
 class TestCrossFormat:
     def test_binary_and_csv_ingest_identically(self, tmp_path):
@@ -142,6 +172,34 @@ class TestSynthesis:
     def test_rejects_empty_dimensions(self):
         with pytest.raises(ValueError):
             synthesize_cube(ScenarioConfig(), 0, 4)
+
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 0.9, 0.99])
+    @pytest.mark.parametrize("cnr_db", [30.0, 110.0])
+    @pytest.mark.parametrize("pulses,bins", [(1, 3), (64, 4), (800, 6)])
+    def test_ar1_recursion_matches_lfilter(self, rho, cnr_db, pulses, bins):
+        from scipy.signal import lfilter
+
+        cfg = ScenarioConfig(rho=rho, cnr_db=cnr_db, master_seed=68)
+        sigma_c = math.sqrt(cfg.noise_power * 10.0 ** (cfg.cnr_db / 10.0))
+        seed = derive_stream_seed(cfg.master_seed, 5)
+        expected = np.empty((pulses, bins), dtype=np.complex128)
+        for j in range(bins):
+            draws = _standard_complex(trial_rng(seed, j), pulses, 2)
+            drive = draws[:, 0].copy()
+            drive[1:] *= math.sqrt(1.0 - rho**2)
+            x = lfilter([1.0], [1.0, -rho], drive)
+            expected[:, j] = sigma_c * x + math.sqrt(cfg.noise_power) * draws[:, 1]
+        got = synthesize_cube(cfg, pulses, bins).data
+        np.testing.assert_array_equal(got, expected)
+
+    def test_import_leaves_out_scipy_signal(self):
+        src = str(Path(embml.__file__).resolve().parents[1])
+        code = "import sys, embml; print('scipy.signal' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], cwd=src, capture_output=True,
+            text=True, check=True,
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestSlidingWindowRun:

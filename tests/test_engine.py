@@ -52,10 +52,11 @@ class TestCrossCheck:
         batches = [sample_batch(cfg, m, t) for t in range(32)]
         z, zs = stacks_from_batches(batches)
 
-        stats, _, _, delta, mixture = statistics_from_stacks(
+        sim = statistics_from_stacks(
             z, zs, v, ALL_LABELS, true_m=m, alpha_hyp=alpha,
             record_em_trace=True, trace_l_max=7,
         )
+        stats, delta, mixture = sim.statistics, sim.em_delta_l, sim.em_mixture
 
         for i, batch in enumerate(batches):
             sc = sample_covariance(batch)
@@ -86,10 +87,11 @@ class TestCrossCheck:
         alpha = injection_amplitude(v, m, cfg.scnr_db)
         batches = [sample_batch(cfg, m, t) for t in range(8)]
         z, zs = stacks_from_batches(batches)
-        stats, u, c, _, _ = statistics_from_stacks(
+        sim = statistics_from_stacks(
             z, zs, v, ("benchmark",), true_m=m, alpha_hyp=alpha,
             capture_benchmark_aux=True,
         )
+        stats, u, c = sim.statistics, sim.benchmark_u, sim.benchmark_c
         np.testing.assert_allclose(
             benchmark_statistic_from_aux(u, c, alpha), stats["benchmark"],
             rtol=1e-12)

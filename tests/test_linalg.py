@@ -3,16 +3,7 @@
 import numpy as np
 import pytest
 
-from embml.linalg import (
-    HermitianMatrix,
-    NotPositiveDefinite,
-    cholesky,
-    hermitian_part,
-    log_det,
-    quad_form,
-    rank_one_update,
-    solve_hermitian,
-)
+from embml.linalg import HermitianMatrix, NotPositiveDefinite, hermitian_part
 
 
 def random_pd(rng, n):
@@ -23,23 +14,23 @@ def random_pd(rng, n):
 
 class TestCholesky:
     def test_identity_factor(self):
-        l = cholesky(np.eye(3))
+        l = HermitianMatrix(np.eye(3)).chol
         np.testing.assert_allclose(l, np.eye(3), atol=1e-14)
 
     def test_diagonal_factor(self):
-        l = cholesky(np.diag([4.0, 9.0]))
+        l = HermitianMatrix(np.diag([4.0, 9.0])).chol
         np.testing.assert_allclose(l, np.diag([2.0, 3.0]), atol=1e-14)
 
     def test_roundtrip_random_pd(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             m = random_pd(rng, 5)
-            l = cholesky(m)
+            l = HermitianMatrix(m).chol
             np.testing.assert_allclose(l @ l.conj().T, m, atol=1e-10)
 
     def test_not_positive_definite_raises(self):
         with pytest.raises(NotPositiveDefinite):
-            cholesky(np.diag([1.0, -1.0]))
+            HermitianMatrix(np.diag([1.0, -1.0])).chol
 
     def test_factor_is_cached(self):
         m = HermitianMatrix(np.diag([4.0, 9.0]))
@@ -49,10 +40,11 @@ class TestCholesky:
 class TestSolve:
     def test_identity_solve(self):
         b = np.array([1.0 + 2j, -3.0, 0.5j])
-        np.testing.assert_allclose(solve_hermitian(np.eye(3), b), b, atol=1e-14)
+        x = HermitianMatrix(np.eye(3)).solve(b)
+        np.testing.assert_allclose(x, b, atol=1e-14)
 
     def test_diagonal_solve(self):
-        x = solve_hermitian(np.diag([2.0, 4.0]), np.array([2.0, 4.0]))
+        x = HermitianMatrix(np.diag([2.0, 4.0])).solve(np.array([2.0, 4.0]))
         np.testing.assert_allclose(x, [1.0, 1.0], atol=1e-14)
 
     def test_residual_random_pd(self):
@@ -60,25 +52,25 @@ class TestSolve:
         for _ in range(20):
             m = random_pd(rng, 6)
             b = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-            x = solve_hermitian(m, b)
+            x = HermitianMatrix(m).solve(b)
             assert np.linalg.norm(m @ x - b) <= 1e-9 * np.linalg.norm(b)
 
     def test_matrix_right_hand_side(self):
         rng = np.random.default_rng(12)
         m = random_pd(rng, 4)
         b = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
-        x = solve_hermitian(m, b)
+        x = HermitianMatrix(m).solve(b)
         np.testing.assert_allclose(m @ x, b, atol=1e-9)
 
 
 class TestQuadForm:
     def test_identity_e1(self):
         e1 = np.array([1.0, 0.0])
-        assert quad_form(e1, np.eye(2)) == pytest.approx(1.0)
+        assert HermitianMatrix(np.eye(2)).quad_form(e1) == pytest.approx(1.0)
 
     def test_diagonal_e1(self):
         e1 = np.array([1.0, 0.0])
-        assert quad_form(e1, np.diag([4.0, 1.0])) == pytest.approx(0.25)
+        assert HermitianMatrix(np.diag([4.0, 1.0])).quad_form(e1) == pytest.approx(0.25)
 
     def test_two_vector_conjugate_symmetry(self):
         rng = np.random.default_rng(13)
@@ -86,43 +78,46 @@ class TestQuadForm:
             m = random_pd(rng, 5)
             a = rng.standard_normal(5) + 1j * rng.standard_normal(5)
             b = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-            ab = quad_form(a, m, b)
-            ba = quad_form(b, m, a)
+            ab = HermitianMatrix(m).quad_form(a, b)
+            ba = HermitianMatrix(m).quad_form(b, a)
             assert ab == pytest.approx(np.conj(ba), rel=1e-10)
 
     def test_single_vector_is_real(self):
         rng = np.random.default_rng(14)
         m = random_pd(rng, 4)
         a = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        val = quad_form(a, m)
+        val = HermitianMatrix(m).quad_form(a)
         assert isinstance(val, float)
         assert val > 0
 
 
 class TestLogDet:
     def test_identity(self):
-        assert log_det(np.eye(5)) == pytest.approx(0.0, abs=1e-12)
+        m = HermitianMatrix(np.eye(5))
+        assert m.log_det() == pytest.approx(0.0, abs=1e-12)
 
     def test_diagonal_e_esq(self):
-        assert log_det(np.diag([np.e, np.e**2])) == pytest.approx(3.0, rel=1e-12)
+        m = HermitianMatrix(np.diag([np.e, np.e**2]))
+        assert m.log_det() == pytest.approx(3.0, rel=1e-12)
 
     def test_matches_eigenvalues(self):
         rng = np.random.default_rng(15)
         for _ in range(10):
             m = random_pd(rng, 4)
             expected = float(np.sum(np.log(np.linalg.eigvalsh(m))))
-            assert log_det(m) == pytest.approx(expected, rel=1e-9)
+            got = HermitianMatrix(m).log_det()
+            assert got == pytest.approx(expected, rel=1e-9)
 
 
 class TestRankOneUpdate:
     def test_zero_weight_is_identity_map(self):
         x = np.array([3.0 + 1j, -2.0])
-        out = rank_one_update(np.eye(2), 0.0, x)
+        out = HermitianMatrix(np.eye(2)).rank_one_update(0.0, x)
         np.testing.assert_allclose(out.mat, np.eye(2), atol=1e-14)
 
     def test_elementary_outer_product(self):
         e1 = np.array([1.0, 0.0])
-        out = rank_one_update(np.zeros((2, 2)), 1.0, e1)
+        out = HermitianMatrix(np.zeros((2, 2))).rank_one_update(1.0, e1)
         np.testing.assert_allclose(out.mat, np.diag([1.0, 0.0]), atol=1e-14)
 
     def test_result_hermitian_and_spectrum_bounded_below(self):
@@ -130,7 +125,7 @@ class TestRankOneUpdate:
         for _ in range(10):
             m = random_pd(rng, 5)
             x = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-            out = rank_one_update(m, 0.7, x).mat
+            out = HermitianMatrix(m).rank_one_update(0.7, x).mat
             assert np.max(np.abs(out - out.conj().T)) <= 1e-12 * np.max(np.abs(out))
             lo_before = np.linalg.eigvalsh(m)[0]
             lo_after = np.linalg.eigvalsh(out)[0]
@@ -138,7 +133,7 @@ class TestRankOneUpdate:
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
-            rank_one_update(np.eye(2), -0.5, np.array([1.0, 0.0]))
+            HermitianMatrix.identity(2).rank_one_update(-0.5, np.array([1.0, 0.0]))
 
 
 class TestHermitianMatrixValidation:
