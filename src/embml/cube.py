@@ -336,7 +336,9 @@ def sliding_window_run(cube: DataCube, spec) -> CubeRunResult:
             detector=lab, statistics=cal_stats[lab], scenario=cal_scenario
         )
         thresholds[lab] = calibrate_threshold(ens, spec.pfa)
-        rates[0, j], cis[0, j] = estimate_rate(ev_stats[lab], thresholds[lab])
+        rates[0, j], cis[0, j] = estimate_rate(
+            ev_stats[lab], thresholds[lab], detector=lab
+        )
 
     count = z_ev.shape[0]
     curve = CurveResult(

@@ -2,9 +2,13 @@
 
 The per-trial functions in detectors.py and em.py are the reference
 implementations; this module evaluates the same statistics on whole blocks
-of trials at once with stacked (trials, n, n) linear algebra, which is what
-makes million-trial false-alarm sweeps take minutes instead of hours on one
-core. The two paths are cross-checked to 1e-9 in the test suite.
+of trials at once, which is what makes million-trial false-alarm sweeps
+take minutes instead of hours on one core. The only (trials, n, n) linear
+algebra is one solve of each sample covariance S against [v, z] (plus its
+log determinant when the EM trace is recorded): the classical statistics
+and the whole EM recursion are closed forms in the three whitened scalars
+v^H S^-1 v, |v^H S^-1 z|^2 and z^H S^-1 z. The two paths are cross-checked
+to 1e-9 in the test suite.
 
 Trial data still come from one counter-based substream per trial, so
 results are bit-identical for a given (stream_seed, trial_index) no matter
@@ -68,47 +72,15 @@ def _sigmoid_clamped(r: np.ndarray) -> np.ndarray:
     return np.clip(out, POSTERIOR_FLOOR, 1.0 - POSTERIOR_FLOOR)
 
 
-def _vdot_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Row-wise x^H y for (B, n) stacks."""
-    return np.einsum("bi,bi->b", x.conj(), y)
-
-
-def _outer_rows(x: np.ndarray) -> np.ndarray:
-    """Row-wise x x^H for a (B, n) stack, exactly Hermitian."""
-    return x[:, :, None] * x.conj()[:, None, :]
-
-
-def _logdet_stack(m: np.ndarray) -> np.ndarray:
-    """Log determinants of a Hermitian PD stack via batched Cholesky."""
-    chol = np.linalg.cholesky(m)
-    diags = np.diagonal(chol, axis1=1, axis2=2).real
-    return 2.0 * np.sum(np.log(diags), axis=1)
-
-
-def _trace_solve(m: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """tr(M^-1 G) per stack element."""
-    x = np.linalg.solve(m, g)
-    return np.einsum("bii->b", x).real
-
-
-def _pair(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """(B, n, 2) right-hand sides [p, q]; p may be one (n,) vector for all B."""
-    out = np.empty(q.shape + (2,), dtype=np.complex128)
-    out[:, :, 0] = p
-    out[:, :, 1] = q
-    return out
-
-
 def _classical_batched(
-    a: np.ndarray, b: np.ndarray, c: np.ndarray
+    a: np.ndarray, b2: np.ndarray, c: np.ndarray
 ) -> dict[str, np.ndarray]:
     """AMF/GLRT/ACE/Rao for a trial stack from three whitened scalars.
 
     Rao uses the Sherman-Morrison identity on S + z z^H:
     v^H T^-1 z = b / (1 + c) and v^H T^-1 v = a - |b|^2 / (1 + c)
-    with a = v^H S^-1 v, b = v^H S^-1 z, c = z^H S^-1 z.
+    with a = v^H S^-1 v, b = v^H S^-1 z, b2 = |b|^2, c = z^H S^-1 z.
     """
-    b2 = np.abs(b) ** 2
     one_c = 1.0 + c
     return {
         DetectorId.GLRT.value: b2 / (a * one_c),
@@ -119,84 +91,68 @@ def _classical_batched(
 
 
 def _em_batched(
-    z: np.ndarray,
-    s_stack: np.ndarray,
-    v: np.ndarray,
-    a0: np.ndarray,
-    b0: np.ndarray,
+    a: np.ndarray,
+    b2: np.ndarray,
+    c: np.ndarray,
+    logdet_s: np.ndarray | None,
     l_top: int,
     snapshot_ls: tuple[int, ...],
-    record_trace: bool,
     k: int,
+    n: int,
 ):
     """Run the EM recursion on a trial stack, snapshotting the statistic.
 
-    Mirrors em.run_em exactly: shared covariance, amplitude first inside
-    the M-step, log-domain posterior ratio throughout. a0 = v^H S^-1 v and
-    b0 = v^H S^-1 z are the start values, from the solve the classical
-    statistics share.
+    Mirrors em.run_em: shared covariance, amplitude first inside the
+    M-step, log-domain posterior ratio throughout. Each M-step is a
+    rank-one update of S, A = S + q0 z z^H and M = (A + q1 d d^H) / (k+1)
+    with d = z - alpha v, so Sherman-Morrison and the matrix determinant
+    lemma reduce the whole recursion to the maximal invariant
+    a = v^H S^-1 v, b2 = |v^H S^-1 z|^2, c = z^H S^-1 z (Kelly 1986).
+    logdet_s = log det S is given only when the convergence trace is
+    recorded.
     """
-    b_sz, n = z.shape
     kp1 = k + 1
-    rhs = _pair(v, z)
-    alpha = b0 / a0
-    log_prior = np.zeros(b_sz)
-    log_post = np.abs(b0) ** 2 / a0
+    log_prior = np.zeros_like(a)
+    log_post = b2 / a
+    snaps = {0: log_post} if 0 in snapshot_ls else {}
 
-    snaps: dict[int, np.ndarray] = {}
-    if 0 in snapshot_ls:
-        snaps[0] = log_post.copy()
-
-    m_prev = s_stack
-    logdet_prev = None
-    d_prev = z - alpha[:, None] * v
     deltas = mixtures = None
-    if record_trace:
-        logdet_prev = _logdet_stack(s_stack)
-        deltas = np.empty((b_sz, l_top))
-        mixtures = np.empty((b_sz, l_top + 1))
-        qz0 = _vdot_rows(z, np.linalg.solve(s_stack, z[:, :, None])[:, :, 0]).real
-        qd0 = _vdot_rows(
-            d_prev, np.linalg.solve(s_stack, d_prev[:, :, None])[:, :, 0]
-        ).real
+    if logdet_s is not None:
+        deltas = np.empty((a.shape[0], l_top))
+        mixtures = np.empty((a.shape[0], l_top + 1))
+        # state after the previous M-step: log det M, tr(M^-1 S),
+        # z^H M^-1 z and d^H M^-1 d; initially M = S, d = z - (b / a) v
+        logdet_prev, trs_prev, qz_prev, qd_prev = logdet_s, n, c, c - b2 / a
         mixtures[:, 0] = _mixture_batched(
-            log_prior, logdet_prev, _trace_solve(s_stack, s_stack), qz0, qd0, n, kp1
+            log_prior, logdet_prev, trs_prev, qz_prev, qd_prev, n, kp1
         )
 
     for l in range(1, l_top + 1):
         q1 = _sigmoid_clamped(log_post)
         q0 = 1.0 - q1
-        a_stack = s_stack + q0[:, None, None] * _outer_rows(z)
-        x = np.linalg.solve(a_stack, rhs)
-        a = np.einsum("i,bi->b", v.conj(), x[:, :, 0]).real
-        b = np.einsum("i,bi->b", v.conj(), x[:, :, 1])
-        alpha = b / a
-        d = z - alpha[:, None] * v
-        m_new = (a_stack + q1[:, None, None] * _outer_rows(d)) / kp1
-
-        y = np.linalg.solve(m_new, _pair(z, d))
-        qz = _vdot_rows(z, y[:, :, 0]).real
-        qd = _vdot_rows(d, y[:, :, 1]).real
-        g = qz - qd
+        u = 1.0 + q0 * c
+        a_a = a - q0 * b2 / u  # v^H A^-1 v
+        # g = z^H M^-1 z - d^H M^-1 d; tends to (k+1) AMF as q0 -> 0
+        g = kp1 * b2 / (u**2 * a_a)
         log_prior = np.log(q1) - np.log(q0)
         log_post = log_prior + g
         if l in snapshot_ls:
-            snaps[l] = log_post.copy()
+            snaps[l] = log_post
 
-        if record_trace:
-            logdet_new = _logdet_stack(m_new)
-            # surrogate improvement: both objective values under (q0, q1)
-            l_new = -kp1 * (logdet_new + n)
-            g_old = a_stack + q1[:, None, None] * _outer_rows(d_prev)
-            l_old = -kp1 * logdet_prev - _trace_solve(m_prev, g_old)
+        if logdet_s is not None:
+            delta = (c - b2 / (u * a_a)) / u  # d^H A^-1 d
+            w = 1.0 + q1 * delta
+            qd = kp1 * delta / w
+            qz = qd + g
+            logdet = logdet_s + np.log(u) + np.log(w) - n * math.log(kp1)
+            trs = kp1 * n - q0 * qz - q1 * qd
+            # surrogate improvement: both objective values under (q0, q1);
+            # the old one weighs S + q0 z z^H + q1 d_prev d_prev^H
+            l_new = -kp1 * (logdet + n)
+            l_old = -kp1 * logdet_prev - trs_prev - q0 * qz_prev - q1 * qd_prev
             deltas[:, l - 1] = np.abs((l_new - l_old) / l_new)
-            mixtures[:, l] = _mixture_batched(
-                log_prior, logdet_new, _trace_solve(m_new, s_stack), qz, qd, n, kp1
-            )
-            logdet_prev = logdet_new
-
-        m_prev = m_new
-        d_prev = d
+            mixtures[:, l] = _mixture_batched(log_prior, logdet, trs, qz, qd, n, kp1)
+            logdet_prev, trs_prev, qz_prev, qd_prev = logdet, trs, qz, qd
 
     return snaps, deltas, mixtures
 
@@ -248,12 +204,13 @@ def statistics_from_stacks(
     stats: dict[str, np.ndarray] = {}
     if need_classical or want_em:
         # one solve of S against [v, z] feeds the classical statistics and
-        # the EM start
-        x = np.linalg.solve(s_stack, _pair(v, z))
+        # the EM recursion
+        x = np.linalg.solve(s_stack, np.stack(np.broadcast_arrays(v, z), axis=2))
         a = np.einsum("i,bi->b", v.conj(), x[:, :, 0]).real
-        b = np.einsum("i,bi->b", v.conj(), x[:, :, 1])
+        b2 = np.abs(np.einsum("i,bi->b", v.conj(), x[:, :, 1])) ** 2
+        c = np.einsum("bi,bi->b", z.conj(), x[:, :, 1]).real
     if need_classical:
-        classical = _classical_batched(a, b, _vdot_rows(z, x[:, :, 1]).real)
+        classical = _classical_batched(a, b2, c)
         for det, _ in parsed:
             if det.value in classical:
                 stats[det.value] = classical[det.value]
@@ -279,8 +236,9 @@ def statistics_from_stacks(
         l_top = max(em_ls, default=0)
         if record_em_trace:
             l_top = max(l_top, trace_l_max or 0)
+        logdet_s = np.linalg.slogdet(s_stack)[1] if record_em_trace else None
         snaps, em_delta, em_mixture = _em_batched(
-            z, s_stack, v, a, b, l_top, tuple(em_ls), record_em_trace, k
+            a, b2, c, logdet_s, l_top, tuple(em_ls), k, z.shape[1]
         )
         for l in em_ls:
             stats[f"{DetectorId.EM_BML_D.value}{l}"] = snaps[l]

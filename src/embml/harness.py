@@ -62,6 +62,17 @@ class InsufficientTrials(ValueError):
     """Too few null trials for the requested false alarm probability."""
 
 
+def _require_finite(stats: np.ndarray, detector: str | None) -> None:
+    """Reject NaN and infinite statistics, which would sort and count silently."""
+    bad = ~np.isfinite(stats)
+    if bad.any():
+        msg = (
+            f"{np.count_nonzero(bad)} of {stats.size} statistics are not "
+            f"finite, first at trial {int(np.argmax(bad))}"
+        )
+        raise ValueError(msg if detector is None else f"{detector}: {msg}")
+
+
 @dataclass(frozen=True)
 class TrialEnsemble:
     """Sorted statistics of one detector over a block of trials."""
@@ -71,8 +82,9 @@ class TrialEnsemble:
     scenario: ScenarioConfig
 
     def __post_init__(self):
-        stats = np.sort(np.asarray(self.statistics, dtype=float))
-        object.__setattr__(self, "statistics", stats)
+        stats = np.asarray(self.statistics, dtype=float)
+        _require_finite(stats, self.detector)
+        object.__setattr__(self, "statistics", np.sort(stats))
 
     @property
     def trial_count(self) -> int:
@@ -133,11 +145,18 @@ def calibrate_threshold(ensemble: TrialEnsemble, pfa: float) -> float:
     return float(ensemble.statistics[rank - 1])
 
 
-def estimate_rate(statistics: np.ndarray, threshold: float) -> tuple[float, float]:
-    """Exceedance fraction and its binomial 95% confidence half-width."""
+def estimate_rate(
+    statistics: np.ndarray, threshold: float, *, detector: str | None = None
+) -> tuple[float, float]:
+    """Exceedance fraction and its binomial 95% confidence half-width.
+
+    detector names the statistics in the error raised when one is not
+    finite.
+    """
     stats = np.asarray(statistics, dtype=float)
     if stats.size == 0:
         raise ValueError("empty statistics")
+    _require_finite(stats, detector)
     rate = float(np.mean(stats > threshold))
     ci = 1.96 * math.sqrt(rate * (1.0 - rate) / stats.size)
     return rate, ci
@@ -245,7 +264,7 @@ def cfar_sweep(
             stats = sim.statistics
         for j, lab in enumerate(labels):
             rates[i, j], cis[i, j] = estimate_rate(
-                stats[lab], cal.table.threshold(lab, pfa)
+                stats[lab], cal.table.threshold(lab, pfa), detector=lab
             )
 
     return CurveResult(
@@ -316,7 +335,9 @@ def _injected_grid(
                 thr = _benchmark_threshold(cal, alpha, pfa, cal.table.scenario)
             else:
                 thr = cal.table.threshold(lab, pfa)
-            rates[i, j], cis[i, j] = estimate_rate(sim.statistics[lab], thr)
+            rates[i, j], cis[i, j] = estimate_rate(
+                sim.statistics[lab], thr, detector=lab
+            )
 
     axis_values = np.array(rows, dtype=float).reshape(len(rows), len(axis_names))
     return CurveResult(

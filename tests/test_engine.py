@@ -18,7 +18,7 @@ from embml.detectors import (
     rao_statistic,
     sample_covariance,
 )
-from embml.em import em_bml_statistic, run_em
+from embml.em import POSTERIOR_FLOOR, em_bml_statistic, run_em
 from embml.engine import (
     benchmark_statistic_from_aux,
     simulate_statistics,
@@ -28,6 +28,7 @@ from embml.scenario import (
     DataBatch,
     ScenarioConfig,
     build_covariance,
+    inject_target,
     injection_amplitude,
     sample_batch,
     steering_vector,
@@ -43,42 +44,61 @@ def stacks_from_batches(batches):
     return z, zs
 
 
+# (n, k, cnr_db, rho, target injected at scnr_db); the first case is
+# pure H0 data
+CROSS_CHECK_CASES = (
+    (8, 16, 30.0, 0.9, False),
+    (8, 16, 30.0, 0.9, True),
+    (8, 8, 30.0, 0.9, True),
+    (16, 32, 30.0, 0.9, True),
+    (8, 16, 110.0, 0.99, True),
+)
+
+
+def check_against_reference(n, k, cnr_db, rho, inject):
+    cfg = ScenarioConfig(n=n, k=k, cnr_db=cnr_db, rho=rho, scnr_db=15.0,
+                         master_seed=201)
+    m = build_covariance(cfg)
+    v = steering_vector(cfg.n, cfg.doppler)
+    alpha = injection_amplitude(v, m, cfg.scnr_db)
+    batches = [sample_batch(cfg, m, t) for t in range(32)]
+    if inject:
+        batches = [inject_target(b, v, m, cfg.scnr_db) for b in batches]
+    z, zs = stacks_from_batches(batches)
+
+    sim = statistics_from_stacks(
+        z, zs, v, ALL_LABELS, true_m=m, alpha_hyp=alpha,
+        record_em_trace=True, trace_l_max=7,
+    )
+    stats, delta, mixture = sim.statistics, sim.em_delta_l, sim.em_mixture
+
+    for i, batch in enumerate(batches):
+        sc = sample_covariance(batch)
+        ref = {
+            "glrt": glrt_statistic(batch, v, sc),
+            "amf": amf_statistic(batch, v, sc),
+            "rao": rao_statistic(batch, v, sc),
+            "ace": ace_statistic(batch, v, sc),
+            "benchmark": benchmark_statistic(batch, v, m, alpha),
+        }
+        for lab, expected in ref.items():
+            assert stats[lab][i] == pytest.approx(expected, rel=1e-9,
+                                                  abs=1e-9)
+        trace = run_em(batch, v, 7, sc)
+        assert stats["em-bml-d5"][i] == pytest.approx(
+            trace.states[5].log_post_ratio, rel=1e-9, abs=1e-9)
+        assert stats["em-bml-d7"][i] == pytest.approx(
+            em_bml_statistic(trace), rel=1e-9, abs=1e-9)
+        np.testing.assert_allclose(delta[i], trace.delta_l,
+                                   rtol=1e-8, atol=1e-12)
+        np.testing.assert_allclose(mixture[i], trace.mixture_log_lik,
+                                   rtol=1e-9)
+
+
 class TestCrossCheck:
     def test_batched_matches_per_trial_reference(self):
-        cfg = ScenarioConfig(scnr_db=15.0, master_seed=201)
-        m = build_covariance(cfg)
-        v = steering_vector(cfg.n, cfg.doppler)
-        alpha = injection_amplitude(v, m, cfg.scnr_db)
-        batches = [sample_batch(cfg, m, t) for t in range(32)]
-        z, zs = stacks_from_batches(batches)
-
-        sim = statistics_from_stacks(
-            z, zs, v, ALL_LABELS, true_m=m, alpha_hyp=alpha,
-            record_em_trace=True, trace_l_max=7,
-        )
-        stats, delta, mixture = sim.statistics, sim.em_delta_l, sim.em_mixture
-
-        for i, batch in enumerate(batches):
-            sc = sample_covariance(batch)
-            ref = {
-                "glrt": glrt_statistic(batch, v, sc),
-                "amf": amf_statistic(batch, v, sc),
-                "rao": rao_statistic(batch, v, sc),
-                "ace": ace_statistic(batch, v, sc),
-                "benchmark": benchmark_statistic(batch, v, m, alpha),
-            }
-            for lab, expected in ref.items():
-                assert stats[lab][i] == pytest.approx(expected, rel=1e-9,
-                                                      abs=1e-9)
-            trace = run_em(batch, v, 7, sc)
-            assert stats["em-bml-d5"][i] == pytest.approx(
-                trace.states[5].log_post_ratio, rel=1e-9, abs=1e-9)
-            assert stats["em-bml-d7"][i] == pytest.approx(
-                em_bml_statistic(trace), rel=1e-9, abs=1e-9)
-            np.testing.assert_allclose(delta[i], trace.delta_l,
-                                       rtol=1e-8, atol=1e-12)
-            np.testing.assert_allclose(mixture[i], trace.mixture_log_lik,
-                                       rtol=1e-9)
+        for case in CROSS_CHECK_CASES:
+            check_against_reference(*case)
 
     def test_benchmark_aux_reproduces_statistic(self):
         cfg = ScenarioConfig(scnr_db=10.0, master_seed=202)
@@ -152,3 +172,24 @@ class TestInjection:
                                      ("amf",), 400, inject=True)
         assert skewed.statistics["amf"].mean() < \
             0.8 * matched.statistics["amf"].mean()
+
+
+class TestSaturation:
+    @pytest.mark.parametrize("scnr_db", [20.0, 13.0, None])
+    def test_saturated_step_adds_k_plus_one_amf(self, scnr_db):
+        """Once q1 sits at its clamp, the next statistic is affine in the AMF.
+
+        This is the mechanism behind acceptance criterion 4: the log prior
+        ratio is pinned at L_sat and the increment is (k+1) AMF.
+        """
+        q1 = np.float64(1.0 - POSTERIOR_FLOOR)
+        l_sat = np.log(q1) - np.log(1.0 - q1)
+        cfg = ScenarioConfig(scnr_db=scnr_db, master_seed=210)
+        sim = simulate_statistics(cfg, ("amf", "em-bml-d4", "em-bml-d5"),
+                                  2000, inject=scnr_db is not None)
+        stats = sim.statistics
+        saturated = stats["em-bml-d4"] >= l_sat
+        assert saturated.sum() > 100
+        np.testing.assert_allclose(
+            stats["em-bml-d5"][saturated],
+            l_sat + (cfg.k + 1) * stats["amf"][saturated], rtol=1e-8)

@@ -82,6 +82,16 @@ class TestEstimateRate:
         rate, _ = estimate_rate(np.array([1.0, 1.0, 2.0]), 1.0)
         assert rate == pytest.approx(1.0 / 3.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_statistic_raises_naming_detector(self, bad):
+        # a NaN sorts last and never exceeds, so it would count as a miss
+        with pytest.raises(ValueError, match="em-bml-d5"):
+            estimate_rate(np.array([bad, 5.0]), 1.0, detector="em-bml-d5")
+        with pytest.raises(ValueError, match="not finite"):
+            estimate_rate(np.array([bad, 5.0]), 1.0)
+        with pytest.raises(ValueError, match="ace: 1 of 3 .* trial 1"):
+            ensemble_of([0.5, bad, 2.0], detector="ace")
+
 
 class TestOrderLabels:
     def test_canonical_order_and_dedup(self):
