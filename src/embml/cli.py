@@ -9,16 +9,17 @@ One subcommand per experiment family:
   convergence       mean EM objective change per iteration
   ingest-run        sliding-window evaluation of a recorded data cube
 
-Settings come from an optional INI config file (--config) with CLI flags
-taking precedence. Exit codes: 0 success, 2 invalid configuration or
-arguments, 3 file I/O or format failure.
+Settings come from an optional INI config file (--config); each flag sets
+one config key on top of the file, and the merged config is parsed and
+validated once. Exit codes: 0 success, 1 a worker process died, 2 invalid
+configuration or arguments, 3 file I/O or format failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from concurrent.futures.process import BrokenProcessPool
 
 from .config import (
     COMMANDS,
@@ -41,6 +42,13 @@ from .harness import (
 __all__ = ["main", "build_parser", "run_spec"]
 
 
+def _value_flag(parser, flag: str, key: str, **kwargs) -> None:
+    """Add a flag whose value sets config key "section.key" over --config."""
+    if "choices" not in kwargs:
+        kwargs.setdefault("metavar", flag[2:].upper().replace("-", "_"))
+    parser.add_argument(flag, dest=key, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="embml",
@@ -50,35 +58,36 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="INI config file")
-    common.add_argument("--seed", type=int, help="master seed (unsigned 64-bit)")
-    common.add_argument("--workers", type=int, help="parallel worker processes")
-    common.add_argument("--out", help="output CSV path")
-    common.add_argument("--pfa", type=float, help="target false-alarm probability")
-    common.add_argument("--trials", type=int, help="trials per grid point")
-    common.add_argument(
-        "--calibration-trials", type=int, help="null trials for thresholding"
-    )
-    common.add_argument(
-        "--detectors", nargs="+", metavar="LABEL",
-        help="detector labels (e.g. glrt amf rao ace em-bml-d5 benchmark)",
-    )
-    common.add_argument(
-        "--l-max", type=int, nargs="+", metavar="L",
-        help="EM iteration caps (defines em-bml-d variants / trace depth)",
-    )
-    for flag, helptext in (
-        ("--n", "pulses per coherent processing interval"),
-        ("--k", "secondary data vectors"),
-    ):
-        common.add_argument(flag, type=int, help=helptext)
-    for flag, helptext in (
-        ("--rho", "clutter one-lag correlation"),
-        ("--cnr", "clutter-to-noise ratio, dB"),
-        ("--doppler", "normalized target Doppler frequency"),
-        ("--scnr", "scenario signal-to-clutter-plus-noise ratio, dB"),
-        ("--cos-sq-phi", "scenario steering mismatch cos^2 phi"),
-    ):
-        common.add_argument(flag, type=float, help=helptext)
+    _value_flag(common, "--seed", "scenario.master_seed", type=int,
+                help="master seed (unsigned 64-bit)")
+    _value_flag(common, "--workers", "run.workers", type=int,
+                help="parallel worker processes")
+    _value_flag(common, "--out", "run.out", help="output CSV path")
+    _value_flag(common, "--pfa", "run.pfa", type=float,
+                help="target false-alarm probability")
+    _value_flag(common, "--trials", "run.trials", type=int,
+                help="trials per grid point")
+    _value_flag(common, "--calibration-trials", "run.calibration_trials",
+                type=int, help="null trials for thresholding")
+    _value_flag(common, "--detectors", "run.detectors", nargs="+",
+                metavar="LABEL",
+                help="detector labels (e.g. glrt amf rao ace em-bml-d5 benchmark)")
+    _value_flag(common, "--l-max", "run.l_max", type=int, nargs="+", metavar="L",
+                help="EM iteration caps (defines em-bml-d variants / trace depth)")
+    _value_flag(common, "--n", "scenario.n", type=int,
+                help="pulses per coherent processing interval")
+    _value_flag(common, "--k", "scenario.k", type=int,
+                help="secondary data vectors")
+    _value_flag(common, "--rho", "scenario.rho", type=float,
+                help="clutter one-lag correlation")
+    _value_flag(common, "--cnr", "scenario.cnr_db", type=float,
+                help="clutter-to-noise ratio, dB")
+    _value_flag(common, "--doppler", "scenario.doppler", type=float,
+                help="normalized target Doppler frequency")
+    _value_flag(common, "--scnr", "scenario.scnr_db", type=float,
+                help="scenario signal-to-clutter-plus-noise ratio, dB")
+    _value_flag(common, "--cos-sq-phi", "scenario.cos_sq_phi", type=float,
+                help="scenario steering mismatch cos^2 phi")
 
     descriptions = {
         "calibrate": "estimate detection thresholds from a null ensemble",
@@ -94,65 +103,30 @@ def build_parser() -> argparse.ArgumentParser:
     }
 
     grid = {"type": float, "nargs": "+"}
-    subparsers["pfa-sweep"].add_argument(
-        "--cnr-grid", metavar="DB", **grid, help="CNR grid, dB"
-    )
-    subparsers["pfa-sweep"].add_argument(
-        "--rho-grid", metavar="RHO", **grid, help="one-lag correlation grid"
-    )
+    _value_flag(subparsers["pfa-sweep"], "--cnr-grid", "grids.cnr_db",
+                metavar="DB", **grid, help="CNR grid, dB")
+    _value_flag(subparsers["pfa-sweep"], "--rho-grid", "grids.rho",
+                metavar="RHO", **grid, help="one-lag correlation grid")
     for name in ("pd-curve", "mismatch-contour", "convergence"):
-        subparsers[name].add_argument(
-            "--scnr-grid", metavar="DB", **grid, help="SCNR grid, dB"
-        )
-    subparsers["mismatch-contour"].add_argument(
-        "--cos-sq-phi-grid", metavar="C", **grid, help="cos^2 phi grid"
-    )
+        _value_flag(subparsers[name], "--scnr-grid", "grids.scnr_db",
+                    metavar="DB", **grid, help="SCNR grid, dB")
+    _value_flag(subparsers["mismatch-contour"], "--cos-sq-phi-grid",
+                "grids.cos_sq_phi", metavar="C", **grid, help="cos^2 phi grid")
     cube = subparsers["ingest-run"]
-    cube.add_argument("--cube", help="cube file path")
-    cube.add_argument(
-        "--cube-format", choices=("interleaved-binary", "csv"),
-        help="cube file encoding",
-    )
-    cube.add_argument("--cut-bin", type=int, help="range bin under test")
-    cube.add_argument("--eval-bin", type=int, help="range bin for rate estimation")
-    cube.add_argument(
-        "--overlap", type=int, help="pulses shared by consecutive windows"
-    )
+    _value_flag(cube, "--cube", "cube.path", help="cube file path")
+    _value_flag(cube, "--cube-format", "cube.format",
+                choices=("interleaved-binary", "csv"), help="cube file encoding")
+    _value_flag(cube, "--cut-bin", "cube.cut_bin", type=int,
+                help="range bin under test")
+    _value_flag(cube, "--eval-bin", "cube.eval_bin", type=int,
+                help="range bin for rate estimation")
+    _value_flag(cube, "--overlap", "cube.overlap", type=int,
+                help="pulses shared by consecutive windows")
     return parser
 
 
-_SCENARIO_FLAGS = {
-    "n": "n",
-    "k": "k",
-    "rho": "rho",
-    "cnr": "cnr_db",
-    "doppler": "doppler",
-    "scnr": "scnr_db",
-    "cos_sq_phi": "cos_sq_phi",
-    "seed": "master_seed",
-}
-
-_SPEC_FLAGS = {
-    "workers": "workers",
-    "out": "output_path",
-    "pfa": "pfa",
-    "trials": "trials",
-    "calibration_trials": "calibration_trials",
-    "l_max": "l_max",
-    "detectors": "detectors",
-    "scnr_grid": "scnr_grid_db",
-    "cnr_grid": "cnr_grid_db",
-    "rho_grid": "rho_grid",
-    "cos_sq_phi_grid": "cos_sq_phi_grid",
-    "cube": "cube_path",
-    "cube_format": "cube_format",
-    "cut_bin": "cube_cut_bin",
-    "eval_bin": "cube_eval_bin",
-    "overlap": "cube_overlap",
-}
-
-
 def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
+    """The config file with the subcommand and every set flag on top."""
     text = ""
     if args.config is not None:
         try:
@@ -160,21 +134,12 @@ def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
                 text = fh.read()
         except OSError as err:
             raise IoError(f"cannot read config {args.config}: {err}") from err
-    spec = parse_config(text)
-
-    scen_over = {}
-    for flag, name in _SCENARIO_FLAGS.items():
-        val = getattr(args, flag, None)
-        if val is not None:
-            scen_over[name] = val
-    scenario = replace(spec.scenario, **scen_over) if scen_over else spec.scenario
-
-    spec_over: dict = {"command": args.command, "scenario": scenario}
-    for flag, name in _SPEC_FLAGS.items():
-        val = getattr(args, flag, None)
-        if val is not None:
-            spec_over[name] = tuple(val) if isinstance(val, list) else val
-    return replace(spec, **spec_over)
+    overrides: dict[str, dict] = {"run": {"command": args.command}}
+    for dest, value in vars(args).items():
+        if "." in dest and value is not None:
+            section, key = dest.split(".")
+            overrides.setdefault(section, {})[key] = value
+    return parse_config(text, overrides)
 
 
 def _cal_trials(spec: ExperimentSpec) -> int:
@@ -286,6 +251,9 @@ def main(argv=None) -> int:
     try:
         spec = _spec_from_args(args)
         summary = run_spec(spec)
+    except BrokenProcessPool as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
     except (OSError, FormatError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3

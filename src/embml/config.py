@@ -4,16 +4,17 @@ A config file has up to four sections — [run], [scenario], [grids], [cube]
 — every key optional. parse_config applies the standard defaults (N=8,
 K=16, rho=0.9, CNR=30 dB, Doppler 0.1, iteration cap 5), so the empty
 string parses to a fully usable spec. serialize_spec writes a file that
-parses back to an equal spec.
+parses back to an equal spec. Every key is listed once, in _KEYS, which
+the unknown-key checks, parsing and serialization all read.
 """
 
 from __future__ import annotations
 
 import configparser
-import math
 from dataclasses import dataclass, field
 
 from .detectors import parse_detector_label
+from .harness import required_trials
 from .scenario import ScenarioConfig
 
 __all__ = [
@@ -94,7 +95,7 @@ class ExperimentSpec:
         if self.trials < 1:
             raise ValidationError("trials must be positive")
         if self.command in _CALIBRATION_COMMANDS:
-            needed = math.ceil(100.0 / self.pfa - 1e-9)
+            needed = required_trials(self.pfa)
             cal = self.calibration_trials
             if cal is None and self.command in ("calibrate", "pfa-sweep"):
                 cal = self.trials
@@ -137,30 +138,16 @@ def _default_detectors(l_max: tuple[int, ...]) -> tuple[str, ...]:
     return _CLASSICAL_DEFAULTS + tuple(f"em-bml-d{l}" for l in sorted(set(l_max)))
 
 
-def _get(parser, section, key, cast, errors):
-    if not parser.has_option(section, key):
-        return None
-    raw = parser.get(section, key)
-    try:
-        return cast(raw)
-    except ValueError as err:
-        errors.append((f"{section}.{key}", raw, str(err)))
-        return None
-
-
 def _float_list(raw: str) -> tuple[float, ...]:
-    items = [s.strip() for s in raw.replace(",", " ").split()]
-    return tuple(float(s) for s in items if s)
+    return tuple(float(s) for s in raw.replace(",", " ").split())
 
 
 def _int_list(raw: str) -> tuple[int, ...]:
-    items = [s.strip() for s in raw.replace(",", " ").split()]
-    return tuple(int(s) for s in items if s)
+    return tuple(int(s) for s in raw.replace(",", " ").split())
 
 
 def _str_list(raw: str) -> tuple[str, ...]:
-    items = [s.strip() for s in raw.replace(",", " ").split()]
-    return tuple(s for s in items if s)
+    return tuple(raw.replace(",", " ").split())
 
 
 def _optional_float(raw: str) -> float | None:
@@ -168,168 +155,118 @@ def _optional_float(raw: str) -> float | None:
     return None if raw.lower() in ("", "none") else float(raw)
 
 
-_SECTIONS = ("run", "scenario", "grids", "cube")
+# Every config key, in serialization order: (section, key) -> (field,
+# parser). Keys of [scenario] name ScenarioConfig fields, all others
+# ExperimentSpec fields.
+_KEYS = {
+    ("run", "command"): ("command", str),
+    ("run", "detectors"): ("detectors", _str_list),
+    ("run", "pfa"): ("pfa", float),
+    ("run", "trials"): ("trials", int),
+    ("run", "calibration_trials"): ("calibration_trials", int),
+    ("run", "l_max"): ("l_max", _int_list),
+    ("run", "out"): ("output_path", str),
+    ("run", "workers"): ("workers", int),
+    ("scenario", "n"): ("n", int),
+    ("scenario", "k"): ("k", int),
+    ("scenario", "rho"): ("rho", float),
+    ("scenario", "cnr_db"): ("cnr_db", float),
+    ("scenario", "noise_power"): ("noise_power", float),
+    ("scenario", "doppler"): ("doppler", float),
+    ("scenario", "scnr_db"): ("scnr_db", _optional_float),
+    ("scenario", "cos_sq_phi"): ("cos_sq_phi", float),
+    ("scenario", "master_seed"): ("master_seed", int),
+    ("grids", "scnr_db"): ("scnr_grid_db", _float_list),
+    ("grids", "cnr_db"): ("cnr_grid_db", _float_list),
+    ("grids", "rho"): ("rho_grid", _float_list),
+    ("grids", "cos_sq_phi"): ("cos_sq_phi_grid", _float_list),
+    ("cube", "format"): ("cube_format", str),
+    ("cube", "overlap"): ("cube_overlap", int),
+    ("cube", "path"): ("cube_path", str),
+    ("cube", "cut_bin"): ("cube_cut_bin", int),
+    ("cube", "eval_bin"): ("cube_eval_bin", int),
+}
+
+_SECTIONS = tuple(dict.fromkeys(section for section, _ in _KEYS))
 
 
-def parse_config(text: str) -> ExperimentSpec:
+def _format(value) -> str:
+    """Config text for a value: repr for floats, space-joined sequences."""
+    if value is None:
+        return "none"
+    if isinstance(value, (tuple, list)):
+        return " ".join(_format(x) for x in value)
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def parse_config(text: str, overrides=None) -> ExperimentSpec:
     """Parse INI-style config text into a validated ExperimentSpec.
 
-    Unknown sections or keys raise ParseError (typos should not silently
-    fall back to defaults); invariant violations raise ValidationError.
+    overrides maps section -> key -> value and is applied on top of the
+    text, each value rendered as serialize_spec renders it; the CLI passes
+    its flags this way. Unknown sections or keys raise ParseError (typos
+    should not silently fall back to defaults); invariant violations raise
+    ValidationError.
     """
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
+        parser.read_dict(
+            {
+                section: {key: _format(value) for key, value in items.items()}
+                for section, items in (overrides or {}).items()
+            }
+        )
     except configparser.Error as err:
         line = getattr(err, "lineno", None)
         where = f" (line {line})" if line is not None else ""
         raise ParseError(f"malformed config{where}: {err}") from err
 
-    known = {
-        "run": {
-            "command", "detectors", "pfa", "trials", "calibration_trials",
-            "l_max", "out", "workers",
-        },
-        "scenario": {
-            "n", "k", "rho", "cnr_db", "noise_power", "doppler", "scnr_db",
-            "cos_sq_phi", "master_seed",
-        },
-        "grids": {"scnr_db", "cnr_db", "rho", "cos_sq_phi"},
-        "cube": {"path", "format", "cut_bin", "eval_bin", "overlap"},
-    }
     for section in parser.sections():
-        if section not in known:
+        if section not in _SECTIONS:
             raise ParseError(
                 f"unknown section [{section}]; expected one of "
                 + ", ".join(f"[{s}]" for s in _SECTIONS)
             )
         for key in parser.options(section):
-            if key not in known[section]:
+            if (section, key) not in _KEYS:
                 raise ParseError(f"unknown key {key!r} in section [{section}]")
 
-    errors: list[tuple[str, str, str]] = []
-
-    def g(sec, key, cast):
-        return _get(parser, sec, key, cast, errors)
-
-    command = g("run", "command", str)
-    detectors = g("run", "detectors", _str_list)
-    pfa = g("run", "pfa", float)
-    trials = g("run", "trials", int)
-    calibration_trials = g("run", "calibration_trials", int)
-    l_max = g("run", "l_max", _int_list)
-    out = g("run", "out", str)
-    workers = g("run", "workers", int)
-
-    scen_kwargs = {}
-    for key, cast in (
-        ("n", int), ("k", int), ("rho", float), ("cnr_db", float),
-        ("noise_power", float), ("doppler", float),
-        ("scnr_db", _optional_float), ("cos_sq_phi", float),
-        ("master_seed", int),
-    ):
-        val = g("scenario", key, cast)
-        if val is not None or (
-            key == "scnr_db" and parser.has_option("scenario", "scnr_db")
-        ):
-            scen_kwargs[key] = val
-
-    scnr_grid = g("grids", "scnr_db", _float_list)
-    cnr_grid = g("grids", "cnr_db", _float_list)
-    rho_grid = g("grids", "rho", _float_list)
-    cos_grid = g("grids", "cos_sq_phi", _float_list)
-
-    cube_path = g("cube", "path", str)
-    cube_format = g("cube", "format", str)
-    cube_cut = g("cube", "cut_bin", int)
-    cube_eval = g("cube", "eval_bin", int)
-    cube_overlap = g("cube", "overlap", int)
-
-    if errors:
-        field_name, raw, why = errors[0]
-        raise ParseError(f"bad value for {field_name}: {raw!r} ({why})")
+    spec_kwargs: dict = {}
+    scen_kwargs: dict = {}
+    for (section, key), (name, parse) in _KEYS.items():
+        if not parser.has_option(section, key):
+            continue
+        raw = parser.get(section, key)
+        try:
+            value = parse(raw)
+        except ValueError as err:
+            raise ParseError(f"bad value for {section}.{key}: {raw!r} ({err})") from None
+        (scen_kwargs if section == "scenario" else spec_kwargs)[name] = value
 
     try:
-        scenario = ScenarioConfig(**scen_kwargs)
+        spec_kwargs["scenario"] = ScenarioConfig(**scen_kwargs)
     except ValueError as err:
         raise ValidationError(f"scenario: {err}") from err
-
-    kwargs: dict = {"scenario": scenario}
-    if command is not None:
-        kwargs["command"] = command
-    if l_max is not None:
-        kwargs["l_max"] = l_max
-    if detectors is not None:
-        kwargs["detectors"] = detectors
-    elif l_max is not None:
-        kwargs["detectors"] = _default_detectors(l_max)
-    for name, val in (
-        ("pfa", pfa), ("trials", trials),
-        ("calibration_trials", calibration_trials), ("output_path", out),
-        ("workers", workers), ("scnr_grid_db", scnr_grid),
-        ("cnr_grid_db", cnr_grid), ("rho_grid", rho_grid),
-        ("cos_sq_phi_grid", cos_grid), ("cube_path", cube_path),
-        ("cube_format", cube_format), ("cube_cut_bin", cube_cut),
-        ("cube_eval_bin", cube_eval), ("cube_overlap", cube_overlap),
-    ):
-        if val is not None:
-            kwargs[name] = val
-
-    return ExperimentSpec(**kwargs)
-
-
-def _fmt_value(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
-def _fmt_list(xs) -> str:
-    return " ".join(_fmt_value(x) for x in xs)
+    if "l_max" in spec_kwargs and "detectors" not in spec_kwargs:
+        spec_kwargs["detectors"] = _default_detectors(spec_kwargs["l_max"])
+    return ExperimentSpec(**spec_kwargs)
 
 
 def serialize_spec(spec: ExperimentSpec) -> str:
-    """Render a spec as config text; parse_config(serialize_spec(s)) == s."""
-    scen = spec.scenario
-    lines = [
-        "[run]",
-        f"command = {spec.command}",
-        f"detectors = {_fmt_list(spec.detectors)}",
-        f"pfa = {repr(spec.pfa)}",
-        f"trials = {spec.trials}",
-    ]
-    if spec.calibration_trials is not None:
-        lines.append(f"calibration_trials = {spec.calibration_trials}")
-    lines += [
-        f"l_max = {_fmt_list(spec.l_max)}",
-        f"out = {spec.output_path}",
-        f"workers = {spec.workers}",
-        "",
-        "[scenario]",
-        f"n = {scen.n}",
-        f"k = {scen.k}",
-        f"rho = {repr(scen.rho)}",
-        f"cnr_db = {repr(scen.cnr_db)}",
-        f"noise_power = {repr(scen.noise_power)}",
-        f"doppler = {repr(scen.doppler)}",
-        f"scnr_db = {'none' if scen.scnr_db is None else repr(scen.scnr_db)}",
-        f"cos_sq_phi = {repr(scen.cos_sq_phi)}",
-        f"master_seed = {scen.master_seed}",
-        "",
-        "[grids]",
-        f"scnr_db = {_fmt_list(spec.scnr_grid_db)}",
-        f"cnr_db = {_fmt_list(spec.cnr_grid_db)}",
-        f"rho = {_fmt_list(spec.rho_grid)}",
-        f"cos_sq_phi = {_fmt_list(spec.cos_sq_phi_grid)}",
-        "",
-        "[cube]",
-        f"format = {spec.cube_format}",
-        f"overlap = {spec.cube_overlap}",
-    ]
-    if spec.cube_path is not None:
-        lines.append(f"path = {spec.cube_path}")
-    if spec.cube_cut_bin is not None:
-        lines.append(f"cut_bin = {spec.cube_cut_bin}")
-    if spec.cube_eval_bin is not None:
-        lines.append(f"eval_bin = {spec.cube_eval_bin}")
-    return "\n".join(lines) + "\n"
+    """Render a spec as config text; parse_config(serialize_spec(s)) == s.
+
+    An optional key whose value is None is left out, except scenario
+    scnr_db, which is written as "none".
+    """
+    sections: dict[str, list[str]] = {}
+    for (section, key), (name, parse) in _KEYS.items():
+        value = getattr(spec.scenario if section == "scenario" else spec, name)
+        if value is None and parse is not _optional_float:
+            continue
+        sections.setdefault(section, []).append(f"{key} = {_format(value)}")
+    return "\n\n".join(
+        f"[{section}]\n" + "\n".join(lines) for section, lines in sections.items()
+    ) + "\n"

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,8 +50,8 @@ class SimulatedStatistics:
     benchmark_c hold the clairvoyant sufficient statistic v^H M^-1 z per
     trial and the constant v^H M^-1 v, captured on request so benchmark
     thresholds at any SCNR can be derived without re-simulation.
-    em_delta_l[(t, l-1)] and em_mixture[(t, l)] hold the per-trial
-    convergence trace when recorded.
+    em_delta_l[(t, l-1)] holds the per-trial convergence trace when
+    recorded.
     """
 
     labels: tuple[str, ...]
@@ -59,7 +60,6 @@ class SimulatedStatistics:
     benchmark_u: np.ndarray | None = None
     benchmark_c: float | None = None
     em_delta_l: np.ndarray | None = None
-    em_mixture: np.ndarray | None = None
 
 
 def _sigmoid_clamped(r: np.ndarray) -> np.ndarray:
@@ -112,20 +112,15 @@ def _em_batched(
     recorded.
     """
     kp1 = k + 1
-    log_prior = np.zeros_like(a)
     log_post = b2 / a
     snaps = {0: log_post} if 0 in snapshot_ls else {}
 
-    deltas = mixtures = None
+    deltas = None
     if logdet_s is not None:
         deltas = np.empty((a.shape[0], l_top))
-        mixtures = np.empty((a.shape[0], l_top + 1))
         # state after the previous M-step: log det M, tr(M^-1 S),
         # z^H M^-1 z and d^H M^-1 d; initially M = S, d = z - (b / a) v
         logdet_prev, trs_prev, qz_prev, qd_prev = logdet_s, n, c, c - b2 / a
-        mixtures[:, 0] = _mixture_batched(
-            log_prior, logdet_prev, trs_prev, qz_prev, qd_prev, n, kp1
-        )
 
     for l in range(1, l_top + 1):
         q1 = _sigmoid_clamped(log_post)
@@ -134,8 +129,7 @@ def _em_batched(
         a_a = a - q0 * b2 / u  # v^H A^-1 v
         # g = z^H M^-1 z - d^H M^-1 d; tends to (k+1) AMF as q0 -> 0
         g = kp1 * b2 / (u**2 * a_a)
-        log_prior = np.log(q1) - np.log(q0)
-        log_post = log_prior + g
+        log_post = np.log(q1) - np.log(q0) + g
         if l in snapshot_ls:
             snaps[l] = log_post
 
@@ -151,20 +145,9 @@ def _em_batched(
             l_new = -kp1 * (logdet + n)
             l_old = -kp1 * logdet_prev - trs_prev - q0 * qz_prev - q1 * qd_prev
             deltas[:, l - 1] = np.abs((l_new - l_old) / l_new)
-            mixtures[:, l] = _mixture_batched(log_prior, logdet, trs, qz, qd, n, kp1)
             logdet_prev, trs_prev, qz_prev, qd_prev = logdet, trs, qz, qd
 
-    return snaps, deltas, mixtures
-
-
-def _mixture_batched(log_prior, logdet, tr_s, qz, qd, n, kp1):
-    """Mixture log likelihood per trial from precomputed pieces."""
-    lp0 = -np.logaddexp(0.0, log_prior)
-    lp1 = -np.logaddexp(0.0, -log_prior)
-    base = -kp1 * (n * math.log(math.pi) + logdet)
-    lf0 = base - tr_s - qz
-    lf1 = base - tr_s - qd
-    return np.logaddexp(lp0 + lf0, lp1 + lf1)
+    return snaps, deltas
 
 
 def statistics_from_stacks(
@@ -231,13 +214,13 @@ def statistics_from_stacks(
         if not capture_benchmark_aux:
             benchmark_u = benchmark_c = None
 
-    em_delta = em_mixture = None
+    em_delta = None
     if want_em:
         l_top = max(em_ls, default=0)
         if record_em_trace:
             l_top = max(l_top, trace_l_max or 0)
         logdet_s = np.linalg.slogdet(s_stack)[1] if record_em_trace else None
-        snaps, em_delta, em_mixture = _em_batched(
+        snaps, em_delta = _em_batched(
             a, b2, c, logdet_s, l_top, tuple(em_ls), k, z.shape[1]
         )
         for l in em_ls:
@@ -250,7 +233,6 @@ def statistics_from_stacks(
         benchmark_u=benchmark_u,
         benchmark_c=benchmark_c,
         em_delta_l=em_delta,
-        em_mixture=em_mixture,
     )
 
 
@@ -333,7 +315,8 @@ def simulate_statistics(
     stream_seed defaults to the scenario's master_seed; harness phases pass
     derived seeds so different experiment stages never share substreams.
     Results are bit-identical for fixed seeds regardless of workers or
-    chunk_size.
+    chunk_size. A worker process that dies raises BrokenProcessPool naming
+    the stream seed and the first trial range it did not return.
     """
     if n_trials <= 0:
         raise ValueError("n_trials must be positive")
@@ -348,8 +331,17 @@ def simulate_statistics(
         for start, stop in chunks
     ]
     if workers > 1 and len(args) > 1:
+        parts = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_compute_chunk, args))
+            try:
+                for part in pool.map(_compute_chunk, args):
+                    parts.append(part)
+            except BrokenProcessPool as err:
+                start, stop = chunks[len(parts)]
+                raise BrokenProcessPool(
+                    f"a worker process died before returning trials "
+                    f"[{start}, {stop}) of stream seed {seed}"
+                ) from err
     else:
         parts = [_compute_chunk(a) for a in args]
 
@@ -367,5 +359,4 @@ def simulate_statistics(
         benchmark_u=joined("benchmark_u"),
         benchmark_c=parts[0].benchmark_c,
         em_delta_l=joined("em_delta_l"),
-        em_mixture=joined("em_mixture"),
     )

@@ -31,6 +31,7 @@ __all__ = [
     "ThresholdTable",
     "CalibrationResult",
     "order_labels",
+    "required_trials",
     "calibrate_threshold",
     "estimate_rate",
     "calibrate",
@@ -121,7 +122,8 @@ def order_labels(labels) -> tuple[str, ...]:
     return tuple(sorted({lab for lab in labels}, key=key))
 
 
-def _required_trials(pfa: float) -> int:
+def required_trials(pfa: float) -> int:
+    """Smallest null ensemble that thresholds pfa: ceil(100 / pfa) trials."""
     return math.ceil(100.0 / pfa - 1e-9)
 
 
@@ -135,9 +137,9 @@ def calibrate_threshold(ensemble: TrialEnsemble, pfa: float) -> float:
     if not 0.0 < pfa < 0.5:
         raise ValueError(f"pfa must lie in (0, 0.5), got {pfa}")
     n = ensemble.trial_count
-    if n < _required_trials(pfa):
+    if n < required_trials(pfa):
         raise InsufficientTrials(
-            f"{n} trials < required {_required_trials(pfa)} for pfa={pfa}"
+            f"{n} trials < required {required_trials(pfa)} for pfa={pfa}"
         )
     # nudge absorbs float rounding when n (1 - pfa) is mathematically integer
     rank = math.ceil(n * (1.0 - pfa) - 1e-9)
@@ -188,9 +190,9 @@ def calibrate(
     for pfa in pfas:
         if not 0.0 < pfa < 0.5:
             raise ValueError(f"pfa must lie in (0, 0.5), got {pfa}")
-        if trials < _required_trials(pfa):
+        if trials < required_trials(pfa):
             raise InsufficientTrials(
-                f"{trials} trials < required {_required_trials(pfa)} for pfa={pfa}"
+                f"{trials} trials < required {required_trials(pfa)} for pfa={pfa}"
             )
     if "benchmark" in labels and cfg.scnr_db is None and not capture_benchmark_aux:
         raise ValueError("benchmark calibration requires scnr_db on the scenario")
@@ -310,7 +312,7 @@ def _injected_grid(
         cfg,
         [lab for lab in labels if lab != "benchmark"],
         [pfa],
-        calibration_trials or _required_trials(pfa),
+        calibration_trials or required_trials(pfa),
         workers=workers,
         capture_benchmark_aux=want_benchmark,
     )

@@ -1,7 +1,13 @@
 """Shared pytest plumbing for the test suite."""
 
+import multiprocessing
+import os
 import re
 import sys
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
+
+import pytest
 
 
 def _criterion_key(line):
@@ -18,3 +24,17 @@ def pytest_terminal_summary(terminalreporter):
     terminalreporter.section("acceptance criteria")
     for line in sorted(lines, key=_criterion_key):
         terminalreporter.write_line(line)
+
+
+def _die(args):
+    os._exit(1)
+
+
+@pytest.fixture
+def crashing_workers(monkeypatch):
+    """Every pooled chunk kills its (forked) worker process."""
+    from embml import engine
+
+    monkeypatch.setattr(engine, "_compute_chunk", _die)
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", partial(
+        ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))

@@ -1,11 +1,12 @@
 """End-to-end tests for the batch CLI: exit codes, flag plumbing, outputs."""
 
+import argparse
 import re
 
 import numpy as np
 import pytest
 
-from embml.cli import main
+from embml.cli import _spec_from_args, build_parser, main
 from embml.curves import read_curve
 from embml.cube import DataCube, synthesize_cube, write_cube
 from embml.scenario import ScenarioConfig
@@ -202,3 +203,132 @@ class TestWorkerCountReproducibility:
             assert code == 0
             texts.append(out.read_bytes())
         assert texts[0] == texts[1]
+
+
+class TestWorkerCrash:
+    def test_dead_worker_is_exit_one_with_one_error_line(
+        self, tmp_path, capsys, crashing_workers
+    ):
+        code, _, stderr = run_cli(
+            ["calibrate", "--n", "4", "--k", "8", "--pfa", "0.05",
+             "--trials", "8192", "--detectors", "glrt", "--workers", "2",
+             "--out", str(tmp_path / "x.csv")], capsys)
+        assert code == 1
+        assert re.fullmatch(
+            r"error: .*trials \[0, 4096\) of stream seed \d+\n", stderr)
+
+
+# Every value flag of every subcommand: its config key and a value that
+# differs from both the defaults and BASE_INI.
+COMMON_FLAGS = {
+    "--seed": ("scenario", "master_seed", ["17"]),
+    "--workers": ("run", "workers", ["2"]),
+    "--out": ("run", "out", ["flag.csv"]),
+    "--pfa": ("run", "pfa", ["0.1"]),
+    "--trials": ("run", "trials", ["3000"]),
+    "--calibration-trials": ("run", "calibration_trials", ["4000"]),
+    "--detectors": ("run", "detectors", ["glrt", "em-bml-d3"]),
+    "--l-max": ("run", "l_max", ["3", "9"]),
+    "--n": ("scenario", "n", ["6"]),
+    "--k": ("scenario", "k", ["12"]),
+    "--rho": ("scenario", "rho", ["0.5"]),
+    "--cnr": ("scenario", "cnr_db", ["40.5"]),
+    "--doppler": ("scenario", "doppler", ["0.25"]),
+    "--scnr": ("scenario", "scnr_db", ["12.5"]),
+    "--cos-sq-phi": ("scenario", "cos_sq_phi", ["0.7"]),
+}
+SCNR_GRID = {"--scnr-grid": ("grids", "scnr_db", ["0", "7.5"])}
+COMMAND_FLAGS = {
+    "calibrate": {},
+    "pfa-sweep": {"--cnr-grid": ("grids", "cnr_db", ["30", "50.5"]),
+                  "--rho-grid": ("grids", "rho", ["0.5", "0.75"])},
+    "pd-curve": SCNR_GRID,
+    "mismatch-contour": {
+        **SCNR_GRID, "--cos-sq-phi-grid": ("grids", "cos_sq_phi", ["0.5", "1"])},
+    "convergence": SCNR_GRID,
+    "ingest-run": {"--cube": ("cube", "path", ["other.bin"]),
+                   "--cube-format": ("cube", "format", ["csv"]),
+                   "--cut-bin": ("cube", "cut_bin", ["3"]),
+                   "--eval-bin": ("cube", "eval_bin", ["5"]),
+                   "--overlap": ("cube", "overlap", ["2"])},
+}
+FLAG_CASES = [
+    pytest.param(command, flag, *where, id=f"{command} {flag}")
+    for command, extra in COMMAND_FLAGS.items()
+    for flag, where in {**COMMON_FLAGS, **extra}.items()
+]
+# valid for every subcommand
+BASE_INI = {"run": {"pfa": "0.05", "trials": "2000", "out": "base.csv"},
+            "scenario": {"n": "4", "k": "8"},
+            "cube": {"path": "cube.bin", "overlap": "0"}}
+
+
+def spec_of(argv):
+    return _spec_from_args(build_parser().parse_args(argv))
+
+
+def write_ini(path, sections):
+    path.write_text("".join(
+        f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in items.items())
+        for section, items in sections.items()))
+    return str(path)
+
+
+def parser_value_flags():
+    """(subcommand, option string) for every flag but --help and --config."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {
+        (command, action.option_strings[-1])
+        for command, parser in sub.choices.items()
+        for action in parser._actions
+        if action.option_strings and action.dest not in ("help", "config")
+    }
+
+
+class TestFlagIniEquivalence:
+    def test_case_list_is_the_parsers_flag_list(self):
+        cases = {tuple(case.values[:2]) for case in FLAG_CASES}
+        assert cases == parser_value_flags()
+
+    @pytest.mark.parametrize("command,flag,section,key,value", FLAG_CASES)
+    def test_flag_equals_ini_key(self, tmp_path, command, flag, section, key,
+                                 value):
+        base = write_ini(tmp_path / "base.ini", BASE_INI)
+        keyed = {**BASE_INI, section: {**BASE_INI.get(section, {}),
+                                       key: " ".join(value)}}
+        with_key = write_ini(tmp_path / "keyed.ini", keyed)
+        from_flag = spec_of([command, "--config", base, flag, *value])
+        assert from_flag == spec_of([command, "--config", with_key])
+        assert from_flag != spec_of([command, "--config", base])
+
+
+class TestFlagsOnTopOfConfig:
+    def test_file_is_validated_as_the_subcommand(self, tmp_path, capsys):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text("[run]\ntrials = 1000\n")
+        code, _, stderr = run_cli(
+            ["convergence", "--config", str(cfg), "--n", "4", "--k", "8",
+             "--l-max", "2", "--scnr-grid", "10",
+             "--out", str(tmp_path / "conv.csv")], capsys)
+        assert code == 0, stderr
+
+    def test_flags_apply_before_validation(self, tmp_path, capsys):
+        cfg = tmp_path / "p.ini"
+        cfg.write_text("[run]\ntrials = 2000\n")
+        out = tmp_path / "t.csv"
+        code, _, stderr = run_cli(
+            ["calibrate", "--config", str(cfg), "--pfa", "0.05", "--n", "4",
+             "--k", "8", "--seed", "14", "--out", str(out)], capsys)
+        assert code == 0, stderr
+        assert "glrt,0.05," in out.read_text()
+
+    def test_l_max_flag_sets_default_em_detectors(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        code, _, _ = run_cli(
+            ["calibrate", "--n", "4", "--k", "8", "--pfa", "0.05",
+             "--trials", "2000", "--l-max", "3", "9", "--seed", "15",
+             "--out", str(out)], capsys)
+        assert code == 0
+        labels = [row.split(",")[0] for row in out.read_text().splitlines()[1:]]
+        assert labels == ["glrt", "amf", "rao", "ace", "em-bml-d3", "em-bml-d9"]

@@ -81,6 +81,18 @@ class TestParsing:
         with pytest.raises(ParseError, match="scenario.n"):
             parse_config("[scenario]\nn = banana\n")
 
+    def test_overrides_apply_over_text_before_validation(self):
+        spec = parse_config(
+            "[run]\ntrials = 1000\npfa = 0.01\n",
+            {"run": {"command": "convergence", "l_max": [3, 9]},
+             "scenario": {"rho": 0.5}},
+        )
+        assert spec.command == "convergence"
+        assert spec.pfa == 0.01
+        assert spec.l_max == (3, 9)
+        assert spec.detectors[-2:] == ("em-bml-d3", "em-bml-d9")
+        assert spec.scenario.rho == 0.5
+
     def test_scnr_none_is_accepted(self):
         spec = parse_config("[scenario]\nscnr_db = none\n")
         assert spec.scenario.scnr_db is None
