@@ -45,7 +45,6 @@ from .engine import SimulatedStatistics, simulate_statistics
 from .harness import (
     CalibrationResult,
     InsufficientTrials,
-    ThresholdTable,
     TrialEnsemble,
     calibrate,
     calibrate_threshold,
@@ -83,8 +82,7 @@ __all__ = [
     "sample_covariance",
     "EmState", "EmTrace", "em_bml_statistic", "run_em",
     "SimulatedStatistics", "simulate_statistics",
-    "CalibrationResult", "InsufficientTrials", "ThresholdTable",
-    "TrialEnsemble", "calibrate", "calibrate_threshold", "cfar_sweep",
+    "CalibrationResult", "InsufficientTrials", "TrialEnsemble", "calibrate", "calibrate_threshold", "cfar_sweep",
     "convergence_study", "estimate_rate", "mismatch_contour", "pd_curve",
     "HermitianMatrix", "NotPositiveDefinite",
     "DataBatch", "DegenerateDirection", "ScenarioConfig",

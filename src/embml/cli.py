@@ -150,21 +150,20 @@ def _run_calibrate(spec: ExperimentSpec) -> str:
     cal = calibrate(
         spec.scenario,
         spec.detectors,
-        [spec.pfa],
+        spec.pfa,
         _cal_trials(spec),
         workers=spec.workers,
     )
     lines = ["detector,pfa,threshold"]
-    for lab in order_labels(cal.table.thresholds):
-        thr = cal.table.threshold(lab, spec.pfa)
-        lines.append(f"{lab},{spec.pfa!r},{thr!r}")
+    for lab in order_labels(cal.thresholds):
+        lines.append(f"{lab},{spec.pfa!r},{cal.thresholds[lab]!r}")
     text = "\n".join(lines) + "\n"
     try:
         with open(spec.output_path, "w", encoding="ascii", newline="") as fh:
             fh.write(text)
     except OSError as err:
         raise IoError(f"cannot write {spec.output_path}: {err}") from err
-    return f"calibrated {len(cal.table.thresholds)} detectors"
+    return f"calibrated {len(cal.thresholds)} detectors"
 
 
 def _run_pfa_sweep(spec: ExperimentSpec) -> str:

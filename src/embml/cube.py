@@ -20,7 +20,13 @@ import numpy as np
 
 from .curves import CurveResult
 from .engine import statistics_from_stacks
-from .harness import TrialEnsemble, calibrate_threshold, estimate_rate, order_labels
+from .harness import (
+    TrialEnsemble,
+    _rate_row,
+    calibrate_threshold,
+    order_labels,
+    required_trials,
+)
 from .linalg import HermitianMatrix
 from .scenario import (
     ScenarioConfig,
@@ -74,14 +80,6 @@ class DataCube:
         if not np.isfinite(data).all():
             raise FormatError("cube contains non-finite samples")
         object.__setattr__(self, "data", data)
-
-    @property
-    def pulse_count(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def range_bin_count(self) -> int:
-        return self.data.shape[1]
 
 
 def write_cube_binary(cube: DataCube, path) -> None:
@@ -217,10 +215,9 @@ def window_count(pulses: int, n: int, overlap: int) -> int:
 
 @dataclass(frozen=True)
 class CubeRunResult:
-    """Thresholds from the calibration bin and rates from the evaluation bin."""
+    """Rates from the evaluation bin at thresholds from the calibration bin."""
 
     curve: CurveResult
-    thresholds: dict[str, float]
     window_count: int
     scnr_db: float | None
 
@@ -291,7 +288,8 @@ def sliding_window_run(cube: DataCube, spec) -> CubeRunResult:
     data being unknown), so the measured rate is a detection probability;
     otherwise it is an empirical false-alarm probability. A window whose
     secondary covariance is singular raises FormatError naming the cube,
-    the range bin and the window.
+    the range bin and the window; a calibration bin with too few windows
+    for spec.pfa raises InsufficientData naming the cube and the bin.
     """
     cfg = spec.scenario
     n, k = cfg.n, cfg.k
@@ -327,20 +325,20 @@ def sliding_window_run(cube: DataCube, spec) -> CubeRunResult:
     with _singular_windows_named(cube, zs_ev, eval_bin):
         ev_stats = statistics_from_stacks(z_ev, zs_ev, v, labels).statistics
 
+    count = z_cal.shape[0]
+    if count < required_trials(spec.pfa):
+        raise InsufficientData(
+            f"{cube.source}: calibration bin {cut_bin} has {count} windows; "
+            f"pfa={spec.pfa} needs at least {required_trials(spec.pfa)}"
+        )
     cal_scenario = replace(cfg, scnr_db=None)
-    thresholds = {}
-    rates = np.empty((1, len(labels)))
-    cis = np.empty_like(rates)
-    for j, lab in enumerate(labels):
-        ens = TrialEnsemble(
-            detector=lab, statistics=cal_stats[lab], scenario=cal_scenario
+    thresholds = {
+        lab: calibrate_threshold(
+            TrialEnsemble(lab, cal_stats[lab], cal_scenario), spec.pfa
         )
-        thresholds[lab] = calibrate_threshold(ens, spec.pfa)
-        rates[0, j], cis[0, j] = estimate_rate(
-            ev_stats[lab], thresholds[lab], detector=lab
-        )
-
-    count = z_ev.shape[0]
+        for lab in labels
+    }
+    rates, cis = _rate_row(ev_stats, thresholds, labels)
     curve = CurveResult(
         axis_names=("scnr_db",),
         axis_values=np.array(
@@ -349,11 +347,9 @@ def sliding_window_run(cube: DataCube, spec) -> CubeRunResult:
         detectors=labels,
         rates=rates,
         cis=cis,
-        trial_counts=np.array([count]),
     )
     return CubeRunResult(
         curve=curve,
-        thresholds=thresholds,
         window_count=count,
         scnr_db=scnr_db,
     )

@@ -9,7 +9,7 @@ file reproduces the in-memory values exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +38,6 @@ class CurveResult:
     detectors: tuple[str, ...]
     rates: np.ndarray                # (rows, len(detectors))
     cis: np.ndarray                  # same shape as rates
-    trial_counts: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
         av = np.atleast_2d(np.asarray(self.axis_values, dtype=float))
@@ -60,16 +59,6 @@ class CurveResult:
         """(rates, cis) for one detector label."""
         j = self.detectors.index(label)
         return self.rates[:, j], self.cis[:, j]
-
-    def values_equal(self, other: "CurveResult") -> bool:
-        """Exact equality of everything the CSV encodes."""
-        return (
-            self.axis_names == other.axis_names
-            and self.detectors == other.detectors
-            and np.array_equal(self.axis_values, other.axis_values)
-            and np.array_equal(self.rates, other.rates)
-            and np.array_equal(self.cis, other.cis)
-        )
 
 
 @dataclass(frozen=True)

@@ -46,10 +46,7 @@ _DEFAULT_CHUNK = 4096
 class SimulatedStatistics:
     """Per-trial statistics for a block of Monte Carlo trials.
 
-    statistics maps detector labels to (trials,) arrays. benchmark_u and
-    benchmark_c hold the clairvoyant sufficient statistic v^H M^-1 z per
-    trial and the constant v^H M^-1 v, captured on request so benchmark
-    thresholds at any SCNR can be derived without re-simulation.
+    statistics maps detector labels to (trials,) arrays.
     em_delta_l[(t, l-1)] holds the per-trial convergence trace when
     recorded.
     """
@@ -57,8 +54,6 @@ class SimulatedStatistics:
     labels: tuple[str, ...]
     statistics: dict[str, np.ndarray]
     trial_count: int
-    benchmark_u: np.ndarray | None = None
-    benchmark_c: float | None = None
     em_delta_l: np.ndarray | None = None
 
 
@@ -158,16 +153,16 @@ def statistics_from_stacks(
     *,
     true_m: HermitianMatrix | None = None,
     alpha_hyp: complex | None = None,
-    capture_benchmark_aux: bool = False,
     record_em_trace: bool = False,
     trace_l_max: int | None = None,
 ) -> SimulatedStatistics:
     """Evaluate detector statistics on stacked trials.
 
-    z is (B, n), zs is (B, n, k). The benchmark aux and EM trace fields of
-    the result are None unless requested. Labels may name any subset of
-    detectors; EM variant labels like em-bml-d5 share a single EM recursion
-    run to the largest cap.
+    z is (B, n), zs is (B, n, k). The benchmark needs the true covariance
+    and the hypothesized amplitude. The EM trace of the result is None
+    unless requested. Labels may name any subset of detectors; EM variant
+    labels like em-bml-d5 share a single EM recursion run to the largest
+    cap.
     """
     v = np.asarray(v, dtype=np.complex128)
     k = zs.shape[2]
@@ -198,21 +193,17 @@ def statistics_from_stacks(
             if det.value in classical:
                 stats[det.value] = classical[det.value]
 
-    benchmark_u = benchmark_c = None
-    if want_benchmark or capture_benchmark_aux:
+    if want_benchmark:
         if true_m is None:
             raise ValueError("benchmark statistics require the true covariance")
+        if alpha_hyp is None:
+            raise ValueError("benchmark statistics require an amplitude")
         minv_v = true_m.solve(v)
-        benchmark_u = np.einsum("i,bi->b", minv_v.conj(), z)
-        benchmark_c = float(np.vdot(v, minv_v).real)
-        if want_benchmark:
-            if alpha_hyp is None:
-                raise ValueError("benchmark statistics require an amplitude")
-            stats[DetectorId.BENCHMARK.value] = benchmark_statistic_from_aux(
-                benchmark_u, benchmark_c, alpha_hyp
-            )
-        if not capture_benchmark_aux:
-            benchmark_u = benchmark_c = None
+        stats[DetectorId.BENCHMARK.value] = benchmark_statistic_from_aux(
+            np.einsum("i,bi->b", minv_v.conj(), z),
+            float(np.vdot(v, minv_v).real),
+            alpha_hyp,
+        )
 
     em_delta = None
     if want_em:
@@ -230,8 +221,6 @@ def statistics_from_stacks(
         labels=tuple(labels),
         statistics=stats,
         trial_count=z.shape[0],
-        benchmark_u=benchmark_u,
-        benchmark_c=benchmark_c,
         em_delta_l=em_delta,
     )
 
@@ -239,7 +228,7 @@ def statistics_from_stacks(
 def benchmark_statistic_from_aux(
     u: np.ndarray, c: float, alpha: complex
 ) -> np.ndarray:
-    """g = 2 Re(conj(alpha) u) - |alpha|^2 c from the cached aux statistics."""
+    """g = 2 Re(conj(alpha) u) - |alpha|^2 c, u = v^H M^-1 z, c = v^H M^-1 v."""
     return 2.0 * (np.conj(alpha) * u).real - abs(alpha) ** 2 * c
 
 
@@ -260,8 +249,7 @@ def _generate_stack(
 
 
 def _compute_chunk(args) -> SimulatedStatistics:
-    (cfg, labels, stream_seed, start, stop, inject, capture_aux, record_trace,
-     trace_l_max) = args
+    cfg, labels, stream_seed, start, stop, inject, record_trace, trace_l_max = args
     m = build_covariance(cfg)
     v = steering_vector(cfg.n, cfg.doppler)
     v_true = (
@@ -289,7 +277,6 @@ def _compute_chunk(args) -> SimulatedStatistics:
         labels,
         true_m=m,
         alpha_hyp=alpha_hyp,
-        capture_benchmark_aux=capture_aux,
         record_em_trace=record_trace,
         trace_l_max=trace_l_max,
     )
@@ -302,7 +289,6 @@ def simulate_statistics(
     *,
     stream_seed: int | None = None,
     inject: bool = False,
-    capture_benchmark_aux: bool = False,
     record_em_trace: bool = False,
     trace_l_max: int | None = None,
     workers: int = 1,
@@ -326,8 +312,7 @@ def simulate_statistics(
         for start in range(0, n_trials, chunk_size)
     ]
     args = [
-        (cfg, labels, seed, start, stop, inject, capture_benchmark_aux,
-         record_em_trace, trace_l_max)
+        (cfg, labels, seed, start, stop, inject, record_em_trace, trace_l_max)
         for start, stop in chunks
     ]
     if workers > 1 and len(args) > 1:
@@ -345,10 +330,7 @@ def simulate_statistics(
     else:
         parts = [_compute_chunk(a) for a in args]
 
-    def joined(field: str):
-        arrays = [getattr(p, field) for p in parts]
-        return None if arrays[0] is None else np.concatenate(arrays)
-
+    traced = parts[0].em_delta_l is not None
     return SimulatedStatistics(
         labels=tuple(labels),
         statistics={
@@ -356,7 +338,7 @@ def simulate_statistics(
             for lab in parts[0].statistics
         },
         trial_count=n_trials,
-        benchmark_u=joined("benchmark_u"),
-        benchmark_c=parts[0].benchmark_c,
-        em_delta_l=joined("em_delta_l"),
+        em_delta_l=(
+            np.concatenate([p.em_delta_l for p in parts]) if traced else None
+        ),
     )

@@ -1,7 +1,9 @@
 """Monte Carlo experiment engine: calibration, sweeps, curves, contours.
 
-Thresholds are empirical order statistics of null ensembles with a
-strict-exceedance decision rule. Every experiment phase (calibration, each
+The adaptive detectors' thresholds are empirical order statistics of null
+ensembles with a strict-exceedance decision rule. The clairvoyant
+benchmark's threshold is exact: under H0 its statistic is N(-s, 2s) with
+s the SCNR in linear units. Every experiment phase (calibration, each
 grid point) works in its own derived substream namespace, so trials are
 independent across phases and every result is bit-reproducible for a fixed
 master seed regardless of worker count.
@@ -11,24 +13,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from statistics import NormalDist
 
 import numpy as np
 
 from .curves import ConvergenceResult, CurveResult
 from .detectors import DetectorId, parse_detector_label
-from .engine import benchmark_statistic_from_aux, simulate_statistics
-from .scenario import (
-    ScenarioConfig,
-    build_covariance,
-    derive_stream_seed,
-    injection_amplitude,
-    steering_vector,
-)
+from .engine import simulate_statistics
+from .scenario import ScenarioConfig, derive_stream_seed
 
 __all__ = [
     "InsufficientTrials",
     "TrialEnsemble",
-    "ThresholdTable",
     "CalibrationResult",
     "order_labels",
     "required_trials",
@@ -39,7 +35,6 @@ __all__ = [
     "pd_curve",
     "mismatch_contour",
     "convergence_study",
-    "DEFAULT_DETECTORS",
 ]
 
 # substream namespaces per experiment phase
@@ -48,15 +43,6 @@ _PHASE_SWEEP = 1
 _PHASE_CURVE = 2
 _PHASE_CONTOUR = 3
 _PHASE_CONVERGENCE = 4
-
-DEFAULT_DETECTORS = (
-    "glrt",
-    "amf",
-    "rao",
-    "ace",
-    "em-bml-d5",
-    "em-bml-d7",
-)
 
 
 class InsufficientTrials(ValueError):
@@ -93,22 +79,11 @@ class TrialEnsemble:
 
 
 @dataclass(frozen=True)
-class ThresholdTable:
-    """Per-detector thresholds keyed by nominal Pfa, plus the calibration scene."""
-
-    scenario: ScenarioConfig
-    thresholds: dict[str, dict[float, float]]
-
-    def threshold(self, detector: str, pfa: float) -> float:
-        return self.thresholds[detector][pfa]
-
-
-@dataclass(frozen=True)
 class CalibrationResult:
-    table: ThresholdTable
-    ensembles: dict[str, TrialEnsemble]
-    benchmark_u: np.ndarray | None = None
-    benchmark_c: float | None = None
+    """Per-detector thresholds at one Pfa and the null statistics behind them."""
+
+    thresholds: dict[str, float]
+    statistics: dict[str, np.ndarray]
 
 
 def order_labels(labels) -> tuple[str, ...]:
@@ -169,32 +144,48 @@ def _null_config(cfg: ScenarioConfig) -> ScenarioConfig:
     return replace(cfg, cos_sq_phi=1.0)
 
 
+def _benchmark_threshold(scnr_db: float, pfa: float) -> float:
+    """The clairvoyant benchmark's exact threshold at one SCNR.
+
+    The benchmark hypothesizes alpha along the nominal steering with
+    |alpha|^2 v^H M^-1 v = s, so under H0 its statistic
+    g = 2 Re(conj(alpha) v^H M^-1 z) - s is N(-s, 2s), whatever M is.
+    """
+    s = 10.0 ** (scnr_db / 10.0)
+    # Q^-1(pfa) as -Phi^-1(pfa), which does not round 1 - pfa
+    return -s - math.sqrt(2.0 * s) * NormalDist().inv_cdf(pfa)
+
+
+def _rate_row(statistics, thresholds, labels) -> np.ndarray:
+    """(2, len(labels)) exceedance rates and their CIs, in label order."""
+    row = [
+        estimate_rate(statistics[lab], thresholds[lab], detector=lab)
+        for lab in labels
+    ]
+    return np.array(row, dtype=float).reshape(len(labels), 2).T
+
+
 def calibrate(
     cfg: ScenarioConfig,
     detectors,
-    pfas,
+    pfa: float,
     trials: int,
     *,
     workers: int = 1,
-    capture_benchmark_aux: bool = False,
 ) -> CalibrationResult:
-    """Simulate the null ensemble once and read thresholds off it.
+    """Simulate the null ensemble once and read thresholds at pfa off it.
 
-    The benchmark detector can only be calibrated here when the scenario
-    pins an SCNR (its statistic depends on the hypothesized amplitude);
-    pd_curve instead derives per-point benchmark thresholds from the cached
-    aux statistics.
+    The benchmark's threshold is exact at the scenario's SCNR, so the
+    benchmark can only be calibrated when the scenario pins one.
     """
     labels = order_labels(detectors)
-    pfas = sorted(set(float(p) for p in pfas), reverse=True)
-    for pfa in pfas:
-        if not 0.0 < pfa < 0.5:
-            raise ValueError(f"pfa must lie in (0, 0.5), got {pfa}")
-        if trials < required_trials(pfa):
-            raise InsufficientTrials(
-                f"{trials} trials < required {required_trials(pfa)} for pfa={pfa}"
-            )
-    if "benchmark" in labels and cfg.scnr_db is None and not capture_benchmark_aux:
+    if not 0.0 < pfa < 0.5:
+        raise ValueError(f"pfa must lie in (0, 0.5), got {pfa}")
+    if trials < required_trials(pfa):
+        raise InsufficientTrials(
+            f"{trials} trials < required {required_trials(pfa)} for pfa={pfa}"
+        )
+    if "benchmark" in labels and cfg.scnr_db is None:
         raise ValueError("benchmark calibration requires scnr_db on the scenario")
 
     null_cfg = _null_config(cfg)
@@ -204,23 +195,15 @@ def calibrate(
         trials,
         stream_seed=derive_stream_seed(cfg.master_seed, _PHASE_CALIBRATION),
         inject=False,
-        capture_benchmark_aux=capture_benchmark_aux,
         workers=workers,
     )
-    ensembles = {
-        lab: TrialEnsemble(detector=lab, statistics=arr, scenario=null_cfg)
+    thresholds = {
+        lab: _benchmark_threshold(cfg.scnr_db, pfa)
+        if lab == "benchmark"
+        else calibrate_threshold(TrialEnsemble(lab, arr, null_cfg), pfa)
         for lab, arr in sim.statistics.items()
     }
-    thresholds = {
-        lab: {pfa: calibrate_threshold(ens, pfa) for pfa in pfas}
-        for lab, ens in ensembles.items()
-    }
-    return CalibrationResult(
-        table=ThresholdTable(scenario=null_cfg, thresholds=thresholds),
-        ensembles=ensembles,
-        benchmark_u=sim.benchmark_u,
-        benchmark_c=sim.benchmark_c,
-    )
+    return CalibrationResult(thresholds, sim.statistics)
 
 
 def cfar_sweep(
@@ -230,7 +213,7 @@ def cfar_sweep(
     rho_grid,
     trials: int,
     *,
-    detectors=DEFAULT_DETECTORS,
+    detectors,
     workers: int = 1,
 ) -> CurveResult:
     """Empirical Pfa under off-nominal clutter, at nominally calibrated thresholds.
@@ -242,7 +225,7 @@ def cfar_sweep(
     construction (up to the order-statistic rank convention).
     """
     labels = order_labels(detectors)
-    cal = calibrate(cfg, labels, [pfa], trials, workers=workers)
+    cal = calibrate(cfg, labels, pfa, trials, workers=workers)
 
     points = {(float(c), cfg.rho) for c in cnr_grid}
     points.update((cfg.cnr_db, float(r)) for r in rho_grid)
@@ -252,22 +235,18 @@ def cfar_sweep(
     cis = np.empty_like(rates)
     for i, (cnr_db, rho) in enumerate(rows):
         if (cnr_db, rho) == (cfg.cnr_db, cfg.rho):
-            stats = {lab: cal.ensembles[lab].statistics for lab in labels}
+            stats = cal.statistics
         else:
             point_cfg = replace(_null_config(cfg), cnr_db=cnr_db, rho=rho)
-            sim = simulate_statistics(
+            stats = simulate_statistics(
                 point_cfg,
                 labels,
                 trials,
                 stream_seed=derive_stream_seed(cfg.master_seed, _PHASE_SWEEP, i),
                 inject=False,
                 workers=workers,
-            )
-            stats = sim.statistics
-        for j, lab in enumerate(labels):
-            rates[i, j], cis[i, j] = estimate_rate(
-                stats[lab], cal.table.threshold(lab, pfa), detector=lab
-            )
+            ).statistics
+        rates[i], cis[i] = _rate_row(stats, cal.thresholds, labels)
 
     return CurveResult(
         axis_names=("cnr_db", "rho"),
@@ -275,17 +254,7 @@ def cfar_sweep(
         detectors=labels,
         rates=rates,
         cis=cis,
-        trial_counts=np.full(len(rows), trials),
     )
-
-
-def _benchmark_threshold(
-    cal: CalibrationResult, alpha: complex, pfa: float, scenario: ScenarioConfig
-) -> float:
-    """Benchmark threshold at one SCNR from the cached null aux ensemble."""
-    stats = benchmark_statistic_from_aux(cal.benchmark_u, cal.benchmark_c, alpha)
-    ens = TrialEnsemble(detector="benchmark", statistics=stats, scenario=scenario)
-    return calibrate_threshold(ens, pfa)
 
 
 def _injected_grid(
@@ -301,23 +270,18 @@ def _injected_grid(
 ) -> CurveResult:
     """Pd at each row of scenario overrides, named by axis_names.
 
-    Thresholds come from one matched null calibration (mismatch does not
-    affect the null hypothesis). The benchmark's threshold is recalibrated
-    at every point's SCNR (its statistic depends on the hypothesized
-    amplitude) from aux statistics captured during that calibration run.
+    The adaptive thresholds come from one matched null calibration
+    (mismatch does not affect the null hypothesis); the benchmark's exact
+    threshold is taken at every point's SCNR.
     """
     labels = order_labels(detectors)
-    want_benchmark = "benchmark" in labels
     cal = calibrate(
         cfg,
         [lab for lab in labels if lab != "benchmark"],
-        [pfa],
+        pfa,
         calibration_trials or required_trials(pfa),
         workers=workers,
-        capture_benchmark_aux=want_benchmark,
     )
-    m = build_covariance(cfg)
-    v = steering_vector(cfg.n, cfg.doppler)
 
     rates = np.empty((len(rows), len(labels)))
     cis = np.empty_like(rates)
@@ -331,15 +295,11 @@ def _injected_grid(
             inject=True,
             workers=workers,
         )
-        for j, lab in enumerate(labels):
-            if lab == "benchmark":
-                alpha = injection_amplitude(v, m, point_cfg.scnr_db)
-                thr = _benchmark_threshold(cal, alpha, pfa, cal.table.scenario)
-            else:
-                thr = cal.table.threshold(lab, pfa)
-            rates[i, j], cis[i, j] = estimate_rate(
-                sim.statistics[lab], thr, detector=lab
-            )
+        thresholds = {
+            **cal.thresholds,
+            "benchmark": _benchmark_threshold(point_cfg.scnr_db, pfa),
+        }
+        rates[i], cis[i] = _rate_row(sim.statistics, thresholds, labels)
 
     axis_values = np.array(rows, dtype=float).reshape(len(rows), len(axis_names))
     return CurveResult(
@@ -348,7 +308,6 @@ def _injected_grid(
         detectors=labels,
         rates=rates,
         cis=cis,
-        trial_counts=np.full(len(rows), trials),
     )
 
 

@@ -107,10 +107,6 @@ class HermitianMatrix:
             self.mat + w * np.outer(x, x.conj()), assume_hermitian=True
         )
 
-    @classmethod
-    def identity(cls, n: int) -> "HermitianMatrix":
-        return cls(np.eye(n, dtype=np.complex128), assume_hermitian=True)
-
     def __repr__(self) -> str:
         return f"HermitianMatrix(n={self.n})"
 

@@ -93,6 +93,24 @@ class TestExitCodes:
         assert re.search(r"\bbin 13\b", stderr)
         assert re.search(r"\bwindow 0\b", stderr)
 
+    def test_too_few_windows_is_two_and_names_cube_and_bin(
+        self, tmp_path, capsys
+    ):
+        cfg = ScenarioConfig(n=8, k=16, master_seed=79)
+        cube_path = tmp_path / "short.bin"
+        write_cube(synthesize_cube(cfg, pulses=3200, range_bins=18), cube_path,
+                   "interleaved-binary")
+        code, _, stderr = run_cli(
+            ["ingest-run", "--cube", str(cube_path), "--n", "8", "--k", "16",
+             "--cut-bin", "8", "--eval-bin", "9", "--overlap", "0",
+             "--pfa", "0.05", "--out", str(tmp_path / "x.csv")], capsys)
+        assert code == 2
+        assert "short.bin" in stderr
+        assert re.search(r"\bbin 8\b", stderr)
+        assert re.search(r"\b400 windows\b", stderr)
+        assert re.search(r"\b2000\b", stderr)
+        assert "trials" not in stderr
+
 
 class TestFlagPlumbing:
     def test_flags_override_config(self, tmp_path, capsys):

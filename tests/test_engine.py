@@ -20,11 +20,7 @@ from embml.detectors import (
     sample_covariance,
 )
 from embml.em import POSTERIOR_FLOOR, em_bml_statistic, run_em
-from embml.engine import (
-    benchmark_statistic_from_aux,
-    simulate_statistics,
-    statistics_from_stacks,
-)
+from embml.engine import simulate_statistics, statistics_from_stacks
 from embml.scenario import (
     DataBatch,
     ScenarioConfig,
@@ -98,22 +94,6 @@ class TestCrossCheck:
     def test_batched_matches_per_trial_reference(self):
         for case in CROSS_CHECK_CASES:
             check_against_reference(*case)
-
-    def test_benchmark_aux_reproduces_statistic(self):
-        cfg = ScenarioConfig(scnr_db=10.0, master_seed=202)
-        m = build_covariance(cfg)
-        v = steering_vector(cfg.n, cfg.doppler)
-        alpha = injection_amplitude(v, m, cfg.scnr_db)
-        batches = [sample_batch(cfg, m, t) for t in range(8)]
-        z, zs = stacks_from_batches(batches)
-        sim = statistics_from_stacks(
-            z, zs, v, ("benchmark",), true_m=m, alpha_hyp=alpha,
-            capture_benchmark_aux=True,
-        )
-        stats, u, c = sim.statistics, sim.benchmark_u, sim.benchmark_c
-        np.testing.assert_allclose(
-            benchmark_statistic_from_aux(u, c, alpha), stats["benchmark"],
-            rtol=1e-12)
 
     def test_requires_covariance_for_benchmark(self):
         cfg = ScenarioConfig(master_seed=203)

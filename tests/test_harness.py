@@ -1,9 +1,14 @@
 """Tests for threshold calibration and the Monte Carlo experiment drivers."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from embml.curves import format_curve
+from embml.engine import simulate_statistics
 from embml.harness import (
+    _benchmark_threshold,
     InsufficientTrials,
     TrialEnsemble,
     calibrate,
@@ -107,19 +112,32 @@ class TestOrderLabels:
 
 class TestCalibrate:
     def test_thresholds_decrease_with_pfa(self):
-        cal = calibrate(SMALL, ("glrt", "em-bml-d3"), [0.05, 0.2], 2000)
+        low = calibrate(SMALL, ("glrt", "em-bml-d3"), 0.05, 2000)
+        high = calibrate(SMALL, ("glrt", "em-bml-d3"), 0.2, 2000)
         for lab in ("glrt", "em-bml-d3"):
-            assert cal.table.threshold(lab, 0.05) > \
-                cal.table.threshold(lab, 0.2)
+            assert low.thresholds[lab] > high.thresholds[lab]
 
     def test_benchmark_needs_scnr(self):
         with pytest.raises(ValueError):
-            calibrate(SMALL, ("benchmark",), [0.2], 1000)
+            calibrate(SMALL, ("benchmark",), 0.2, 1000)
 
     def test_calibration_is_reproducible(self):
-        a = calibrate(SMALL, ("amf",), [0.1], 1500)
-        b = calibrate(SMALL, ("amf",), [0.1], 1500)
-        assert a.table.threshold("amf", 0.1) == b.table.threshold("amf", 0.1)
+        a = calibrate(SMALL, ("amf",), 0.1, 1500)
+        b = calibrate(SMALL, ("amf",), 0.1, 1500)
+        assert a.thresholds["amf"] == b.thresholds["amf"]
+
+
+class TestBenchmarkThreshold:
+    @pytest.mark.parametrize("clutter", [{}, {"cnr_db": 60.0, "rho": 0.5}])
+    def test_exact_threshold_holds_pfa_on_simulated_null(self, clutter):
+        # the exact threshold has no calibration noise, so the exceedance
+        # rate carries only the binomial noise of the null trials
+        pfa, trials = 0.05, 20_000
+        cfg = replace(SMALL, scnr_db=8.0, master_seed=307, **clutter)
+        stats = simulate_statistics(cfg, ("benchmark",), trials)
+        rate, _ = estimate_rate(stats.statistics["benchmark"],
+                                _benchmark_threshold(cfg.scnr_db, pfa))
+        assert abs(rate - pfa) <= 4 * np.sqrt(pfa * (1 - pfa) / trials)
 
 
 class TestCfarSweep:
@@ -181,7 +199,7 @@ class TestPdCurve:
                      calibration_trials=1000)
         b = pd_curve(SMALL, 0.1, [0.0, 6.0], ("amf",), 800,
                      calibration_trials=1000)
-        assert a.values_equal(b)
+        assert format_curve(a) == format_curve(b)
 
     def test_axis_is_scnr(self):
         curve = pd_curve(SMALL, 0.1, [3.0], ("amf",), 500,

@@ -133,7 +133,7 @@ class TestRankOneUpdate:
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
-            HermitianMatrix.identity(2).rank_one_update(-0.5, np.array([1.0, 0.0]))
+            HermitianMatrix(np.eye(2)).rank_one_update(-0.5, np.array([1.0, 0.0]))
 
 
 class TestHermitianMatrixValidation:
