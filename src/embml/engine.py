@@ -2,16 +2,24 @@
 
 The per-trial functions in detectors.py and em.py are the reference
 implementations; this module evaluates the same statistics on whole blocks
-of trials at once, which is what makes million-trial false-alarm sweeps
-take minutes instead of hours on one core. The only (trials, n, n) linear
-algebra is one solve of each sample covariance S against [v, z] (plus its
-log determinant when the EM trace is recorded): the classical statistics
-and the whole EM recursion are closed forms in the three whitened scalars
-v^H S^-1 v, |v^H S^-1 z|^2 and z^H S^-1 z. The two paths are cross-checked
-to 1e-9 in the test suite.
+of trials at once. The classical statistics and the whole EM recursion are
+closed forms in the maximal invariant a = v^H S^-1 v, |b|^2 = |v^H S^-1 z|^2
+and c = z^H S^-1 z (the EM trace also needs log det S), and one helper,
+_evaluate, computes every statistic from it. Two generators feed it:
 
-Trial data still come from one counter-based substream per trial, so
-results are bit-identical for a given (stream_seed, trial_index) no matter
+- the data path draws each trial's (n, k+1) data matrix from its own
+  substream keyed by (stream_seed, trial_index), colours it by chol(M) and
+  solves S against [v, z]. statistics_from_stacks is its entry for data
+  from outside (cube windows); it is cross-checked to 1e-9 against the
+  per-trial reference.
+- the invariant path (simulate_statistics(..., invariant=True)) draws a,
+  |b|^2, c, log det S and the benchmark's projection exactly from O(n)
+  scalars per trial, with no data matrix and no solve. Each block of
+  _BLOCK trials comes from one generator keyed by (stream_seed,
+  block_index) and is sliced to the trials asked for. The test suite
+  checks its distributions against the data path.
+
+On either path results are bit-identical for a given stream seed no matter
 the chunk size or worker count.
 """
 
@@ -30,6 +38,7 @@ from .linalg import HermitianMatrix
 from .scenario import (
     ScenarioConfig,
     _standard_complex,
+    block_rng,
     build_covariance,
     injection_amplitude,
     mismatched_steering,
@@ -40,6 +49,8 @@ from .scenario import (
 __all__ = ["SimulatedStatistics", "simulate_statistics", "statistics_from_stacks"]
 
 _DEFAULT_CHUNK = 4096
+# trials per block_rng key on the invariant path
+_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -145,6 +156,67 @@ def _em_batched(
     return snaps, deltas
 
 
+def _evaluate(
+    labels: tuple[str, ...],
+    n: int,
+    k: int,
+    trial_count: int,
+    scalars,
+    benchmark_aux,
+    logdet_s,
+    record_em_trace: bool,
+    trace_l_max: int | None,
+) -> SimulatedStatistics:
+    """Detector statistics of a trial block, whichever generator drew it.
+
+    scalars() returns (a, |b|^2, c), benchmark_aux() the (u, c, alpha)
+    arguments of benchmark_statistic_from_aux and logdet_s() log det S;
+    each is called only when a requested statistic needs it. EM variant
+    labels like em-bml-d5 share a single EM recursion run to the largest
+    cap.
+    """
+    parsed = [parse_detector_label(lab) for lab in labels]
+    need_classical = any(
+        det in (DetectorId.GLRT, DetectorId.AMF, DetectorId.RAO, DetectorId.ACE)
+        for det, _ in parsed
+    )
+    em_ls = sorted({lmax for det, lmax in parsed if det is DetectorId.EM_BML_D})
+    want_em = bool(em_ls) or record_em_trace
+
+    stats: dict[str, np.ndarray] = {}
+    if need_classical or want_em:
+        a, b2, c = scalars()
+    if need_classical:
+        classical = _classical_batched(a, b2, c)
+        for det, _ in parsed:
+            if det.value in classical:
+                stats[det.value] = classical[det.value]
+
+    if any(det is DetectorId.BENCHMARK for det, _ in parsed):
+        stats[DetectorId.BENCHMARK.value] = benchmark_statistic_from_aux(
+            *benchmark_aux()
+        )
+
+    em_delta = None
+    if want_em:
+        l_top = max(em_ls, default=0)
+        if record_em_trace:
+            l_top = max(l_top, trace_l_max or 0)
+        snaps, em_delta = _em_batched(
+            a, b2, c, logdet_s() if record_em_trace else None,
+            l_top, tuple(em_ls), k, n,
+        )
+        for l in em_ls:
+            stats[f"{DetectorId.EM_BML_D.value}{l}"] = snaps[l]
+
+    return SimulatedStatistics(
+        labels=tuple(labels),
+        statistics=stats,
+        trial_count=trial_count,
+        em_delta_l=em_delta,
+    )
+
+
 def statistics_from_stacks(
     z: np.ndarray,
     zs: np.ndarray,
@@ -160,9 +232,7 @@ def statistics_from_stacks(
 
     z is (B, n), zs is (B, n, k). The benchmark needs the true covariance
     and the hypothesized amplitude. The EM trace of the result is None
-    unless requested. Labels may name any subset of detectors; EM variant
-    labels like em-bml-d5 share a single EM recursion run to the largest
-    cap.
+    unless requested. Labels may name any subset of detectors.
     """
     v = np.asarray(v, dtype=np.complex128)
     k = zs.shape[2]
@@ -170,58 +240,30 @@ def statistics_from_stacks(
         raise ValueError("stacked trials need k >= n secondary vectors")
     s_stack = zs @ zs.conj().swapaxes(1, 2)
 
-    parsed = [parse_detector_label(lab) for lab in labels]
-    need_classical = any(
-        det in (DetectorId.GLRT, DetectorId.AMF, DetectorId.RAO, DetectorId.ACE)
-        for det, _ in parsed
-    )
-    em_ls = sorted({lmax for det, lmax in parsed if det is DetectorId.EM_BML_D})
-    want_em = bool(em_ls) or record_em_trace
-    want_benchmark = any(det is DetectorId.BENCHMARK for det, _ in parsed)
-
-    stats: dict[str, np.ndarray] = {}
-    if need_classical or want_em:
+    def scalars():
         # one solve of S against [v, z] feeds the classical statistics and
         # the EM recursion
         x = np.linalg.solve(s_stack, np.stack(np.broadcast_arrays(v, z), axis=2))
         a = np.einsum("i,bi->b", v.conj(), x[:, :, 0]).real
         b2 = np.abs(np.einsum("i,bi->b", v.conj(), x[:, :, 1])) ** 2
         c = np.einsum("bi,bi->b", z.conj(), x[:, :, 1]).real
-    if need_classical:
-        classical = _classical_batched(a, b2, c)
-        for det, _ in parsed:
-            if det.value in classical:
-                stats[det.value] = classical[det.value]
+        return a, b2, c
 
-    if want_benchmark:
+    def benchmark_aux():
         if true_m is None:
             raise ValueError("benchmark statistics require the true covariance")
         if alpha_hyp is None:
             raise ValueError("benchmark statistics require an amplitude")
         minv_v = true_m.solve(v)
-        stats[DetectorId.BENCHMARK.value] = benchmark_statistic_from_aux(
+        return (
             np.einsum("i,bi->b", minv_v.conj(), z),
             float(np.vdot(v, minv_v).real),
             alpha_hyp,
         )
 
-    em_delta = None
-    if want_em:
-        l_top = max(em_ls, default=0)
-        if record_em_trace:
-            l_top = max(l_top, trace_l_max or 0)
-        logdet_s = np.linalg.slogdet(s_stack)[1] if record_em_trace else None
-        snaps, em_delta = _em_batched(
-            a, b2, c, logdet_s, l_top, tuple(em_ls), k, z.shape[1]
-        )
-        for l in em_ls:
-            stats[f"{DetectorId.EM_BML_D.value}{l}"] = snaps[l]
-
-    return SimulatedStatistics(
-        labels=tuple(labels),
-        statistics=stats,
-        trial_count=z.shape[0],
-        em_delta_l=em_delta,
+    return _evaluate(
+        tuple(labels), z.shape[1], k, z.shape[0], scalars, benchmark_aux,
+        lambda: np.linalg.slogdet(s_stack)[1], record_em_trace, trace_l_max,
     )
 
 
@@ -248,8 +290,9 @@ def _generate_stack(
     return out
 
 
-def _compute_chunk(args) -> SimulatedStatistics:
-    cfg, labels, stream_seed, start, stop, inject, record_trace, trace_l_max = args
+def _data_chunk(cfg, labels, stream_seed, start, stop, inject, record_trace,
+                trace_l_max) -> SimulatedStatistics:
+    """Statistics of trials [start, stop) drawn as data: Z, colour, solve."""
     m = build_covariance(cfg)
     v = steering_vector(cfg.n, cfg.doppler)
     v_true = (
@@ -266,8 +309,6 @@ def _compute_chunk(args) -> SimulatedStatistics:
     z = zfull[:, :, 0]
     zs = zfull[:, :, 1:]
     if inject:
-        if cfg.scnr_db is None:
-            raise ValueError("injection requires scnr_db")
         z = z + injection_amplitude(v_true, m, cfg.scnr_db) * v_true
 
     return statistics_from_stacks(
@@ -282,6 +323,103 @@ def _compute_chunk(args) -> SimulatedStatistics:
     )
 
 
+def _invariant_block(n: int, k: int, stream_seed: int, block: int,
+                     record_trace: bool) -> np.ndarray:
+    """Raw draws of one block of _BLOCK trials, one column per trial.
+
+    Rows: the real then the imaginary parts of z1, z2 and the strictly
+    lower entries of T (row by row), the Gamma(k-n+p-i) squares of T's
+    diagonal, Gamma(n-2) for r^2 when n > 2, and with the trace the sum of
+    log Gamma(k-i), i < n-p. The trace row is drawn last, so the other rows
+    do not depend on it.
+    """
+    p = min(n, 3)
+    rng = block_rng(stream_seed, block)
+    rows = [rng.standard_normal((2 * (2 + p * (p - 1) // 2), _BLOCK))]
+    shapes = [k - n + p - i for i in range(p)] + [n - 2] * (n > 2)
+    rows.append(rng.standard_gamma(shapes, (_BLOCK, len(shapes))).T)
+    if record_trace:
+        rest = rng.standard_gamma(k - np.arange(n - p), (_BLOCK, n - p))
+        rows.append(np.log(rest).sum(axis=1)[None])
+    return np.concatenate(rows)
+
+
+def _invariant_chunk(cfg, labels, stream_seed, start, stop, inject,
+                     record_trace, trace_l_max) -> SimulatedStatistics:
+    """Statistics of trials [start, stop) drawn through the maximal invariant.
+
+    After whitening, a rotation puts v along e1 and the true steering in
+    span(e1, e2), and one inside span(e3, ..., en) puts the rest of the CUT
+    noise on e3, so the CUT is (z1 + sqrt(s) cos phi, z2 + sqrt(s) sin phi,
+    r, 0, ...) with r^2 ~ Gamma(n-2). S is unitarily invariant, so
+    a, b and c need only the leading p x p block of S^-1, p = min(n, 3):
+    the inverse of W ~ CW(k-n+p, p, I), drawn as T T^H by Bartlett's
+    decomposition, and W's complement gives the rest of log det S. v is
+    taken as e1 itself: every statistic is invariant to the scale of v.
+    """
+    n, k, p = cfg.n, cfg.k, min(cfg.n, 3)
+    first = start // _BLOCK
+    blocks = [
+        _invariant_block(n, k, stream_seed, b, record_trace)
+        for b in range(first, (stop - 1) // _BLOCK + 1)
+    ]
+    lo = start - first * _BLOCK
+    draws = np.concatenate(blocks, axis=1)[:, lo : lo + stop - start]
+
+    m_normal = 2 + p * (p - 1) // 2
+    w = (draws[:m_normal] + 1j * draws[m_normal : 2 * m_normal]) / math.sqrt(2.0)
+    gammas = draws[2 * m_normal :]
+    root_s = None if cfg.scnr_db is None else 10.0 ** (cfg.scnr_db / 20.0)
+
+    x = np.zeros((p, stop - start), dtype=np.complex128)
+    x[:2] = w[:2]
+    if n > 2:
+        x[2] = np.sqrt(gammas[p])
+    if inject:
+        x[0] += root_s * math.sqrt(cfg.cos_sq_phi)
+        x[1] += root_s * math.sqrt(1.0 - cfg.cos_sq_phi)
+
+    def scalars():
+        # forward substitution T [y, u] = [e1, x]; then a = |y|^2,
+        # b = y^H u and c = |u|^2
+        diag = np.sqrt(gammas[:p])
+        off = iter(w[2:])
+        sol = np.zeros((2, p, x.shape[1]), dtype=np.complex128)
+        sol[0, 0] = 1.0
+        sol[1] = x
+        for i in range(p):
+            for j in range(i):
+                sol[:, i] -= next(off) * sol[:, j]
+            sol[:, i] /= diag[i]
+        a = np.sum(np.abs(sol[0]) ** 2, axis=0)
+        b2 = np.abs(np.sum(sol[0].conj() * sol[1], axis=0)) ** 2
+        c = np.sum(np.abs(sol[1]) ** 2, axis=0)
+        return a, b2, c
+
+    def benchmark_aux():
+        # v^H M^-1 z = x1 and v^H M^-1 v = 1 for v = e1, so alpha = sqrt(s)
+        if root_s is None:
+            raise ValueError("benchmark statistics require an amplitude")
+        return x[0], 1.0, root_s
+
+    def logdet_s():
+        return (
+            np.log(gammas[:p]).sum(axis=0)
+            + draws[-1]
+            + build_covariance(cfg).log_det()
+        )
+
+    return _evaluate(
+        tuple(labels), n, k, stop - start, scalars, benchmark_aux, logdet_s,
+        record_trace, trace_l_max,
+    )
+
+
+def _compute_chunk(args) -> SimulatedStatistics:
+    invariant, *rest = args
+    return (_invariant_chunk if invariant else _data_chunk)(*rest)
+
+
 def simulate_statistics(
     cfg: ScenarioConfig,
     labels: tuple[str, ...],
@@ -293,6 +431,7 @@ def simulate_statistics(
     trace_l_max: int | None = None,
     workers: int = 1,
     chunk_size: int = _DEFAULT_CHUNK,
+    invariant: bool = False,
 ) -> SimulatedStatistics:
     """Simulate n_trials independent trials and evaluate the detectors.
 
@@ -300,19 +439,24 @@ def simulate_statistics(
     scenario's true steering (mismatched when cos_sq_phi < 1) at scnr_db.
     stream_seed defaults to the scenario's master_seed; harness phases pass
     derived seeds so different experiment stages never share substreams.
-    Results are bit-identical for fixed seeds regardless of workers or
-    chunk_size. A worker process that dies raises BrokenProcessPool naming
+    invariant=True draws each trial's maximal invariant instead of its
+    data; the statistics have the same distribution but come from another
+    random stream. Results are bit-identical for fixed seeds regardless of
+    workers or chunk_size. A worker process that dies raises BrokenProcessPool naming
     the stream seed and the first trial range it did not return.
     """
     if n_trials <= 0:
         raise ValueError("n_trials must be positive")
+    if inject and cfg.scnr_db is None:
+        raise ValueError("injection requires scnr_db")
     seed = cfg.master_seed if stream_seed is None else stream_seed
     chunks = [
         (start, min(start + chunk_size, n_trials))
         for start in range(0, n_trials, chunk_size)
     ]
     args = [
-        (cfg, labels, seed, start, stop, inject, record_em_trace, trace_l_max)
+        (invariant, cfg, labels, seed, start, stop, inject, record_em_trace,
+         trace_l_max)
         for start, stop in chunks
     ]
     if workers > 1 and len(args) > 1:

@@ -6,7 +6,10 @@ benchmark's threshold is exact: under H0 its statistic is N(-s, 2s) with
 s the SCNR in linear units. Every experiment phase (calibration, each
 grid point) works in its own derived substream namespace, so trials are
 independent across phases and every result is bit-reproducible for a fixed
-master seed regardless of worker count.
+master seed regardless of worker count. Calibration, curves, contours and
+convergence studies draw each trial's maximal invariant; only the CFAR
+sweep draws data, because CNR and rho drop out of the invariant by
+construction.
 """
 
 from __future__ import annotations
@@ -165,20 +168,14 @@ def _rate_row(statistics, thresholds, labels) -> np.ndarray:
     return np.array(row, dtype=float).reshape(len(labels), 2).T
 
 
-def calibrate(
+def _calibrate(
     cfg: ScenarioConfig,
-    detectors,
+    labels: tuple[str, ...],
     pfa: float,
     trials: int,
-    *,
-    workers: int = 1,
+    workers: int,
+    invariant: bool,
 ) -> CalibrationResult:
-    """Simulate the null ensemble once and read thresholds at pfa off it.
-
-    The benchmark's threshold is exact at the scenario's SCNR, so the
-    benchmark can only be calibrated when the scenario pins one.
-    """
-    labels = order_labels(detectors)
     if not 0.0 < pfa < 0.5:
         raise ValueError(f"pfa must lie in (0, 0.5), got {pfa}")
     if trials < required_trials(pfa):
@@ -196,6 +193,7 @@ def calibrate(
         stream_seed=derive_stream_seed(cfg.master_seed, _PHASE_CALIBRATION),
         inject=False,
         workers=workers,
+        invariant=invariant,
     )
     thresholds = {
         lab: _benchmark_threshold(cfg.scnr_db, pfa)
@@ -204,6 +202,25 @@ def calibrate(
         for lab, arr in sim.statistics.items()
     }
     return CalibrationResult(thresholds, sim.statistics)
+
+
+def calibrate(
+    cfg: ScenarioConfig,
+    detectors,
+    pfa: float,
+    trials: int,
+    *,
+    workers: int = 1,
+) -> CalibrationResult:
+    """Simulate the null ensemble once and read thresholds at pfa off it.
+
+    The ensemble is drawn through the maximal invariant. The benchmark's
+    threshold is exact at the scenario's SCNR, so the benchmark can only
+    be calibrated when the scenario pins one.
+    """
+    return _calibrate(
+        cfg, order_labels(detectors), pfa, trials, workers, invariant=True
+    )
 
 
 def cfar_sweep(
@@ -222,10 +239,12 @@ def cfar_sweep(
     rho, and rho varies at the nominal CNR. Rows are the deduplicated union
     in lexicographic (cnr_db, rho) order. The nominal point reuses the
     calibration ensemble, so its rate reproduces the target Pfa by
-    construction (up to the order-statistic rank convention).
+    construction (up to the order-statistic rank convention). Unlike every
+    other experiment, the sweep draws data, not the maximal invariant: the
+    CFAR property it checks would hold on the invariant by construction.
     """
     labels = order_labels(detectors)
-    cal = calibrate(cfg, labels, pfa, trials, workers=workers)
+    cal = _calibrate(cfg, labels, pfa, trials, workers, invariant=False)
 
     points = {(float(c), cfg.rho) for c in cnr_grid}
     points.update((cfg.cnr_db, float(r)) for r in rho_grid)
@@ -271,17 +290,18 @@ def _injected_grid(
     """Pd at each row of scenario overrides, named by axis_names.
 
     The adaptive thresholds come from one matched null calibration
-    (mismatch does not affect the null hypothesis); the benchmark's exact
-    threshold is taken at every point's SCNR.
+    (mismatch does not affect the null hypothesis), which is skipped when
+    the benchmark is the only detector; the benchmark's exact threshold is
+    taken at every point's SCNR.
     """
     labels = order_labels(detectors)
-    cal = calibrate(
-        cfg,
-        [lab for lab in labels if lab != "benchmark"],
-        pfa,
-        calibration_trials or required_trials(pfa),
-        workers=workers,
-    )
+    adaptive = [lab for lab in labels if lab != "benchmark"]
+    thresholds = {}
+    if adaptive:
+        thresholds = calibrate(
+            cfg, adaptive, pfa, calibration_trials or required_trials(pfa),
+            workers=workers,
+        ).thresholds
 
     rates = np.empty((len(rows), len(labels)))
     cis = np.empty_like(rates)
@@ -294,11 +314,9 @@ def _injected_grid(
             stream_seed=derive_stream_seed(cfg.master_seed, phase, i),
             inject=True,
             workers=workers,
+            invariant=True,
         )
-        thresholds = {
-            **cal.thresholds,
-            "benchmark": _benchmark_threshold(point_cfg.scnr_db, pfa),
-        }
+        thresholds["benchmark"] = _benchmark_threshold(point_cfg.scnr_db, pfa)
         rates[i], cis[i] = _rate_row(sim.statistics, thresholds, labels)
 
     axis_values = np.array(rows, dtype=float).reshape(len(rows), len(axis_names))
@@ -392,6 +410,7 @@ def convergence_study(
             record_em_trace=True,
             trace_l_max=l_max,
             workers=workers,
+            invariant=True,
         )
         means[:, j] = sim.em_delta_l.mean(axis=0)
         cis[:, j] = 1.96 * sim.em_delta_l.std(axis=0) / math.sqrt(trials)

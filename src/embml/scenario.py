@@ -22,6 +22,7 @@ __all__ = [
     "build_covariance",
     "steering_vector",
     "trial_rng",
+    "block_rng",
     "derive_stream_seed",
     "sample_batch",
     "injection_amplitude",
@@ -30,6 +31,8 @@ __all__ = [
 ]
 
 _U64 = 2**64
+# set in the counter word of block keys, so they never meet a trial index
+_BLOCK_KEY_BIT = 2**63
 
 
 class DegenerateDirection(ValueError):
@@ -141,6 +144,19 @@ def trial_rng(stream_seed: int, trial_index: int) -> np.random.Generator:
     or scheduled across workers.
     """
     key = np.array([stream_seed % _U64, trial_index % _U64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def block_rng(stream_seed: int, block_index: int) -> np.random.Generator:
+    """Counter-based generator for one block of trials on the invariant path.
+
+    Keyed by (stream_seed, block_index) with the top bit of the second word
+    set, so block keys and trial_rng keys never collide for trial indices
+    below 2^63.
+    """
+    key = np.array(
+        [stream_seed % _U64, (block_index | _BLOCK_KEY_BIT) % _U64], dtype=np.uint64
+    )
     return np.random.Generator(np.random.Philox(key=key))
 
 

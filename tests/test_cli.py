@@ -199,6 +199,46 @@ class TestSubcommands:
         assert abs(rates[0] - 0.2) <= 3 * sigma
 
 
+class TestBenchmarkOnlyGrid:
+    GRID = ["pd-curve", "--n", "4", "--k", "8", "--pfa", "0.05", "--trials",
+            "1000", "--seed", "43", "--scnr-grid", "3.0", "9.0"]
+
+    def test_benchmark_only_skips_the_null_calibration(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import embml.harness
+
+        calls = []
+        simulate = embml.harness.simulate_statistics
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(embml.harness, "simulate_statistics", counting)
+        texts = []
+        for cal_trials in ("2000", "40000"):
+            out = tmp_path / f"bench{cal_trials}.csv"
+            calls.clear()
+            code, _, _ = run_cli(
+                [*self.GRID, "--detectors", "benchmark",
+                 "--calibration-trials", cal_trials, "--out", str(out)], capsys)
+            assert code == 0
+            assert len(calls) == 2  # one per grid point, none to calibrate
+            texts.append(out.read_bytes())
+        assert texts[0] == texts[1]
+
+        # the benchmark column does not depend on whether a calibration ran
+        both = tmp_path / "both.csv"
+        code, _, _ = run_cli(
+            [*self.GRID, "--detectors", "benchmark", "glrt",
+             "--calibration-trials", "2000", "--out", str(both)], capsys)
+        assert code == 0
+        alone = read_curve(tmp_path / "bench2000.csv").column("benchmark")
+        np.testing.assert_array_equal(
+            read_curve(both).column("benchmark"), alone)
+
+
 class TestWorkerCountReproducibility:
     # more trials than one 4096-trial chunk, so two workers really share them
     GRID = ["--n", "4", "--k", "8", "--pfa", "0.05", "--trials", "4200",

@@ -192,14 +192,22 @@ class TestSynthesis:
         got = synthesize_cube(cfg, pulses, bins).data
         np.testing.assert_array_equal(got, expected)
 
-    def test_import_leaves_out_scipy_signal(self):
+    @staticmethod
+    def imported_by_embml(module):
         src = str(Path(embml.__file__).resolve().parents[1])
-        code = "import sys, embml; print('scipy.signal' in sys.modules)"
+        code = f"import sys, embml; print({module!r} in sys.modules)"
         out = subprocess.run(
             [sys.executable, "-c", code], cwd=src, capture_output=True,
             text=True, check=True,
         )
-        assert out.stdout.strip() == "False"
+        return out.stdout.strip() == "True"
+
+    def test_import_leaves_out_scipy_signal(self):
+        assert not self.imported_by_embml("scipy.signal")
+
+    def test_import_leaves_out_scipy_stats(self):
+        # the tests compare against scipy.stats; the package must not need it
+        assert not self.imported_by_embml("scipy.stats")
 
 
 class TestSlidingWindowRun:

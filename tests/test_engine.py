@@ -10,6 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import stats as sps
 
 from embml.detectors import (
     ace_statistic,
@@ -129,6 +130,98 @@ class TestSchedulingInvariance:
         a = simulate_statistics(cfg, ("amf",), 50, stream_seed=1)
         b = simulate_statistics(cfg, ("amf",), 50, stream_seed=2)
         assert not np.array_equal(a.statistics["amf"], b.statistics["amf"])
+
+    INVARIANT_LABELS = ("glrt", "benchmark", "em-bml-d5")
+
+    def invariant_run(self, **kwargs):
+        # 600 trials: chunks of 7 and 100 straddle the 256-trial blocks
+        cfg = ScenarioConfig(n=16, k=32, scnr_db=10.0, cos_sq_phi=0.6,
+                             master_seed=211)
+        return simulate_statistics(
+            cfg, self.INVARIANT_LABELS, 600, inject=True, record_em_trace=True,
+            trace_l_max=4, invariant=True, **kwargs)
+
+    def assert_identical(self, first, second):
+        for lab in self.INVARIANT_LABELS:
+            np.testing.assert_array_equal(first.statistics[lab],
+                                          second.statistics[lab])
+        np.testing.assert_array_equal(first.em_delta_l, second.em_delta_l)
+
+    def test_invariant_chunk_size_does_not_change_results(self):
+        reference = self.invariant_run(chunk_size=4096)
+        for chunk_size in (7, 100):
+            self.assert_identical(self.invariant_run(chunk_size=chunk_size),
+                                  reference)
+
+    def test_invariant_worker_count_does_not_change_results(self):
+        self.assert_identical(self.invariant_run(chunk_size=100, workers=1),
+                              self.invariant_run(chunk_size=100, workers=2))
+
+    def test_invariant_trace_does_not_move_the_statistics(self):
+        cfg = ScenarioConfig(scnr_db=10.0, master_seed=212)
+        plain = simulate_statistics(cfg, ("glrt",), 300, inject=True,
+                                    invariant=True)
+        traced = simulate_statistics(cfg, ("glrt",), 300, inject=True,
+                                     record_em_trace=True, trace_l_max=3,
+                                     invariant=True)
+        np.testing.assert_array_equal(plain.statistics["glrt"],
+                                      traced.statistics["glrt"])
+
+
+# Distribution gate between the two generators: (n, k, scnr_db, cos_sq_phi,
+# inject). H0, matched H1, mismatched H1 at n16, k = n, and the p = 2 and
+# p = 3 edges of the invariant draw.
+INVARIANT_CASES = (
+    (8, 16, 13.0, 1.0, False),
+    (8, 16, 13.0, 1.0, True),
+    (16, 32, 10.0, 0.6, True),
+    (8, 8, 13.0, 1.0, True),
+    (2, 4, 10.0, 0.7, True),
+    (3, 6, 10.0, 1.0, True),
+)
+GATE_LABELS = ("glrt", "amf", "rao", "ace", "benchmark", "em-bml-d5")
+GATE_TRIALS = 8000
+GATE_L = 6
+# every two-sample KS test in the gate shares one family-wise false-failure
+# rate of 1e-3 (Bonferroni): working code fails it for about one seed in a
+# thousand
+GATE_ALPHA = 1e-3 / (len(INVARIANT_CASES) * (len(GATE_LABELS) + GATE_L))
+
+
+class TestInvariantGenerator:
+    @pytest.mark.parametrize("case", INVARIANT_CASES,
+                             ids=lambda c: "n{}k{}-{}".format(
+                                 c[0], c[1], "h1" if c[4] else "h0"))
+    def test_matches_data_path_distribution(self, case):
+        n, k, scnr_db, cos_sq_phi, inject = case
+        cfg = ScenarioConfig(n=n, k=k, scnr_db=scnr_db, cos_sq_phi=cos_sq_phi,
+                             master_seed=220 + n + k)
+        data, drawn = (
+            simulate_statistics(cfg, GATE_LABELS, GATE_TRIALS, inject=inject,
+                                record_em_trace=True, trace_l_max=GATE_L,
+                                invariant=invariant)
+            for invariant in (False, True)
+        )
+        pvalues = {
+            lab: sps.ks_2samp(data.statistics[lab], drawn.statistics[lab]).pvalue
+            for lab in GATE_LABELS
+        }
+        for l in range(GATE_L):
+            pvalues[f"dl{l + 1}"] = sps.ks_2samp(
+                data.em_delta_l[:, l], drawn.em_delta_l[:, l]).pvalue
+        failed = {key: p for key, p in pvalues.items() if p < GATE_ALPHA}
+        assert not failed, f"KS p-values below {GATE_ALPHA:.1e}: {failed}"
+
+    @pytest.mark.parametrize("n,k", [(8, 16), (2, 4), (3, 6)])
+    def test_glrt_null_matches_kelly_cdf(self, n, k):
+        """Under H0, P(GLRT <= eta) = 1 - (1 - eta)^(k - n + 1) (Kelly 1986)."""
+        cfg = ScenarioConfig(n=n, k=k, master_seed=230 + n)
+        glrt = simulate_statistics(cfg, ("glrt",), 20_000,
+                                   invariant=True).statistics["glrt"]
+        pvalue = sps.kstest(
+            glrt, lambda eta: 1.0 - (1.0 - eta) ** (k - n + 1)).pvalue
+        # three tests, family-wise false-failure rate 1e-3
+        assert pvalue >= 1e-3 / 3
 
 
 class TestWorkerCrash:
