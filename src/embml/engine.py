@@ -7,20 +7,19 @@ closed forms in the maximal invariant a = v^H S^-1 v, |b|^2 = |v^H S^-1 z|^2
 and c = z^H S^-1 z (the EM trace also needs log det S), and one helper,
 _evaluate, computes every statistic from it. Two generators feed it:
 
-- the data path draws each trial's (n, k+1) data matrix from its own
-  substream keyed by (stream_seed, trial_index), colours it by chol(M) and
-  solves S against [v, z]. statistics_from_stacks is its entry for data
-  from outside (cube windows); it is cross-checked to 1e-9 against the
-  per-trial reference.
+- the data path draws the (n, k+1) data matrices of a block of trials,
+  colours them by chol(M) and solves S against [v, z].
+  statistics_from_stacks is its entry for data from outside (cube
+  windows); it is cross-checked to 1e-9 against the per-trial reference.
 - the invariant path (simulate_statistics(..., invariant=True)) draws a,
   |b|^2, c, log det S and the benchmark's projection exactly from O(n)
-  scalars per trial, with no data matrix and no solve. Each block of
-  _BLOCK trials comes from one generator keyed by (stream_seed,
-  block_index) and is sliced to the trials asked for. The test suite
+  scalars per trial, with no data matrix and no solve. The test suite
   checks its distributions against the data path.
 
-On either path results are bit-identical for a given stream seed no matter
-the chunk size or worker count.
+On both paths each block of _BLOCK trials comes from one generator keyed by
+(stream_seed, block_index), with a tag per path, and _from_blocks slices
+the trials asked for out of whole blocks. So results are bit-identical for
+a given stream seed no matter the chunk size or worker count.
 """
 
 from __future__ import annotations
@@ -43,13 +42,12 @@ from .scenario import (
     injection_amplitude,
     mismatched_steering,
     steering_vector,
-    trial_rng,
 )
 
 __all__ = ["SimulatedStatistics", "simulate_statistics", "statistics_from_stacks"]
 
 _DEFAULT_CHUNK = 4096
-# trials per block_rng key on the invariant path
+# trials per block_rng key, on either path
 _BLOCK = 256
 
 
@@ -274,6 +272,23 @@ def benchmark_statistic_from_aux(
     return 2.0 * (np.conj(alpha) * u).real - abs(alpha) ** 2 * c
 
 
+def _from_blocks(draw, start: int, stop: int) -> np.ndarray:
+    """Trials [start, stop) cut out of the whole _BLOCK-trial blocks covering them.
+
+    draw(b) returns block b's draws with the trial on the first axis. Each
+    trial's draws depend only on its index, never on where a chunk starts,
+    and only one block is held beside the result at a time.
+    """
+    out = None
+    for b in range(start // _BLOCK, (stop - 1) // _BLOCK + 1):
+        lo, hi = max(start, b * _BLOCK), min(stop, (b + 1) * _BLOCK)
+        block = draw(b)
+        if out is None:
+            out = np.empty((stop - start,) + block.shape[1:], dtype=block.dtype)
+        out[lo - start : hi - start] = block[lo - b * _BLOCK : hi - b * _BLOCK]
+    return out
+
+
 def _generate_stack(
     cfg: ScenarioConfig,
     chol: np.ndarray,
@@ -281,13 +296,22 @@ def _generate_stack(
     start: int,
     stop: int,
 ) -> np.ndarray:
-    """Stacked trial matrices Z for trials [start, stop), one substream each."""
-    out = np.empty((stop - start, cfg.n, cfg.k + 1), dtype=np.complex128)
-    for i in range(start, stop):
-        rng = trial_rng(stream_seed, i)
-        w = _standard_complex(rng, cfg.n, cfg.k + 1)
-        out[i - start] = chol @ w
-    return out
+    """Stacked trial matrices Z for trials [start, stop), coloured by chol.
+
+    Each block of _BLOCK trials draws all of its n * _BLOCK * (k+1) complex
+    entries in one call from one generator keyed by (stream_seed,
+    block_index) and is coloured by one product with chol. The product
+    runs on the block's (_BLOCK, n, k+1) view, which gives the same values
+    as (n, n) @ (n, _BLOCK (k+1)) without handing one wide product to a
+    multithreaded BLAS. A trial is regenerated through its block.
+    """
+    n, cols = cfg.n, cfg.k + 1
+
+    def draw(b):
+        w = _standard_complex(block_rng(stream_seed, b, data=True), n, _BLOCK * cols)
+        return chol @ w.reshape(n, _BLOCK, cols).swapaxes(0, 1)
+
+    return _from_blocks(draw, start, stop)
 
 
 def _data_chunk(cfg, labels, stream_seed, start, stop, inject, record_trace,
@@ -358,13 +382,10 @@ def _invariant_chunk(cfg, labels, stream_seed, start, stop, inject,
     taken as e1 itself: every statistic is invariant to the scale of v.
     """
     n, k, p = cfg.n, cfg.k, min(cfg.n, 3)
-    first = start // _BLOCK
-    blocks = [
-        _invariant_block(n, k, stream_seed, b, record_trace)
-        for b in range(first, (stop - 1) // _BLOCK + 1)
-    ]
-    lo = start - first * _BLOCK
-    draws = np.concatenate(blocks, axis=1)[:, lo : lo + stop - start]
+    draws = _from_blocks(
+        lambda b: _invariant_block(n, k, stream_seed, b, record_trace).T,
+        start, stop,
+    ).T
 
     m_normal = 2 + p * (p - 1) // 2
     w = (draws[:m_normal] + 1j * draws[m_normal : 2 * m_normal]) / math.sqrt(2.0)

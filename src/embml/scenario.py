@@ -31,8 +31,10 @@ __all__ = [
 ]
 
 _U64 = 2**64
-# set in the counter word of block keys, so they never meet a trial index
+# set in the counter word of block keys, so they never meet a trial index;
+# data blocks also set the next bit, so they never meet an invariant block
 _BLOCK_KEY_BIT = 2**63
+_DATA_BLOCK_KEY_BIT = 2**62
 
 
 class DegenerateDirection(ValueError):
@@ -140,23 +142,26 @@ def trial_rng(stream_seed: int, trial_index: int) -> np.random.Generator:
     """Counter-based per-trial generator keyed by (stream_seed, trial_index).
 
     Philox takes a 128-bit key; using the pair directly makes every trial an
-    independent substream, bit-reproducible no matter how trials are chunked
-    or scheduled across workers.
+    independent substream. sample_batch and cube synthesis draw from it; the
+    Monte Carlo engine draws whole blocks of trials from block_rng instead.
     """
     key = np.array([stream_seed % _U64, trial_index % _U64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def block_rng(stream_seed: int, block_index: int) -> np.random.Generator:
-    """Counter-based generator for one block of trials on the invariant path.
+def block_rng(
+    stream_seed: int, block_index: int, *, data: bool = False
+) -> np.random.Generator:
+    """Counter-based generator for one block of trials.
 
     Keyed by (stream_seed, block_index) with the top bit of the second word
     set, so block keys and trial_rng keys never collide for trial indices
-    below 2^63.
+    below 2^63. data=True keys a block of the data path and also sets bit
+    62, so data and invariant blocks of one stream never share draws for
+    block indices below 2^62.
     """
-    key = np.array(
-        [stream_seed % _U64, (block_index | _BLOCK_KEY_BIT) % _U64], dtype=np.uint64
-    )
+    tag = _BLOCK_KEY_BIT | (_DATA_BLOCK_KEY_BIT if data else 0)
+    key = np.array([stream_seed % _U64, (block_index | tag) % _U64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

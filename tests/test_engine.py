@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from embml import engine
 from embml.detectors import (
     ace_statistic,
     amf_statistic,
@@ -131,31 +132,45 @@ class TestSchedulingInvariance:
         b = simulate_statistics(cfg, ("amf",), 50, stream_seed=2)
         assert not np.array_equal(a.statistics["amf"], b.statistics["amf"])
 
-    INVARIANT_LABELS = ("glrt", "benchmark", "em-bml-d5")
+    STRADDLE_LABELS = ("glrt", "benchmark", "em-bml-d5")
 
-    def invariant_run(self, **kwargs):
+    def straddling_run(self, invariant, **kwargs):
         # 600 trials: chunks of 7 and 100 straddle the 256-trial blocks
         cfg = ScenarioConfig(n=16, k=32, scnr_db=10.0, cos_sq_phi=0.6,
                              master_seed=211)
         return simulate_statistics(
-            cfg, self.INVARIANT_LABELS, 600, inject=True, record_em_trace=True,
-            trace_l_max=4, invariant=True, **kwargs)
+            cfg, self.STRADDLE_LABELS, 600, inject=True, record_em_trace=True,
+            trace_l_max=4, invariant=invariant, **kwargs)
 
     def assert_identical(self, first, second):
-        for lab in self.INVARIANT_LABELS:
+        for lab in self.STRADDLE_LABELS:
             np.testing.assert_array_equal(first.statistics[lab],
                                           second.statistics[lab])
         np.testing.assert_array_equal(first.em_delta_l, second.em_delta_l)
 
-    def test_invariant_chunk_size_does_not_change_results(self):
-        reference = self.invariant_run(chunk_size=4096)
+    def check_chunk_sizes(self, invariant):
+        reference = self.straddling_run(invariant, chunk_size=4096)
         for chunk_size in (7, 100):
-            self.assert_identical(self.invariant_run(chunk_size=chunk_size),
-                                  reference)
+            self.assert_identical(
+                self.straddling_run(invariant, chunk_size=chunk_size),
+                reference)
+
+    def check_worker_counts(self, invariant):
+        self.assert_identical(
+            self.straddling_run(invariant, chunk_size=100, workers=1),
+            self.straddling_run(invariant, chunk_size=100, workers=2))
+
+    def test_invariant_chunk_size_does_not_change_results(self):
+        self.check_chunk_sizes(invariant=True)
 
     def test_invariant_worker_count_does_not_change_results(self):
-        self.assert_identical(self.invariant_run(chunk_size=100, workers=1),
-                              self.invariant_run(chunk_size=100, workers=2))
+        self.check_worker_counts(invariant=True)
+
+    def test_data_chunk_size_does_not_change_results(self):
+        self.check_chunk_sizes(invariant=False)
+
+    def test_data_worker_count_does_not_change_results(self):
+        self.check_worker_counts(invariant=False)
 
     def test_invariant_trace_does_not_move_the_statistics(self):
         cfg = ScenarioConfig(scnr_db=10.0, master_seed=212)
@@ -222,6 +237,30 @@ class TestInvariantGenerator:
             glrt, lambda eta: 1.0 - (1.0 - eta) ** (k - n + 1)).pvalue
         # three tests, family-wise false-failure rate 1e-3
         assert pvalue >= 1e-3 / 3
+
+
+class TestDataGenerator:
+    def test_one_generator_per_block(self, monkeypatch):
+        """1000 data-path trials build ceil(1000 / 256) = 4 generators."""
+        blocks, philox_built = [], []
+        philox, block_rng = np.random.Philox, engine.block_rng
+
+        def count_philox(*args, **kwargs):
+            philox_built.append(1)
+            return philox(*args, **kwargs)
+
+        def count_block(stream_seed, block_index, *, data=False):
+            blocks.append((block_index, data))
+            return block_rng(stream_seed, block_index, data=data)
+
+        monkeypatch.setattr(np.random, "Philox", count_philox)
+        monkeypatch.setattr(engine, "block_rng", count_block)
+        sim = simulate_statistics(ScenarioConfig(master_seed=213), ("amf",),
+                                  1000)
+        assert sim.statistics["amf"].shape == (1000,)
+        assert blocks == [(b, True) for b in range(4)]
+        # every Philox is a block's, so no per-trial trial_rng was built
+        assert len(philox_built) == 4
 
 
 class TestWorkerCrash:

@@ -7,6 +7,7 @@ from embml.linalg import HermitianMatrix
 from embml.scenario import (
     DataBatch,
     ScenarioConfig,
+    block_rng,
     build_covariance,
     derive_stream_seed,
     inject_target,
@@ -16,6 +17,13 @@ from embml.scenario import (
     steering_vector,
     trial_rng,
 )
+
+# trials per engine block
+BLOCK = 256
+
+
+def philox_key(rng):
+    return tuple(int(w) for w in rng.bit_generator.state["state"]["key"])
 
 
 class TestBuildCovariance:
@@ -77,6 +85,18 @@ class TestSampling:
         a = trial_rng(123, 5).standard_normal(4)
         b = trial_rng(123, 5).standard_normal(4)
         np.testing.assert_array_equal(a, b)
+
+    def test_data_block_keys_differ_from_invariant_and_trial_keys(self):
+        seed, block = 2503, 3
+        data = philox_key(block_rng(seed, block, data=True))
+        assert data != philox_key(block_rng(seed, block))
+        trials = range(block * BLOCK, (block + 1) * BLOCK)
+        assert data not in {philox_key(trial_rng(seed, i)) for i in trials}
+        # the KS gate between the two generators needs disjoint draws
+        shared = np.intersect1d(
+            block_rng(seed, block, data=True).standard_normal(4096),
+            block_rng(seed, block).standard_normal(4096))
+        assert shared.size == 0
 
     def test_unit_variance_components(self):
         # per-entry complex variance E|x_i|^2 = 1 under an identity covariance
