@@ -60,8 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="INI config file")
     _value_flag(common, "--seed", "scenario.master_seed", type=int,
                 help="master seed (unsigned 64-bit)")
-    _value_flag(common, "--workers", "run.workers", type=int,
-                help="parallel worker processes")
     _value_flag(common, "--out", "run.out", help="output CSV path")
     _value_flag(common, "--pfa", "run.pfa", type=float,
                 help="target false-alarm probability")
@@ -102,6 +100,10 @@ def build_parser() -> argparse.ArgumentParser:
         for name in COMMANDS
     }
 
+    # only the data path of pfa-sweep costs enough per trial for a process
+    # pool to pay; every other command runs in one process
+    _value_flag(subparsers["pfa-sweep"], "--workers", "run.workers", type=int,
+                help="parallel worker processes")
     grid = {"type": float, "nargs": "+"}
     _value_flag(subparsers["pfa-sweep"], "--cnr-grid", "grids.cnr_db",
                 metavar="DB", **grid, help="CNR grid, dB")
@@ -147,13 +149,7 @@ def _cal_trials(spec: ExperimentSpec) -> int:
 
 
 def _run_calibrate(spec: ExperimentSpec) -> str:
-    cal = calibrate(
-        spec.scenario,
-        spec.detectors,
-        spec.pfa,
-        _cal_trials(spec),
-        workers=spec.workers,
-    )
+    cal = calibrate(spec.scenario, spec.detectors, spec.pfa, _cal_trials(spec))
     lines = ["detector,pfa,threshold"]
     for lab in order_labels(cal.thresholds):
         lines.append(f"{lab},{spec.pfa!r},{cal.thresholds[lab]!r}")
@@ -188,7 +184,6 @@ def _run_pd_curve(spec: ExperimentSpec) -> str:
         spec.detectors,
         spec.trials,
         calibration_trials=spec.calibration_trials,
-        workers=spec.workers,
     )
     write_curve(result, spec.output_path)
     return f"estimated Pd at {result.rows} SCNR points"
@@ -203,7 +198,6 @@ def _run_mismatch_contour(spec: ExperimentSpec) -> str:
         spec.detectors,
         spec.trials,
         calibration_trials=spec.calibration_trials,
-        workers=spec.workers,
     )
     write_curve(result, spec.output_path)
     return f"estimated Pd at {result.rows} contour points"
@@ -212,11 +206,7 @@ def _run_mismatch_contour(spec: ExperimentSpec) -> str:
 def _run_convergence(spec: ExperimentSpec) -> str:
     configs = [None] + [float(s) for s in spec.scnr_grid_db]
     result = convergence_study(
-        spec.scenario,
-        configs,
-        spec.trials,
-        max(spec.l_max),
-        workers=spec.workers,
+        spec.scenario, configs, spec.trials, max(spec.l_max)
     )
     write_convergence(result, spec.output_path)
     return f"traced {len(result.iterations)} iterations over {len(configs)} configurations"

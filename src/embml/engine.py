@@ -19,7 +19,10 @@ _evaluate, computes every statistic from it. Two generators feed it:
 On both paths each block of _BLOCK trials comes from one generator keyed by
 (stream_seed, block_index), with a tag per path, and _from_blocks slices
 the trials asked for out of whole blocks. So results are bit-identical for
-a given stream seed no matter the chunk size or worker count.
+a given stream seed no matter the chunk size or worker count. Only the
+data path costs enough per trial for a process pool to pay for starting:
+an invariant trial costs about 1 us, so the harness runs that path in one
+process.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -60,9 +64,7 @@ class SimulatedStatistics:
     recorded.
     """
 
-    labels: tuple[str, ...]
     statistics: dict[str, np.ndarray]
-    trial_count: int
     em_delta_l: np.ndarray | None = None
 
 
@@ -158,7 +160,6 @@ def _evaluate(
     labels: tuple[str, ...],
     n: int,
     k: int,
-    trial_count: int,
     scalars,
     benchmark_aux,
     logdet_s,
@@ -207,12 +208,7 @@ def _evaluate(
         for l in em_ls:
             stats[f"{DetectorId.EM_BML_D.value}{l}"] = snaps[l]
 
-    return SimulatedStatistics(
-        labels=tuple(labels),
-        statistics=stats,
-        trial_count=trial_count,
-        em_delta_l=em_delta,
-    )
+    return SimulatedStatistics(statistics=stats, em_delta_l=em_delta)
 
 
 def statistics_from_stacks(
@@ -236,12 +232,16 @@ def statistics_from_stacks(
     k = zs.shape[2]
     if k < z.shape[1]:
         raise ValueError("stacked trials need k >= n secondary vectors")
-    s_stack = zs @ zs.conj().swapaxes(1, 2)
+
+    @cache
+    def s_stack():
+        # formed only when a requested statistic needs S, and then once
+        return zs @ zs.conj().swapaxes(1, 2)
 
     def scalars():
         # one solve of S against [v, z] feeds the classical statistics and
         # the EM recursion
-        x = np.linalg.solve(s_stack, np.stack(np.broadcast_arrays(v, z), axis=2))
+        x = np.linalg.solve(s_stack(), np.stack(np.broadcast_arrays(v, z), axis=2))
         a = np.einsum("i,bi->b", v.conj(), x[:, :, 0]).real
         b2 = np.abs(np.einsum("i,bi->b", v.conj(), x[:, :, 1])) ** 2
         c = np.einsum("bi,bi->b", z.conj(), x[:, :, 1]).real
@@ -260,8 +260,8 @@ def statistics_from_stacks(
         )
 
     return _evaluate(
-        tuple(labels), z.shape[1], k, z.shape[0], scalars, benchmark_aux,
-        lambda: np.linalg.slogdet(s_stack)[1], record_em_trace, trace_l_max,
+        tuple(labels), z.shape[1], k, scalars, benchmark_aux,
+        lambda: np.linalg.slogdet(s_stack())[1], record_em_trace, trace_l_max,
     )
 
 
@@ -431,8 +431,8 @@ def _invariant_chunk(cfg, labels, stream_seed, start, stop, inject,
         )
 
     return _evaluate(
-        tuple(labels), n, k, stop - start, scalars, benchmark_aux, logdet_s,
-        record_trace, trace_l_max,
+        tuple(labels), n, k, scalars, benchmark_aux, logdet_s, record_trace,
+        trace_l_max,
     )
 
 
@@ -462,9 +462,11 @@ def simulate_statistics(
     derived seeds so different experiment stages never share substreams.
     invariant=True draws each trial's maximal invariant instead of its
     data; the statistics have the same distribution but come from another
-    random stream. Results are bit-identical for fixed seeds regardless of
-    workers or chunk_size. A worker process that dies raises BrokenProcessPool naming
-    the stream seed and the first trial range it did not return.
+    random stream. With workers > 1 and more than one chunk, the chunks run
+    in a process pool; results are bit-identical for fixed seeds regardless
+    of workers or chunk_size. A worker process that dies raises
+    BrokenProcessPool naming the stream seed and the first trial range it
+    did not return.
     """
     if n_trials <= 0:
         raise ValueError("n_trials must be positive")
@@ -497,12 +499,10 @@ def simulate_statistics(
 
     traced = parts[0].em_delta_l is not None
     return SimulatedStatistics(
-        labels=tuple(labels),
         statistics={
             lab: np.concatenate([p.statistics[lab] for p in parts])
             for lab in parts[0].statistics
         },
-        trial_count=n_trials,
         em_delta_l=(
             np.concatenate([p.em_delta_l for p in parts]) if traced else None
         ),

@@ -6,10 +6,11 @@ benchmark's threshold is exact: under H0 its statistic is N(-s, 2s) with
 s the SCNR in linear units. Every experiment phase (calibration, each
 grid point) works in its own derived substream namespace, so trials are
 independent across phases and every result is bit-reproducible for a fixed
-master seed regardless of worker count. Calibration, curves, contours and
-convergence studies draw each trial's maximal invariant; only the CFAR
-sweep draws data, because CNR and rho drop out of the invariant by
-construction.
+master seed. Calibration, curves, contours and convergence studies draw
+each trial's maximal invariant in-process, at about 1 us/trial; only the
+CFAR sweep draws data, because CNR and rho drop out of the invariant by
+construction, and only it takes a worker count, whose results do not
+depend on it.
 """
 
 from __future__ import annotations
@@ -173,8 +174,9 @@ def _calibrate(
     labels: tuple[str, ...],
     pfa: float,
     trials: int,
-    workers: int,
-    invariant: bool,
+    *,
+    workers: int = 1,
+    invariant: bool = True,
 ) -> CalibrationResult:
     if not 0.0 < pfa < 0.5:
         raise ValueError(f"pfa must lie in (0, 0.5), got {pfa}")
@@ -209,8 +211,6 @@ def calibrate(
     detectors,
     pfa: float,
     trials: int,
-    *,
-    workers: int = 1,
 ) -> CalibrationResult:
     """Simulate the null ensemble once and read thresholds at pfa off it.
 
@@ -218,9 +218,7 @@ def calibrate(
     threshold is exact at the scenario's SCNR, so the benchmark can only
     be calibrated when the scenario pins one.
     """
-    return _calibrate(
-        cfg, order_labels(detectors), pfa, trials, workers, invariant=True
-    )
+    return _calibrate(cfg, order_labels(detectors), pfa, trials)
 
 
 def cfar_sweep(
@@ -244,7 +242,7 @@ def cfar_sweep(
     CFAR property it checks would hold on the invariant by construction.
     """
     labels = order_labels(detectors)
-    cal = _calibrate(cfg, labels, pfa, trials, workers, invariant=False)
+    cal = _calibrate(cfg, labels, pfa, trials, workers=workers, invariant=False)
 
     points = {(float(c), cfg.rho) for c in cnr_grid}
     points.update((cfg.cnr_db, float(r)) for r in rho_grid)
@@ -285,7 +283,6 @@ def _injected_grid(
     trials: int,
     phase: int,
     calibration_trials: int | None,
-    workers: int,
 ) -> CurveResult:
     """Pd at each row of scenario overrides, named by axis_names.
 
@@ -299,8 +296,7 @@ def _injected_grid(
     thresholds = {}
     if adaptive:
         thresholds = calibrate(
-            cfg, adaptive, pfa, calibration_trials or required_trials(pfa),
-            workers=workers,
+            cfg, adaptive, pfa, calibration_trials or required_trials(pfa)
         ).thresholds
 
     rates = np.empty((len(rows), len(labels)))
@@ -313,7 +309,6 @@ def _injected_grid(
             trials,
             stream_seed=derive_stream_seed(cfg.master_seed, phase, i),
             inject=True,
-            workers=workers,
             invariant=True,
         )
         thresholds["benchmark"] = _benchmark_threshold(point_cfg.scnr_db, pfa)
@@ -337,13 +332,12 @@ def pd_curve(
     trials: int,
     *,
     calibration_trials: int | None = None,
-    workers: int = 1,
 ) -> CurveResult:
     """Detection probability versus SCNR at a fixed false alarm probability."""
     rows = [(float(s),) for s in scnr_grid_db]
     return _injected_grid(
         cfg, pfa, ("scnr_db",), rows, detectors, trials, _PHASE_CURVE,
-        calibration_trials, workers,
+        calibration_trials,
     )
 
 
@@ -356,7 +350,6 @@ def mismatch_contour(
     trials: int,
     *,
     calibration_trials: int | None = None,
-    workers: int = 1,
 ) -> CurveResult:
     """Pd over the (cos^2 phi, SCNR) grid with mismatched target injection.
 
@@ -367,7 +360,7 @@ def mismatch_contour(
     )
     return _injected_grid(
         cfg, pfa, ("cos_sq_phi", "scnr_db"), rows, detectors, trials,
-        _PHASE_CONTOUR, calibration_trials, workers,
+        _PHASE_CONTOUR, calibration_trials,
     )
 
 
@@ -376,8 +369,6 @@ def convergence_study(
     scnr_list,
     trials: int,
     l_max: int,
-    *,
-    workers: int = 1,
 ) -> ConvergenceResult:
     """Mean |relative objective change| per EM iteration, per configuration.
 
@@ -409,7 +400,6 @@ def convergence_study(
             inject=inject,
             record_em_trace=True,
             trace_l_max=l_max,
-            workers=workers,
             invariant=True,
         )
         means[:, j] = sim.em_delta_l.mean(axis=0)

@@ -38,3 +38,19 @@ def crashing_workers(monkeypatch):
     monkeypatch.setattr(engine, "_compute_chunk", _die)
     monkeypatch.setattr(engine, "ProcessPoolExecutor", partial(
         ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+
+
+@pytest.fixture
+def counted_pools(monkeypatch):
+    """The keyword arguments of every process pool the engine builds."""
+    from embml import engine
+
+    built = []
+
+    class CountingPool(engine.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", CountingPool)
+    return built

@@ -239,28 +239,52 @@ class TestBenchmarkOnlyGrid:
             read_curve(both).column("benchmark"), alone)
 
 
-class TestWorkerCountReproducibility:
-    # more trials than one 4096-trial chunk, so two workers really share them
-    GRID = ["--n", "4", "--k", "8", "--pfa", "0.05", "--trials", "4200",
-            "--calibration-trials", "2000", "--detectors", "benchmark", "glrt",
-            "em-bml-d2", "--seed", "41", "--scnr-grid", "6.0"]
+# pfa-sweep is the only subcommand that takes --workers; 8192 trials make
+# two 4096-trial chunks, so two workers really share them
+SWEEP = ["pfa-sweep", "--n", "4", "--k", "8", "--pfa", "0.05",
+         "--trials", "8192", "--cnr-grid", "30", "--rho-grid", "0.5"]
 
-    @pytest.mark.parametrize("command,extra", [
-        ("pd-curve", ["--cos-sq-phi", "0.7"]),
-        ("mismatch-contour", ["--cos-sq-phi-grid", "0.5", "1.0"]),
-    ])
-    def test_grid_csv_identical_for_one_and_two_workers(
-        self, tmp_path, capsys, command, extra
+
+class TestWorkerCountReproducibility:
+    def test_pfa_sweep_csv_identical_for_one_and_two_workers(
+        self, tmp_path, capsys, counted_pools
     ):
-        texts = []
+        texts, pools = [], []
         for workers in ("1", "2"):
             out = tmp_path / f"w{workers}.csv"
             code, _, _ = run_cli(
-                [command, *self.GRID, *extra, "--workers", workers,
+                [*SWEEP, "--detectors", "benchmark", "glrt", "em-bml-d2",
+                 "--scnr", "6.0", "--seed", "41", "--workers", workers,
                  "--out", str(out)], capsys)
             assert code == 0
             texts.append(out.read_bytes())
+            pools.append(len(counted_pools))
         assert texts[0] == texts[1]
+        assert pools[0] == 0 < pools[1]
+
+
+class TestWorkersOnlyOnPfaSweep:
+    @pytest.mark.parametrize("command", ["pd-curve", "ingest-run"])
+    def test_workers_flag_outside_pfa_sweep_is_two(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--workers", "2"])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,grid", [
+        ("calibrate", []), ("pd-curve", ["--scnr-grid", "6"]),
+        ("mismatch-contour", ["--scnr-grid", "6"]),
+        ("convergence", ["--scnr-grid", "6", "--l-max", "2"])])
+    def test_workers_key_outside_pfa_sweep_builds_no_pool(
+        self, tmp_path, capsys, counted_pools, command, grid
+    ):
+        cfg = write_ini(tmp_path / "w.ini", {"run": {"workers": "2"}})
+        code, _, stderr = run_cli(
+            [command, "--config", cfg, "--n", "4", "--k", "8", "--pfa", "0.05",
+             "--trials", "8192", "--detectors", "glrt", *grid,
+             "--out", str(tmp_path / "x.csv")], capsys)
+        assert code == 0, stderr
+        assert counted_pools == []
 
 
 class TestWorkerCrash:
@@ -268,8 +292,7 @@ class TestWorkerCrash:
         self, tmp_path, capsys, crashing_workers
     ):
         code, _, stderr = run_cli(
-            ["calibrate", "--n", "4", "--k", "8", "--pfa", "0.05",
-             "--trials", "8192", "--detectors", "glrt", "--workers", "2",
+            [*SWEEP, "--detectors", "glrt", "--workers", "2",
              "--out", str(tmp_path / "x.csv")], capsys)
         assert code == 1
         assert re.fullmatch(
@@ -280,7 +303,6 @@ class TestWorkerCrash:
 # differs from both the defaults and BASE_INI.
 COMMON_FLAGS = {
     "--seed": ("scenario", "master_seed", ["17"]),
-    "--workers": ("run", "workers", ["2"]),
     "--out": ("run", "out", ["flag.csv"]),
     "--pfa": ("run", "pfa", ["0.1"]),
     "--trials": ("run", "trials", ["3000"]),
@@ -299,7 +321,8 @@ SCNR_GRID = {"--scnr-grid": ("grids", "scnr_db", ["0", "7.5"])}
 COMMAND_FLAGS = {
     "calibrate": {},
     "pfa-sweep": {"--cnr-grid": ("grids", "cnr_db", ["30", "50.5"]),
-                  "--rho-grid": ("grids", "rho", ["0.5", "0.75"])},
+                  "--rho-grid": ("grids", "rho", ["0.5", "0.75"]),
+                  "--workers": ("run", "workers", ["2"])},
     "pd-curve": SCNR_GRID,
     "mismatch-contour": {
         **SCNR_GRID, "--cos-sq-phi-grid": ("grids", "cos_sq_phi", ["0.5", "1"])},

@@ -258,3 +258,30 @@ class TestConvergenceStudy:
         res = convergence_study(SMALL, [None], 1000, 5)
         means = res.means[:, 0]
         assert np.all(np.diff(means) < 0)
+
+
+class TestProcessPools:
+    """Only the CFAR sweep's data path fans out to a process pool.
+
+    8192 trials make two 4096-trial chunks, enough for a pool to be used.
+    """
+
+    TRIALS = 8192
+    INVARIANT_RUNS = {
+        "calibrate": lambda n: calibrate(SMALL, ("glrt",), 0.05, n),
+        "pd_curve": lambda n: pd_curve(SMALL, 0.05, [6.0], ("glrt",), n,
+                                       calibration_trials=n),
+        "mismatch_contour": lambda n: mismatch_contour(
+            SMALL, 0.05, [6.0], [0.5], ("glrt",), n, calibration_trials=n),
+        "convergence_study": lambda n: convergence_study(SMALL, [6.0], n, 3),
+    }
+
+    @pytest.mark.parametrize("name", INVARIANT_RUNS)
+    def test_invariant_experiments_build_no_pool(self, counted_pools, name):
+        self.INVARIANT_RUNS[name](self.TRIALS)
+        assert counted_pools == []
+
+    def test_cfar_sweep_fans_out_its_data(self, counted_pools):
+        cfar_sweep(SMALL, 0.05, cnr_grid=[30.0], rho_grid=[0.5],
+                   trials=self.TRIALS, detectors=("glrt",), workers=2)
+        assert len(counted_pools) >= 1
