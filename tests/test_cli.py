@@ -262,6 +262,31 @@ class TestWorkerCountReproducibility:
         assert texts[0] == texts[1]
         assert pools[0] == 0 < pools[1]
 
+    # the grid commands take no --workers flag; a workers key in the INI
+    # must leave their output as it is
+    GRID = ["--n", "4", "--k", "8", "--pfa", "0.05", "--trials", "4200",
+            "--calibration-trials", "2000", "--detectors", "benchmark", "glrt",
+            "em-bml-d2", "--seed", "41", "--scnr-grid", "6.0"]
+
+    @pytest.mark.parametrize("command,extra", [
+        ("pd-curve", ["--cos-sq-phi", "0.7"]),
+        ("mismatch-contour", ["--cos-sq-phi-grid", "0.5", "1.0"]),
+    ])
+    def test_grid_csv_identical_for_one_and_two_workers(
+        self, tmp_path, capsys, command, extra
+    ):
+        texts = []
+        for workers in ("1", "2"):
+            cfg = write_ini(tmp_path / f"w{workers}.ini",
+                            {"run": {"workers": workers}})
+            out = tmp_path / f"w{workers}.csv"
+            code, _, _ = run_cli(
+                [command, "--config", cfg, *self.GRID, *extra,
+                 "--out", str(out)], capsys)
+            assert code == 0
+            texts.append(out.read_bytes())
+        assert texts[0] == texts[1]
+
 
 class TestWorkersOnlyOnPfaSweep:
     @pytest.mark.parametrize("command", ["pd-curve", "ingest-run"])
