@@ -29,7 +29,7 @@ from .config import (
     parse_config,
 )
 from .cube import FormatError, ingest_cube, sliding_window_run
-from .curves import IoError, write_convergence, write_curve
+from .curves import IoError, write_convergence, write_curve, write_text
 from .harness import (
     calibrate,
     cfar_sweep,
@@ -65,8 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
                 help="target false-alarm probability")
     _value_flag(common, "--trials", "run.trials", type=int,
                 help="trials per grid point")
-    _value_flag(common, "--calibration-trials", "run.calibration_trials",
-                type=int, help="null trials for thresholding")
     _value_flag(common, "--detectors", "run.detectors", nargs="+",
                 metavar="LABEL",
                 help="detector labels (e.g. glrt amf rao ace em-bml-d5 benchmark)")
@@ -104,6 +102,13 @@ def build_parser() -> argparse.ArgumentParser:
     # pool to pay; every other command runs in one process
     _value_flag(subparsers["pfa-sweep"], "--workers", "run.workers", type=int,
                 help="parallel worker processes")
+    # only these read it: pfa-sweep calibrates on its own trials (its nominal
+    # row reuses that ensemble), ingest-run on the cube's windows, and
+    # convergence calibrates nothing
+    for name in ("calibrate", "pd-curve", "mismatch-contour"):
+        _value_flag(subparsers[name], "--calibration-trials",
+                    "run.calibration_trials", type=int,
+                    help="null trials for thresholding")
     grid = {"type": float, "nargs": "+"}
     _value_flag(subparsers["pfa-sweep"], "--cnr-grid", "grids.cnr_db",
                 metavar="DB", **grid, help="CNR grid, dB")
@@ -144,21 +149,13 @@ def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
     return parse_config(text, overrides)
 
 
-def _cal_trials(spec: ExperimentSpec) -> int:
-    return spec.calibration_trials or spec.trials
-
-
 def _run_calibrate(spec: ExperimentSpec) -> str:
-    cal = calibrate(spec.scenario, spec.detectors, spec.pfa, _cal_trials(spec))
+    cal = calibrate(spec.scenario, spec.detectors, spec.pfa,
+                    spec.calibration_trials or spec.trials)
     lines = ["detector,pfa,threshold"]
     for lab in order_labels(cal.thresholds):
         lines.append(f"{lab},{spec.pfa!r},{cal.thresholds[lab]!r}")
-    text = "\n".join(lines) + "\n"
-    try:
-        with open(spec.output_path, "w", encoding="ascii", newline="") as fh:
-            fh.write(text)
-    except OSError as err:
-        raise IoError(f"cannot write {spec.output_path}: {err}") from err
+    write_text(spec.output_path, "\n".join(lines) + "\n")
     return f"calibrated {len(cal.thresholds)} detectors"
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import configparser
 from dataclasses import dataclass, field
 
-from .detectors import parse_detector_label
+from .detectors import DetectorId, detector_label, parse_detector_label
 from .harness import required_trials
 from .scenario import ScenarioConfig
 
@@ -34,10 +34,6 @@ COMMANDS = (
     "convergence",
     "ingest-run",
 )
-
-# commands whose thresholds are calibrated from a null ensemble and so
-# need trials >= 100/pfa somewhere in the pipeline
-_CALIBRATION_COMMANDS = frozenset(COMMANDS) - {"convergence"}
 
 _CLASSICAL_DEFAULTS = ("glrt", "amf", "rao", "ace")
 
@@ -94,17 +90,23 @@ class ExperimentSpec:
             raise ValidationError(f"pfa must lie in (0, 0.5); got {self.pfa}")
         if self.trials < 1:
             raise ValidationError("trials must be positive")
-        if self.command in _CALIBRATION_COMMANDS:
-            needed = required_trials(self.pfa)
-            cal = self.calibration_trials
-            if cal is None and self.command in ("calibrate", "pfa-sweep"):
-                cal = self.trials
-            if cal is not None and cal < needed:
-                raise ValidationError(
-                    f"calibration trials must be >= 100/pfa = {needed}; got {cal}"
-                )
         if self.calibration_trials is not None and self.calibration_trials < 1:
             raise ValidationError("calibration_trials must be positive")
+        # the null-ensemble size each command calibrates on, where the spec
+        # fixes it: pfa-sweep's nominal row reuses its calibration ensemble,
+        # so it calibrates on trials; the curve commands fall back to exactly
+        # 100/pfa, and ingest-run checks its cube's window count
+        cal = {
+            "calibrate": self.calibration_trials or self.trials,
+            "pfa-sweep": self.trials,
+            "pd-curve": self.calibration_trials,
+            "mismatch-contour": self.calibration_trials,
+        }.get(self.command)
+        needed = required_trials(self.pfa)
+        if cal is not None and cal < needed:
+            raise ValidationError(
+                f"calibration trials must be >= 100/pfa = {needed}; got {cal}"
+            )
         if not self.l_max or any(l < 1 for l in self.l_max):
             raise ValidationError("l_max list must be nonempty positive integers")
         for name in ("scnr_grid_db", "cnr_grid_db", "rho_grid", "cos_sq_phi_grid"):
@@ -135,7 +137,9 @@ class ExperimentSpec:
 
 
 def _default_detectors(l_max: tuple[int, ...]) -> tuple[str, ...]:
-    return _CLASSICAL_DEFAULTS + tuple(f"em-bml-d{l}" for l in sorted(set(l_max)))
+    return _CLASSICAL_DEFAULTS + tuple(
+        detector_label(DetectorId.EM_BML_D, l) for l in sorted(set(l_max))
+    )
 
 
 def _float_list(raw: str) -> tuple[float, ...]:

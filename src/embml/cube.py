@@ -236,17 +236,10 @@ def _window_stacks(cube: DataCube, n: int, k: int, cut_bin: int, overlap: int):
             f"cut bin {cut_bin} needs {half} secondary bins on each side "
             f"of a {bins}-bin cube"
         )
-    stride = n - overlap
-    secondary_bins = list(range(cut_bin - half, cut_bin)) + list(
-        range(cut_bin + 1, cut_bin + half + 1)
-    )
-    z = np.empty((count, n), dtype=np.complex128)
-    zs = np.empty((count, n, k), dtype=np.complex128)
-    for t in range(count):
-        window = cube.data[t * stride : t * stride + n]
-        z[t] = window[:, cut_bin]
-        zs[t] = window[:, secondary_bins]
-    return z, zs
+    # rows[t] are the pulses of window t
+    rows = np.arange(count)[:, None] * (n - overlap) + np.arange(n)
+    secondary_bins = np.r_[cut_bin - half : cut_bin, cut_bin + 1 : cut_bin + half + 1]
+    return cube.data[rows, cut_bin], cube.data[rows[..., None], secondary_bins]
 
 
 def _region_covariance(zs: np.ndarray) -> HermitianMatrix:

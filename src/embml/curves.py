@@ -17,6 +17,7 @@ __all__ = [
     "IoError",
     "CurveResult",
     "ConvergenceResult",
+    "write_text",
     "format_curve",
     "write_curve",
     "read_curve",
@@ -76,6 +77,15 @@ class ConvergenceResult:
     trial_count: int
 
 
+def write_text(path, text: str) -> None:
+    """Write ASCII text to path. Raises IoError naming the path and cause."""
+    try:
+        with open(path, "w", encoding="ascii", newline="") as fh:
+            fh.write(text)
+    except OSError as err:
+        raise IoError(f"cannot write {path}: {err}") from err
+
+
 def _fmt(x: float) -> str:
     return repr(float(x))
 
@@ -98,12 +108,7 @@ def format_curve(result: CurveResult) -> str:
 
 def write_curve(result: CurveResult, path) -> None:
     """Emit a CurveResult as CSV. Raises IoError on filesystem failure."""
-    text = format_curve(result)
-    try:
-        with open(path, "w", encoding="ascii", newline="") as fh:
-            fh.write(text)
-    except OSError as err:
-        raise IoError(f"cannot write curve to {path}: {err}") from err
+    write_text(path, format_curve(result))
 
 
 def read_curve(path) -> CurveResult:
@@ -157,8 +162,4 @@ def format_convergence(result: ConvergenceResult) -> str:
 
 
 def write_convergence(result: ConvergenceResult, path) -> None:
-    try:
-        with open(path, "w", encoding="ascii", newline="") as fh:
-            fh.write(format_convergence(result))
-    except OSError as err:
-        raise IoError(f"cannot write convergence table to {path}: {err}") from err
+    write_text(path, format_convergence(result))

@@ -35,7 +35,7 @@ from functools import cache
 
 import numpy as np
 
-from .detectors import DetectorId, parse_detector_label
+from .detectors import DetectorId, detector_label, parse_detector_label
 from .em import POSTERIOR_FLOOR
 from .linalg import HermitianMatrix
 from .scenario import (
@@ -206,7 +206,7 @@ def _evaluate(
             l_top, tuple(em_ls), k, n,
         )
         for l in em_ls:
-            stats[f"{DetectorId.EM_BML_D.value}{l}"] = snaps[l]
+            stats[detector_label(DetectorId.EM_BML_D, l)] = snaps[l]
 
     return SimulatedStatistics(statistics=stats, em_delta_l=em_delta)
 

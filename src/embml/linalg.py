@@ -1,14 +1,14 @@
 """Dense complex Hermitian linear algebra for small positive definite matrices.
 
-Everything here reduces to one lower Cholesky factorization plus triangular
-solves; no explicit inverse is ever formed. Matrices are tiny (N of order 10),
-so dense storage and eager validation are the right trade.
+Everything here reduces to one lower Cholesky factorization and solves
+against that cached factor; no explicit inverse is ever formed. Matrices are
+tiny (N of order 10), so dense storage, eager validation and plain
+numpy.linalg solves are the right trade.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 __all__ = ["NotPositiveDefinite", "HermitianMatrix", "hermitian_part"]
 
@@ -71,18 +71,12 @@ class HermitianMatrix:
         return self._chol
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve m x = b via two triangular solves on the cached factor."""
-        l = self.chol
-        y = scipy.linalg.solve_triangular(l, b, lower=True, check_finite=False)
-        return scipy.linalg.solve_triangular(
-            l.conj().T, y, lower=False, check_finite=False
-        )
+        """Solve m x = b by two solves against the cached Cholesky factor."""
+        return np.linalg.solve(self.chol.conj().T, self.whiten(b))
 
     def whiten(self, b: np.ndarray) -> np.ndarray:
-        """Return L^-1 b, the half-solve used by quadratic forms."""
-        return scipy.linalg.solve_triangular(
-            self.chol, b, lower=True, check_finite=False
-        )
+        """Return L^-1 b, a solve against the cached Cholesky factor L."""
+        return np.linalg.solve(self.chol, b)
 
     def quad_form(self, a: np.ndarray, b: np.ndarray | None = None):
         """Return a^H m^-1 b (complex), or the real a^H m^-1 a when b is None."""

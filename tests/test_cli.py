@@ -312,6 +312,19 @@ class TestWorkersOnlyOnPfaSweep:
         assert counted_pools == []
 
 
+class TestCalibrationTrialsOnlyWhereRead:
+    @pytest.mark.parametrize("command", ["pfa-sweep", "convergence", "ingest-run"])
+    def test_flag_is_two_and_ini_key_parses(self, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--calibration-trials", "4000"])
+        assert exc.value.code == 2
+        assert "--calibration-trials" in capsys.readouterr().err
+        keyed = {**BASE_INI, "run": {**BASE_INI["run"],
+                                     "calibration_trials": "4000"}}
+        spec = spec_of([command, "--config", write_ini(tmp_path / "c.ini", keyed)])
+        assert spec.calibration_trials == 4000
+
+
 class TestWorkerCrash:
     def test_dead_worker_is_exit_one_with_one_error_line(
         self, tmp_path, capsys, crashing_workers
@@ -331,7 +344,6 @@ COMMON_FLAGS = {
     "--out": ("run", "out", ["flag.csv"]),
     "--pfa": ("run", "pfa", ["0.1"]),
     "--trials": ("run", "trials", ["3000"]),
-    "--calibration-trials": ("run", "calibration_trials", ["4000"]),
     "--detectors": ("run", "detectors", ["glrt", "em-bml-d3"]),
     "--l-max": ("run", "l_max", ["3", "9"]),
     "--n": ("scenario", "n", ["6"]),
@@ -343,14 +355,16 @@ COMMON_FLAGS = {
     "--cos-sq-phi": ("scenario", "cos_sq_phi", ["0.7"]),
 }
 SCNR_GRID = {"--scnr-grid": ("grids", "scnr_db", ["0", "7.5"])}
+CAL_TRIALS = {"--calibration-trials": ("run", "calibration_trials", ["4000"])}
 COMMAND_FLAGS = {
-    "calibrate": {},
+    "calibrate": CAL_TRIALS,
     "pfa-sweep": {"--cnr-grid": ("grids", "cnr_db", ["30", "50.5"]),
                   "--rho-grid": ("grids", "rho", ["0.5", "0.75"]),
                   "--workers": ("run", "workers", ["2"])},
-    "pd-curve": SCNR_GRID,
+    "pd-curve": {**SCNR_GRID, **CAL_TRIALS},
     "mismatch-contour": {
-        **SCNR_GRID, "--cos-sq-phi-grid": ("grids", "cos_sq_phi", ["0.5", "1"])},
+        **SCNR_GRID, **CAL_TRIALS,
+        "--cos-sq-phi-grid": ("grids", "cos_sq_phi", ["0.5", "1"])},
     "convergence": SCNR_GRID,
     "ingest-run": {"--cube": ("cube", "path", ["other.bin"]),
                    "--cube-format": ("cube", "format", ["csv"]),

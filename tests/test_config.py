@@ -120,6 +120,12 @@ class TestValidation:
             ExperimentSpec(command="pd-curve", pfa=1e-3, trials=1000,
                            calibration_trials=1000)
 
+    def test_pfa_sweep_calibrates_on_trials(self):
+        # the sweep's nominal row reuses its calibration ensemble of trials
+        with pytest.raises(ValidationError, match="got 100"):
+            ExperimentSpec(command="pfa-sweep", pfa=1e-2, trials=100,
+                           calibration_trials=4000)
+
     def test_convergence_skips_calibration_floor(self):
         spec = ExperimentSpec(command="convergence", pfa=1e-3, trials=1000)
         assert spec.trials == 1000

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from embml.linalg import HermitianMatrix, NotPositiveDefinite, hermitian_part
+from embml.scenario import ScenarioConfig, build_covariance
 
 
 def random_pd(rng, n):
@@ -49,11 +50,21 @@ class TestSolve:
 
     def test_residual_random_pd(self):
         rng = np.random.default_rng(11)
-        for _ in range(20):
-            m = random_pd(rng, 6)
-            b = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-            x = HermitianMatrix(m).solve(b)
+        # the scenario's extreme covariance (condition number about 3e4)
+        extreme = build_covariance(
+            ScenarioConfig(n=16, k=32, cnr_db=110.0, rho=0.999)).mat
+        for m in [random_pd(rng, 6) for _ in range(20)] + [extreme]:
+            n = m.shape[0]
+            b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            h = HermitianMatrix(m)
+            x = h.solve(b)
             assert np.linalg.norm(m @ x - b) <= 1e-9 * np.linalg.norm(b)
+            # normwise backward error of solve against m, and of whiten
+            # against the factor, both at the n * eps of a stable solve
+            for a, y in ((m, x), (h.chol, h.whiten(b))):
+                err = np.linalg.norm(a @ y - b) / (
+                    np.linalg.norm(a, 2) * np.linalg.norm(y) + np.linalg.norm(b))
+                assert err <= n * np.finfo(float).eps
 
     def test_matrix_right_hand_side(self):
         rng = np.random.default_rng(12)
