@@ -5,6 +5,7 @@ the batched engine must reproduce them to near machine precision, and its
 output must not depend on chunking or worker count.
 """
 
+import hashlib
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
@@ -261,6 +262,46 @@ class TestDataGenerator:
         assert blocks == [(b, True) for b in range(4)]
         # every Philox is a block's, so no per-trial trial_rng was built
         assert len(philox_built) == 4
+
+
+def sha256(array):
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+
+
+# pfa-sweep's stream is pinned (acceptance criterion 3 passes at seed 405
+# on it), so the coloured data of a block and the statistics drawn from it
+# must not move by a bit. Digests taken with numpy 2.4 and its bundled
+# OpenBLAS 0.3.31 on x86-64; (n, k, first trial, stop, cnr_db, rho), the
+# n16 range straddles the 256-trial blocks.
+GOLDEN_STACKS = {
+    (8, 16, 0, 600, 30.0, 0.9):
+        "4e1a221ae9db5caf293b75254085f6e16538eb9eb3eb5b9131c9697f85da3c48",
+    (8, 16, 0, 600, 110.0, 0.99):
+        "4900bc60fe61e855faf8e6cb289045490b5df2659831fabaa7688f013f7851bd",
+    (16, 32, 100, 700, 30.0, 0.9):
+        "0940b9259c886cfe7633a78f4a174c67a5657dc78dd6f291a9c065c8deac606f",
+    (16, 32, 100, 700, 110.0, 0.99):
+        "ccab66aea99e5f3eabb1f3523b6c2a7a11f50a3732eebbaa81aefd7ee5db8fd9",
+}
+GOLDEN_AMF = "55b4068977115dafed4a5e13ce9ef39f762b0a4b7cc1b019353e00dda3b9e8e3"
+
+
+class TestDataStream:
+    @pytest.mark.parametrize("case", GOLDEN_STACKS,
+                             ids=lambda c: f"n{c[0]}k{c[1]}-cnr{c[4]:g}")
+    def test_coloured_stack_is_pinned(self, case):
+        n, k, start, stop, cnr_db, rho = case
+        cfg = ScenarioConfig(n=n, k=k, cnr_db=cnr_db, rho=rho)
+        stack = engine._generate_stack(cfg, build_covariance(cfg).chol, 241,
+                                       start, stop)
+        # (trial, n, k+1)
+        assert sha256(stack) == GOLDEN_STACKS[case]
+
+    def test_default_detector_amf_is_pinned(self):
+        sim = simulate_statistics(
+            ScenarioConfig(master_seed=242),
+            ("glrt", "amf", "rao", "ace", "em-bml-d5", "em-bml-d7"), 600)
+        assert sha256(sim.statistics["amf"]) == GOLDEN_AMF
 
 
 class TestWorkerCrash:
