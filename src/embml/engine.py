@@ -8,7 +8,8 @@ and c = z^H S^-1 z (the EM trace also needs log det S), and one helper,
 _evaluate, computes every statistic from it. Two generators feed it:
 
 - the data path draws the (n, k+1) data matrices of a block of trials,
-  colours them by chol(M) and solves S against [v, z].
+  colours them in place by two real products with chol(M), which is real,
+  and solves S against [v, z].
   statistics_from_stacks is its entry for data from outside (cube
   windows); it is cross-checked to 1e-9 against the per-trial reference.
 - the invariant path (simulate_statistics(..., invariant=True)) draws a,
@@ -17,12 +18,12 @@ _evaluate, computes every statistic from it. Two generators feed it:
   checks its distributions against the data path.
 
 On both paths each block of _BLOCK trials comes from one generator keyed by
-(stream_seed, block_index), with a tag per path, and _from_blocks slices
-the trials asked for out of whole blocks. So results are bit-identical for
-a given stream seed no matter the chunk size or worker count. Only the
-data path costs enough per trial for a process pool to pay for starting:
-an invariant trial costs about 1 us, so the harness runs that path in one
-process.
+(stream_seed, block_index), with a tag per path, and _covering_blocks
+fills whole blocks into one buffer and returns the trials asked for as a
+view. So results are bit-identical for a given stream seed no matter the
+chunk size or worker count. Only the data path costs enough per trial for
+a process pool to pay for starting: an invariant trial costs about 1 us,
+so the harness runs that path in one process.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 
 import numpy as np
 
@@ -40,7 +41,6 @@ from .em import POSTERIOR_FLOOR
 from .linalg import HermitianMatrix
 from .scenario import (
     ScenarioConfig,
-    _standard_complex,
     block_rng,
     build_covariance,
     injection_amplitude,
@@ -272,21 +272,24 @@ def benchmark_statistic_from_aux(
     return 2.0 * (np.conj(alpha) * u).real - abs(alpha) ** 2 * c
 
 
-def _from_blocks(draw, start: int, stop: int) -> np.ndarray:
-    """Trials [start, stop) cut out of the whole _BLOCK-trial blocks covering them.
+def _covering_blocks(fill, start: int, stop: int, rows: int, width: int = 1,
+                     dtype=np.float64) -> np.ndarray:
+    """Columns of trials [start, stop) in a buffer of their whole blocks.
 
-    draw(b) returns block b's draws with the trial on the first axis. Each
-    trial's draws depend only on its index, never on where a chunk starts,
-    and only one block is held beside the result at a time.
+    The (rows, trials * width) buffer holds every block covering the range,
+    each trial's width columns side by side; fill(b, slab) writes block b
+    into its contiguous (rows, _BLOCK * width) column slab. The view
+    returned splits into (rows, stop - start, width) without a copy. Each
+    trial's draws depend only on its index, never on where a chunk starts.
     """
-    out = None
-    for b in range(start // _BLOCK, (stop - 1) // _BLOCK + 1):
-        lo, hi = max(start, b * _BLOCK), min(stop, (b + 1) * _BLOCK)
-        block = draw(b)
-        if out is None:
-            out = np.empty((stop - start,) + block.shape[1:], dtype=block.dtype)
-        out[lo - start : hi - start] = block[lo - b * _BLOCK : hi - b * _BLOCK]
-    return out
+    first = start // _BLOCK
+    blocks = range(first, (stop - 1) // _BLOCK + 1)
+    span = _BLOCK * width
+    buf = np.empty((rows, len(blocks) * span), dtype=dtype)
+    for i, b in enumerate(blocks):
+        fill(b, buf[:, i * span : (i + 1) * span])
+    offset = first * _BLOCK
+    return buf[:, (start - offset) * width : (stop - offset) * width]
 
 
 def _generate_stack(
@@ -296,22 +299,33 @@ def _generate_stack(
     start: int,
     stop: int,
 ) -> np.ndarray:
-    """Stacked trial matrices Z for trials [start, stop), coloured by chol.
+    """(n, trials, k+1) matrices Z of trials [start, stop), coloured by chol.
 
-    Each block of _BLOCK trials draws all of its n * _BLOCK * (k+1) complex
-    entries in one call from one generator keyed by (stream_seed,
-    block_index) and is coloured by one product with chol. The product
-    runs on the block's (_BLOCK, n, k+1) view, which gives the same values
-    as (n, n) @ (n, _BLOCK (k+1)) without handing one wide product to a
-    multithreaded BLAS. A trial is regenerated through its block.
+    Each block of _BLOCK trials draws its normals x, y in one call from one
+    generator keyed by (stream_seed, block_index), scales them by 1/sqrt(2)
+    in place and colours them by two real products with chol, written
+    straight into the block's real and imaginary parts. build_covariance
+    is real, so its factor's imaginary part is exactly zero and the complex
+    product chol @ (x + j y) / sqrt(2) splits into those two products bit
+    for bit; a complex factor is refused rather than truncated. A trial is
+    regenerated through its block.
     """
+    if np.any(chol.imag):
+        raise ValueError("the colouring factor must be real")
     n, cols = cfg.n, cfg.k + 1
+    real = np.ascontiguousarray(chol.real)
+    w = np.empty((2, n, _BLOCK * cols))
 
-    def draw(b):
-        w = _standard_complex(block_rng(stream_seed, b, data=True), n, _BLOCK * cols)
-        return chol @ w.reshape(n, _BLOCK, cols).swapaxes(0, 1)
+    def fill(b, slab):
+        block_rng(stream_seed, b, data=True).standard_normal(out=w)
+        # the reciprocal gives the bits of numpy's complex division by sqrt(2)
+        np.multiply(w, 1.0 / np.sqrt(2.0), out=w)
+        np.matmul(real, w[0], out=slab.real)
+        np.matmul(real, w[1], out=slab.imag)
 
-    return _from_blocks(draw, start, stop)
+    return _covering_blocks(fill, start, stop, n, cols, np.complex128).reshape(
+        n, stop - start, cols
+    )
 
 
 def _data_chunk(cfg, labels, stream_seed, start, stop, inject, record_trace,
@@ -329,9 +343,9 @@ def _data_chunk(cfg, labels, stream_seed, start, stop, inject, record_trace,
         # the clairvoyant hypothesizes the target along the nominal steering
         alpha_hyp = injection_amplitude(v, m, cfg.scnr_db)
 
-    zfull = _generate_stack(cfg, m.chol, stream_seed, start, stop)
-    z = zfull[:, :, 0]
-    zs = zfull[:, :, 1:]
+    stack = _generate_stack(cfg, m.chol, stream_seed, start, stop)
+    z = stack[:, :, 0].T
+    zs = stack[:, :, 1:].transpose(1, 0, 2)
     if inject:
         z = z + injection_amplitude(v_true, m, cfg.scnr_db) * v_true
 
@@ -347,9 +361,9 @@ def _data_chunk(cfg, labels, stream_seed, start, stop, inject, record_trace,
     )
 
 
-def _invariant_block(n: int, k: int, stream_seed: int, block: int,
-                     record_trace: bool) -> np.ndarray:
-    """Raw draws of one block of _BLOCK trials, one column per trial.
+def _invariant_block(n: int, k: int, stream_seed: int, record_trace: bool,
+                     block: int, out: np.ndarray) -> None:
+    """Raw draws of one block of _BLOCK trials into out, one column per trial.
 
     Rows: the real then the imaginary parts of z1, z2 and the strictly
     lower entries of T (row by row), the Gamma(k-n+p-i) squares of T's
@@ -359,13 +373,14 @@ def _invariant_block(n: int, k: int, stream_seed: int, block: int,
     """
     p = min(n, 3)
     rng = block_rng(stream_seed, block)
-    rows = [rng.standard_normal((2 * (2 + p * (p - 1) // 2), _BLOCK))]
+    normals = 2 * (2 + p * (p - 1) // 2)
+    out[:normals] = rng.standard_normal((normals, _BLOCK))
     shapes = [k - n + p - i for i in range(p)] + [n - 2] * (n > 2)
-    rows.append(rng.standard_gamma(shapes, (_BLOCK, len(shapes))).T)
+    out[normals : normals + len(shapes)] = rng.standard_gamma(
+        shapes, (_BLOCK, len(shapes))).T
     if record_trace:
         rest = rng.standard_gamma(k - np.arange(n - p), (_BLOCK, n - p))
-        rows.append(np.log(rest).sum(axis=1)[None])
-    return np.concatenate(rows)
+        out[-1] = np.log(rest).sum(axis=1)
 
 
 def _invariant_chunk(cfg, labels, stream_seed, start, stop, inject,
@@ -382,12 +397,11 @@ def _invariant_chunk(cfg, labels, stream_seed, start, stop, inject,
     taken as e1 itself: every statistic is invariant to the scale of v.
     """
     n, k, p = cfg.n, cfg.k, min(cfg.n, 3)
-    draws = _from_blocks(
-        lambda b: _invariant_block(n, k, stream_seed, b, record_trace).T,
-        start, stop,
-    ).T
-
     m_normal = 2 + p * (p - 1) // 2
+    draws = _covering_blocks(
+        partial(_invariant_block, n, k, stream_seed, record_trace),
+        start, stop, 2 * m_normal + p + (n > 2) + record_trace,
+    )
     w = (draws[:m_normal] + 1j * draws[m_normal : 2 * m_normal]) / math.sqrt(2.0)
     gammas = draws[2 * m_normal :]
     root_s = None if cfg.scnr_db is None else 10.0 ** (cfg.scnr_db / 20.0)

@@ -294,8 +294,14 @@ class TestDataStream:
         cfg = ScenarioConfig(n=n, k=k, cnr_db=cnr_db, rho=rho)
         stack = engine._generate_stack(cfg, build_covariance(cfg).chol, 241,
                                        start, stop)
-        # (trial, n, k+1)
-        assert sha256(stack) == GOLDEN_STACKS[case]
+        assert sha256(stack.transpose(1, 0, 2)) == GOLDEN_STACKS[case]
+
+    def test_complex_factor_is_refused(self):
+        cfg = ScenarioConfig()
+        chol = build_covariance(cfg).chol.copy()
+        chol[1, 0] += 1e-12j
+        with pytest.raises(ValueError, match="real"):
+            engine._generate_stack(cfg, chol, 241, 0, 10)
 
     def test_default_detector_amf_is_pinned(self):
         sim = simulate_statistics(

@@ -43,6 +43,14 @@ class TestBuildCovariance:
         eigs = np.linalg.eigvalsh(build_covariance(cfg).mat)
         assert eigs[0] >= 1.0 - 1e-9
 
+    @pytest.mark.parametrize("n", [2, 16])
+    @pytest.mark.parametrize("rho", [0.0, 0.999])
+    @pytest.mark.parametrize("cnr_db", [-20.0, 110.0])
+    def test_cholesky_factor_is_real(self, n, rho, cnr_db):
+        """The engine colours data with the factor's real part alone."""
+        cfg = ScenarioConfig(n=n, k=2 * n, rho=rho, cnr_db=cnr_db)
+        assert not np.any(build_covariance(cfg).chol.imag)
+
 
 class TestSteeringVector:
     def test_zero_doppler_is_ones(self):
