@@ -1,6 +1,7 @@
 """End-to-end tests for the batch CLI: exit codes, flag plumbing, outputs."""
 
 import argparse
+import hashlib
 import re
 
 import numpy as np
@@ -237,6 +238,80 @@ class TestBenchmarkOnlyGrid:
         alone = read_curve(tmp_path / "bench2000.csv").column("benchmark")
         np.testing.assert_array_equal(
             read_curve(both).column("benchmark"), alone)
+
+
+# The sha256 of each subcommand's CSV at n8/k16 and master seed 77. They
+# pin every byte a change to the harness must leave as it is.
+PINNED = ["--n", "8", "--k", "16", "--seed", "77"]
+CLUTTER_GRIDS = ["--cnr-grid", "30", "70", "--rho-grid", "0.5", "0.9"]
+CURVE = ["--pfa", "0.01", "--trials", "5000", "--calibration-trials", "10000"]
+CUBE_RUN = ["--pfa", "0.05", "--cut-bin", "8", "--eval-bin", "9",
+            "--overlap", "0"]
+CSV_DIGESTS = {
+    "calibrate": (
+        ["calibrate", "--pfa", "0.01", "--trials", "10000"],
+        "a2a5850b8f8ba517deafb8fe6f6f4123f071eb5c2098748106e3fcebfc209b26"),
+    "calibrate benchmark": (
+        ["calibrate", "--pfa", "0.01", "--trials", "10000", "--detectors",
+         "glrt", "amf", "benchmark", "--scnr", "10"],
+        "27725ea16ed4d19b27ce2d478377e171df55a7303b0ccb69bbd3287333ec930c"),
+    "pfa-sweep": (
+        ["pfa-sweep", "--pfa", "0.01", "--trials", "10000", *CLUTTER_GRIDS],
+        "44ccb5aee516c1d45b9b497f9fdeaa153103eded2b2c7ba89bed4ad62d84a79f"),
+    "pfa-sweep benchmark": (
+        ["pfa-sweep", "--pfa", "0.01", "--trials", "10000", *CLUTTER_GRIDS,
+         "--detectors", "glrt", "amf", "em-bml-d2", "benchmark",
+         "--scnr", "6", "--workers", "2"],
+        "912a0bec529f6ec8653497fef3360085f3380bf34e701ce96de86af950a791c2"),
+    "pd-curve": (
+        ["pd-curve", *CURVE, "--scnr-grid", "0", "5", "10", "15",
+         "--detectors", "benchmark", "glrt", "amf", "em-bml-d5"],
+        "d8c031673841c38da5467ba186a334392b0881db2ea52ba1f0220ff1095bdd13"),
+    "pd-curve benchmark": (
+        ["pd-curve", *CURVE, "--scnr-grid", "0", "5", "10", "15",
+         "--detectors", "benchmark"],
+        "9db14dfe8f6f072569e0308b22fd98cc82e13ce88d4d8bf6753d2f7be326ec84"),
+    "mismatch-contour": (
+        ["mismatch-contour", "--pfa", "0.01", "--trials", "2000",
+         "--calibration-trials", "10000", "--scnr-grid", "12",
+         "--cos-sq-phi-grid", "0.25", "0.5", "1", "--detectors", "amf",
+         "em-bml-d5", "benchmark"],
+        "5fb945510fcd358b46e38c29fb689cadf5953b6e556934cbad6443e8b723cd7b"),
+    "convergence": (
+        ["convergence", "--trials", "5000", "--l-max", "6",
+         "--scnr-grid", "10", "15"],
+        "bf995af8b2477cd7b3a67aa925fbbc760dc41c1b2a56fc95efc8b624412bf2db"),
+    "ingest-run binary": (
+        ["ingest-run", *CUBE_RUN, "--cube", "{cube}.bin"],
+        "2f5c4f8ccce7494a46d1bc1a358898e668f421c4cc598dae67fa30cd0c03ded8"),
+    "ingest-run csv": (
+        ["ingest-run", *CUBE_RUN, "--cube", "{cube}.csv", "--cube-format",
+         "csv", "--scnr", "8"],
+        "efb496ccae16aefc537d8944ecaa78945709c877da07be2390038c848df6a522"),
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_cube(tmp_path_factory):
+    """The seed-77 16 000 x 18 cube in both encodings; the path stem."""
+    stem = tmp_path_factory.mktemp("cube") / "cube"
+    cube = synthesize_cube(ScenarioConfig(n=8, k=16, master_seed=77),
+                           pulses=16_000, range_bins=18)
+    write_cube(cube, f"{stem}.bin", "interleaved-binary")
+    write_cube(cube, f"{stem}.csv", "csv")
+    return stem
+
+
+class TestCsvDigests:
+    @pytest.mark.parametrize("name", CSV_DIGESTS)
+    def test_csv_bytes_are_pinned(self, tmp_path, capsys, pinned_cube, name):
+        argv, expected = CSV_DIGESTS[name]
+        out = tmp_path / "out.csv"
+        code, _, stderr = run_cli(
+            [*(a.format(cube=pinned_cube) for a in argv), *PINNED,
+             "--out", str(out)], capsys)
+        assert code == 0, stderr
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
 
 
 # pfa-sweep is the only subcommand that takes --workers; 8192 trials make
