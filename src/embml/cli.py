@@ -39,7 +39,7 @@ from .harness import (
     pd_curve,
 )
 
-__all__ = ["main", "build_parser", "run_spec"]
+__all__ = ["main", "build_parser"]
 
 
 def _value_flag(parser, flag: str, key: str, **kwargs) -> None:
@@ -227,16 +227,11 @@ _RUNNERS = {
 }
 
 
-def run_spec(spec: ExperimentSpec) -> str:
-    """Execute one experiment spec; returns a one-line summary."""
-    return _RUNNERS[spec.command](spec)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         spec = _spec_from_args(args)
-        summary = run_spec(spec)
+        summary = _RUNNERS[spec.command](spec)
     except BrokenProcessPool as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -20,13 +20,7 @@ import numpy as np
 
 from .curves import CurveResult
 from .engine import statistics_from_stacks
-from .harness import (
-    TrialEnsemble,
-    _rate_row,
-    calibrate_threshold,
-    order_labels,
-    required_trials,
-)
+from .harness import _rate_row, _thresholds, order_labels, required_trials
 from .linalg import HermitianMatrix
 from .scenario import (
     ScenarioConfig,
@@ -303,6 +297,12 @@ def sliding_window_run(cube: DataCube, spec) -> CubeRunResult:
 
     v = steering_vector(n, cfg.doppler)
     z_cal, zs_cal = _window_stacks(cube, n, k, cut_bin, overlap)
+    count = z_cal.shape[0]
+    if count < required_trials(spec.pfa):
+        raise InsufficientData(
+            f"{cube.source}: calibration bin {cut_bin} has {count} windows; "
+            f"pfa={spec.pfa} needs at least {required_trials(spec.pfa)}"
+        )
     z_ev, zs_ev = _window_stacks(cube, n, k, eval_bin, overlap)
 
     scnr_db = cfg.scnr_db
@@ -318,19 +318,9 @@ def sliding_window_run(cube: DataCube, spec) -> CubeRunResult:
     with _singular_windows_named(cube, zs_ev, eval_bin):
         ev_stats = statistics_from_stacks(z_ev, zs_ev, v, labels).statistics
 
-    count = z_cal.shape[0]
-    if count < required_trials(spec.pfa):
-        raise InsufficientData(
-            f"{cube.source}: calibration bin {cut_bin} has {count} windows; "
-            f"pfa={spec.pfa} needs at least {required_trials(spec.pfa)}"
-        )
-    cal_scenario = replace(cfg, scnr_db=None)
-    thresholds = {
-        lab: calibrate_threshold(
-            TrialEnsemble(lab, cal_stats[lab], cal_scenario), spec.pfa
-        )
-        for lab in labels
-    }
+    thresholds = _thresholds(
+        cal_stats, labels, spec.pfa, replace(cfg, scnr_db=None)
+    )
     rates, cis = _rate_row(ev_stats, thresholds, labels)
     curve = CurveResult(
         axis_names=("scnr_db",),

@@ -3,14 +3,16 @@
 The adaptive detectors' thresholds are empirical order statistics of null
 ensembles with a strict-exceedance decision rule. The clairvoyant
 benchmark's threshold is exact: under H0 its statistic is N(-s, 2s) with
-s the SCNR in linear units. Every experiment phase (calibration, each
-grid point) works in its own derived substream namespace, so trials are
-independent across phases and every result is bit-reproducible for a fixed
-master seed. Calibration, curves, contours and convergence studies draw
-each trial's maximal invariant in-process, at about 1 us/trial; only the
-CFAR sweep draws data, because CNR and rho drop out of the invariant by
-construction, and only it takes a worker count, whose results do not
-depend on it.
+s the SCNR in linear units. Every experiment reads its thresholds through
+one builder, and the CFAR sweep and the Pd grids share one point loop that
+simulates each grid point and reduces it to a row of rates and CIs. Every
+experiment phase (calibration, each grid point) works in its own derived
+substream namespace, so trials are independent across phases and every
+result is bit-reproducible for a fixed master seed. Calibration, curves,
+contours and convergence studies draw each trial's maximal invariant
+in-process, at about 1 us/trial; only the CFAR sweep draws data, because
+CNR and rho drop out of the invariant by construction, and only it takes
+a worker count, whose results do not depend on it.
 """
 
 from __future__ import annotations
@@ -84,10 +86,9 @@ class TrialEnsemble:
 
 @dataclass(frozen=True)
 class CalibrationResult:
-    """Per-detector thresholds at one Pfa and the null statistics behind them."""
+    """Per-detector thresholds at one Pfa."""
 
     thresholds: dict[str, float]
-    statistics: dict[str, np.ndarray]
 
 
 def order_labels(labels) -> tuple[str, ...]:
@@ -169,15 +170,21 @@ def _rate_row(statistics, thresholds, labels) -> np.ndarray:
     return np.array(row, dtype=float).reshape(len(labels), 2).T
 
 
-def _calibrate(
-    cfg: ScenarioConfig,
-    labels: tuple[str, ...],
-    pfa: float,
-    trials: int,
-    *,
-    workers: int = 1,
-    invariant: bool = True,
-) -> CalibrationResult:
+def _thresholds(statistics, labels, pfa: float, cfg: ScenarioConfig) -> dict:
+    """Each label's threshold at pfa, read off its null statistics.
+
+    The benchmark's is exact at cfg.scnr_db and reads no statistics.
+    """
+    return {
+        lab: _benchmark_threshold(cfg.scnr_db, pfa)
+        if lab == "benchmark"
+        else calibrate_threshold(TrialEnsemble(lab, statistics[lab], cfg), pfa)
+        for lab in labels
+    }
+
+
+def _check_calibration(cfg, labels, pfa: float, trials: int) -> None:
+    """Reject a calibration that cannot threshold pfa, before any draw."""
     if not 0.0 < pfa < 0.5:
         raise ValueError(f"pfa must lie in (0, 0.5), got {pfa}")
     if trials < required_trials(pfa):
@@ -187,23 +194,49 @@ def _calibrate(
     if "benchmark" in labels and cfg.scnr_db is None:
         raise ValueError("benchmark calibration requires scnr_db on the scenario")
 
-    null_cfg = _null_config(cfg)
-    sim = simulate_statistics(
-        null_cfg,
-        labels,
-        trials,
-        stream_seed=derive_stream_seed(cfg.master_seed, _PHASE_CALIBRATION),
-        inject=False,
-        workers=workers,
-        invariant=invariant,
+
+def _null_statistics(cfg, labels, trials: int, **simulate) -> dict:
+    """The calibration phase's null ensemble; nothing is drawn for no labels."""
+    if not labels:
+        return {}
+    seed = derive_stream_seed(cfg.master_seed, _PHASE_CALIBRATION)
+    return simulate_statistics(
+        _null_config(cfg), labels, trials, stream_seed=seed, **simulate
+    ).statistics
+
+
+def _rate_curve(cfg, phase, axis_names, rows, labels, trials, pfa, thresholds,
+                *, nominal=None, **simulate) -> CurveResult:
+    """Rates at each row of scenario overrides, named by axis_names.
+
+    Each row simulates trials in its own substream of phase, except the
+    row equal to cfg, which reads the nominal statistics when given. The
+    benchmark's exact threshold is taken at every row's SCNR.
+    """
+    rates = np.empty((len(rows), len(labels)))
+    cis = np.empty_like(rates)
+    for i, row in enumerate(rows):
+        point_cfg = replace(cfg, **dict(zip(axis_names, row)))
+        if nominal is not None and point_cfg == cfg:
+            stats = nominal
+        else:
+            seed = derive_stream_seed(cfg.master_seed, phase, i)
+            stats = simulate_statistics(
+                point_cfg, labels, trials, stream_seed=seed, **simulate
+            ).statistics
+        if "benchmark" in labels:
+            bench = _benchmark_threshold(point_cfg.scnr_db, pfa)
+            thresholds = {**thresholds, "benchmark": bench}
+        rates[i], cis[i] = _rate_row(stats, thresholds, labels)
+
+    axis_values = np.array(rows, dtype=float).reshape(len(rows), len(axis_names))
+    return CurveResult(
+        axis_names=axis_names,
+        axis_values=axis_values,
+        detectors=labels,
+        rates=rates,
+        cis=cis,
     )
-    thresholds = {
-        lab: _benchmark_threshold(cfg.scnr_db, pfa)
-        if lab == "benchmark"
-        else calibrate_threshold(TrialEnsemble(lab, arr, null_cfg), pfa)
-        for lab, arr in sim.statistics.items()
-    }
-    return CalibrationResult(thresholds, sim.statistics)
 
 
 def calibrate(
@@ -216,9 +249,13 @@ def calibrate(
 
     The ensemble is drawn through the maximal invariant. The benchmark's
     threshold is exact at the scenario's SCNR, so the benchmark can only
-    be calibrated when the scenario pins one.
+    be calibrated when the scenario pins one, and it draws no trials.
     """
-    return _calibrate(cfg, order_labels(detectors), pfa, trials)
+    labels = order_labels(detectors)
+    _check_calibration(cfg, labels, pfa, trials)
+    adaptive = tuple(lab for lab in labels if lab != "benchmark")
+    stats = _null_statistics(cfg, adaptive, trials, invariant=True)
+    return CalibrationResult(_thresholds(stats, labels, pfa, _null_config(cfg)))
 
 
 def cfar_sweep(
@@ -242,35 +279,15 @@ def cfar_sweep(
     CFAR property it checks would hold on the invariant by construction.
     """
     labels = order_labels(detectors)
-    cal = _calibrate(cfg, labels, pfa, trials, workers=workers, invariant=False)
-
+    _check_calibration(cfg, labels, pfa, trials)
+    null_cfg = _null_config(cfg)
+    nominal = _null_statistics(cfg, labels, trials, workers=workers)
     points = {(float(c), cfg.rho) for c in cnr_grid}
     points.update((cfg.cnr_db, float(r)) for r in rho_grid)
-    rows = sorted(points)
-
-    rates = np.empty((len(rows), len(labels)))
-    cis = np.empty_like(rates)
-    for i, (cnr_db, rho) in enumerate(rows):
-        if (cnr_db, rho) == (cfg.cnr_db, cfg.rho):
-            stats = cal.statistics
-        else:
-            point_cfg = replace(_null_config(cfg), cnr_db=cnr_db, rho=rho)
-            stats = simulate_statistics(
-                point_cfg,
-                labels,
-                trials,
-                stream_seed=derive_stream_seed(cfg.master_seed, _PHASE_SWEEP, i),
-                inject=False,
-                workers=workers,
-            ).statistics
-        rates[i], cis[i] = _rate_row(stats, cal.thresholds, labels)
-
-    return CurveResult(
-        axis_names=("cnr_db", "rho"),
-        axis_values=np.array(rows, dtype=float),
-        detectors=labels,
-        rates=rates,
-        cis=cis,
+    return _rate_curve(
+        null_cfg, _PHASE_SWEEP, ("cnr_db", "rho"), sorted(points), labels,
+        trials, pfa, _thresholds(nominal, labels, pfa, null_cfg),
+        nominal=nominal, workers=workers,
     )
 
 
@@ -287,40 +304,17 @@ def _injected_grid(
     """Pd at each row of scenario overrides, named by axis_names.
 
     The adaptive thresholds come from one matched null calibration
-    (mismatch does not affect the null hypothesis), which is skipped when
-    the benchmark is the only detector; the benchmark's exact threshold is
-    taken at every point's SCNR.
+    (mismatch does not affect the null hypothesis), which draws nothing
+    when the benchmark is the only detector.
     """
     labels = order_labels(detectors)
     adaptive = [lab for lab in labels if lab != "benchmark"]
-    thresholds = {}
-    if adaptive:
-        thresholds = calibrate(
-            cfg, adaptive, pfa, calibration_trials or required_trials(pfa)
-        ).thresholds
-
-    rates = np.empty((len(rows), len(labels)))
-    cis = np.empty_like(rates)
-    for i, row in enumerate(rows):
-        point_cfg = replace(cfg, **dict(zip(axis_names, row)))
-        sim = simulate_statistics(
-            point_cfg,
-            labels,
-            trials,
-            stream_seed=derive_stream_seed(cfg.master_seed, phase, i),
-            inject=True,
-            invariant=True,
-        )
-        thresholds["benchmark"] = _benchmark_threshold(point_cfg.scnr_db, pfa)
-        rates[i], cis[i] = _rate_row(sim.statistics, thresholds, labels)
-
-    axis_values = np.array(rows, dtype=float).reshape(len(rows), len(axis_names))
-    return CurveResult(
-        axis_names=axis_names,
-        axis_values=axis_values,
-        detectors=labels,
-        rates=rates,
-        cis=cis,
+    thresholds = calibrate(
+        cfg, adaptive, pfa, calibration_trials or required_trials(pfa)
+    ).thresholds
+    return _rate_curve(
+        cfg, phase, axis_names, rows, labels, trials, pfa, thresholds,
+        inject=True, invariant=True,
     )
 
 

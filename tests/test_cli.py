@@ -80,8 +80,9 @@ class TestExitCodes:
     def test_zero_region_ingest_is_three_and_names_place(
         self, tmp_path, capsys, scnr
     ):
+        # 500 windows calibrate pfa 0.2, so the zero region is the only fault
         cfg = ScenarioConfig(n=4, k=8, master_seed=78)
-        data = synthesize_cube(cfg, pulses=4 * 300, range_bins=18).data.copy()
+        data = synthesize_cube(cfg, pulses=4 * 500, range_bins=18).data.copy()
         data[:, 9:] = 0.0  # the evaluation region of bin 13
         cube_path = tmp_path / "zero.bin"
         write_cube(DataCube(data), cube_path, "interleaved-binary")
@@ -112,6 +113,25 @@ class TestExitCodes:
         assert re.search(r"\b2000\b", stderr)
         assert "trials" not in stderr
 
+
+    def test_short_calibration_bin_is_two_before_any_solve(
+        self, tmp_path, capsys
+    ):
+        # the evaluation region is all zeros, so its solve would exit 3;
+        # the calibration bin's window count is checked before any solve
+        cfg = ScenarioConfig(n=4, k=8, master_seed=78)
+        data = synthesize_cube(cfg, pulses=4 * 100, range_bins=18).data.copy()
+        data[:, 9:] = 0.0  # the evaluation region of bin 13
+        cube_path = tmp_path / "short-zero.bin"
+        write_cube(DataCube(data), cube_path, "interleaved-binary")
+        code, _, stderr = run_cli(
+            ["ingest-run", "--cube", str(cube_path), "--n", "4", "--k", "8",
+             "--cut-bin", "4", "--eval-bin", "13", "--overlap", "0",
+             "--pfa", "0.05", "--out", str(tmp_path / "x.csv")], capsys)
+        assert code == 2
+        assert "short-zero.bin" in stderr
+        assert re.search(r"\bbin 4\b", stderr)
+        assert re.search(r"\b100 windows\b", stderr)
 
 class TestFlagPlumbing:
     def test_flags_override_config(self, tmp_path, capsys):

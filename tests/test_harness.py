@@ -127,6 +127,28 @@ class TestCalibrate:
         assert a.thresholds["amf"] == b.thresholds["amf"]
 
 
+    def test_benchmark_only_draws_nothing(self, monkeypatch):
+        import embml.harness
+
+        calls = []
+        monkeypatch.setattr(embml.harness, "simulate_statistics",
+                            lambda *args, **kwargs: calls.append(args))
+        cfg = replace(SMALL, scnr_db=6.0)
+        cal = calibrate(cfg, ("benchmark",), 0.05, 2000)
+        assert calls == []
+        assert cal.thresholds == {"benchmark": _benchmark_threshold(6.0, 0.05)}
+
+    def test_benchmark_leaves_adaptive_thresholds_as_they_are(self):
+        # the benchmark draws nothing, and the stream does not depend on
+        # which labels are drawn
+        cfg = replace(SMALL, scnr_db=6.0)
+        alone = calibrate(cfg, ("glrt", "em-bml-d3"), 0.05, 2000)
+        both = calibrate(cfg, ("glrt", "benchmark", "em-bml-d3"), 0.05, 2000)
+        assert both.thresholds == {
+            **alone.thresholds,
+            "benchmark": _benchmark_threshold(6.0, 0.05),
+        }
+
 class TestBenchmarkThreshold:
     @pytest.mark.parametrize("clutter", [{}, {"cnr_db": 60.0, "rho": 0.5}])
     def test_exact_threshold_holds_pfa_on_simulated_null(self, clutter):
