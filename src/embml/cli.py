@@ -18,6 +18,7 @@ configuration or arguments, 3 file I/O or format failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from concurrent.futures.process import BrokenProcessPool
 
@@ -132,6 +133,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser() once per process: each add_argument sizes the terminal."""
+    return build_parser()
+
+
 def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
     """The config file with the subcommand and every set flag on top."""
     text = ""
@@ -228,7 +235,7 @@ _RUNNERS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         spec = _spec_from_args(args)
         summary = _RUNNERS[spec.command](spec)

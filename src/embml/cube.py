@@ -2,17 +2,25 @@
 
 A cube holds complex baseband returns indexed (pulse, range bin). Two
 fully specified encodings are supported: an interleaved little-endian
-binary format for bulk data and a CSV format for inspection. Recorded (or
-synthesized) cubes are evaluated with a sliding N-pulse window: the cell
-under test is one designated range bin, the secondary data are the K/2
-bins on each side, and consecutive windows may share a configurable number
-of pulses.
+binary format for bulk data and a CSV format for inspection (grammar in
+README). Both readers view the stored float pairs as complex, so a read is
+exact to the bit. A CSV file is parsed by numpy's C tokenizer; the line
+parser runs only when the tokenizer refuses the text or may read it
+differently, and then gives the same cells or a FormatError at path:line.
+
+Recorded (or synthesized) cubes are evaluated with a sliding N-pulse
+window: the cell under test is one designated range bin, the secondary
+data are the K/2 bins on each side, and consecutive windows may share a
+configurable number of pulses.
 """
 
 from __future__ import annotations
 
+import io
 import math
+import os
 import struct
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
@@ -89,7 +97,10 @@ def write_cube_binary(cube: DataCube, path) -> None:
 
 def read_cube_binary(path) -> DataCube:
     with open(path, "rb") as fh:
-        raw = fh.read()
+        # a writable buffer the cube can view; a pipe reports size 0
+        raw = bytearray(os.fstat(fh.fileno()).st_size)
+        del raw[fh.readinto(raw):]
+        raw += fh.read()
     if len(raw) < _HEADER.size:
         raise FormatError(f"{path}: truncated header ({len(raw)} bytes)")
     p, r = _HEADER.unpack_from(raw)
@@ -99,9 +110,7 @@ def read_cube_binary(path) -> DataCube:
             f"{path}: header declares {p}x{r} cube "
             f"({expected} bytes) but file holds {len(raw)}"
         )
-    flat = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
-    pairs = flat.reshape(p, r, 2)
-    data = pairs[:, :, 0] + 1j * pairs[:, :, 1]
+    data = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size).reshape(p, r)
     try:
         return DataCube(data=data, source=str(path))
     except FormatError as err:
@@ -118,9 +127,42 @@ def write_cube_csv(cube: DataCube, path) -> None:
 
 
 def read_cube_csv(path) -> DataCube:
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    cells = _tokenized_csv(raw)
+    if cells is None:
+        cells = _parse_csv_lines(path)
+    try:
+        return DataCube(data=cells.view(np.complex128), source=str(path))
+    except FormatError as err:
+        raise FormatError(f"{path}: {err}") from err
+
+
+def _tokenized_csv(raw: bytes) -> np.ndarray | None:
+    """The (pulses, 2R) cells as numpy's C tokenizer reads them, or None."""
+    # the tokenizer strips the ASCII separators 0x1C-0x1F around a cell as
+    # whitespace, and float() refuses them
+    if not raw.isascii() or any(sep in raw for sep in b"\x1c\x1d\x1e\x1f"):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cells = np.loadtxt(io.BytesIO(raw), delimiter=",", dtype=np.float64,
+                               comments=None, ndmin=2)
+    except (ValueError, Warning):
+        return None
+    if cells.size == 0 or cells.shape[1] % 2 != 0:
+        return None
+    return cells
+
+
+def _parse_csv_lines(path) -> np.ndarray:
+    """The (pulses, 2R) cells, parsed line by line; FormatError as path:line."""
     rows: list[list[float]] = []
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            if not line.isascii():
+                raise FormatError(f"{path}:{lineno}: non-ASCII byte in cube text")
             line = line.strip()
             if not line:
                 continue
@@ -141,12 +183,7 @@ def read_cube_csv(path) -> DataCube:
             rows.append(values)
     if not rows:
         raise FormatError(f"{path}: empty cube file")
-    arr = np.asarray(rows)
-    data = arr[:, 0::2] + 1j * arr[:, 1::2]
-    try:
-        return DataCube(data=data, source=str(path))
-    except FormatError as err:
-        raise FormatError(f"{path}: {err}") from err
+    return np.asarray(rows)
 
 
 def ingest_cube(path, format: str = "interleaved-binary") -> DataCube:

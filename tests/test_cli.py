@@ -95,6 +95,29 @@ class TestExitCodes:
         assert re.search(r"\bbin 13\b", stderr)
         assert re.search(r"\bwindow 0\b", stderr)
 
+    @pytest.mark.parametrize("fault", ["non-ascii", "binary"])
+    def test_unreadable_csv_cube_is_three_and_names_place(
+        self, tmp_path, capsys, fault
+    ):
+        cube = synthesize_cube(ScenarioConfig(n=4, k=8, master_seed=80), 40, 10)
+        cube_path = tmp_path / "cube.csv"
+        if fault == "binary":
+            write_cube(cube, cube_path, "interleaved-binary")
+        else:
+            write_cube(cube, cube_path, "csv")
+            lines = cube_path.read_bytes().splitlines(keepends=True)
+            lines[2] = lines[2].replace(b",", b"\xc3\xa9,", 1)
+            cube_path.write_bytes(b"".join(lines))
+        code, _, stderr = run_cli(
+            ["ingest-run", "--cube", str(cube_path), "--cube-format", "csv",
+             "--n", "4", "--k", "8", "--cut-bin", "4", "--eval-bin", "5",
+             "--overlap", "0", "--pfa", "0.2",
+             "--out", str(tmp_path / "x.csv")], capsys)
+        assert code == 3
+        assert re.search(r"cube\.csv:\d+: ", stderr)
+        if fault == "non-ascii":
+            assert "cube.csv:3: " in stderr
+
     def test_too_few_windows_is_two_and_names_cube_and_bin(
         self, tmp_path, capsys
     ):
@@ -547,3 +570,20 @@ class TestFlagsOnTopOfConfig:
         assert code == 0
         labels = [row.split(",")[0] for row in out.read_text().splitlines()[1:]]
         assert labels == ["glrt", "amf", "rao", "ace", "em-bml-d3", "em-bml-d9"]
+
+
+class TestParserBuiltOnce:
+    def test_main_reuses_one_parser(self, tmp_path, monkeypatch, capsys):
+        from embml import cli
+
+        built = []
+        monkeypatch.setattr(
+            cli, "build_parser", lambda: built.append(1) or build_parser())
+        cli._parser.cache_clear()
+        for pfa in ("0.7", "0.8"):
+            code, _, _ = run_cli(
+                ["calibrate", "--pfa", pfa, "--out", str(tmp_path / "x.csv")],
+                capsys)
+            assert code == 2
+        assert built == [1]
+        cli._parser.cache_clear()

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import embml
+import embml.cube as cube_module
 
 from embml.config import ExperimentSpec
 from embml.cube import (
@@ -45,9 +46,12 @@ class TestBinaryFormat:
     def test_round_trip_is_exact(self, tmp_path):
         rng = np.random.default_rng(61)
         data = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+        data[0, 0] = complex(-0.0, 5e-324)
+        data[3, 2] = complex(1.0, -0.0)
         path = tmp_path / "cube.bin"
         write_cube_binary(DataCube(data), path)
-        np.testing.assert_array_equal(read_cube_binary(path).data, data)
+        back = read_cube_binary(path).data
+        assert back.view(np.uint8).tobytes() == data.view(np.uint8).tobytes()
 
     def test_truncated_header_rejected(self, tmp_path):
         path = tmp_path / "short.bin"
@@ -68,9 +72,12 @@ class TestCsvFormat:
     def test_round_trip_is_exact(self, tmp_path):
         rng = np.random.default_rng(62)
         data = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+        data[0, 0] = complex(-0.0, 5e-324)
+        data[2, 1] = complex(1.0, -0.0)
         path = tmp_path / "cube.csv"
         write_cube_csv(DataCube(data), path)
-        np.testing.assert_array_equal(read_cube_csv(path).data, data)
+        back = read_cube_csv(path).data
+        assert back.view(np.uint8).tobytes() == data.view(np.uint8).tobytes()
 
     def test_odd_cell_count_rejected(self, tmp_path):
         path = tmp_path / "odd.csv"
@@ -95,6 +102,59 @@ class TestCsvFormat:
         path.write_text("1.0,spam\n")
         with pytest.raises(FormatError):
             read_cube_csv(path)
+
+    # (text, whether the C tokenizer reads it): the line parser alone must
+    # give the same bytes or the same FormatError
+    @pytest.mark.parametrize("text,tokenized", [
+        pytest.param(b"1.0,2.0\n\n3.0,4.0\n", True, id="blank-line"),
+        pytest.param(b"1.0,2.0\n   \n3.0,4.0\n", False, id="whitespace-line"),
+        pytest.param(b" 1.0 , 2.0 \n3.0,\t4.0\n", True, id="spaced-cells"),
+        pytest.param(b"1.0,2.0\r\n3.0,4.0\r\n", True, id="crlf"),
+        pytest.param(b"1_0,2.0\n", False, id="underscore"),
+        pytest.param(b"Infinity,2.0\n", True, id="infinity"),
+        pytest.param(b"+1.5,.5\n5.,-0.0\n", True, id="signs-and-dots"),
+        pytest.param(b"1e400,1.0\n", True, id="overflow"),
+        pytest.param(b"1.0#,2.0\n", False, id="hash"),
+        pytest.param(b'"1.0",2.0\n', False, id="quoted"),
+        pytest.param(b"1.0,,2.0,3.0\n", False, id="empty-field"),
+        pytest.param(b"1.0,2.0,\n", False, id="trailing-comma"),
+        pytest.param(b"1.0,2.0\n1.0,2.0,3.0,4.0\n", False, id="ragged"),
+        pytest.param(b"1.0,2.0,3.0\n", False, id="odd-cells"),
+        pytest.param(b"", False, id="empty-file"),
+        pytest.param(b"1.0,2.0\n", True, id="one-pair"),
+        pytest.param(b"1.0,2.0\n3.0,4\xc3\xa9\n", False, id="non-ascii"),
+        pytest.param(b"1.0\x1c,2.0\n", False, id="separator-byte"),
+    ])
+    def test_tokenizer_and_line_parser_agree(self, tmp_path, monkeypatch,
+                                             text, tokenized):
+        path = tmp_path / "cube.csv"
+        path.write_bytes(text)
+
+        def read():
+            try:
+                return read_cube_csv(path).data.view(np.uint8).tobytes()
+            except FormatError as err:
+                return f"FormatError: {err}"
+
+        assert (cube_module._tokenized_csv(text) is not None) == tokenized
+        got = read()
+        monkeypatch.setattr(cube_module, "_tokenized_csv", lambda raw: None)
+        assert got == read()
+
+    def test_well_formed_file_never_reaches_the_line_parser(
+        self, tmp_path, monkeypatch
+    ):
+        data = synthesize_cube(ScenarioConfig(master_seed=69), 40, 6).data.copy()
+        data[0, 0] = complex(-0.0, 5e-324)
+        path = tmp_path / "cube.csv"
+        write_cube_csv(DataCube(data), path)
+
+        def refuse(path):
+            raise AssertionError("line parser reached")
+
+        monkeypatch.setattr(cube_module, "_parse_csv_lines", refuse)
+        back = read_cube_csv(path).data
+        assert back.view(np.uint8).tobytes() == data.view(np.uint8).tobytes()
 
     def test_writer_matches_cell_by_cell_reference(self, tmp_path):
         rng = np.random.default_rng(67)
