@@ -44,9 +44,11 @@ __all__ = ["main", "build_parser"]
 
 
 def _value_flag(parser, flag: str, key: str, **kwargs) -> None:
-    """Add a flag whose value sets config key "section.key" over --config."""
-    if "choices" not in kwargs:
-        kwargs.setdefault("metavar", flag[2:].upper().replace("-", "_"))
+    """Add a flag whose value sets config key "section.key" over --config.
+
+    The flag's text is parsed by the key's own parser, as the INI value is.
+    """
+    kwargs.setdefault("metavar", flag[2:].upper().replace("-", "_"))
     parser.add_argument(flag, dest=key, **kwargs)
 
 
@@ -59,31 +61,31 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="INI config file")
-    _value_flag(common, "--seed", "scenario.master_seed", type=int,
+    _value_flag(common, "--seed", "scenario.master_seed",
                 help="master seed (unsigned 64-bit)")
     _value_flag(common, "--out", "run.out", help="output CSV path")
-    _value_flag(common, "--pfa", "run.pfa", type=float,
+    _value_flag(common, "--pfa", "run.pfa",
                 help="target false-alarm probability")
-    _value_flag(common, "--trials", "run.trials", type=int,
+    _value_flag(common, "--trials", "run.trials",
                 help="trials per grid point")
     _value_flag(common, "--detectors", "run.detectors", nargs="+",
                 metavar="LABEL",
                 help="detector labels (e.g. glrt amf rao ace em-bml-d5 benchmark)")
-    _value_flag(common, "--l-max", "run.l_max", type=int, nargs="+", metavar="L",
+    _value_flag(common, "--l-max", "run.l_max", nargs="+", metavar="L",
                 help="EM iteration caps (defines em-bml-d variants / trace depth)")
-    _value_flag(common, "--n", "scenario.n", type=int,
+    _value_flag(common, "--n", "scenario.n",
                 help="pulses per coherent processing interval")
-    _value_flag(common, "--k", "scenario.k", type=int,
+    _value_flag(common, "--k", "scenario.k",
                 help="secondary data vectors")
-    _value_flag(common, "--rho", "scenario.rho", type=float,
+    _value_flag(common, "--rho", "scenario.rho",
                 help="clutter one-lag correlation")
-    _value_flag(common, "--cnr", "scenario.cnr_db", type=float,
+    _value_flag(common, "--cnr", "scenario.cnr_db",
                 help="clutter-to-noise ratio, dB")
-    _value_flag(common, "--doppler", "scenario.doppler", type=float,
+    _value_flag(common, "--doppler", "scenario.doppler",
                 help="normalized target Doppler frequency")
-    _value_flag(common, "--scnr", "scenario.scnr_db", type=float,
+    _value_flag(common, "--scnr", "scenario.scnr_db",
                 help="scenario signal-to-clutter-plus-noise ratio, dB")
-    _value_flag(common, "--cos-sq-phi", "scenario.cos_sq_phi", type=float,
+    _value_flag(common, "--cos-sq-phi", "scenario.cos_sq_phi",
                 help="scenario steering mismatch cos^2 phi")
 
     descriptions = {
@@ -101,34 +103,34 @@ def build_parser() -> argparse.ArgumentParser:
 
     # only the data path of pfa-sweep costs enough per trial for a process
     # pool to pay; every other command runs in one process
-    _value_flag(subparsers["pfa-sweep"], "--workers", "run.workers", type=int,
+    _value_flag(subparsers["pfa-sweep"], "--workers", "run.workers",
                 help="parallel worker processes")
     # only these read it: pfa-sweep calibrates on its own trials (its nominal
     # row reuses that ensemble), ingest-run on the cube's windows, and
     # convergence calibrates nothing
     for name in ("calibrate", "pd-curve", "mismatch-contour"):
         _value_flag(subparsers[name], "--calibration-trials",
-                    "run.calibration_trials", type=int,
+                    "run.calibration_trials",
                     help="null trials for thresholding")
-    grid = {"type": float, "nargs": "+"}
     _value_flag(subparsers["pfa-sweep"], "--cnr-grid", "grids.cnr_db",
-                metavar="DB", **grid, help="CNR grid, dB")
+                metavar="DB", nargs="+", help="CNR grid, dB")
     _value_flag(subparsers["pfa-sweep"], "--rho-grid", "grids.rho",
-                metavar="RHO", **grid, help="one-lag correlation grid")
+                metavar="RHO", nargs="+", help="one-lag correlation grid")
     for name in ("pd-curve", "mismatch-contour", "convergence"):
         _value_flag(subparsers[name], "--scnr-grid", "grids.scnr_db",
-                    metavar="DB", **grid, help="SCNR grid, dB")
+                    metavar="DB", nargs="+", help="SCNR grid, dB")
     _value_flag(subparsers["mismatch-contour"], "--cos-sq-phi-grid",
-                "grids.cos_sq_phi", metavar="C", **grid, help="cos^2 phi grid")
+                "grids.cos_sq_phi", metavar="C", nargs="+",
+                help="cos^2 phi grid")
     cube = subparsers["ingest-run"]
     _value_flag(cube, "--cube", "cube.path", help="cube file path")
     _value_flag(cube, "--cube-format", "cube.format",
-                choices=("interleaved-binary", "csv"), help="cube file encoding")
-    _value_flag(cube, "--cut-bin", "cube.cut_bin", type=int,
+                help="cube file encoding: interleaved-binary or csv")
+    _value_flag(cube, "--cut-bin", "cube.cut_bin",
                 help="range bin under test")
-    _value_flag(cube, "--eval-bin", "cube.eval_bin", type=int,
+    _value_flag(cube, "--eval-bin", "cube.eval_bin",
                 help="range bin for rate estimation")
-    _value_flag(cube, "--overlap", "cube.overlap", type=int,
+    _value_flag(cube, "--overlap", "cube.overlap",
                 help="pulses shared by consecutive windows")
     return parser
 
@@ -157,13 +159,13 @@ def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
 
 
 def _run_calibrate(spec: ExperimentSpec) -> str:
-    cal = calibrate(spec.scenario, spec.detectors, spec.pfa,
-                    spec.calibration_trials or spec.trials)
+    thresholds = calibrate(spec.scenario, spec.detectors, spec.pfa,
+                           spec.calibration_trials or spec.trials)
     lines = ["detector,pfa,threshold"]
-    for lab in order_labels(cal.thresholds):
-        lines.append(f"{lab},{spec.pfa!r},{cal.thresholds[lab]!r}")
+    for lab in order_labels(thresholds):
+        lines.append(f"{lab},{spec.pfa!r},{thresholds[lab]!r}")
     write_text(spec.output_path, "\n".join(lines) + "\n")
-    return f"calibrated {len(cal.thresholds)} detectors"
+    return f"calibrated {len(thresholds)} detectors"
 
 
 def _run_pfa_sweep(spec: ExperimentSpec) -> str:

@@ -28,7 +28,13 @@ import numpy as np
 
 from .curves import CurveResult
 from .engine import statistics_from_stacks
-from .harness import _rate_row, _thresholds, order_labels, required_trials
+from .harness import (
+    _PHASE_CUBE,
+    _rate_row,
+    _thresholds,
+    order_labels,
+    required_trials,
+)
 from .linalg import HermitianMatrix
 from .scenario import (
     ScenarioConfig,
@@ -56,9 +62,6 @@ __all__ = [
 
 _HEADER = struct.Struct("<QQ")
 
-# substream namespace for cube synthesis, disjoint from the harness phases
-_PHASE_CUBE = 5
-
 
 class FormatError(ValueError):
     """Cube file violates the declared encoding."""
@@ -79,8 +82,13 @@ class DataCube:
         data = np.asarray(self.data, dtype=np.complex128)
         if data.ndim != 2:
             raise FormatError(f"cube must be 2-D (pulse, bin); got {data.ndim}-D")
-        if not np.isfinite(data).all():
-            raise FormatError("cube contains non-finite samples")
+        finite = np.isfinite(data)
+        if not finite.all():
+            pulse, rbin = divmod(int(np.argmin(finite)), data.shape[1])
+            raise FormatError(
+                f"cube contains non-finite samples, first at pulse {pulse}, "
+                f"range bin {rbin}"
+            )
         object.__setattr__(self, "data", data)
 
 

@@ -3,8 +3,8 @@
 A CurveResult is one grid of per-detector rate estimates (Pd or Pfa) with
 binomial 95% confidence half-widths. The CSV layout is: axis column(s)
 first, then "<label>_rate,<label>_ci" per detector in canonical detector
-order. Numbers are written with full round-trip precision so re-reading a
-file reproduces the in-memory values exactly.
+order. Numbers are written with full round-trip precision, so any float
+parser (np.loadtxt, say) reads back the in-memory values exactly.
 """
 
 from __future__ import annotations
@@ -20,14 +20,13 @@ __all__ = [
     "write_text",
     "format_curve",
     "write_curve",
-    "read_curve",
     "format_convergence",
     "write_convergence",
 ]
 
 
 class IoError(OSError):
-    """Raised when emitting or reading curve files fails."""
+    """A file could not be read or written; the message names the path."""
 
 
 @dataclass(frozen=True)
@@ -74,7 +73,6 @@ class ConvergenceResult:
     configurations: tuple[str, ...]
     means: np.ndarray
     cis: np.ndarray
-    trial_count: int
 
 
 def write_text(path, text: str) -> None:
@@ -109,41 +107,6 @@ def format_curve(result: CurveResult) -> str:
 def write_curve(result: CurveResult, path) -> None:
     """Emit a CurveResult as CSV. Raises IoError on filesystem failure."""
     write_text(path, format_curve(result))
-
-
-def read_curve(path) -> CurveResult:
-    """Parse a CSV produced by write_curve back into a CurveResult."""
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            lines = [ln for ln in fh.read().split("\n") if ln]
-    except OSError as err:
-        raise IoError(f"cannot read curve from {path}: {err}") from err
-    if not lines:
-        raise IoError(f"empty curve file: {path}")
-    header = lines[0].split(",")
-    detectors = []
-    axis_names = []
-    for name in header:
-        if name.endswith("_rate"):
-            detectors.append(name[: -len("_rate")])
-        elif name.endswith("_ci"):
-            continue
-        else:
-            axis_names.append(name)
-    n_axis = len(axis_names)
-    axis_vals, rates, cis = [], [], []
-    for ln in lines[1:]:
-        cells = [float(c) for c in ln.split(",")]
-        axis_vals.append(cells[:n_axis])
-        rates.append(cells[n_axis::2])
-        cis.append(cells[n_axis + 1 :: 2])
-    return CurveResult(
-        axis_names=tuple(axis_names),
-        axis_values=np.array(axis_vals, dtype=float),
-        detectors=tuple(detectors),
-        rates=np.array(rates, dtype=float),
-        cis=np.array(cis, dtype=float),
-    )
 
 
 def format_convergence(result: ConvergenceResult) -> str:

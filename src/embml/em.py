@@ -22,7 +22,7 @@ import numpy as np
 
 from .linalg import HermitianMatrix
 from .scenario import DataBatch
-from .detectors import SampleCovariance, sample_covariance
+from .detectors import SampleCovariance, benchmark_statistic, sample_covariance
 
 __all__ = [
     "POSTERIOR_FLOOR",
@@ -45,8 +45,10 @@ class EmState:
     """Parameter estimates after one M-step (or the initial guess).
 
     log_post_ratio is log(q1/q0) = log_prior_ratio + g(alpha_hat, m_hat),
-    the quantity the next E-step maps through the logistic function and,
-    at the final iteration, the detection statistic itself.
+    with g(alpha, M) = z^H M^-1 z - (z - alpha v)^H M^-1 (z - alpha v)
+    (detectors.benchmark_statistic at alpha and M), the quantity the next
+    E-step maps through the logistic function and, at the final iteration,
+    the detection statistic itself.
     """
 
     log_prior_ratio: float
@@ -71,14 +73,6 @@ class EmTrace:
     mixture_log_lik: tuple[float, ...]
 
 
-def _g_value(
-    batch: DataBatch, v: np.ndarray, alpha: complex, m_hat: HermitianMatrix
-) -> float:
-    """g = z^H M^-1 z - (z - alpha v)^H M^-1 (z - alpha v)."""
-    d = batch.cut - alpha * v
-    return m_hat.quad_form(batch.cut) - m_hat.quad_form(d)
-
-
 def initialize(
     batch: DataBatch, v: np.ndarray, s: SampleCovariance
 ) -> EmState:
@@ -93,12 +87,12 @@ def initialize(
     alpha0 = num / den
     # g(alpha0, S) simplifies to |num|^2 / den, but evaluate it generically
     # so the identity is a tested property rather than a baked-in shortcut
-    g0 = _g_value(batch, v, alpha0, s.s)
+    g0 = benchmark_statistic(batch, v, s.s, alpha0)
     return EmState(
         log_prior_ratio=0.0,
         alpha_hat=complex(alpha0),
         m_hat=s.s,
-        log_post_ratio=float(g0),
+        log_post_ratio=g0,
         iteration=0,
     )
 
@@ -149,7 +143,7 @@ def m_step(
     )
 
     log_prior_ratio = math.log(q1) - math.log(q0)
-    g = _g_value(batch, v, alpha, m_hat)
+    g = benchmark_statistic(batch, v, m_hat, alpha)
     return EmState(
         log_prior_ratio=log_prior_ratio,
         alpha_hat=complex(alpha),

@@ -31,7 +31,6 @@ from .scenario import ScenarioConfig, derive_stream_seed
 __all__ = [
     "InsufficientTrials",
     "TrialEnsemble",
-    "CalibrationResult",
     "order_labels",
     "required_trials",
     "calibrate_threshold",
@@ -43,12 +42,13 @@ __all__ = [
     "convergence_study",
 ]
 
-# substream namespaces per experiment phase
+# substream namespaces per experiment phase, cube synthesis included
 _PHASE_CALIBRATION = 0
 _PHASE_SWEEP = 1
 _PHASE_CURVE = 2
 _PHASE_CONTOUR = 3
 _PHASE_CONVERGENCE = 4
+_PHASE_CUBE = 5
 
 
 class InsufficientTrials(ValueError):
@@ -82,13 +82,6 @@ class TrialEnsemble:
     @property
     def trial_count(self) -> int:
         return self.statistics.shape[0]
-
-
-@dataclass(frozen=True)
-class CalibrationResult:
-    """Per-detector thresholds at one Pfa."""
-
-    thresholds: dict[str, float]
 
 
 def order_labels(labels) -> tuple[str, ...]:
@@ -244,8 +237,8 @@ def calibrate(
     detectors,
     pfa: float,
     trials: int,
-) -> CalibrationResult:
-    """Simulate the null ensemble once and read thresholds at pfa off it.
+) -> dict[str, float]:
+    """Each label's threshold at pfa, read off one simulated null ensemble.
 
     The ensemble is drawn through the maximal invariant. The benchmark's
     threshold is exact at the scenario's SCNR, so the benchmark can only
@@ -255,7 +248,7 @@ def calibrate(
     _check_calibration(cfg, labels, pfa, trials)
     adaptive = tuple(lab for lab in labels if lab != "benchmark")
     stats = _null_statistics(cfg, adaptive, trials, invariant=True)
-    return CalibrationResult(_thresholds(stats, labels, pfa, _null_config(cfg)))
+    return _thresholds(stats, labels, pfa, _null_config(cfg))
 
 
 def cfar_sweep(
@@ -311,7 +304,7 @@ def _injected_grid(
     adaptive = [lab for lab in labels if lab != "benchmark"]
     thresholds = calibrate(
         cfg, adaptive, pfa, calibration_trials or required_trials(pfa)
-    ).thresholds
+    )
     return _rate_curve(
         cfg, phase, axis_names, rows, labels, trials, pfa, thresholds,
         inject=True, invariant=True,
@@ -404,5 +397,4 @@ def convergence_study(
         configurations=tuple(names),
         means=means,
         cis=cis,
-        trial_count=trials,
     )

@@ -52,7 +52,7 @@ class ScenarioConfig:
     whitened-space match between nominal and true steering (1 = matched).
 
     The steering model (a temporal Doppler vector) and the injected target
-    phase (0 by default in inject_target) are modeling choices; detection
+    phase (0: injection_amplitude is real) are modeling choices; detection
     performance is invariant to both because the SCNR normalization and the
     statistics are phase insensitive.
     """
@@ -185,22 +185,18 @@ def sample_batch(
 
 
 def injection_amplitude(
-    v_true: np.ndarray, m: HermitianMatrix, scnr_db: float, phase: float = 0.0
+    v_true: np.ndarray, m: HermitianMatrix, scnr_db: float
 ) -> complex:
-    """Amplitude alpha with |alpha|^2 v_t^H M^-1 v_t equal to the SCNR."""
+    """Real amplitude alpha with |alpha|^2 v_t^H M^-1 v_t equal to the SCNR."""
     power = 10.0 ** (scnr_db / 10.0) / m.quad_form(v_true)
-    return complex(np.sqrt(power) * np.exp(1j * phase))
+    return complex(np.sqrt(power))
 
 
 def inject_target(
-    batch: DataBatch,
-    v_true: np.ndarray,
-    m: HermitianMatrix,
-    scnr_db: float,
-    phase: float = 0.0,
+    batch: DataBatch, v_true: np.ndarray, m: HermitianMatrix, scnr_db: float
 ) -> DataBatch:
     """Add alpha * v_true to the cell under test; secondary data untouched."""
-    alpha = injection_amplitude(v_true, m, scnr_db, phase)
+    alpha = injection_amplitude(v_true, m, scnr_db)
     return DataBatch(cut=batch.cut + alpha * v_true, secondary=batch.secondary)
 
 

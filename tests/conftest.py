@@ -54,3 +54,31 @@ def counted_pools(monkeypatch):
 
     monkeypatch.setattr(engine, "ProcessPoolExecutor", CountingPool)
     return built
+
+
+@pytest.fixture
+def non_finite_cube():
+    """Writer of a 6 x 4 cube file whose first non-finite sample is the
+    imaginary part at pulse 3, range bin 2; a later pulse holds an inf at
+    bin 0. The files are patched after writing, since a DataCube holding
+    such a sample cannot be built."""
+    import numpy as np
+
+    from embml.cube import DataCube, write_cube
+
+    def write(path, format):
+        write_cube(DataCube(np.ones((6, 4))), path, format)
+        if format == "csv":
+            rows = [line.split(",") for line in path.read_text().splitlines()]
+            rows[3][2 * 2 + 1] = "nan"
+            rows[4][0] = "inf"
+            path.write_text("".join(",".join(r) + "\n" for r in rows))
+        else:
+            raw = bytearray(path.read_bytes())
+            samples = np.frombuffer(raw, dtype="<f8", offset=16).reshape(6, 4, 2)
+            samples[3, 2, 1] = np.nan
+            samples[4, 0, 0] = np.inf
+            path.write_bytes(raw)
+        return path
+
+    return write

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from embml.cli import _spec_from_args, build_parser, main
-from embml.curves import read_curve
 from embml.cube import DataCube, synthesize_cube, write_cube
 from embml.scenario import ScenarioConfig
 
@@ -118,6 +117,20 @@ class TestExitCodes:
         if fault == "non-ascii":
             assert "cube.csv:3: " in stderr
 
+    @pytest.mark.parametrize("format", ["interleaved-binary", "csv"])
+    def test_non_finite_cube_is_three_and_names_sample(
+        self, tmp_path, capsys, non_finite_cube, format
+    ):
+        cube_path = non_finite_cube(tmp_path / "cube.dat", format)
+        code, _, stderr = run_cli(
+            ["ingest-run", "--cube", str(cube_path), "--cube-format", format,
+             "--n", "2", "--k", "2", "--cut-bin", "1", "--eval-bin", "2",
+             "--overlap", "0", "--pfa", "0.2",
+             "--out", str(tmp_path / "x.csv")], capsys)
+        assert code == 3
+        assert "cube.dat: " in stderr
+        assert "pulse 3, range bin 2" in stderr
+
     def test_too_few_windows_is_two_and_names_cube_and_bin(
         self, tmp_path, capsys
     ):
@@ -202,13 +215,12 @@ class TestSubcommands:
              "--out", str(out)], capsys)
         assert code == 0
         assert "1 SCNR points" in stdout
-        curve = read_curve(out)
-        assert curve.axis_names == ("scnr_db",)
-        assert curve.rows == 1
-        assert curve.detectors == ("glrt", "amf")
-        rates, cis = curve.column("glrt")
-        assert 0.0 < rates[0] < 1.0
-        assert cis[0] > 0.0
+        header, *rows = out.read_text().splitlines()
+        assert header == "scnr_db,glrt_rate,glrt_ci,amf_rate,amf_ci"
+        assert len(rows) == 1
+        _, rate, ci = map(float, rows[0].split(",")[:3])
+        assert 0.0 < rate < 1.0
+        assert ci > 0.0
 
     def test_convergence_end_to_end(self, tmp_path, capsys):
         out = tmp_path / "conv.csv"
@@ -234,13 +246,13 @@ class TestSubcommands:
              "--out", str(out)], capsys)
         assert code == 0
         assert "500 windows" in stdout
-        curve = read_curve(out)
-        assert curve.axis_names == ("scnr_db",)
-        rates, _ = curve.column("glrt")
+        header, row = out.read_text().splitlines()
+        assert header.split(",")[:2] == ["scnr_db", "glrt_rate"]
+        rate = float(row.split(",")[1])
         # rate - pfa carries binomial noise from both the 500-window
         # threshold estimate and the 500-window evaluation
         sigma = np.sqrt(2 * 0.2 * 0.8 / 500)
-        assert abs(rates[0] - 0.2) <= 3 * sigma
+        assert abs(rate - 0.2) <= 3 * sigma
 
 
 class TestBenchmarkOnlyGrid:
@@ -278,9 +290,12 @@ class TestBenchmarkOnlyGrid:
             [*self.GRID, "--detectors", "benchmark", "glrt",
              "--calibration-trials", "2000", "--out", str(both)], capsys)
         assert code == 0
-        alone = read_curve(tmp_path / "bench2000.csv").column("benchmark")
+        alone = np.loadtxt(tmp_path / "bench2000.csv", delimiter=",",
+                           skiprows=1)
+        assert both.read_text().split("\n")[0] == (
+            "scnr_db,glrt_rate,glrt_ci,benchmark_rate,benchmark_ci")
         np.testing.assert_array_equal(
-            read_curve(both).column("benchmark"), alone)
+            np.loadtxt(both, delimiter=",", skiprows=1)[:, 3:], alone[:, 1:])
 
 
 # The sha256 of each subcommand's CSV at n8/k16 and master seed 77. They
@@ -495,9 +510,16 @@ FLAG_CASES = [
     for command, extra in COMMAND_FLAGS.items()
     for flag, where in {**COMMON_FLAGS, **extra}.items()
 ]
-# valid for every subcommand
+# flag text that only the INI key's own parser accepts
+KEY_SYNTAX_CASES = [
+    pytest.param("pd-curve", "--scnr", "scenario", "scnr_db", ["none"],
+                 id="pd-curve --scnr none"),
+    pytest.param("convergence", "--l-max", "run", "l_max", ["3,9"],
+                 id="convergence --l-max 3,9"),
+]
+# valid for every subcommand; scnr_db is set so that "--scnr none" moves it
 BASE_INI = {"run": {"pfa": "0.05", "trials": "2000", "out": "base.csv"},
-            "scenario": {"n": "4", "k": "8"},
+            "scenario": {"n": "4", "k": "8", "scnr_db": "3"},
             "cube": {"path": "cube.bin", "overlap": "0"}}
 
 
@@ -529,7 +551,8 @@ class TestFlagIniEquivalence:
         cases = {tuple(case.values[:2]) for case in FLAG_CASES}
         assert cases == parser_value_flags()
 
-    @pytest.mark.parametrize("command,flag,section,key,value", FLAG_CASES)
+    @pytest.mark.parametrize("command,flag,section,key,value",
+                             FLAG_CASES + KEY_SYNTAX_CASES)
     def test_flag_equals_ini_key(self, tmp_path, command, flag, section, key,
                                  value):
         base = write_ini(tmp_path / "base.ini", BASE_INI)

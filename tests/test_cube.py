@@ -190,6 +190,17 @@ class TestCrossFormat:
             ingest_cube(tmp_path / "x", "tarball")
 
 
+class TestNonFiniteSamples:
+    @pytest.mark.parametrize("format", ["interleaved-binary", "csv"])
+    def test_first_bad_sample_is_named(self, tmp_path, non_finite_cube,
+                                       format):
+        path = non_finite_cube(tmp_path / "cube.dat", format)
+        with pytest.raises(FormatError, match=(
+                r"cube\.dat: cube contains non-finite samples, "
+                r"first at pulse 3, range bin 2$")):
+            ingest_cube(path, format)
+
+
 class TestWindowCount:
     def test_no_reuse_is_floor_pulses_over_n(self):
         assert window_count(80, 8, 0) == 10
@@ -254,10 +265,11 @@ class TestSynthesis:
 
     @staticmethod
     def imported_by_embml(prefix):
-        """Modules named prefix or prefix.* loaded by a fresh import embml."""
+        """Modules named prefix or prefix.* loaded by a fresh import of
+        embml.cli, which imports every module of the package."""
         src = str(Path(embml.__file__).resolve().parents[1])
         code = (
-            "import sys, embml; print(' '.join(sorted(m for m in sys.modules "
+            "import sys, embml.cli; print(' '.join(sorted(m for m in sys.modules "
             f"if m == {prefix!r} or m.startswith({prefix + '.'!r}))))"
         )
         out = subprocess.run(
