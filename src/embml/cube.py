@@ -22,7 +22,7 @@ import os
 import struct
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,8 +30,9 @@ from .curves import CurveResult
 from .engine import statistics_from_stacks
 from .harness import (
     _PHASE_CUBE,
+    TrialEnsemble,
     _rate_row,
-    _thresholds,
+    calibrate_threshold,
     order_labels,
     required_trials,
 )
@@ -95,12 +96,10 @@ class DataCube:
 def write_cube_binary(cube: DataCube, path) -> None:
     """16-byte header (two LE u64 dims), then pulse-major LE f64 (re, im)."""
     p, r = cube.data.shape
-    payload = np.empty((p, r, 2), dtype="<f8")
-    payload[:, :, 0] = cube.data.real
-    payload[:, :, 1] = cube.data.imag
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(p, r))
-        fh.write(payload.tobytes())
+        # complex128's memory layout is exactly the interleaved (re, im) pairs
+        fh.write(np.ascontiguousarray(cube.data, dtype="<c16"))
 
 
 def read_cube_binary(path) -> DataCube:
@@ -238,8 +237,11 @@ def synthesize_cube(
     clutter[1:] *= math.sqrt(1.0 - rho**2)
     for t in range(1, pulses):
         clutter[t] += rho * clutter[t - 1]
-    data = sigma_c * clutter + math.sqrt(cfg.noise_power) * noise
-    return DataCube(data=data, source="synthetic")
+    # in place: the same products and sum, without three more cube-sized arrays
+    clutter *= sigma_c
+    noise *= math.sqrt(cfg.noise_power)
+    clutter += noise
+    return DataCube(data=clutter, source="synthetic")
 
 
 def window_count(pulses: int, n: int, overlap: int) -> int:
@@ -363,9 +365,10 @@ def sliding_window_run(cube: DataCube, spec) -> CubeRunResult:
     with _singular_windows_named(cube, zs_ev, eval_bin):
         ev_stats = statistics_from_stacks(z_ev, zs_ev, v, labels).statistics
 
-    thresholds = _thresholds(
-        cal_stats, labels, spec.pfa, replace(cfg, scnr_db=None)
-    )
+    thresholds = {
+        lab: calibrate_threshold(TrialEnsemble(lab, cal_stats[lab], cfg), spec.pfa)
+        for lab in labels
+    }
     rates, cis = _rate_row(ev_stats, thresholds, labels)
     curve = CurveResult(
         axis_names=("scnr_db",),

@@ -18,17 +18,24 @@ _evaluate, computes every statistic from it. Two generators feed it:
   checks its distributions against the data path.
 
 On both paths each block of _BLOCK trials comes from one generator keyed by
-(stream_seed, block_index), with a tag per path, and _covering_blocks
-fills whole blocks into one buffer and returns the trials asked for as a
-view. So results are bit-identical for a given stream seed no matter the
-chunk size or worker count. Only the data path costs enough per trial for
-a process pool to pay for starting: an invariant trial costs about 1 us,
-so the harness runs that path in one process.
+(stream_seed, block_index), with a tag per path. _covering_blocks fills
+the whole blocks covering a trial range into one buffer and returns the
+trials asked for as a view, so each trial's draws depend only on its index.
+The data path draws, colours and evaluates one block at a time, so a chunk
+holds one block's matrices, never the chunk's; the invariant path, at
+O(n) scalars per trial, fills and evaluates a whole chunk at once. So
+results are bit-identical for a given stream seed no matter the chunk size
+or worker count, and the chunk size is only the task size of a process
+pool. Only the data path costs enough per trial for a pool to pay for
+starting: an invariant trial costs about 1 us, so the harness runs that
+path in one process. The harness reads the chunks as they are computed
+(_simulate_chunks) and reduces them; simulate_statistics concatenates them.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -330,7 +337,11 @@ def _generate_stack(
 
 def _data_chunk(cfg, labels, stream_seed, start, stop, inject, record_trace,
                 trace_l_max) -> SimulatedStatistics:
-    """Statistics of trials [start, stop) drawn as data: Z, colour, solve."""
+    """Statistics of trials [start, stop) drawn as data, one block at a time.
+
+    Each block's part of the range is drawn, coloured and solved on its
+    own, so only the (trials,) statistics outlive their block.
+    """
     m = build_covariance(cfg)
     v = steering_vector(cfg.n, cfg.doppler)
     v_true = (
@@ -342,23 +353,27 @@ def _data_chunk(cfg, labels, stream_seed, start, stop, inject, record_trace,
     if cfg.scnr_db is not None:
         # the clairvoyant hypothesizes the target along the nominal steering
         alpha_hyp = injection_amplitude(v, m, cfg.scnr_db)
-
-    stack = _generate_stack(cfg, m.chol, stream_seed, start, stop)
-    z = stack[:, :, 0].T
-    zs = stack[:, :, 1:].transpose(1, 0, 2)
     if inject:
-        z = z + injection_amplitude(v_true, m, cfg.scnr_db) * v_true
+        target = injection_amplitude(v_true, m, cfg.scnr_db) * v_true
 
-    return statistics_from_stacks(
-        z,
-        zs,
-        v,
-        labels,
-        true_m=m,
-        alpha_hyp=alpha_hyp,
-        record_em_trace=record_trace,
-        trace_l_max=trace_l_max,
-    )
+    edges = [start, *range((start // _BLOCK + 1) * _BLOCK, stop, _BLOCK), stop]
+    parts = []
+    for lo, hi in zip(edges, edges[1:]):
+        stack = _generate_stack(cfg, m.chol, stream_seed, lo, hi)
+        z = stack[:, :, 0].T
+        if inject:
+            z = z + target
+        parts.append(statistics_from_stacks(
+            z,
+            stack[:, :, 1:].transpose(1, 0, 2),
+            v,
+            labels,
+            true_m=m,
+            alpha_hyp=alpha_hyp,
+            record_em_trace=record_trace,
+            trace_l_max=trace_l_max,
+        ))
+    return _concatenate(parts)
 
 
 def _invariant_block(n: int, k: int, stream_seed: int, record_trace: bool,
@@ -455,6 +470,66 @@ def _compute_chunk(args) -> SimulatedStatistics:
     return (_invariant_chunk if invariant else _data_chunk)(*rest)
 
 
+def _concatenate(parts) -> SimulatedStatistics:
+    """One result of consecutive trial ranges, in order."""
+    traced = parts[0].em_delta_l is not None
+    return SimulatedStatistics(
+        statistics={
+            lab: np.concatenate([p.statistics[lab] for p in parts])
+            for lab in parts[0].statistics
+        },
+        em_delta_l=(
+            np.concatenate([p.em_delta_l for p in parts]) if traced else None
+        ),
+    )
+
+
+def _simulate_chunks(
+    cfg: ScenarioConfig,
+    labels: tuple[str, ...],
+    n_trials: int,
+    *,
+    stream_seed: int | None = None,
+    inject: bool = False,
+    record_em_trace: bool = False,
+    trace_l_max: int | None = None,
+    workers: int = 1,
+    chunk_size: int = _DEFAULT_CHUNK,
+    invariant: bool = False,
+) -> Iterator[SimulatedStatistics]:
+    """simulate_statistics' chunks in trial order, each as it is computed."""
+    if n_trials <= 0:
+        raise ValueError("n_trials must be positive")
+    if inject and cfg.scnr_db is None:
+        raise ValueError("injection requires scnr_db")
+    seed = cfg.master_seed if stream_seed is None else stream_seed
+    starts = range(0, n_trials, chunk_size)
+    args = (
+        (invariant, cfg, labels, seed, start, min(start + chunk_size, n_trials),
+         inject, record_em_trace, trace_l_max)
+        for start in starts
+    )
+    if workers > 1 and len(starts) > 1:
+        returned = 0
+        # a forking pool starts all its workers at the first submit, so it
+        # gets no more than there are chunks to run
+        with ProcessPoolExecutor(max_workers=min(workers, len(starts))) as pool:
+            try:
+                for part in pool.map(_compute_chunk, args):
+                    yield part
+                    returned += 1
+            except BrokenProcessPool as err:
+                start = starts[returned]
+                raise BrokenProcessPool(
+                    f"a worker process died before returning trials "
+                    f"[{start}, {min(start + chunk_size, n_trials)}) of "
+                    f"stream seed {seed}"
+                ) from err
+    else:
+        for a in args:
+            yield _compute_chunk(a)
+
+
 def simulate_statistics(
     cfg: ScenarioConfig,
     labels: tuple[str, ...],
@@ -476,48 +551,14 @@ def simulate_statistics(
     derived seeds so different experiment stages never share substreams.
     invariant=True draws each trial's maximal invariant instead of its
     data; the statistics have the same distribution but come from another
-    random stream. With workers > 1 and more than one chunk, the chunks run
-    in a process pool; results are bit-identical for fixed seeds regardless
-    of workers or chunk_size. A worker process that dies raises
-    BrokenProcessPool naming the stream seed and the first trial range it
-    did not return.
+    random stream. With workers > 1 and more than one chunk of chunk_size
+    trials, the chunks run in a process pool; results are bit-identical
+    for fixed seeds regardless of workers or chunk_size. A worker process
+    that dies raises BrokenProcessPool naming the stream seed and the
+    first trial range it did not return.
     """
-    if n_trials <= 0:
-        raise ValueError("n_trials must be positive")
-    if inject and cfg.scnr_db is None:
-        raise ValueError("injection requires scnr_db")
-    seed = cfg.master_seed if stream_seed is None else stream_seed
-    chunks = [
-        (start, min(start + chunk_size, n_trials))
-        for start in range(0, n_trials, chunk_size)
-    ]
-    args = [
-        (invariant, cfg, labels, seed, start, stop, inject, record_em_trace,
-         trace_l_max)
-        for start, stop in chunks
-    ]
-    if workers > 1 and len(args) > 1:
-        parts = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            try:
-                for part in pool.map(_compute_chunk, args):
-                    parts.append(part)
-            except BrokenProcessPool as err:
-                start, stop = chunks[len(parts)]
-                raise BrokenProcessPool(
-                    f"a worker process died before returning trials "
-                    f"[{start}, {stop}) of stream seed {seed}"
-                ) from err
-    else:
-        parts = [_compute_chunk(a) for a in args]
-
-    traced = parts[0].em_delta_l is not None
-    return SimulatedStatistics(
-        statistics={
-            lab: np.concatenate([p.statistics[lab] for p in parts])
-            for lab in parts[0].statistics
-        },
-        em_delta_l=(
-            np.concatenate([p.em_delta_l for p in parts]) if traced else None
-        ),
-    )
+    return _concatenate(list(_simulate_chunks(
+        cfg, labels, n_trials, stream_seed=stream_seed, inject=inject,
+        record_em_trace=record_em_trace, trace_l_max=trace_l_max,
+        workers=workers, chunk_size=chunk_size, invariant=invariant,
+    )))

@@ -3,16 +3,21 @@
 The adaptive detectors' thresholds are empirical order statistics of null
 ensembles with a strict-exceedance decision rule. The clairvoyant
 benchmark's threshold is exact: under H0 its statistic is N(-s, 2s) with
-s the SCNR in linear units. Every experiment reads its thresholds through
-one builder, and the CFAR sweep and the Pd grids share one point loop that
-simulates each grid point and reduces it to a row of rates and CIs. Every
-experiment phase (calibration, each grid point) works in its own derived
-substream namespace, so trials are independent across phases and every
-result is bit-reproducible for a fixed master seed. Calibration, curves,
-contours and convergence studies draw each trial's maximal invariant
-in-process, at about 1 us/trial; only the CFAR sweep draws data, because
-CNR and rho drop out of the invariant by construction, and only it takes
-a worker count, whose results do not depend on it.
+s the SCNR in linear units. Null ensembles are reduced as the engine's
+chunks arrive, so a calibration's memory does not grow with its trial
+count: each detector keeps only the top trials - rank + 1 statistics that
+its order-statistic threshold and exceedances need. Every rate is a count
+of exceedances. Thresholds and rates are exactly those of sorting and
+averaging the whole ensemble. The CFAR sweep and the Pd grids share one
+point loop that simulates each grid point and reduces it to a row of
+rates and CIs. Every experiment phase (calibration, each grid point)
+works in its own derived substream namespace, so trials are independent
+across phases and every result is bit-reproducible for a fixed master
+seed. Calibration, curves, contours and convergence studies draw each
+trial's maximal invariant in-process, at about 1 us/trial; only the CFAR
+sweep draws data, because CNR and rho drop out of the invariant by
+construction, and only it takes a worker count, whose results do not
+depend on it.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import numpy as np
 
 from .curves import ConvergenceResult, CurveResult
 from .detectors import DetectorId, parse_detector_label
-from .engine import simulate_statistics
+from .engine import _simulate_chunks, simulate_statistics
 from .scenario import ScenarioConfig, derive_stream_seed
 
 __all__ = [
@@ -55,13 +60,19 @@ class InsufficientTrials(ValueError):
     """Too few null trials for the requested false alarm probability."""
 
 
-def _require_finite(stats: np.ndarray, detector: str | None) -> None:
-    """Reject NaN and infinite statistics, which would sort and count silently."""
+def _require_finite(stats: np.ndarray, detector: str | None,
+                    start: int = 0) -> None:
+    """Reject NaN and infinite statistics, which would sort and count silently.
+
+    stats are those of trials start, start + 1, ...; the message names the
+    first bad one by its trial index.
+    """
     bad = ~np.isfinite(stats)
     if bad.any():
         msg = (
-            f"{np.count_nonzero(bad)} of {stats.size} statistics are not "
-            f"finite, first at trial {int(np.argmax(bad))}"
+            f"{np.count_nonzero(bad)} of {stats.size} statistics in trials "
+            f"[{start}, {start + stats.size}) are not finite, first at trial "
+            f"{start + int(np.argmax(bad))}"
         )
         raise ValueError(msg if detector is None else f"{detector}: {msg}")
 
@@ -100,6 +111,19 @@ def required_trials(pfa: float) -> int:
     return math.ceil(100.0 / pfa - 1e-9)
 
 
+def _threshold_rank(n: int, pfa: float) -> int:
+    """1-based rank ceil(n (1 - pfa)) of the threshold among n null stats."""
+    if not 0.0 < pfa < 0.5:
+        raise ValueError(f"pfa must lie in (0, 0.5), got {pfa}")
+    if n < required_trials(pfa):
+        raise InsufficientTrials(
+            f"{n} trials < required {required_trials(pfa)} for pfa={pfa}"
+        )
+    # nudge absorbs float rounding when n (1 - pfa) is mathematically integer
+    rank = math.ceil(n * (1.0 - pfa) - 1e-9)
+    return min(max(rank, 1), n)
+
+
 def calibrate_threshold(ensemble: TrialEnsemble, pfa: float) -> float:
     """Order-statistic threshold at rank ceil(n (1 - pfa)) of the null stats.
 
@@ -107,17 +131,14 @@ def calibrate_threshold(ensemble: TrialEnsemble, pfa: float) -> float:
     the empirical exceedance rate of the calibration ensemble itself is
     within one trial quantum of pfa.
     """
-    if not 0.0 < pfa < 0.5:
-        raise ValueError(f"pfa must lie in (0, 0.5), got {pfa}")
-    n = ensemble.trial_count
-    if n < required_trials(pfa):
-        raise InsufficientTrials(
-            f"{n} trials < required {required_trials(pfa)} for pfa={pfa}"
-        )
-    # nudge absorbs float rounding when n (1 - pfa) is mathematically integer
-    rank = math.ceil(n * (1.0 - pfa) - 1e-9)
-    rank = min(max(rank, 1), n)
+    rank = _threshold_rank(ensemble.trial_count, pfa)
     return float(ensemble.statistics[rank - 1])
+
+
+def _rate_ci(count: int, trials: int) -> tuple[float, float]:
+    """Exceedance fraction of count in trials and its binomial 95% CI."""
+    rate = count / trials
+    return rate, 1.96 * math.sqrt(rate * (1.0 - rate) / trials)
 
 
 def estimate_rate(
@@ -132,9 +153,56 @@ def estimate_rate(
     if stats.size == 0:
         raise ValueError("empty statistics")
     _require_finite(stats, detector)
-    rate = float(np.mean(stats > threshold))
-    ci = 1.96 * math.sqrt(rate * (1.0 - rate) / stats.size)
-    return rate, ci
+    return _rate_ci(int(np.count_nonzero(stats > threshold)), stats.size)
+
+
+class _TopTail:
+    """A null ensemble's order-statistic threshold, from chunks as they come.
+
+    Only the m = trials - rank + 1 largest statistics can be the threshold
+    or exceed it, so each label keeps those (np.partition) and drops the
+    rest. The smallest kept is the rank-th smallest of the whole ensemble,
+    ties and all, and the kept values above it are all its exceedances.
+    """
+
+    def __init__(self, trials: int, pfa: float):
+        self._m = trials - _threshold_rank(trials, pfa) + 1
+        self._kept: list[np.ndarray] = []
+        self._size = 0
+
+    def add(self, values: np.ndarray) -> None:
+        self._kept.append(values)
+        self._size += values.size
+        if self._size >= 2 * self._m:
+            # partitioning only past 2m keeps the cost linear in the trials
+            self._reduce()
+
+    def _reduce(self) -> np.ndarray:
+        values = np.concatenate(self._kept)
+        cut = max(values.size - self._m, 0)
+        self._kept = [np.partition(values, cut)[cut:]]
+        self._size = self._kept[0].size
+        return self._kept[0]
+
+    @property
+    def threshold(self) -> float:
+        return float(self._reduce().min())
+
+    @property
+    def count(self) -> int:
+        kept = self._reduce()
+        return int(np.count_nonzero(kept > kept.min()))
+
+
+class _Exceedances:
+    """Statistics above a threshold fixed in advance, counted as they come."""
+
+    def __init__(self, threshold: float):
+        self.threshold = threshold
+        self.count = 0
+
+    def add(self, values: np.ndarray) -> None:
+        self.count += int(np.count_nonzero(values > self.threshold))
 
 
 def _null_config(cfg: ScenarioConfig) -> ScenarioConfig:
@@ -163,39 +231,40 @@ def _rate_row(statistics, thresholds, labels) -> np.ndarray:
     return np.array(row, dtype=float).reshape(len(labels), 2).T
 
 
-def _thresholds(statistics, labels, pfa: float, cfg: ScenarioConfig) -> dict:
-    """Each label's threshold at pfa, read off its null statistics.
-
-    The benchmark's is exact at cfg.scnr_db and reads no statistics.
-    """
-    return {
-        lab: _benchmark_threshold(cfg.scnr_db, pfa)
-        if lab == "benchmark"
-        else calibrate_threshold(TrialEnsemble(lab, statistics[lab], cfg), pfa)
-        for lab in labels
-    }
-
-
 def _check_calibration(cfg, labels, pfa: float, trials: int) -> None:
     """Reject a calibration that cannot threshold pfa, before any draw."""
-    if not 0.0 < pfa < 0.5:
-        raise ValueError(f"pfa must lie in (0, 0.5), got {pfa}")
-    if trials < required_trials(pfa):
-        raise InsufficientTrials(
-            f"{trials} trials < required {required_trials(pfa)} for pfa={pfa}"
-        )
+    _threshold_rank(trials, pfa)
     if "benchmark" in labels and cfg.scnr_db is None:
         raise ValueError("benchmark calibration requires scnr_db on the scenario")
 
 
-def _null_statistics(cfg, labels, trials: int, **simulate) -> dict:
-    """The calibration phase's null ensemble; nothing is drawn for no labels."""
+def _null_phase(cfg, labels, pfa: float, trials: int, **simulate) -> dict:
+    """Each label's reducer over the calibration phase's null ensemble.
+
+    The benchmark's threshold is exact at cfg.scnr_db, so it counts its
+    exceedances; every other label keeps the top of its statistics for
+    its order-statistic threshold. Each chunk is reduced as the engine
+    returns it, after a finite check that names a bad statistic by its
+    trial index in the ensemble. Nothing is drawn for no labels.
+    """
+    reducers = {
+        lab: _Exceedances(_benchmark_threshold(cfg.scnr_db, pfa))
+        if lab == "benchmark"
+        else _TopTail(trials, pfa)
+        for lab in labels
+    }
     if not labels:
-        return {}
+        return reducers
     seed = derive_stream_seed(cfg.master_seed, _PHASE_CALIBRATION)
-    return simulate_statistics(
-        _null_config(cfg), labels, trials, stream_seed=seed, **simulate
-    ).statistics
+    start = 0
+    for part in _simulate_chunks(_null_config(cfg), labels, trials,
+                                 stream_seed=seed, **simulate):
+        for lab, reducer in reducers.items():
+            stats = part.statistics[lab]
+            _require_finite(stats, lab, start)
+            reducer.add(stats)
+        start += stats.size
+    return reducers
 
 
 def _rate_curve(cfg, phase, axis_names, rows, labels, trials, pfa, thresholds,
@@ -203,20 +272,22 @@ def _rate_curve(cfg, phase, axis_names, rows, labels, trials, pfa, thresholds,
     """Rates at each row of scenario overrides, named by axis_names.
 
     Each row simulates trials in its own substream of phase, except the
-    row equal to cfg, which reads the nominal statistics when given. The
-    benchmark's exact threshold is taken at every row's SCNR.
+    row equal to cfg, which reads the exceedance counts of the nominal
+    null phase's reducers when given. The benchmark's exact threshold is
+    taken at every row's SCNR.
     """
     rates = np.empty((len(rows), len(labels)))
     cis = np.empty_like(rates)
     for i, row in enumerate(rows):
         point_cfg = replace(cfg, **dict(zip(axis_names, row)))
         if nominal is not None and point_cfg == cfg:
-            stats = nominal
-        else:
-            seed = derive_stream_seed(cfg.master_seed, phase, i)
-            stats = simulate_statistics(
-                point_cfg, labels, trials, stream_seed=seed, **simulate
-            ).statistics
+            for j, lab in enumerate(labels):
+                rates[i, j], cis[i, j] = _rate_ci(nominal[lab].count, trials)
+            continue
+        seed = derive_stream_seed(cfg.master_seed, phase, i)
+        stats = simulate_statistics(
+            point_cfg, labels, trials, stream_seed=seed, **simulate
+        ).statistics
         if "benchmark" in labels:
             bench = _benchmark_threshold(point_cfg.scnr_db, pfa)
             thresholds = {**thresholds, "benchmark": bench}
@@ -247,8 +318,13 @@ def calibrate(
     labels = order_labels(detectors)
     _check_calibration(cfg, labels, pfa, trials)
     adaptive = tuple(lab for lab in labels if lab != "benchmark")
-    stats = _null_statistics(cfg, adaptive, trials, invariant=True)
-    return _thresholds(stats, labels, pfa, _null_config(cfg))
+    reducers = _null_phase(cfg, adaptive, pfa, trials, invariant=True)
+    return {
+        lab: reducers[lab].threshold
+        if lab in reducers
+        else _benchmark_threshold(cfg.scnr_db, pfa)
+        for lab in labels
+    }
 
 
 def cfar_sweep(
@@ -273,13 +349,12 @@ def cfar_sweep(
     """
     labels = order_labels(detectors)
     _check_calibration(cfg, labels, pfa, trials)
-    null_cfg = _null_config(cfg)
-    nominal = _null_statistics(cfg, labels, trials, workers=workers)
+    nominal = _null_phase(cfg, labels, pfa, trials, workers=workers)
     points = {(float(c), cfg.rho) for c in cnr_grid}
     points.update((cfg.cnr_db, float(r)) for r in rho_grid)
     return _rate_curve(
-        null_cfg, _PHASE_SWEEP, ("cnr_db", "rho"), sorted(points), labels,
-        trials, pfa, _thresholds(nominal, labels, pfa, null_cfg),
+        _null_config(cfg), _PHASE_SWEEP, ("cnr_db", "rho"), sorted(points),
+        labels, trials, pfa, {lab: r.threshold for lab, r in nominal.items()},
         nominal=nominal, workers=workers,
     )
 

@@ -6,6 +6,7 @@ output must not depend on chunking or worker count.
 """
 
 import hashlib
+import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
@@ -318,6 +319,59 @@ class TestWorkerCrash:
                            match=r"trials \[0, 10\) of stream seed 1234\b"):
             simulate_statistics(ScenarioConfig(), ("amf",), 20, chunk_size=10,
                                 stream_seed=1234, workers=2)
+
+
+class FakePool:
+    """An executor that records its worker count and maps in-process."""
+
+    built = []
+
+    def __init__(self, max_workers=None, **kwargs):
+        self.built.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable):
+        return map(fn, iterable)
+
+
+class TestWorkerPool:
+    def test_pool_gets_no_more_workers_than_chunks(self, monkeypatch):
+        # a forking pool starts every worker at once, so 64 workers for two
+        # chunks would fork 62 processes for nothing
+        monkeypatch.setattr(FakePool, "built", [])
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", FakePool)
+        cfg = ScenarioConfig(master_seed=216)
+        wide = simulate_statistics(cfg, ("amf",), 600, chunk_size=300,
+                                   workers=64)
+        assert FakePool.built == [2]
+        solo = simulate_statistics(cfg, ("amf",), 600, chunk_size=300)
+        np.testing.assert_array_equal(wide.statistics["amf"],
+                                      solo.statistics["amf"])
+
+
+SIX = ("glrt", "amf", "rao", "ace", "em-bml-d5", "em-bml-d7")
+
+
+class TestMemory:
+    def test_data_chunk_holds_one_block_at_a_time(self):
+        # a whole 4096-trial chunk of (16, 33) matrices, its S and the
+        # solve's copies peak at about 81 MiB; one 256-trial block at a time
+        # keeps the peak near 6 MiB
+        cfg = ScenarioConfig(n=16, k=32, master_seed=217)
+        simulate_statistics(cfg, SIX, 10)
+        tracemalloc.start()
+        try:
+            sim = simulate_statistics(cfg, SIX, 4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sim.statistics["amf"].shape == (4096,)
+        assert peak < 12 * 2**20
 
 
 class TestInjection:

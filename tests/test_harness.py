@@ -1,12 +1,14 @@
 """Tests for threshold calibration and the Monte Carlo experiment drivers."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from embml import harness
 from embml.curves import format_curve
-from embml.engine import simulate_statistics
+from embml.engine import SimulatedStatistics, simulate_statistics
 from embml.harness import (
     _benchmark_threshold,
     InsufficientTrials,
@@ -19,6 +21,7 @@ from embml.harness import (
     mismatch_contour,
     order_labels,
     pd_curve,
+    required_trials,
 )
 from embml.scenario import ScenarioConfig
 
@@ -306,3 +309,129 @@ class TestProcessPools:
         cfar_sweep(SMALL, 0.05, cnr_grid=[30.0], rho_grid=[0.5],
                    trials=self.TRIALS, detectors=("glrt",), workers=2)
         assert len(counted_pools) >= 1
+
+
+CHUNK = 4096  # the engine's default chunk
+
+
+def planted_nulls(labels, trials, layout, seed):
+    """Integer-valued null statistics, so that ties sit at every rank.
+
+    "ascending" puts the kept top of each ensemble in its last chunk,
+    "descending" in its first.
+    """
+    rng = np.random.default_rng(seed)
+    out = {}
+    for lab in labels:
+        values = rng.integers(0, 40, trials).astype(float)
+        if layout == "ascending":
+            values.sort()
+        elif layout == "descending":
+            values = np.sort(values)[::-1].copy()
+        out[lab] = values
+    return out
+
+
+def chunk_source(stats):
+    """A stand-in for the engine's chunk iterator that yields the given
+    statistics in chunks of CHUNK trials."""
+
+    def chunks(cfg, labels, n_trials, **simulate):
+        assert all(stats[lab].size == n_trials for lab in labels)
+        for start in range(0, n_trials, CHUNK):
+            yield SimulatedStatistics(
+                {lab: stats[lab][start:start + CHUNK] for lab in labels})
+
+    return chunks
+
+
+class TestStreamedReduction:
+    """Null ensembles are reduced chunk by chunk; the thresholds, rates and
+    CIs must equal those of the whole-ensemble functions bit for bit."""
+
+    LABELS = ("glrt", "amf", "benchmark")
+
+    @pytest.mark.parametrize("layout", ["shuffled", "ascending", "descending"])
+    @pytest.mark.parametrize("trials", [1000, 4097, 10_000])
+    @pytest.mark.parametrize("pfa", [0.01, 0.05, 0.3])
+    def test_thresholds_and_nominal_rates_equal_the_whole_ensembles(
+        self, monkeypatch, layout, trials, pfa
+    ):
+        cfg = replace(SMALL, scnr_db=6.0)
+        exact = _benchmark_threshold(cfg.scnr_db, pfa)
+        stats = planted_nulls(self.LABELS, trials, layout, seed=311)
+        # benchmark statistics tie with its exact threshold too
+        stats["benchmark"] = exact + (stats["benchmark"] - 20.0)
+        monkeypatch.setattr(harness, "_simulate_chunks", chunk_source(stats))
+
+        def sweep():
+            return cfar_sweep(cfg, pfa, [cfg.cnr_db], [cfg.rho], trials,
+                              detectors=self.LABELS)
+
+        if trials < required_trials(pfa):
+            with pytest.raises(InsufficientTrials):
+                calibrate(cfg, self.LABELS, pfa, trials)
+            with pytest.raises(InsufficientTrials):
+                sweep()
+            return
+
+        thresholds = calibrate(cfg, self.LABELS, pfa, trials)
+        curve = sweep()
+        assert curve.rows == 1  # the nominal row alone
+        for lab in self.LABELS:
+            expected = exact if lab == "benchmark" else calibrate_threshold(
+                TrialEnsemble(lab, stats[lab], cfg), pfa)
+            assert thresholds[lab] == expected
+            assert np.count_nonzero(stats[lab] == expected) > 1
+            rates, cis = curve.column(lab)
+            assert (rates[0], cis[0]) == estimate_rate(stats[lab], expected)
+            assert rates[0] == np.mean(stats[lab] > expected)
+
+    @pytest.mark.parametrize("where", ["calibrate", "nominal row",
+                                       "off-nominal row"])
+    def test_non_finite_statistic_names_detector_and_trial(
+        self, monkeypatch, where
+    ):
+        trials, j = 10_000, 17
+        clean = planted_nulls(("glrt", "amf"), trials, "shuffled", seed=312)
+        bad = {**clean, "amf": clean["amf"].copy()}
+        bad["amf"][CHUNK + j] = np.nan
+        null, row = (clean, bad) if where == "off-nominal row" else (bad, clean)
+        monkeypatch.setattr(harness, "_simulate_chunks", chunk_source(null))
+        monkeypatch.setattr(
+            harness, "simulate_statistics",
+            lambda cfg, labels, n, **simulate: SimulatedStatistics(
+                {lab: row[lab] for lab in labels}))
+
+        with pytest.raises(ValueError,
+                           match=rf"^amf: .* first at trial {CHUNK + j}$"):
+            if where == "calibrate":
+                calibrate(SMALL, ("glrt", "amf"), 0.05, trials)
+            else:
+                cfar_sweep(SMALL, 0.05, [SMALL.cnr_db], [SMALL.rho, 0.5],
+                           trials, detectors=("glrt", "amf"))
+
+    def test_benchmark_only_calibration_draws_no_chunk(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "_simulate_chunks",
+                            lambda *args, **kwargs: calls.append(args) or [])
+        calibrate(replace(SMALL, scnr_db=6.0), ("benchmark",), 0.05, 2000)
+        assert calls == []
+
+
+class TestFlatMemory:
+    def test_calibration_peak_does_not_grow_with_trials(self):
+        # whole ensembles peaked at 9.2 and 36.8 MiB; the kept tails of
+        # 101 and 401 statistics per detector leave one chunk's worth
+        cfg = ScenarioConfig(n=8, k=16, master_seed=402)
+        detectors = ("glrt", "amf", "rao", "ace", "em-bml-d5", "em-bml-d7")
+
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                calibrate(cfg, detectors, 1e-3, trials)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(400_000) < 1.5 * peak(100_000)
