@@ -28,8 +28,9 @@ results are bit-identical for a given stream seed no matter the chunk size
 or worker count, and the chunk size is only the task size of a process
 pool. Only the data path costs enough per trial for a pool to pay for
 starting: an invariant trial costs about 1 us, so the harness runs that
-path in one process. The harness reads the chunks as they are computed
-(_simulate_chunks) and reduces them; simulate_statistics concatenates them.
+path in one process. _simulate_chunks yields the chunks as they are
+computed, which is how the harness reduces a null ensemble in flat memory;
+simulate_statistics concatenates them.
 """
 
 from __future__ import annotations

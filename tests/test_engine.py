@@ -321,34 +321,32 @@ class TestWorkerCrash:
                                 stream_seed=1234, workers=2)
 
 
-class FakePool:
-    """An executor that records its worker count and maps in-process."""
-
-    built = []
-
-    def __init__(self, max_workers=None, **kwargs):
-        self.built.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, iterable):
-        return map(fn, iterable)
-
-
 class TestWorkerPool:
     def test_pool_gets_no_more_workers_than_chunks(self, monkeypatch):
         # a forking pool starts every worker at once, so 64 workers for two
         # chunks would fork 62 processes for nothing
-        monkeypatch.setattr(FakePool, "built", [])
-        monkeypatch.setattr(engine, "ProcessPoolExecutor", FakePool)
+        built = []
+
+        class InProcessPool:
+            """Records its worker count and maps in the test process."""
+
+            def __init__(self, max_workers=None, **kwargs):
+                built.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", InProcessPool)
         cfg = ScenarioConfig(master_seed=216)
         wide = simulate_statistics(cfg, ("amf",), 600, chunk_size=300,
                                    workers=64)
-        assert FakePool.built == [2]
+        assert built == [2]
         solo = simulate_statistics(cfg, ("amf",), 600, chunk_size=300)
         np.testing.assert_array_equal(wide.statistics["amf"],
                                       solo.statistics["amf"])
