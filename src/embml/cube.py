@@ -11,7 +11,10 @@ differently, and then gives the same cells or a FormatError at path:line.
 Recorded (or synthesized) cubes are evaluated with a sliding N-pulse
 window: the cell under test is one designated range bin, the secondary
 data are the K/2 bins on each side, and consecutive windows may share a
-configurable number of pulses.
+configurable number of pulses. Each bin's windows are gathered from the
+cube and evaluated one block of 256 (the engine's block) at a time, so
+only their per-window statistics outlive a block, and the calibration
+bin's statistics only until its thresholds are set.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import CurveResult
-from .engine import statistics_from_stacks
+from .engine import _BLOCK, statistics_from_stacks
 from .harness import (
     _PHASE_CUBE,
     TrialEnsemble,
@@ -263,38 +266,68 @@ class CubeRunResult:
     scnr_db: float | None
 
 
-def _window_stacks(cube: DataCube, n: int, k: int, cut_bin: int, overlap: int):
-    """(windows, n) CUT stack and (windows, n, k) secondary stack for one bin."""
-    pulses, bins = cube.data.shape
+def _windows(cube: DataCube, n: int, k: int, range_bin: int, overlap: int,
+             start: int, stop: int):
+    """(windows, n) CUT stack and (windows, n, k) secondary stack of one bin's
+    windows [start, stop)."""
     half = k // 2
-    count = window_count(pulses, n, overlap)
-    if count < 1:
-        raise InsufficientData(
-            f"cube has {pulses} pulses; at least {n} needed for one window"
-        )
-    if not half <= cut_bin < bins - half:
-        raise InsufficientData(
-            f"cut bin {cut_bin} needs {half} secondary bins on each side "
-            f"of a {bins}-bin cube"
-        )
-    # rows[t] are the pulses of window t
-    rows = np.arange(count)[:, None] * (n - overlap) + np.arange(n)
-    secondary_bins = np.r_[cut_bin - half : cut_bin, cut_bin + 1 : cut_bin + half + 1]
-    return cube.data[rows, cut_bin], cube.data[rows[..., None], secondary_bins]
+    # rows[t] are the pulses of window start + t
+    rows = np.arange(start, stop)[:, None] * (n - overlap) + np.arange(n)
+    secondary_bins = np.r_[range_bin - half : range_bin,
+                           range_bin + 1 : range_bin + half + 1]
+    return cube.data[rows, range_bin], cube.data[rows[..., None], secondary_bins]
 
 
-def _region_covariance(zs: np.ndarray) -> HermitianMatrix:
-    """Sample covariance of all secondary snapshots in the evaluation region."""
-    flat = zs.transpose(0, 2, 1).reshape(-1, zs.shape[1])
-    return HermitianMatrix(flat.T @ flat.conj() / flat.shape[0])
+def _region_target(cube: DataCube, n: int, k: int, eval_bin: int,
+                   overlap: int, count: int, v: np.ndarray,
+                   scnr_db: float) -> np.ndarray:
+    """Target alpha v at scnr_db, normalized by the evaluation region.
+
+    The region's sample covariance, of all secondary snapshots of the
+    evaluation bin's windows, stands in for the unknown true covariance.
+    The region's secondary stack is gathered whole, once, and freed on
+    return.
+    """
+    zs = _windows(cube, n, k, eval_bin, overlap, 0, count)[1]
+    with _singular_windows_named(cube, zs, eval_bin, 0):
+        flat = zs.transpose(0, 2, 1).reshape(-1, n)
+        m_hat = HermitianMatrix(flat.T @ flat.conj() / flat.shape[0])
+        # |alpha|^2 v^H M^-1 v = SCNR with the region estimate standing in for M
+        alpha = math.sqrt(10.0 ** (scnr_db / 10.0) / m_hat.quad_form(v))
+    return alpha * v
+
+
+def _bin_statistics(cube: DataCube, n: int, k: int, range_bin: int,
+                    overlap: int, count: int, v: np.ndarray,
+                    labels: tuple[str, ...],
+                    target: np.ndarray | None = None) -> dict[str, np.ndarray]:
+    """(windows,) statistics per label of one bin's windows.
+
+    The windows are gathered and evaluated one block of _BLOCK at a time,
+    with target (if any) added to every CUT, so only the statistics
+    outlive a block.
+    """
+    stats = {lab: np.empty(count) for lab in labels}
+    for start in range(0, count, _BLOCK):
+        stop = min(start + _BLOCK, count)
+        z, zs = _windows(cube, n, k, range_bin, overlap, start, stop)
+        if target is not None:
+            z += target
+        with _singular_windows_named(cube, zs, range_bin, start):
+            part = statistics_from_stacks(z, zs, v, labels).statistics
+        for lab in labels:
+            stats[lab][start:stop] = part[lab]
+    return stats
 
 
 @contextmanager
-def _singular_windows_named(cube: DataCube, zs: np.ndarray, range_bin: int):
+def _singular_windows_named(cube: DataCube, zs: np.ndarray, range_bin: int,
+                            first: int):
     """Turn a singular-covariance failure into a FormatError naming its place.
 
+    zs holds the secondary stacks of the bin's windows from index first on.
     The range bin and the first window whose secondary covariance is
-    singular are located only once the failure has happened.
+    singular are located, in zs only, once the failure has happened.
     """
     try:
         yield
@@ -305,7 +338,7 @@ def _singular_windows_named(cube: DataCube, zs: np.ndarray, range_bin: int):
         if singular.size == 0:
             raise
         raise FormatError(
-            f"{cube.source}: range bin {range_bin}, window {singular[0]}: "
+            f"{cube.source}: range bin {range_bin}, window {first + singular[0]}: "
             "secondary covariance is singular"
         ) from err
 
@@ -322,8 +355,16 @@ def sliding_window_run(cube: DataCube, spec) -> CubeRunResult:
     data being unknown), so the measured rate is a detection probability;
     otherwise it is an empirical false-alarm probability. A window whose
     secondary covariance is singular raises FormatError naming the cube,
-    the range bin and the window; a calibration bin with too few windows
-    for spec.pfa raises InsufficientData naming the cube and the bin.
+    the range bin and the window's index in the bin; a bin without K/2
+    secondary bins on each side, or a calibration bin with too few windows
+    for spec.pfa, raises InsufficientData naming the cube and the bin.
+
+    Each bin's windows are gathered and evaluated one block of 256 at a
+    time, and each block's statistics are bit for bit those of one stack
+    of all the bin's windows. Memory is flat in the window count but for
+    the (windows,) statistics and, in a Pd run, the evaluation region,
+    which is gathered whole once for its covariance and freed before the
+    blocks run.
     """
     cfg = spec.scenario
     n, k = cfg.n, cfg.k
@@ -342,33 +383,35 @@ def sliding_window_run(cube: DataCube, spec) -> CubeRunResult:
     if cut_bin == eval_bin:
         raise InsufficientData("calibration and evaluation bins must differ")
 
-    v = steering_vector(n, cfg.doppler)
-    z_cal, zs_cal = _window_stacks(cube, n, k, cut_bin, overlap)
-    count = z_cal.shape[0]
+    pulses, bins = cube.data.shape
+    count = window_count(pulses, n, overlap)
+    half = k // 2
+    for role, option, range_bin in (("calibration", "cut_bin", cut_bin),
+                                     ("evaluation", "eval_bin", eval_bin)):
+        if not half <= range_bin < bins - half:
+            raise InsufficientData(
+                f"{cube.source}: {role} bin {range_bin} ({option}) needs "
+                f"{half} secondary bins on each side of a {bins}-bin cube"
+            )
     if count < required_trials(spec.pfa):
         raise InsufficientData(
             f"{cube.source}: calibration bin {cut_bin} has {count} windows; "
             f"pfa={spec.pfa} needs at least {required_trials(spec.pfa)}"
         )
-    z_ev, zs_ev = _window_stacks(cube, n, k, eval_bin, overlap)
 
+    v = steering_vector(n, cfg.doppler)
     scnr_db = cfg.scnr_db
+    target = None
     if scnr_db is not None:
-        with _singular_windows_named(cube, zs_ev, eval_bin):
-            m_hat = _region_covariance(zs_ev)
-            # |alpha|^2 v^H M^-1 v = SCNR with the region estimate standing in for M
-            alpha = math.sqrt(10.0 ** (scnr_db / 10.0) / m_hat.quad_form(v))
-        z_ev = z_ev + alpha * v
-
-    with _singular_windows_named(cube, zs_cal, cut_bin):
-        cal_stats = statistics_from_stacks(z_cal, zs_cal, v, labels).statistics
-    with _singular_windows_named(cube, zs_ev, eval_bin):
-        ev_stats = statistics_from_stacks(z_ev, zs_ev, v, labels).statistics
-
+        target = _region_target(cube, n, k, eval_bin, overlap, count, v, scnr_db)
+    cal_stats = _bin_statistics(cube, n, k, cut_bin, overlap, count, v, labels)
     thresholds = {
         lab: calibrate_threshold(TrialEnsemble(lab, cal_stats[lab], cfg), spec.pfa)
         for lab in labels
     }
+    del cal_stats  # only the thresholds outlive the calibration bin
+    ev_stats = _bin_statistics(cube, n, k, eval_bin, overlap, count, v, labels,
+                               target)
     rates, cis = _rate_row(ev_stats, thresholds, labels)
     curve = CurveResult(
         axis_names=("scnr_db",),

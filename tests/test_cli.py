@@ -169,6 +169,44 @@ class TestExitCodes:
         assert re.search(r"\bbin 4\b", stderr)
         assert re.search(r"\b100 windows\b", stderr)
 
+    @pytest.mark.parametrize("cut_bin, eval_bin, option", [
+        ("8", "17", "eval_bin"), ("17", "8", "cut_bin")])
+    def test_out_of_range_bin_is_two_and_names_option_and_cube(
+        self, tmp_path, capsys, cut_bin, eval_bin, option
+    ):
+        cfg = ScenarioConfig(n=8, k=16, master_seed=81)
+        cube_path = tmp_path / "narrow.bin"
+        write_cube(synthesize_cube(cfg, pulses=8 * 500, range_bins=18),
+                   cube_path, "interleaved-binary")
+        code, _, stderr = run_cli(
+            ["ingest-run", "--cube", str(cube_path), "--n", "8", "--k", "16",
+             "--cut-bin", cut_bin, "--eval-bin", eval_bin, "--overlap", "0",
+             "--pfa", "0.2", "--out", str(tmp_path / "x.csv")], capsys)
+        assert code == 2
+        assert "narrow.bin" in stderr
+        assert re.search(rf"\bbin 17 \({option}\)", stderr)
+        assert "18-bin cube" in stderr
+
+    @pytest.mark.parametrize("scnr", [[], ["--scnr", "10"]])
+    def test_singular_window_is_named_by_its_index_in_the_bin(
+        self, tmp_path, capsys, scnr
+    ):
+        # windows are evaluated in blocks of 256; window 300 lies in the
+        # second block, at offset 44
+        cfg = ScenarioConfig(n=4, k=8, master_seed=82)
+        data = synthesize_cube(cfg, pulses=4 * 1000, range_bins=18).data.copy()
+        data[4 * 300:, 9:] = 0.0  # the evaluation region of bin 13, window 300 on
+        cube_path = tmp_path / "late-zero.bin"
+        write_cube(DataCube(data), cube_path, "interleaved-binary")
+        code, _, stderr = run_cli(
+            ["ingest-run", "--cube", str(cube_path), "--n", "4", "--k", "8",
+             "--cut-bin", "4", "--eval-bin", "13", "--overlap", "0",
+             "--pfa", "0.2", *scnr, "--out", str(tmp_path / "x.csv")], capsys)
+        assert code == 3
+        assert "late-zero.bin" in stderr
+        assert re.search(r"\bbin 13\b", stderr)
+        assert re.search(r"\bwindow 300\b", stderr)
+
 class TestFlagPlumbing:
     def test_flags_override_config(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.ini"

@@ -3,6 +3,7 @@
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -26,11 +27,20 @@ from embml.cube import (
     write_cube_binary,
     write_cube_csv,
 )
+from embml.engine import statistics_from_stacks
+from embml.harness import (
+    TrialEnsemble,
+    calibrate_threshold,
+    estimate_rate,
+    order_labels,
+)
+from embml.linalg import HermitianMatrix
 from embml.scenario import (
     ScenarioConfig,
     _standard_complex,
     build_covariance,
     derive_stream_seed,
+    steering_vector,
     trial_rng,
 )
 
@@ -353,3 +363,92 @@ class TestSlidingWindowRun:
         cube = synthesize_cube(spec.scenario, 4 * 500, 10)
         result = sliding_window_run(cube, spec)
         assert result.curve.detectors == ("glrt",)
+
+
+class TestBlockwiseWindows:
+    """Each bin's windows are gathered and evaluated 256 at a time."""
+
+    DETECTORS = ("glrt", "amf", "rao", "ace", "em-bml-d5", "em-bml-d7")
+
+    def make_spec(self, cfg, pfa, overlap):
+        return ExperimentSpec(
+            command="ingest-run", scenario=cfg, detectors=self.DETECTORS,
+            pfa=pfa, trials=1, cube_path="unused", cube_cut_bin=cfg.k // 2,
+            cube_eval_bin=cfg.k // 2 + 1, cube_overlap=overlap,
+        )
+
+    @staticmethod
+    def whole_stack_reference(cube, spec):
+        """Each bin's statistics from one stack of all its windows, and the
+        (rates, cis) they give."""
+        cfg = spec.scenario
+        n, k, overlap = cfg.n, cfg.k, spec.cube_overlap
+        count = window_count(cube.data.shape[0], n, overlap)
+        rows = np.arange(count)[:, None] * (n - overlap) + np.arange(n)
+        v = steering_vector(n, cfg.doppler)
+        labels = order_labels(spec.detectors)
+
+        def stacks(b):
+            secondary = np.r_[b - k // 2 : b, b + 1 : b + k // 2 + 1]
+            return cube.data[rows, b], cube.data[rows[..., None], secondary]
+
+        z_cal, zs_cal = stacks(spec.cube_cut_bin)
+        z_ev, zs_ev = stacks(spec.cube_eval_bin)
+        if cfg.scnr_db is not None:
+            flat = zs_ev.transpose(0, 2, 1).reshape(-1, n)
+            m_hat = HermitianMatrix(flat.T @ flat.conj() / flat.shape[0])
+            z_ev = z_ev + math.sqrt(10.0 ** (cfg.scnr_db / 10.0)
+                                    / m_hat.quad_form(v)) * v
+        cal = statistics_from_stacks(z_cal, zs_cal, v, labels).statistics
+        ev = statistics_from_stacks(z_ev, zs_ev, v, labels).statistics
+        rates_cis = np.array([
+            estimate_rate(ev[lab], calibrate_threshold(
+                TrialEnsemble(lab, cal[lab], cfg), spec.pfa))
+            for lab in labels
+        ]).T
+        return cal, ev, rates_cis
+
+    @pytest.mark.parametrize("windows", [255, 256, 257, 1000])
+    @pytest.mark.parametrize("overlap", [0, 3])
+    @pytest.mark.parametrize("scnr_db", [None, 10.0])
+    def test_results_keep_their_bits(self, monkeypatch, windows, overlap,
+                                     scnr_db):
+        cfg = ScenarioConfig(n=4, k=8, master_seed=84, scnr_db=scnr_db)
+        cube = synthesize_cube(cfg, (windows - 1) * (4 - overlap) + 4, 10)
+        spec = self.make_spec(cfg, 0.4, overlap)
+        blocks = []
+
+        def recording(*args):
+            blocks.append(statistics_from_stacks(*args))
+            return blocks[-1]
+
+        monkeypatch.setattr(cube_module, "statistics_from_stacks", recording)
+        result = sliding_window_run(cube, spec)
+        cal, ev, (rates, cis) = self.whole_stack_reference(cube, spec)
+
+        assert result.window_count == windows
+        per_bin = math.ceil(windows / 256)
+        assert len(blocks) == 2 * per_bin
+        assert all(len(b.statistics["glrt"]) <= 256 for b in blocks)
+        for lab in result.curve.detectors:
+            for whole, parts in ((cal, blocks[:per_bin]), (ev, blocks[per_bin:])):
+                np.testing.assert_array_equal(
+                    np.concatenate([p.statistics[lab] for p in parts]),
+                    whole[lab])
+        np.testing.assert_array_equal(result.curve.rates[0], rates)
+        np.testing.assert_array_equal(result.curve.cis[0], cis)
+
+    def test_peak_memory_is_flat_in_the_window_count(self):
+        peaks = {}
+        for windows in (1000, 8000):
+            cfg = ScenarioConfig(n=8, k=16, master_seed=85)
+            # made before tracing starts, so the peak is net of the cube
+            cube = synthesize_cube(cfg, 8 * windows, 18)
+            spec = self.make_spec(cfg, 0.1, 0)
+            tracemalloc.start()
+            try:
+                sliding_window_run(cube, spec)
+                peaks[windows] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[8000] <= 1.5 * peaks[1000], peaks
