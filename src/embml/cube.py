@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import CurveResult
-from .engine import _BLOCK, statistics_from_stacks
+from .engine import _BLOCK, _scatter, statistics_from_stacks
 from .harness import (
     _PHASE_CUBE,
     TrialEnsemble,
@@ -266,15 +266,23 @@ class CubeRunResult:
     scnr_db: float | None
 
 
-def _windows(cube: DataCube, n: int, k: int, range_bin: int, overlap: int,
-             start: int, stop: int):
-    """(windows, n) CUT stack and (windows, n, k) secondary stack of one bin's
-    windows [start, stop)."""
+def _window_index(n: int, k: int, range_bin: int, overlap: int, start: int,
+                  stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """(windows, n) pulse rows of one bin's windows [start, stop) and its k
+    secondary bins."""
     half = k // 2
     # rows[t] are the pulses of window start + t
     rows = np.arange(start, stop)[:, None] * (n - overlap) + np.arange(n)
     secondary_bins = np.r_[range_bin - half : range_bin,
                            range_bin + 1 : range_bin + half + 1]
+    return rows, secondary_bins
+
+
+def _windows(cube: DataCube, n: int, k: int, range_bin: int, overlap: int,
+             start: int, stop: int):
+    """(windows, n) CUT stack and (windows, n, k) secondary stack of one bin's
+    windows [start, stop)."""
+    rows, secondary_bins = _window_index(n, k, range_bin, overlap, start, stop)
     return cube.data[rows, range_bin], cube.data[rows[..., None], secondary_bins]
 
 
@@ -285,12 +293,14 @@ def _region_target(cube: DataCube, n: int, k: int, eval_bin: int,
 
     The region's sample covariance, of all secondary snapshots of the
     evaluation bin's windows, stands in for the unknown true covariance.
-    The region's secondary stack is gathered whole, once, and freed on
-    return.
+    The snapshots are gathered whole, once, straight into (windows, k, n)
+    order, so they flatten to (windows * k, n) rows without a copy, and are
+    freed on return.
     """
-    zs = _windows(cube, n, k, eval_bin, overlap, 0, count)[1]
-    with _singular_windows_named(cube, zs, eval_bin, 0):
-        flat = zs.transpose(0, 2, 1).reshape(-1, n)
+    rows, secondary_bins = _window_index(n, k, eval_bin, overlap, 0, count)
+    snapshots = cube.data[rows[:, None, :], secondary_bins[:, None]]
+    with _singular_windows_named(cube, snapshots.swapaxes(1, 2), eval_bin, 0):
+        flat = snapshots.reshape(-1, n)
         m_hat = HermitianMatrix(flat.T @ flat.conj() / flat.shape[0])
         # |alpha|^2 v^H M^-1 v = SCNR with the region estimate standing in for M
         alpha = math.sqrt(10.0 ** (scnr_db / 10.0) / m_hat.quad_form(v))
@@ -332,8 +342,7 @@ def _singular_windows_named(cube: DataCube, zs: np.ndarray, range_bin: int,
     try:
         yield
     except np.linalg.LinAlgError as err:
-        s_stack = zs @ zs.conj().swapaxes(1, 2)
-        ranks = np.linalg.matrix_rank(s_stack, hermitian=True)
+        ranks = np.linalg.matrix_rank(_scatter(zs), hermitian=True)
         singular = np.flatnonzero(ranks < zs.shape[1])
         if singular.size == 0:
             raise

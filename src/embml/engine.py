@@ -7,9 +7,9 @@ closed forms in the maximal invariant a = v^H S^-1 v, |b|^2 = |v^H S^-1 z|^2
 and c = z^H S^-1 z (the EM trace also needs log det S), and one helper,
 _evaluate, computes every statistic from it. Two generators feed it:
 
-- the data path draws the (n, k+1) data matrices of a block of trials,
+- the data path draws the (n, k+1) data matrices of each block of trials,
   colours them in place by two real products with chol(M), which is real,
-  and solves S against [v, z].
+  and solves S against [v, z] (_stack_invariants).
   statistics_from_stacks is its entry for data from outside (cube
   windows); it is cross-checked to 1e-9 against the per-trial reference.
 - the invariant path (simulate_statistics(..., invariant=True)) draws a,
@@ -17,20 +17,23 @@ _evaluate, computes every statistic from it. Two generators feed it:
   scalars per trial, with no data matrix and no solve. The test suite
   checks its distributions against the data path.
 
-On both paths each block of _BLOCK trials comes from one generator keyed by
-(stream_seed, block_index), with a tag per path. _covering_blocks fills
-the whole blocks covering a trial range into one buffer and returns the
-trials asked for as a view, so each trial's draws depend only on its index.
-The data path draws, colours and evaluates one block at a time, so a chunk
-holds one block's matrices, never the chunk's; the invariant path, at
-O(n) scalars per trial, fills and evaluates a whole chunk at once. So
-results are bit-identical for a given stream seed no matter the chunk size
-or worker count, and the chunk size is only the task size of a process
-pool. Only the data path costs enough per trial for a pool to pay for
-starting: an invariant trial costs about 1 us, so the harness runs that
-path in one process. _simulate_chunks yields the chunks as they are
-computed, which is how the harness reduces a null ensemble in flat memory;
-simulate_statistics concatenates them.
+On both paths each block of _BLOCK trials draws from a generator keyed by
+(stream_seed, block_index), with a tag per path; a chunk builds one Philox
+and re-keys it for each block (scenario.block_rngs). Each trial's draws
+depend only on its index, never on where a chunk starts. The data path
+draws, colours and solves one block at a time into buffers allocated once
+per chunk, and keeps only the block's (a, |b|^2, c), benchmark projection
+and log det S, whichever the labels need, so a chunk holds one block's
+matrices, never the chunk's. The invariant path, at O(n) scalars per
+trial, fills the whole blocks covering a chunk into one buffer
+(_covering_blocks). Either way _evaluate then runs once over the chunk,
+elementwise per trial. So results are bit-identical for a given stream
+seed no matter the chunk size or worker count, and the chunk size is only
+the task size of a process pool. Only the data path costs enough per
+trial for a pool to pay for starting: an invariant trial costs about 1 us,
+so the harness runs that path in one process. _simulate_chunks yields the
+chunks as they are computed, which is how the harness reduces a null
+ensemble in flat memory; simulate_statistics concatenates them.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -49,7 +52,7 @@ from .em import POSTERIOR_FLOOR
 from .linalg import HermitianMatrix
 from .scenario import (
     ScenarioConfig,
-    block_rng,
+    block_rngs,
     build_covariance,
     injection_amplitude,
     mismatched_steering,
@@ -59,8 +62,10 @@ from .scenario import (
 __all__ = ["SimulatedStatistics", "simulate_statistics", "statistics_from_stacks"]
 
 _DEFAULT_CHUNK = 4096
-# trials per block_rng key, on either path
+# trials per block key, on either path
 _BLOCK = 256
+_CLASSICAL = {d.value for d in (DetectorId.GLRT, DetectorId.AMF, DetectorId.RAO,
+                                DetectorId.ACE)}
 
 
 @dataclass(frozen=True)
@@ -164,6 +169,19 @@ def _em_batched(
     return snaps, deltas
 
 
+def _needs(labels: tuple[str, ...], record_em_trace: bool) -> tuple[bool, bool]:
+    """Whether labels need (a, |b|^2, c), and whether they need the benchmark.
+
+    Every classical statistic and the EM recursion read the invariant; the
+    trace (record_em_trace) runs the recursion and also needs log det S.
+    """
+    parsed = [parse_detector_label(lab)[0] for lab in labels]
+    need_scalars = record_em_trace or any(
+        det.value in _CLASSICAL or det is DetectorId.EM_BML_D for det in parsed
+    )
+    return need_scalars, DetectorId.BENCHMARK in parsed
+
+
 def _evaluate(
     labels: tuple[str, ...],
     n: int,
@@ -174,49 +192,80 @@ def _evaluate(
     record_em_trace: bool,
     trace_l_max: int | None,
 ) -> SimulatedStatistics:
-    """Detector statistics of a trial block, whichever generator drew it.
+    """Detector statistics of a trial range, whichever generator drew it.
 
-    scalars() returns (a, |b|^2, c), benchmark_aux() the (u, c, alpha)
-    arguments of benchmark_statistic_from_aux and logdet_s() log det S;
-    each is called only when a requested statistic needs it. EM variant
-    labels like em-bml-d5 share a single EM recursion run to the largest
-    cap.
+    scalars is (a, |b|^2, c), benchmark_aux the (u, c, alpha) arguments of
+    benchmark_statistic_from_aux and logdet_s log det S; each is None
+    unless _needs asks for it (logdet_s only with the trace). Every
+    operation is elementwise over trials, so a trial's statistics do not
+    depend on how many trials are evaluated with it. EM variant labels
+    like em-bml-d5 share a single EM recursion run to the largest cap.
     """
     parsed = [parse_detector_label(lab) for lab in labels]
-    need_classical = any(
-        det in (DetectorId.GLRT, DetectorId.AMF, DetectorId.RAO, DetectorId.ACE)
-        for det, _ in parsed
-    )
     em_ls = sorted({lmax for det, lmax in parsed if det is DetectorId.EM_BML_D})
-    want_em = bool(em_ls) or record_em_trace
 
     stats: dict[str, np.ndarray] = {}
-    if need_classical or want_em:
-        a, b2, c = scalars()
-    if need_classical:
-        classical = _classical_batched(a, b2, c)
+    if any(det.value in _CLASSICAL for det, _ in parsed):
+        classical = _classical_batched(*scalars)
         for det, _ in parsed:
             if det.value in classical:
                 stats[det.value] = classical[det.value]
 
-    if any(det is DetectorId.BENCHMARK for det, _ in parsed):
+    if benchmark_aux is not None:
         stats[DetectorId.BENCHMARK.value] = benchmark_statistic_from_aux(
-            *benchmark_aux()
+            *benchmark_aux
         )
 
     em_delta = None
-    if want_em:
+    if em_ls or record_em_trace:
         l_top = max(em_ls, default=0)
         if record_em_trace:
             l_top = max(l_top, trace_l_max or 0)
         snaps, em_delta = _em_batched(
-            a, b2, c, logdet_s() if record_em_trace else None,
-            l_top, tuple(em_ls), k, n,
+            *scalars, logdet_s, l_top, tuple(em_ls), k, n,
         )
         for l in em_ls:
             stats[detector_label(DetectorId.EM_BML_D, l)] = snaps[l]
 
     return SimulatedStatistics(statistics=stats, em_delta_l=em_delta)
+
+
+def _scatter(zs: np.ndarray) -> np.ndarray:
+    """S = Zs Zs^H of each trial of a (B, n, k) secondary stack."""
+    return zs @ zs.conj().swapaxes(1, 2)
+
+
+def _stack_invariants(z, zs, v, need_scalars: bool, minv_v, need_logdet: bool):
+    """What the statistics read of a trial stack: (a, |b|^2, c), the
+    benchmark's projection v^H M^-1 z and log det S.
+
+    Each is None unless needed; the projection is needed when M^-1 v
+    (minv_v) is given. S is formed only when the invariant or log det S is
+    needed, and then once; one solve of S against [v, z] gives a, b and c.
+    """
+    u = None if minv_v is None else np.einsum("i,bi->b", minv_v.conj(), z)
+    if not (need_scalars or need_logdet):
+        return None, u, None
+    s = _scatter(zs)
+    scalars = None
+    if need_scalars:
+        x = np.linalg.solve(s, np.stack(np.broadcast_arrays(v, z), axis=2))
+        scalars = (
+            np.einsum("i,bi->b", v.conj(), x[:, :, 0]).real,
+            np.abs(np.einsum("i,bi->b", v.conj(), x[:, :, 1])) ** 2,
+            np.einsum("bi,bi->b", z.conj(), x[:, :, 1]).real,
+        )
+    return scalars, u, np.linalg.slogdet(s)[1] if need_logdet else None
+
+
+def _benchmark_projection(v, true_m, alpha_hyp):
+    """M^-1 v and the constant arguments (v^H M^-1 v, alpha) of the benchmark."""
+    if true_m is None:
+        raise ValueError("benchmark statistics require the true covariance")
+    if alpha_hyp is None:
+        raise ValueError("benchmark statistics require an amplitude")
+    minv_v = true_m.solve(v)
+    return minv_v, float(np.vdot(v, minv_v).real), alpha_hyp
 
 
 def statistics_from_stacks(
@@ -240,37 +289,15 @@ def statistics_from_stacks(
     k = zs.shape[2]
     if k < z.shape[1]:
         raise ValueError("stacked trials need k >= n secondary vectors")
-
-    @cache
-    def s_stack():
-        # formed only when a requested statistic needs S, and then once
-        return zs @ zs.conj().swapaxes(1, 2)
-
-    def scalars():
-        # one solve of S against [v, z] feeds the classical statistics and
-        # the EM recursion
-        x = np.linalg.solve(s_stack(), np.stack(np.broadcast_arrays(v, z), axis=2))
-        a = np.einsum("i,bi->b", v.conj(), x[:, :, 0]).real
-        b2 = np.abs(np.einsum("i,bi->b", v.conj(), x[:, :, 1])) ** 2
-        c = np.einsum("bi,bi->b", z.conj(), x[:, :, 1]).real
-        return a, b2, c
-
-    def benchmark_aux():
-        if true_m is None:
-            raise ValueError("benchmark statistics require the true covariance")
-        if alpha_hyp is None:
-            raise ValueError("benchmark statistics require an amplitude")
-        minv_v = true_m.solve(v)
-        return (
-            np.einsum("i,bi->b", minv_v.conj(), z),
-            float(np.vdot(v, minv_v).real),
-            alpha_hyp,
-        )
-
-    return _evaluate(
-        tuple(labels), z.shape[1], k, scalars, benchmark_aux,
-        lambda: np.linalg.slogdet(s_stack())[1], record_em_trace, trace_l_max,
-    )
+    labels = tuple(labels)
+    need_scalars, need_benchmark = _needs(labels, record_em_trace)
+    minv_v, c, alpha = (_benchmark_projection(v, true_m, alpha_hyp)
+                        if need_benchmark else (None, None, None))
+    scalars, u, logdet_s = _stack_invariants(z, zs, v, need_scalars, minv_v,
+                                             record_em_trace)
+    return _evaluate(labels, z.shape[1], k, scalars,
+                     None if u is None else (u, c, alpha), logdet_s,
+                     record_em_trace, trace_l_max)
 
 
 def benchmark_statistic_from_aux(
@@ -280,24 +307,60 @@ def benchmark_statistic_from_aux(
     return 2.0 * (np.conj(alpha) * u).real - abs(alpha) ** 2 * c
 
 
-def _covering_blocks(fill, start: int, stop: int, rows: int, width: int = 1,
-                     dtype=np.float64) -> np.ndarray:
+def _covering_blocks(fill, start: int, stop: int, rows: int) -> np.ndarray:
     """Columns of trials [start, stop) in a buffer of their whole blocks.
 
-    The (rows, trials * width) buffer holds every block covering the range,
-    each trial's width columns side by side; fill(b, slab) writes block b
-    into its contiguous (rows, _BLOCK * width) column slab. The view
-    returned splits into (rows, stop - start, width) without a copy. Each
-    trial's draws depend only on its index, never on where a chunk starts.
+    The (rows, blocks * _BLOCK) buffer holds every block covering the
+    range; fill(b, slab) writes block b into its (rows, _BLOCK) column
+    slab. Each trial's draws depend only on its index, never on where a
+    chunk starts.
     """
     first = start // _BLOCK
     blocks = range(first, (stop - 1) // _BLOCK + 1)
-    span = _BLOCK * width
-    buf = np.empty((rows, len(blocks) * span), dtype=dtype)
+    buf = np.empty((rows, len(blocks) * _BLOCK))
     for i, b in enumerate(blocks):
-        fill(b, buf[:, i * span : (i + 1) * span])
+        fill(b, buf[:, i * _BLOCK : (i + 1) * _BLOCK])
     offset = first * _BLOCK
-    return buf[:, (start - offset) * width : (stop - offset) * width]
+    return buf[:, start - offset : stop - offset]
+
+
+def _coloured_blocks(
+    cfg: ScenarioConfig,
+    chol: np.ndarray,
+    stream_seed: int,
+    start: int,
+    stop: int,
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """(lo, hi, Z) per block part [lo, hi) of trials [start, stop), in order.
+
+    Z is the (n, hi - lo, k+1) matrices of the block's part, coloured by
+    chol. Each block of _BLOCK trials draws its normals x, y in one call
+    from block_rng(stream_seed, block_index, data=True), re-keyed on one
+    Philox, scales them by 1/sqrt(2) in place and colours them by two real
+    products with chol, written straight into the block's real and
+    imaginary parts. build_covariance is real, so its factor's imaginary
+    part is exactly zero and the complex product chol @ (x + j y) / sqrt(2)
+    splits into those two products bit for bit; a complex factor is refused
+    rather than truncated. Every block reuses the normals and the block
+    buffer, so Z is valid only until the next block is drawn. A trial is
+    regenerated through its block.
+    """
+    if np.any(chol.imag):
+        raise ValueError("the colouring factor must be real")
+    n, cols = cfg.n, cfg.k + 1
+    real = np.ascontiguousarray(chol.real)
+    w = np.empty((2, n, _BLOCK * cols))
+    block = np.empty((n, _BLOCK * cols), dtype=np.complex128)
+    rngs = block_rngs(stream_seed, data=True)
+    for b in range(start // _BLOCK, (stop - 1) // _BLOCK + 1):
+        rngs(b).standard_normal(out=w)
+        # the reciprocal gives the bits of numpy's complex division by sqrt(2)
+        np.multiply(w, 1.0 / np.sqrt(2.0), out=w)
+        np.matmul(real, w[0], out=block.real)
+        np.matmul(real, w[1], out=block.imag)
+        first = b * _BLOCK
+        lo, hi = max(start, first), min(stop, first + _BLOCK)
+        yield lo, hi, block.reshape(n, _BLOCK, cols)[:, lo - first : hi - first]
 
 
 def _generate_stack(
@@ -307,41 +370,21 @@ def _generate_stack(
     start: int,
     stop: int,
 ) -> np.ndarray:
-    """(n, trials, k+1) matrices Z of trials [start, stop), coloured by chol.
-
-    Each block of _BLOCK trials draws its normals x, y in one call from one
-    generator keyed by (stream_seed, block_index), scales them by 1/sqrt(2)
-    in place and colours them by two real products with chol, written
-    straight into the block's real and imaginary parts. build_covariance
-    is real, so its factor's imaginary part is exactly zero and the complex
-    product chol @ (x + j y) / sqrt(2) splits into those two products bit
-    for bit; a complex factor is refused rather than truncated. A trial is
-    regenerated through its block.
-    """
-    if np.any(chol.imag):
-        raise ValueError("the colouring factor must be real")
-    n, cols = cfg.n, cfg.k + 1
-    real = np.ascontiguousarray(chol.real)
-    w = np.empty((2, n, _BLOCK * cols))
-
-    def fill(b, slab):
-        block_rng(stream_seed, b, data=True).standard_normal(out=w)
-        # the reciprocal gives the bits of numpy's complex division by sqrt(2)
-        np.multiply(w, 1.0 / np.sqrt(2.0), out=w)
-        np.matmul(real, w[0], out=slab.real)
-        np.matmul(real, w[1], out=slab.imag)
-
-    return _covering_blocks(fill, start, stop, n, cols, np.complex128).reshape(
-        n, stop - start, cols
-    )
+    """(n, trials, k+1) matrices Z of trials [start, stop), coloured by chol."""
+    stack = np.empty((cfg.n, stop - start, cfg.k + 1), dtype=np.complex128)
+    for lo, hi, part in _coloured_blocks(cfg, chol, stream_seed, start, stop):
+        stack[:, lo - start : hi - start] = part
+    return stack
 
 
 def _data_chunk(cfg, labels, stream_seed, start, stop, inject, record_trace,
                 trace_l_max) -> SimulatedStatistics:
-    """Statistics of trials [start, stop) drawn as data, one block at a time.
+    """Statistics of trials [start, stop) drawn as data.
 
     Each block's part of the range is drawn, coloured and solved on its
-    own, so only the (trials,) statistics outlive their block.
+    own, and keeps only (a, |b|^2, c), the benchmark's projection and
+    log det S, whichever the labels need; the statistics are then evaluated
+    once over the chunk. Labels that need none of the three form no S.
     """
     m = build_covariance(cfg)
     v = steering_vector(cfg.n, cfg.doppler)
@@ -357,27 +400,34 @@ def _data_chunk(cfg, labels, stream_seed, start, stop, inject, record_trace,
     if inject:
         target = injection_amplitude(v_true, m, cfg.scnr_db) * v_true
 
-    edges = [start, *range((start // _BLOCK + 1) * _BLOCK, stop, _BLOCK), stop]
-    parts = []
-    for lo, hi in zip(edges, edges[1:]):
-        stack = _generate_stack(cfg, m.chol, stream_seed, lo, hi)
+    labels = tuple(labels)
+    need_scalars, need_benchmark = _needs(labels, record_trace)
+    minv_v, c, alpha = (_benchmark_projection(v, m, alpha_hyp)
+                        if need_benchmark else (None, None, None))
+    trials = stop - start
+    # one (trials,) row per scalar, filled block by block
+    kept = (
+        np.empty((3, trials)) if need_scalars else None,
+        np.empty(trials, dtype=np.complex128) if need_benchmark else None,
+        np.empty(trials) if record_trace else None,
+    )
+    for lo, hi, stack in _coloured_blocks(cfg, m.chol, stream_seed, start, stop):
         z = stack[:, :, 0].T
         if inject:
             z = z + target
-        parts.append(statistics_from_stacks(
-            z,
-            stack[:, :, 1:].transpose(1, 0, 2),
-            v,
-            labels,
-            true_m=m,
-            alpha_hyp=alpha_hyp,
-            record_em_trace=record_trace,
-            trace_l_max=trace_l_max,
-        ))
-    return _concatenate(parts)
+        block = _stack_invariants(z, stack[:, :, 1:].transpose(1, 0, 2), v,
+                                  need_scalars, minv_v, record_trace)
+        for out, part in zip(kept, block):
+            if out is not None:
+                out[..., lo - start : hi - start] = part
+
+    scalars, u, logdet_s = kept
+    return _evaluate(labels, cfg.n, cfg.k, scalars,
+                     None if u is None else (u, c, alpha), logdet_s,
+                     record_trace, trace_l_max)
 
 
-def _invariant_block(n: int, k: int, stream_seed: int, record_trace: bool,
+def _invariant_block(n: int, k: int, rngs, record_trace: bool,
                      block: int, out: np.ndarray) -> None:
     """Raw draws of one block of _BLOCK trials into out, one column per trial.
 
@@ -385,10 +435,10 @@ def _invariant_block(n: int, k: int, stream_seed: int, record_trace: bool,
     lower entries of T (row by row), the Gamma(k-n+p-i) squares of T's
     diagonal, Gamma(n-2) for r^2 when n > 2, and with the trace the sum of
     log Gamma(k-i), i < n-p. The trace row is drawn last, so the other rows
-    do not depend on it.
+    do not depend on it. rngs(block) is the block's generator.
     """
     p = min(n, 3)
-    rng = block_rng(stream_seed, block)
+    rng = rngs(block)
     normals = 2 * (2 + p * (p - 1) // 2)
     out[:normals] = rng.standard_normal((normals, _BLOCK))
     shapes = [k - n + p - i for i in range(p)] + [n - 2] * (n > 2)
@@ -415,7 +465,7 @@ def _invariant_chunk(cfg, labels, stream_seed, start, stop, inject,
     n, k, p = cfg.n, cfg.k, min(cfg.n, 3)
     m_normal = 2 + p * (p - 1) // 2
     draws = _covering_blocks(
-        partial(_invariant_block, n, k, stream_seed, record_trace),
+        partial(_invariant_block, n, k, block_rngs(stream_seed), record_trace),
         start, stop, 2 * m_normal + p + (n > 2) + record_trace,
     )
     w = (draws[:m_normal] + 1j * draws[m_normal : 2 * m_normal]) / math.sqrt(2.0)
@@ -430,7 +480,10 @@ def _invariant_chunk(cfg, labels, stream_seed, start, stop, inject,
         x[0] += root_s * math.sqrt(cfg.cos_sq_phi)
         x[1] += root_s * math.sqrt(1.0 - cfg.cos_sq_phi)
 
-    def scalars():
+    labels = tuple(labels)
+    need_scalars, need_benchmark = _needs(labels, record_trace)
+    scalars = benchmark_aux = logdet_s = None
+    if need_scalars:
         # forward substitution T [y, u] = [e1, x]; then a = |y|^2,
         # b = y^H u and c = |u|^2
         diag = np.sqrt(gammas[:p])
@@ -442,28 +495,25 @@ def _invariant_chunk(cfg, labels, stream_seed, start, stop, inject,
             for j in range(i):
                 sol[:, i] -= next(off) * sol[:, j]
             sol[:, i] /= diag[i]
-        a = np.sum(np.abs(sol[0]) ** 2, axis=0)
-        b2 = np.abs(np.sum(sol[0].conj() * sol[1], axis=0)) ** 2
-        c = np.sum(np.abs(sol[1]) ** 2, axis=0)
-        return a, b2, c
-
-    def benchmark_aux():
+        scalars = (
+            np.sum(np.abs(sol[0]) ** 2, axis=0),
+            np.abs(np.sum(sol[0].conj() * sol[1], axis=0)) ** 2,
+            np.sum(np.abs(sol[1]) ** 2, axis=0),
+        )
+    if need_benchmark:
         # v^H M^-1 z = x1 and v^H M^-1 v = 1 for v = e1, so alpha = sqrt(s)
         if root_s is None:
             raise ValueError("benchmark statistics require an amplitude")
-        return x[0], 1.0, root_s
-
-    def logdet_s():
-        return (
+        benchmark_aux = (x[0], 1.0, root_s)
+    if record_trace:
+        logdet_s = (
             np.log(gammas[:p]).sum(axis=0)
             + draws[-1]
             + build_covariance(cfg).log_det()
         )
 
-    return _evaluate(
-        tuple(labels), n, k, scalars, benchmark_aux, logdet_s, record_trace,
-        trace_l_max,
-    )
+    return _evaluate(labels, n, k, scalars, benchmark_aux, logdet_s,
+                     record_trace, trace_l_max)
 
 
 def _compute_chunk(args) -> SimulatedStatistics:

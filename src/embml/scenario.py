@@ -9,6 +9,7 @@ vectors with a controlled whitened-space mismatch angle.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,9 @@ __all__ = [
     "build_covariance",
     "steering_vector",
     "trial_rng",
+    "block_key",
     "block_rng",
+    "block_rngs",
     "derive_stream_seed",
     "sample_batch",
     "injection_amplitude",
@@ -143,26 +146,62 @@ def trial_rng(stream_seed: int, trial_index: int) -> np.random.Generator:
 
     Philox takes a 128-bit key; using the pair directly makes every trial an
     independent substream. sample_batch and cube synthesis draw from it; the
-    Monte Carlo engine draws whole blocks of trials from block_rng instead.
+    Monte Carlo engine draws whole blocks of trials from block_rngs instead.
     """
     key = np.array([stream_seed % _U64, trial_index % _U64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def block_key(
+    stream_seed: int, block_index: int, *, data: bool = False
+) -> np.ndarray:
+    """Philox key of one block of trials: (stream_seed, block_index | tag).
+
+    The top bit of the second word is set, so block keys and trial_rng keys
+    never collide for trial indices below 2^63. data=True keys a block of
+    the data path and also sets bit 62, so data and invariant blocks of one
+    stream never share draws for block indices below 2^62.
+    """
+    tag = _BLOCK_KEY_BIT | (_DATA_BLOCK_KEY_BIT if data else 0)
+    return np.array([stream_seed % _U64, (block_index | tag) % _U64], dtype=np.uint64)
+
+
 def block_rng(
     stream_seed: int, block_index: int, *, data: bool = False
 ) -> np.random.Generator:
-    """Counter-based generator for one block of trials.
-
-    Keyed by (stream_seed, block_index) with the top bit of the second word
-    set, so block keys and trial_rng keys never collide for trial indices
-    below 2^63. data=True keys a block of the data path and also sets bit
-    62, so data and invariant blocks of one stream never share draws for
-    block indices below 2^62.
-    """
-    tag = _BLOCK_KEY_BIT | (_DATA_BLOCK_KEY_BIT if data else 0)
-    key = np.array([stream_seed % _U64, (block_index | tag) % _U64], dtype=np.uint64)
+    """Counter-based generator for one block of trials, keyed by block_key."""
+    key = block_key(stream_seed, block_index, data=data)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def block_rngs(
+    stream_seed: int, *, data: bool = False
+) -> Callable[[int], np.random.Generator]:
+    """block_rng(stream_seed, b, data=data) for any b, from one Philox.
+
+    Each call of the returned function re-keys the same generator through
+    its state setter, with a zero counter and an empty buffer, so it draws
+    exactly what a fresh block_rng draws. A Philox built with a key first
+    seeds a SeedSequence from OS entropy and throws it away, so a re-key
+    costs about a quarter of a build.
+    """
+    rng = np.random.Generator(np.random.Philox(key=0))
+
+    def rekeyed(block_index: int) -> np.random.Generator:
+        rng.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {
+                "counter": np.zeros(4, dtype=np.uint64),
+                "key": block_key(stream_seed, block_index, data=data),
+            },
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return rng
+
+    return rekeyed
 
 
 def _standard_complex(rng: np.random.Generator, n: int, cols: int) -> np.ndarray:

@@ -438,6 +438,32 @@ class TestBlockwiseWindows:
         np.testing.assert_array_equal(result.curve.rates[0], rates)
         np.testing.assert_array_equal(result.curve.cis[0], cis)
 
+    @pytest.mark.parametrize("overlap", [0, 3])
+    def test_region_covariance_keeps_its_bits(self, monkeypatch, overlap):
+        # the (windows, n, k) stack flattened through a transposed copy, as
+        # the region covariance was first computed
+        cfg = ScenarioConfig(n=8, k=16, master_seed=86, scnr_db=10.0)
+        windows = 1000
+        cube = synthesize_cube(cfg, (windows - 1) * (8 - overlap) + 8, 18)
+        zs = cube_module._windows(cube, 8, 16, 9, overlap, 0, windows)[1]
+        flat = zs.transpose(0, 2, 1).reshape(-1, 8)
+        expected = flat.T @ flat.conj() / flat.shape[0]
+        seen = []
+
+        def recording(mat, **kwargs):
+            seen.append(np.array(mat))
+            return HermitianMatrix(mat, **kwargs)
+
+        monkeypatch.setattr(cube_module, "HermitianMatrix", recording)
+        v = steering_vector(8, cfg.doppler)
+        target = cube_module._region_target(cube, 8, 16, 9, overlap, windows,
+                                            v, 10.0)
+        assert len(seen) == 1
+        np.testing.assert_array_equal(seen[0], expected)
+        np.testing.assert_array_equal(
+            target,
+            math.sqrt(10.0 / HermitianMatrix(expected).quad_form(v)) * v)
+
     def test_peak_memory_is_flat_in_the_window_count(self):
         peaks = {}
         for windows in (1000, 8000):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from embml import engine
+from embml import engine, scenario
 from embml.detectors import (
     ace_statistic,
     amf_statistic,
@@ -242,27 +242,58 @@ class TestInvariantGenerator:
 
 
 class TestDataGenerator:
-    def test_one_generator_per_block(self, monkeypatch):
-        """1000 data-path trials build ceil(1000 / 256) = 4 generators."""
-        blocks, philox_built = [], []
-        philox, block_rng = np.random.Philox, engine.block_rng
+    @pytest.mark.parametrize("invariant", [False, True],
+                             ids=["data", "invariant"])
+    def test_one_philox_per_chunk_and_one_key_per_block(self, monkeypatch,
+                                                         invariant):
+        """1000 trials in chunks of 512 build two Philox generators, one per
+        chunk, and key them for blocks 0-3, once each."""
+        keys, philox_built = [], []
+        philox, block_key = np.random.Philox, scenario.block_key
 
         def count_philox(*args, **kwargs):
             philox_built.append(1)
             return philox(*args, **kwargs)
 
-        def count_block(stream_seed, block_index, *, data=False):
-            blocks.append((block_index, data))
-            return block_rng(stream_seed, block_index, data=data)
+        def count_key(stream_seed, block_index, *, data=False):
+            keys.append((block_index, data))
+            return block_key(stream_seed, block_index, data=data)
 
         monkeypatch.setattr(np.random, "Philox", count_philox)
-        monkeypatch.setattr(engine, "block_rng", count_block)
+        monkeypatch.setattr(scenario, "block_key", count_key)
         sim = simulate_statistics(ScenarioConfig(master_seed=213), ("amf",),
-                                  1000)
+                                  1000, chunk_size=512, invariant=invariant)
         assert sim.statistics["amf"].shape == (1000,)
-        assert blocks == [(b, True) for b in range(4)]
-        # every Philox is a block's, so no per-trial trial_rng was built
-        assert len(philox_built) == 4
+        assert keys == [(b, not invariant) for b in range(4)]
+        # every Philox is a chunk's, so no per-trial trial_rng was built
+        assert len(philox_built) == 2
+
+    @pytest.mark.parametrize("labels", [(), ("benchmark",)],
+                             ids=["empty", "benchmark"])
+    def test_labels_without_the_invariant_form_no_s(self, monkeypatch,
+                                                    labels):
+        # 600 trials straddle the 256-trial blocks
+        cfg = ScenarioConfig(scnr_db=10.0, master_seed=214)
+        full = simulate_statistics(cfg, ("amf", "benchmark"), 600, inject=True)
+        stacked = []
+
+        def no_scatter(zs):
+            raise AssertionError("S was formed")
+
+        def record_solve(a, b):
+            stacked.append(np.ndim(a) > 2)
+            return solve(a, b)
+
+        solve = np.linalg.solve
+        monkeypatch.setattr(engine, "_scatter", no_scatter)
+        monkeypatch.setattr(np.linalg, "solve", record_solve)
+        sim = simulate_statistics(cfg, labels, 600, inject=True)
+        # the clairvoyant's M^-1 v takes n x n solves, never a stack's
+        assert not any(stacked)
+        assert sim.statistics.keys() == set(labels)
+        for lab in labels:
+            np.testing.assert_array_equal(sim.statistics[lab],
+                                          full.statistics[lab])
 
 
 def sha256(array):

@@ -8,6 +8,7 @@ from embml.scenario import (
     DataBatch,
     ScenarioConfig,
     block_rng,
+    block_rngs,
     build_covariance,
     derive_stream_seed,
     inject_target,
@@ -105,6 +106,27 @@ class TestSampling:
             block_rng(seed, block, data=True).standard_normal(4096),
             block_rng(seed, block).standard_normal(4096))
         assert shared.size == 0
+
+    @pytest.mark.parametrize("data", [False, True], ids=["invariant", "data"])
+    @pytest.mark.parametrize("block", [0, 1, 2**40])
+    def test_rekeyed_generator_draws_what_block_rng_draws(self, data, block):
+        rngs = block_rngs(2503, data=data)
+        # advance the shared Philox partway through another block: an odd
+        # normal count and a 32-bit draw leave its buffer half used
+        stale = rngs(block + 5)
+        stale.standard_normal(7)
+        stale.integers(0, 2**31, dtype=np.uint32)
+        # the second round re-keys after a partial draw of the block itself
+        for _ in range(2):
+            rekeyed = rngs(block)
+            fresh = block_rng(2503, block, data=data)
+            assert philox_key(rekeyed) == philox_key(fresh)
+            np.testing.assert_array_equal(rekeyed.standard_normal((3, 257)),
+                                          fresh.standard_normal((3, 257)))
+            np.testing.assert_array_equal(
+                rekeyed.standard_gamma([5.0, 14.0, 1.5], (257, 3)),
+                fresh.standard_gamma([5.0, 14.0, 1.5], (257, 3)))
+            rekeyed.standard_normal(3)
 
     def test_unit_variance_components(self):
         # per-entry complex variance E|x_i|^2 = 1 under an identity covariance
