@@ -180,25 +180,17 @@ def block_rngs(
     """block_rng(stream_seed, b, data=data) for any b, from one Philox.
 
     Each call of the returned function re-keys the same generator through
-    its state setter, with a zero counter and an empty buffer, so it draws
-    exactly what a fresh block_rng draws. A Philox built with a key first
-    seeds a SeedSequence from OS entropy and throws it away, so a re-key
-    costs about a quarter of a build.
+    its state setter, to a newly built Philox's zero counter and empty
+    buffer, so it draws exactly what a fresh block_rng draws. A Philox
+    built with a key first seeds a SeedSequence from OS entropy and throws
+    it away, so a re-key costs about a quarter of a build.
     """
     rng = np.random.Generator(np.random.Philox(key=0))
+    fresh = rng.bit_generator.state
 
     def rekeyed(block_index: int) -> np.random.Generator:
-        rng.bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {
-                "counter": np.zeros(4, dtype=np.uint64),
-                "key": block_key(stream_seed, block_index, data=data),
-            },
-            "buffer": np.zeros(4, dtype=np.uint64),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+        fresh["state"]["key"] = block_key(stream_seed, block_index, data=data)
+        rng.bit_generator.state = fresh
         return rng
 
     return rekeyed
