@@ -4,9 +4,12 @@ A cube holds complex baseband returns indexed (pulse, range bin). Two
 fully specified encodings are supported: an interleaved little-endian
 binary format for bulk data and a CSV format for inspection (grammar in
 README). Both readers view the stored float pairs as complex, so a read is
-exact to the bit. A CSV file is parsed by numpy's C tokenizer; the line
-parser runs only when the tokenizer refuses the text or may read it
-differently, and then gives the same cells or a FormatError at path:line.
+exact to the bit. A CSV file is read once, one block of text at a time,
+and parsed by numpy's C tokenizer, so a read holds the cube and one block,
+never the whole text, and a well-formed file may come from a FIFO. The
+line parser runs only when the tokenizer refuses a block or may read it
+differently; it reopens the file and parses it line by line into one flat
+buffer, giving the same cells or a FormatError at path:line.
 
 Recorded (or synthesized) cubes are evaluated with a sliding N-pulse
 window: the cell under test is one designated range bin, the secondary
@@ -24,6 +27,7 @@ import math
 import os
 import struct
 import warnings
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -65,6 +69,8 @@ __all__ = [
 ]
 
 _HEADER = struct.Struct("<QQ")
+# bytes of CSV text read at a time
+_CSV_BLOCK = 1 << 16
 
 
 class FormatError(ValueError):
@@ -138,8 +144,7 @@ def write_cube_csv(cube: DataCube, path) -> None:
 
 def read_cube_csv(path) -> DataCube:
     with open(path, "rb") as fh:
-        raw = fh.read()
-    cells = _tokenized_csv(raw)
+        cells = _tokenized_csv(fh)
     if cells is None:
         cells = _parse_csv_lines(path)
     try:
@@ -148,17 +153,34 @@ def read_cube_csv(path) -> DataCube:
         raise FormatError(f"{path}: {err}") from err
 
 
-def _tokenized_csv(raw: bytes) -> np.ndarray | None:
+def _csv_lines(stream):
+    """The lines of a binary stream, split on b"\n" as iterating io.BytesIO
+    splits them, read one _CSV_BLOCK at a time; ValueError at the first
+    block holding a non-ASCII byte or one of the ASCII separators 0x1C-0x1F."""
+    pending = []
+    while block := stream.read(_CSV_BLOCK):
+        # the tokenizer strips the separators around a cell as whitespace,
+        # and float() refuses them
+        if not block.isascii() or any(sep in block
+                                       for sep in b"\x1c\x1d\x1e\x1f"):
+            raise ValueError("cube text the tokenizer may read differently")
+        cut = block.rfind(b"\n") + 1
+        if cut:
+            pending.append(block[:cut])
+            yield from io.BytesIO(b"".join(pending))
+            pending = []
+        pending.append(block[cut:])
+    if tail := b"".join(pending):
+        yield tail
+
+
+def _tokenized_csv(stream) -> np.ndarray | None:
     """The (pulses, 2R) cells as numpy's C tokenizer reads them, or None."""
-    # the tokenizer strips the ASCII separators 0x1C-0x1F around a cell as
-    # whitespace, and float() refuses them
-    if not raw.isascii() or any(sep in raw for sep in b"\x1c\x1d\x1e\x1f"):
-        return None
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            cells = np.loadtxt(io.BytesIO(raw), delimiter=",", dtype=np.float64,
-                               comments=None, ndmin=2)
+            cells = np.loadtxt(_csv_lines(stream), delimiter=",",
+                               dtype=np.float64, comments=None, ndmin=2)
     except (ValueError, Warning):
         return None
     if cells.size == 0 or cells.shape[1] % 2 != 0:
@@ -167,8 +189,10 @@ def _tokenized_csv(raw: bytes) -> np.ndarray | None:
 
 
 def _parse_csv_lines(path) -> np.ndarray:
-    """The (pulses, 2R) cells, parsed line by line; FormatError as path:line."""
-    rows: list[list[float]] = []
+    """The (pulses, 2R) cells, parsed line by line into one flat buffer;
+    FormatError as path:line."""
+    cells = array("d")
+    width = None
     with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.isascii():
@@ -177,7 +201,7 @@ def _parse_csv_lines(path) -> np.ndarray:
             if not line:
                 continue
             try:
-                values = [float(c) for c in line.split(",")]
+                values = list(map(float, line.split(",")))
             except ValueError as err:
                 raise FormatError(f"{path}:{lineno}: {err}") from err
             if len(values) % 2 != 0:
@@ -185,15 +209,17 @@ def _parse_csv_lines(path) -> np.ndarray:
                     f"{path}:{lineno}: odd cell count {len(values)}; "
                     "cells must be re,im pairs"
                 )
-            if rows and len(values) != len(rows[0]):
+            if width is None:
+                width = len(values)
+            elif len(values) != width:
                 raise FormatError(
                     f"{path}:{lineno}: ragged row ({len(values)} cells, "
-                    f"expected {len(rows[0])})"
+                    f"expected {width})"
                 )
-            rows.append(values)
-    if not rows:
+            cells.fromlist(values)
+    if width is None:
         raise FormatError(f"{path}: empty cube file")
-    return np.asarray(rows)
+    return np.frombuffer(cells).reshape(-1, width)
 
 
 def ingest_cube(path, format: str = "interleaved-binary") -> DataCube:

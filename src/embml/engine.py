@@ -363,20 +363,6 @@ def _coloured_blocks(
         yield lo, hi, block.reshape(n, _BLOCK, cols)[:, lo - first : hi - first]
 
 
-def _generate_stack(
-    cfg: ScenarioConfig,
-    chol: np.ndarray,
-    stream_seed: int,
-    start: int,
-    stop: int,
-) -> np.ndarray:
-    """(n, trials, k+1) matrices Z of trials [start, stop), coloured by chol."""
-    stack = np.empty((cfg.n, stop - start, cfg.k + 1), dtype=np.complex128)
-    for lo, hi, part in _coloured_blocks(cfg, chol, stream_seed, start, stop):
-        stack[:, lo - start : hi - start] = part
-    return stack
-
-
 def _data_chunk(cfg, labels, stream_seed, start, stop, inject, record_trace,
                 trace_l_max) -> SimulatedStatistics:
     """Statistics of trials [start, stop) drawn as data.

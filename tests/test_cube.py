@@ -1,8 +1,12 @@
 """Tests for cube file formats, synthesis, and sliding-window evaluation."""
 
+import hashlib
+import io
 import math
+import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -43,6 +47,30 @@ from embml.scenario import (
     steering_vector,
     trial_rng,
 )
+
+
+# (text, whether the C tokenizer reads it): the line parser alone must
+# give the same bytes or the same FormatError
+CSV_CASES = [
+    pytest.param(b"1.0,2.0\n\n3.0,4.0\n", True, id="blank-line"),
+    pytest.param(b"1.0,2.0\n   \n3.0,4.0\n", False, id="whitespace-line"),
+    pytest.param(b" 1.0 , 2.0 \n3.0,\t4.0\n", True, id="spaced-cells"),
+    pytest.param(b"1.0,2.0\r\n3.0,4.0\r\n", True, id="crlf"),
+    pytest.param(b"1_0,2.0\n", False, id="underscore"),
+    pytest.param(b"Infinity,2.0\n", True, id="infinity"),
+    pytest.param(b"+1.5,.5\n5.,-0.0\n", True, id="signs-and-dots"),
+    pytest.param(b"1e400,1.0\n", True, id="overflow"),
+    pytest.param(b"1.0#,2.0\n", False, id="hash"),
+    pytest.param(b'"1.0",2.0\n', False, id="quoted"),
+    pytest.param(b"1.0,,2.0,3.0\n", False, id="empty-field"),
+    pytest.param(b"1.0,2.0,\n", False, id="trailing-comma"),
+    pytest.param(b"1.0,2.0\n1.0,2.0,3.0,4.0\n", False, id="ragged"),
+    pytest.param(b"1.0,2.0,3.0\n", False, id="odd-cells"),
+    pytest.param(b"", False, id="empty-file"),
+    pytest.param(b"1.0,2.0\n", True, id="one-pair"),
+    pytest.param(b"1.0,2.0\n3.0,4\xc3\xa9\n", False, id="non-ascii"),
+    pytest.param(b"1.0\x1c,2.0\n", False, id="separator-byte"),
+]
 
 
 class TestBinaryFormat:
@@ -113,28 +141,7 @@ class TestCsvFormat:
         with pytest.raises(FormatError):
             read_cube_csv(path)
 
-    # (text, whether the C tokenizer reads it): the line parser alone must
-    # give the same bytes or the same FormatError
-    @pytest.mark.parametrize("text,tokenized", [
-        pytest.param(b"1.0,2.0\n\n3.0,4.0\n", True, id="blank-line"),
-        pytest.param(b"1.0,2.0\n   \n3.0,4.0\n", False, id="whitespace-line"),
-        pytest.param(b" 1.0 , 2.0 \n3.0,\t4.0\n", True, id="spaced-cells"),
-        pytest.param(b"1.0,2.0\r\n3.0,4.0\r\n", True, id="crlf"),
-        pytest.param(b"1_0,2.0\n", False, id="underscore"),
-        pytest.param(b"Infinity,2.0\n", True, id="infinity"),
-        pytest.param(b"+1.5,.5\n5.,-0.0\n", True, id="signs-and-dots"),
-        pytest.param(b"1e400,1.0\n", True, id="overflow"),
-        pytest.param(b"1.0#,2.0\n", False, id="hash"),
-        pytest.param(b'"1.0",2.0\n', False, id="quoted"),
-        pytest.param(b"1.0,,2.0,3.0\n", False, id="empty-field"),
-        pytest.param(b"1.0,2.0,\n", False, id="trailing-comma"),
-        pytest.param(b"1.0,2.0\n1.0,2.0,3.0,4.0\n", False, id="ragged"),
-        pytest.param(b"1.0,2.0,3.0\n", False, id="odd-cells"),
-        pytest.param(b"", False, id="empty-file"),
-        pytest.param(b"1.0,2.0\n", True, id="one-pair"),
-        pytest.param(b"1.0,2.0\n3.0,4\xc3\xa9\n", False, id="non-ascii"),
-        pytest.param(b"1.0\x1c,2.0\n", False, id="separator-byte"),
-    ])
+    @pytest.mark.parametrize("text,tokenized", CSV_CASES)
     def test_tokenizer_and_line_parser_agree(self, tmp_path, monkeypatch,
                                              text, tokenized):
         path = tmp_path / "cube.csv"
@@ -146,10 +153,34 @@ class TestCsvFormat:
             except FormatError as err:
                 return f"FormatError: {err}"
 
-        assert (cube_module._tokenized_csv(text) is not None) == tokenized
+        assert (cube_module._tokenized_csv(io.BytesIO(text)) is not None) == tokenized
         got = read()
         monkeypatch.setattr(cube_module, "_tokenized_csv", lambda raw: None)
         assert got == read()
+
+    @pytest.mark.parametrize("block", [1, 2, 7])
+    @pytest.mark.parametrize("text,tokenized", CSV_CASES + [
+        pytest.param(b"1.0,2.0\n3.0,4.0\x1f\n", False, id="late-separator"),
+        pytest.param(b"1.0,2.0\n" * 4 + b"3.0,4\xc3\xa9\n", False,
+                     id="late-non-ascii"),
+    ])
+    def test_block_size_changes_nothing(self, tmp_path, monkeypatch, text,
+                                        tokenized, block):
+        # lines and refused bytes may straddle blocks; a refused block after
+        # lines already tokenized still sends the whole read to the line parser
+        path = tmp_path / "cube.csv"
+        path.write_bytes(text)
+
+        def read():
+            try:
+                return read_cube_csv(path).data.view(np.uint8).tobytes()
+            except FormatError as err:
+                return f"FormatError: {err}"
+
+        whole = read()
+        monkeypatch.setattr(cube_module, "_CSV_BLOCK", block)
+        assert (cube_module._tokenized_csv(io.BytesIO(text)) is not None) == tokenized
+        assert read() == whole
 
     def test_well_formed_file_never_reaches_the_line_parser(
         self, tmp_path, monkeypatch
@@ -165,6 +196,34 @@ class TestCsvFormat:
         monkeypatch.setattr(cube_module, "_parse_csv_lines", refuse)
         back = read_cube_csv(path).data
         assert back.view(np.uint8).tobytes() == data.view(np.uint8).tobytes()
+
+    def test_peak_memory_is_near_the_cube(self, tmp_path, monkeypatch):
+        # the text is read in blocks and the cells go straight into the
+        # cube's buffer, on the tokenizer path and on the line-parser path
+        cube = synthesize_cube(ScenarioConfig(master_seed=87), 20_000, 18)
+        path = tmp_path / "cube.csv"
+        write_cube_csv(cube, path)
+        parsed = []
+
+        def recording(path):
+            parsed.append(path)
+            return line_parser(path)
+
+        line_parser = cube_module._parse_csv_lines
+        monkeypatch.setattr(cube_module, "_parse_csv_lines", recording)
+        peaks = {}
+        for route, tail in (("tokenizer", ""), ("line parser", "   \n")):
+            with open(path, "a") as fh:
+                fh.write(tail)
+            tracemalloc.start()
+            try:
+                back = read_cube_csv(path).data
+                peaks[route] = tracemalloc.get_traced_memory()[1] / cube.data.nbytes
+            finally:
+                tracemalloc.stop()
+            assert back.tobytes() == cube.data.tobytes()
+            assert len(parsed) == (route == "line parser")
+        assert max(peaks.values()) <= 1.5, peaks
 
     def test_writer_matches_cell_by_cell_reference(self, tmp_path):
         rng = np.random.default_rng(67)
@@ -182,6 +241,50 @@ class TestCsvFormat:
                 cells.append(repr(float(data[i, j].imag)))
             lines.append(",".join(cells) + "\n")
         assert path.read_text() == "".join(lines)
+
+
+def through_fifo(tmp_path, payload, read, timeout=30.0):
+    """read(fifo) of a FIFO that a writer thread feeds payload into."""
+    fifo = tmp_path / "cube.fifo"
+    os.mkfifo(fifo)
+    outcome = []
+
+    def feed():
+        with open(fifo, "wb") as fh:
+            fh.write(payload)
+
+    def consume():
+        try:
+            outcome.append(read(fifo))
+        except Exception as err:
+            outcome.append(err)
+
+    threads = [threading.Thread(target=f, daemon=True) for f in (feed, consume)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout)
+    assert not any(thread.is_alive() for thread in threads), "FIFO read hung"
+    if isinstance(outcome[0], Exception):
+        raise outcome[0]
+    return outcome[0]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+class TestFifo:
+    """A well-formed cube is read in one pass and never seeked."""
+
+    @pytest.mark.parametrize("format", ["interleaved-binary", "csv"])
+    def test_fifo_reads_as_the_file(self, tmp_path, format):
+        # larger than a pipe's buffer and than one CSV block
+        cube = synthesize_cube(ScenarioConfig(master_seed=88), 400, 12)
+        path = tmp_path / "cube.dat"
+        write_cube(cube, path, format)
+        from_file = ingest_cube(path, format).data
+        from_fifo = through_fifo(tmp_path, path.read_bytes(),
+                                 lambda fifo: ingest_cube(fifo, format)).data
+        assert from_fifo.tobytes() == from_file.tobytes()
+        assert from_file.tobytes() == cube.data.tobytes()
 
 
 class TestCrossFormat:
@@ -249,6 +352,20 @@ class TestSynthesis:
         b = synthesize_cube(cfg, 32, 3)
         np.testing.assert_array_equal(a.data, b.data)
         assert not np.array_equal(a.data[:, 0], a.data[:, 1])
+
+    # sha256 of a 300-pulse, 10-bin cube's bytes, taken with numpy 2.4 on
+    # x86-64: nothing else holds synthesis to its bits
+    @pytest.mark.parametrize("cfg,digest", [
+        pytest.param(ScenarioConfig(),
+                     "aa8f06443fef4757d3d2f9aed1949616017fd7134a30f7085cc1c609ab4d6bcd",
+                     id="defaults"),
+        pytest.param(ScenarioConfig(rho=0.3, noise_power=3.0),
+                     "4418df83266f344b903ec7f94c26e73a1b31da8a6e1dac24224278bb543567d7",
+                     id="rho0.3-noise3"),
+    ])
+    def test_cube_is_pinned(self, cfg, digest):
+        data = synthesize_cube(cfg, 300, 10).data
+        assert hashlib.sha256(np.ascontiguousarray(data).tobytes()).hexdigest() == digest
 
     def test_rejects_empty_dimensions(self):
         with pytest.raises(ValueError):

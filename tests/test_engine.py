@@ -324,16 +324,19 @@ class TestDataStream:
     def test_coloured_stack_is_pinned(self, case):
         n, k, start, stop, cnr_db, rho = case
         cfg = ScenarioConfig(n=n, k=k, cnr_db=cnr_db, rho=rho)
-        stack = engine._generate_stack(cfg, build_covariance(cfg).chol, 241,
-                                       start, stop)
-        assert sha256(stack.transpose(1, 0, 2)) == GOLDEN_STACKS[case]
+        blocks = engine._coloured_blocks(cfg, build_covariance(cfg).chol, 241,
+                                         start, stop)
+        # (trials, n, k+1); each part is copied before the next block reuses it
+        stack = np.concatenate([part.transpose(1, 0, 2).copy()
+                                for _, _, part in blocks])
+        assert sha256(stack) == GOLDEN_STACKS[case]
 
     def test_complex_factor_is_refused(self):
         cfg = ScenarioConfig()
         chol = build_covariance(cfg).chol.copy()
         chol[1, 0] += 1e-12j
         with pytest.raises(ValueError, match="real"):
-            engine._generate_stack(cfg, chol, 241, 0, 10)
+            next(engine._coloured_blocks(cfg, chol, 241, 0, 10))
 
     def test_default_detector_amf_is_pinned(self):
         sim = simulate_statistics(
