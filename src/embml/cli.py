@@ -11,8 +11,8 @@ One subcommand per experiment family:
 
 Settings come from an optional INI config file (--config); each flag sets
 one config key on top of the file, and the merged config is parsed and
-validated once. Exit codes: 0 success, 1 a worker process died, 2 invalid
-configuration or arguments, 3 file I/O or format failure.
+validated once. Exit codes: 0 success, 2 invalid configuration or
+arguments, 3 file I/O or format failure.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from concurrent.futures.process import BrokenProcessPool
 
 from .config import (
     COMMANDS,
@@ -101,10 +100,10 @@ def build_parser() -> argparse.ArgumentParser:
         for name in COMMANDS
     }
 
-    # only the data path of pfa-sweep costs enough per trial for a process
-    # pool to pay; every other command runs in one process
+    # only the data path of pfa-sweep spends its trials in numpy calls that
+    # release the GIL; every other command runs on one thread
     _value_flag(subparsers["pfa-sweep"], "--workers", "run.workers",
-                help="parallel worker processes")
+                help="parallel worker threads")
     # only these read it: pfa-sweep calibrates on its own trials (its nominal
     # row reuses that ensemble), ingest-run on the cube's windows, and
     # convergence calibrates nothing
@@ -241,9 +240,6 @@ def main(argv=None) -> int:
     try:
         spec = _spec_from_args(args)
         summary = _RUNNERS[spec.command](spec)
-    except BrokenProcessPool as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
     except (OSError, FormatError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3

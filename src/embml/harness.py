@@ -14,7 +14,7 @@ rates and CIs. Every experiment phase (calibration, each grid point)
 works in its own derived substream namespace, so trials are independent
 across phases and every result is bit-reproducible for a fixed master
 seed. Calibration, curves, contours and convergence studies draw each
-trial's maximal invariant in-process, at about 1 us/trial; only the CFAR
+trial's maximal invariant on one thread, at about 1 us/trial; only the CFAR
 sweep draws data, because CNR and rho drop out of the invariant by
 construction, and only it takes a worker count, whose results do not
 depend on it.

@@ -1,11 +1,7 @@
 """Shared pytest plumbing for the test suite."""
 
-import multiprocessing
-import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from functools import partial
 
 import pytest
 
@@ -26,34 +22,41 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_line(line)
 
 
-def _die(args):
-    os._exit(1)
-
-
-@pytest.fixture
-def crashing_workers(monkeypatch):
-    """Every pooled chunk kills its (forked) worker process."""
-    from embml import engine
-
-    monkeypatch.setattr(engine, "_compute_chunk", _die)
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", partial(
-        ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
-
-
 @pytest.fixture
 def counted_pools(monkeypatch):
-    """The keyword arguments of every process pool the engine builds."""
+    """The keyword arguments of every thread pool the engine builds."""
     from embml import engine
 
     built = []
 
-    class CountingPool(engine.ProcessPoolExecutor):
+    class CountingPool(engine.ThreadPoolExecutor):
         def __init__(self, *args, **kwargs):
             built.append(kwargs)
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(engine, "ThreadPoolExecutor", CountingPool)
     return built
+
+
+@pytest.fixture
+def nan_in_second_chunk(monkeypatch):
+    """Every engine chunk that starts at trial 4096, the second of the
+    default size, returns a NaN AMF statistic 17 trials in, on whichever
+    thread computes it. Returns that trial's index."""
+    from embml import engine
+
+    compute = engine._compute_chunk
+    bad = 4096 + 17
+
+    def spoiled(args):
+        part = compute(args)
+        start = args[4]  # (invariant, cfg, labels, seed, start, stop, ...)
+        if start == 4096 and "amf" in part.statistics:
+            part.statistics["amf"][bad - start] = float("nan")
+        return part
+
+    monkeypatch.setattr(engine, "_compute_chunk", spoiled)
+    return bad
 
 
 @pytest.fixture

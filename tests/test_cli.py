@@ -496,16 +496,16 @@ class TestCalibrationTrialsOnlyWhereRead:
         assert spec.calibration_trials == 4000
 
 
-class TestWorkerCrash:
-    def test_dead_worker_is_exit_one_with_one_error_line(
-        self, tmp_path, capsys, crashing_workers
+class TestWorkerThreads:
+    def test_non_finite_statistic_on_a_thread_is_two_with_one_error_line(
+        self, tmp_path, capsys, nan_in_second_chunk
     ):
         code, _, stderr = run_cli(
-            [*SWEEP, "--detectors", "glrt", "--workers", "2",
+            [*SWEEP, "--detectors", "glrt", "amf", "--workers", "2",
              "--out", str(tmp_path / "x.csv")], capsys)
-        assert code == 1
+        assert code == 2
         assert re.fullmatch(
-            r"error: .*trials \[0, 4096\) of stream seed \d+\n", stderr)
+            rf"error: amf: .* first at trial {nan_in_second_chunk}\n", stderr)
 
 
 # Every value flag of every subcommand: its config key and a value that

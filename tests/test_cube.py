@@ -178,7 +178,7 @@ class TestCsvFormat:
                 return f"FormatError: {err}"
 
         whole = read()
-        monkeypatch.setattr(cube_module, "_CSV_BLOCK", block)
+        monkeypatch.setattr(cube_module, "_READ_BLOCK", block)
         assert (cube_module._tokenized_csv(io.BytesIO(text)) is not None) == tokenized
         assert read() == whole
 
@@ -285,6 +285,53 @@ class TestFifo:
                                  lambda fifo: ingest_cube(fifo, format)).data
         assert from_fifo.tobytes() == from_file.tobytes()
         assert from_file.tobytes() == cube.data.tobytes()
+
+    def test_binary_fifo_holds_the_cube_once(self, tmp_path):
+        # a pipe reports size 0, and reading it whole before copying it
+        # into the cube's buffer peaked at 2.00x the cube's bytes
+        cube = synthesize_cube(ScenarioConfig(master_seed=87), 20_000, 18)
+        path = tmp_path / "cube.bin"
+        write_cube_binary(cube, path)
+
+        def traced(fifo):
+            tracemalloc.start()
+            try:
+                data = read_cube_binary(fifo).data
+                return data, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        data, peak = through_fifo(tmp_path, path.read_bytes(), traced)
+        assert data.tobytes() == cube.data.tobytes()
+        assert peak <= 1.2 * cube.data.nbytes, peak / cube.data.nbytes
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda raw: raw[:3], id="truncated-header"),
+        pytest.param(lambda raw: raw[:-8], id="truncated"),
+        pytest.param(lambda raw: raw + bytes(8), id="over-long"),
+    ])
+    def test_bad_binary_fifo_fails_as_the_file(self, tmp_path, edit):
+        path = tmp_path / "cube.bin"
+        write_cube_binary(DataCube(np.ones((6, 4))), path)
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(FormatError) as from_file:
+            read_cube_binary(path)
+        with pytest.raises(FormatError) as from_fifo:
+            through_fifo(tmp_path, path.read_bytes(), read_cube_binary)
+        assert str(from_fifo.value) == str(from_file.value).replace(
+            str(path), str(tmp_path / "cube.fifo"))
+
+    def test_refused_csv_fifo_fails_instead_of_waiting(self, tmp_path):
+        # the line parser reopens the path, which for a FIFO waits for a
+        # new writer
+        cube = synthesize_cube(ScenarioConfig(master_seed=89), 50, 4)
+        path = tmp_path / "cube.csv"
+        write_cube_csv(cube, path)
+        with pytest.raises(FormatError, match=(
+                r"cube\.fifo: .*line parser .* must re-read the file, "
+                r"and a pipe cannot be re-read$")):
+            through_fifo(tmp_path, path.read_bytes() + b"   \n",
+                         read_cube_csv, timeout=5.0)
 
 
 class TestCrossFormat:

@@ -6,8 +6,9 @@ output must not depend on chunking or worker count.
 """
 
 import hashlib
+import threading
+import time
 import tracemalloc
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 import numpy as np
@@ -345,20 +346,34 @@ class TestDataStream:
         assert sha256(sim.statistics["amf"]) == GOLDEN_AMF
 
 
-class TestWorkerCrash:
-    def test_dead_worker_names_seed_and_first_missing_chunk(
-        self, crashing_workers
-    ):
-        with pytest.raises(BrokenProcessPool,
-                           match=r"trials \[0, 10\) of stream seed 1234\b"):
-            simulate_statistics(ScenarioConfig(), ("amf",), 20, chunk_size=10,
-                                stream_seed=1234, workers=2)
-
-
 class TestWorkerPool:
+    def test_chunk_error_reaches_the_caller_and_stops_the_run(
+        self, monkeypatch
+    ):
+        # the first chunk fails at once and every other takes 50 ms, so the
+        # failure reaches the caller while the other thread is in its first
+        # chunk, and the chunks not yet started are cancelled
+        err = RuntimeError("chunk failed")
+        started = []
+
+        def chunk(args):
+            started.append(args[4])
+            if args[4] == 0:
+                raise err
+            time.sleep(0.05)
+
+        monkeypatch.setattr(engine, "_compute_chunk", chunk)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError) as raised:
+            simulate_statistics(ScenarioConfig(), ("amf",), 640, chunk_size=10,
+                                workers=2)
+        assert raised.value is err
+        assert 1 <= len(started) <= 8
+        assert threading.active_count() == threads
+
     def test_pool_gets_no_more_workers_than_chunks(self, monkeypatch):
-        # a forking pool starts every worker at once, so 64 workers for two
-        # chunks would fork 62 processes for nothing
+        # map submits every chunk at once, which starts every thread, so 64
+        # workers for two chunks would start 62 threads for nothing
         built = []
 
         class InProcessPool:
@@ -376,7 +391,7 @@ class TestWorkerPool:
             def map(self, fn, iterable):
                 return map(fn, iterable)
 
-        monkeypatch.setattr(engine, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(engine, "ThreadPoolExecutor", InProcessPool)
         cfg = ScenarioConfig(master_seed=216)
         wide = simulate_statistics(cfg, ("amf",), 600, chunk_size=300,
                                    workers=64)

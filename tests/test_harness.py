@@ -1,5 +1,6 @@
 """Tests for threshold calibration and the Monte Carlo experiment drivers."""
 
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -285,7 +286,7 @@ class TestConvergenceStudy:
 
 
 class TestProcessPools:
-    """Only the CFAR sweep's data path fans out to a process pool.
+    """Only the CFAR sweep's data path fans out to a pool of threads.
 
     8192 trials make two 4096-trial chunks, enough for a pool to be used.
     """
@@ -309,6 +310,21 @@ class TestProcessPools:
         cfar_sweep(SMALL, 0.05, cnr_grid=[30.0], rho_grid=[0.5],
                    trials=self.TRIALS, detectors=("glrt",), workers=2)
         assert len(counted_pools) >= 1
+
+    def test_non_finite_statistic_on_a_thread_is_named_as_on_one(
+        self, nan_in_second_chunk
+    ):
+        messages = []
+        for workers in (1, 2):
+            threads = threading.active_count()
+            with pytest.raises(ValueError, match=(
+                    rf"^amf: .* first at trial {nan_in_second_chunk}$")) as raised:
+                cfar_sweep(SMALL, 0.05, [SMALL.cnr_db], [SMALL.rho],
+                           2 * self.TRIALS, detectors=("glrt", "amf"),
+                           workers=workers)
+            messages.append(str(raised.value))
+            assert threading.active_count() == threads
+        assert messages[0] == messages[1]
 
 
 CHUNK = 4096  # the engine's default chunk
