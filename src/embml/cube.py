@@ -40,8 +40,8 @@ from .engine import _BLOCK, _scatter, statistics_from_stacks
 from .harness import (
     _PHASE_CUBE,
     TrialEnsemble,
-    _rate_row,
     calibrate_threshold,
+    estimate_rate,
     order_labels,
     required_trials,
 )
@@ -94,13 +94,14 @@ class DataCube:
         data = np.asarray(self.data, dtype=np.complex128)
         if data.ndim != 2:
             raise FormatError(f"cube must be 2-D (pulse, bin); got {data.ndim}-D")
-        finite = np.isfinite(data)
-        if not finite.all():
-            pulse, rbin = divmod(int(np.argmin(finite)), data.shape[1])
-            raise FormatError(
-                f"cube contains non-finite samples, first at pulse {pulse}, "
-                f"range bin {rbin}"
-            )
+        for top in range(0, len(data), _BLOCK):  # no mask of the cube's size
+            finite = np.isfinite(data[top:top + _BLOCK])
+            if not finite.all():
+                pulse, rbin = divmod(int(np.argmin(finite)), data.shape[1])
+                raise FormatError(
+                    f"cube contains non-finite samples, first at pulse "
+                    f"{top + pulse}, range bin {rbin}"
+                )
         object.__setattr__(self, "data", data)
 
 
@@ -458,7 +459,8 @@ def sliding_window_run(cube: DataCube, spec) -> CubeRunResult:
     del cal_stats  # only the thresholds outlive the calibration bin
     ev_stats = _bin_statistics(cube, n, k, eval_bin, overlap, count, v, labels,
                                target)
-    rates, cis = _rate_row(ev_stats, thresholds, labels)
+    rates, cis = zip(*(estimate_rate(ev_stats[lab], thresholds[lab],
+                                     detector=lab) for lab in labels))
     curve = CurveResult(
         axis_names=("scnr_db",),
         axis_values=np.array(

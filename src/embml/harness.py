@@ -3,19 +3,18 @@
 The adaptive detectors' thresholds are empirical order statistics of null
 ensembles with a strict-exceedance decision rule. The clairvoyant
 benchmark's threshold is exact: under H0 its statistic is N(-s, 2s) with
-s the SCNR in linear units. Null ensembles are reduced as the engine's
-chunks arrive, so a calibration's memory does not grow with its trial
-count: each detector keeps only the top trials - rank + 1 statistics that
-its order-statistic threshold and exceedances need. Every rate is a count
-of exceedances. Thresholds and rates are exactly those of sorting and
-averaging the whole ensemble. The CFAR sweep and the Pd grids share one
-point loop that simulates each grid point and reduces it to a row of
-rates and CIs. Every experiment phase (calibration, each grid point)
-works in its own derived substream namespace, so trials are independent
-across phases and every result is bit-reproducible for a fixed master
-seed. Calibration, curves, contours and convergence studies draw each
-trial's maximal invariant on one thread, at about 1 us/trial; only the CFAR
-sweep draws data, because CNR and rho drop out of the invariant by
+s the SCNR in linear units. Every phase, the calibration and each grid
+point, is reduced chunk by chunk as the engine returns its chunks, so
+memory does not grow with the trial count: a calibrated detector keeps
+only the top trials - rank + 1 statistics that its threshold needs, and a
+grid point one exceedance count per detector. Thresholds and rates are
+exactly those of sorting and averaging the whole ensemble. The CFAR sweep
+and the Pd grids share one point loop. Every experiment phase works in
+its own derived substream namespace, so trials are independent across
+phases and every result is bit-reproducible for a fixed master seed.
+Calibration, curves, contours and convergence studies draw each trial's
+maximal invariant on one thread, at about 1 us/trial; only the CFAR sweep
+draws data, because CNR and rho drop out of the invariant by
 construction, and only it takes a worker count, whose results do not
 depend on it.
 """
@@ -222,15 +221,6 @@ def _benchmark_threshold(scnr_db: float, pfa: float) -> float:
     return -s - math.sqrt(2.0 * s) * NormalDist().inv_cdf(pfa)
 
 
-def _rate_row(statistics, thresholds, labels) -> np.ndarray:
-    """(2, len(labels)) exceedance rates and their CIs, in label order."""
-    row = [
-        estimate_rate(statistics[lab], thresholds[lab], detector=lab)
-        for lab in labels
-    ]
-    return np.array(row, dtype=float).reshape(len(labels), 2).T
-
-
 def _check_calibration(cfg, labels, pfa: float, trials: int) -> None:
     """Reject a calibration that cannot threshold pfa, before any draw."""
     _threshold_rank(trials, pfa)
@@ -238,27 +228,27 @@ def _check_calibration(cfg, labels, pfa: float, trials: int) -> None:
         raise ValueError("benchmark calibration requires scnr_db on the scenario")
 
 
-def _null_phase(cfg, labels, pfa: float, trials: int, **simulate) -> dict:
-    """Each label's reducer over the calibration phase's null ensemble.
+def _reduce(cfg, labels, pfa: float, trials: int, seed: int, adaptive,
+            **simulate) -> dict:
+    """Each label's reducer, fed its statistics over trials chunk by chunk.
 
-    The benchmark's threshold is exact at cfg.scnr_db, so it counts its
-    exceedances; every other label keeps the top of its statistics for
-    its order-statistic threshold. Each chunk is reduced as the engine
-    returns it, after a finite check that names a bad statistic by its
-    trial index in the ensemble. Nothing is drawn for no labels.
+    The benchmark counts its exceedances of its exact threshold at
+    cfg.scnr_db; every other label gets the reducer adaptive(label). Each
+    chunk is reduced as the engine returns it, after a finite check that
+    names a bad statistic by its trial index in the ensemble. Nothing is
+    drawn for no labels.
     """
     reducers = {
         lab: _Exceedances(_benchmark_threshold(cfg.scnr_db, pfa))
         if lab == "benchmark"
-        else _TopTail(trials, pfa)
+        else adaptive(lab)
         for lab in labels
     }
     if not labels:
         return reducers
-    seed = derive_stream_seed(cfg.master_seed, _PHASE_CALIBRATION)
     start = 0
-    for part in _simulate_chunks(_null_config(cfg), labels, trials,
-                                 stream_seed=seed, **simulate):
+    for part in _simulate_chunks(cfg, labels, trials, stream_seed=seed,
+                                 **simulate):
         for lab, reducer in reducers.items():
             stats = part.statistics[lab]
             _require_finite(stats, lab, start)
@@ -267,31 +257,38 @@ def _null_phase(cfg, labels, pfa: float, trials: int, **simulate) -> dict:
     return reducers
 
 
+def _null_phase(cfg, labels, pfa: float, trials: int, **simulate) -> dict:
+    """Each label's reducer over the calibration phase's null ensemble.
+
+    Every label but the benchmark keeps the top of its statistics for its
+    order-statistic threshold.
+    """
+    seed = derive_stream_seed(cfg.master_seed, _PHASE_CALIBRATION)
+    return _reduce(_null_config(cfg), labels, pfa, trials, seed,
+                   lambda lab: _TopTail(trials, pfa), **simulate)
+
+
 def _rate_curve(cfg, phase, axis_names, rows, labels, trials, pfa, thresholds,
                 *, nominal=None, **simulate) -> CurveResult:
     """Rates at each row of scenario overrides, named by axis_names.
 
-    Each row simulates trials in its own substream of phase, except the
-    row equal to cfg, which reads the exceedance counts of the nominal
-    null phase's reducers when given. The benchmark's exact threshold is
-    taken at every row's SCNR.
+    Each row counts the exceedances of trials drawn in its own substream
+    of phase, except the row equal to cfg, which reads the counts of the
+    nominal null phase's reducers when given.
     """
     rates = np.empty((len(rows), len(labels)))
     cis = np.empty_like(rates)
     for i, row in enumerate(rows):
         point_cfg = replace(cfg, **dict(zip(axis_names, row)))
         if nominal is not None and point_cfg == cfg:
-            for j, lab in enumerate(labels):
-                rates[i, j], cis[i, j] = _rate_ci(nominal[lab].count, trials)
-            continue
-        seed = derive_stream_seed(cfg.master_seed, phase, i)
-        stats = simulate_statistics(
-            point_cfg, labels, trials, stream_seed=seed, **simulate
-        ).statistics
-        if "benchmark" in labels:
-            bench = _benchmark_threshold(point_cfg.scnr_db, pfa)
-            thresholds = {**thresholds, "benchmark": bench}
-        rates[i], cis[i] = _rate_row(stats, thresholds, labels)
+            reducers = nominal
+        else:
+            seed = derive_stream_seed(cfg.master_seed, phase, i)
+            reducers = _reduce(point_cfg, labels, pfa, trials, seed,
+                               lambda lab: _Exceedances(thresholds[lab]),
+                               **simulate)
+        for j, lab in enumerate(labels):
+            rates[i, j], cis[i, j] = _rate_ci(reducers[lab].count, trials)
 
     axis_values = np.array(rows, dtype=float).reshape(len(rows), len(axis_names))
     return CurveResult(

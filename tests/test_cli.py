@@ -303,13 +303,13 @@ class TestBenchmarkOnlyGrid:
         import embml.harness
 
         calls = []
-        simulate = embml.harness.simulate_statistics
+        chunks = embml.harness._simulate_chunks
 
         def counting(*args, **kwargs):
             calls.append(args)
-            return simulate(*args, **kwargs)
+            return chunks(*args, **kwargs)
 
-        monkeypatch.setattr(embml.harness, "simulate_statistics", counting)
+        monkeypatch.setattr(embml.harness, "_simulate_chunks", counting)
         texts = []
         for cal_trials in ("2000", "40000"):
             out = tmp_path / f"bench{cal_trials}.csv"

@@ -360,6 +360,18 @@ class TestNonFiniteSamples:
                 r"first at pulse 3, range bin 2$")):
             ingest_cube(path, format)
 
+    def test_bad_sample_past_the_first_checked_slice_is_named(self):
+        # the check runs over slices of rows; the first bad sample sits in
+        # the third slice, one row above a bad sample at a lower bin
+        rows = cube_module._BLOCK
+        data = np.ones((3 * rows, 4), dtype=complex)
+        data[2 * rows + 5, 3] = complex(0.0, np.inf)
+        data[2 * rows + 6, 0] = np.nan
+        with pytest.raises(FormatError, match=(
+                rf"^cube contains non-finite samples, first at pulse "
+                rf"{2 * rows + 5}, range bin 3$")):
+            DataCube(data)
+
 
 class TestWindowCount:
     def test_no_reuse_is_floor_pulses_over_n(self):

@@ -24,7 +24,7 @@ from embml.harness import (
     pd_curve,
     required_trials,
 )
-from embml.scenario import ScenarioConfig
+from embml.scenario import ScenarioConfig, derive_stream_seed
 
 SMALL = ScenarioConfig(n=4, k=8, master_seed=301)
 
@@ -129,18 +129,6 @@ class TestCalibrate:
         a = calibrate(SMALL, ("amf",), 0.1, 1500)
         b = calibrate(SMALL, ("amf",), 0.1, 1500)
         assert a["amf"] == b["amf"]
-
-
-    def test_benchmark_only_draws_nothing(self, monkeypatch):
-        import embml.harness
-
-        calls = []
-        monkeypatch.setattr(embml.harness, "simulate_statistics",
-                            lambda *args, **kwargs: calls.append(args))
-        cfg = replace(SMALL, scnr_db=6.0)
-        cal = calibrate(cfg, ("benchmark",), 0.05, 2000)
-        assert calls == []
-        assert cal == {"benchmark": _benchmark_threshold(6.0, 0.05)}
 
     def test_benchmark_leaves_adaptive_thresholds_as_they_are(self):
         # the benchmark draws nothing, and the stream does not depend on
@@ -348,11 +336,15 @@ def planted_nulls(labels, trials, layout, seed):
     return out
 
 
-def chunk_source(stats):
+def chunk_source(null, row=None):
     """A stand-in for the engine's chunk iterator that yields the given
-    statistics in chunks of CHUNK trials."""
+    statistics in chunks of CHUNK trials: null in the calibration phase,
+    row (null by default) at every grid row."""
 
-    def chunks(cfg, labels, n_trials, **simulate):
+    def chunks(cfg, labels, n_trials, *, stream_seed, **simulate):
+        calibration = derive_stream_seed(cfg.master_seed,
+                                         harness._PHASE_CALIBRATION)
+        stats = null if row is None or stream_seed == calibration else row
         assert all(stats[lab].size == n_trials for lab in labels)
         for start in range(0, n_trials, CHUNK):
             yield SimulatedStatistics(
@@ -362,8 +354,9 @@ def chunk_source(stats):
 
 
 class TestStreamedReduction:
-    """Null ensembles are reduced chunk by chunk; the thresholds, rates and
-    CIs must equal those of the whole-ensemble functions bit for bit."""
+    """Null ensembles and grid rows are reduced chunk by chunk; the
+    thresholds, rates and CIs must equal those of the whole-ensemble
+    functions bit for bit."""
 
     LABELS = ("glrt", "amf", "benchmark")
 
@@ -376,12 +369,15 @@ class TestStreamedReduction:
         cfg = replace(SMALL, scnr_db=6.0)
         exact = _benchmark_threshold(cfg.scnr_db, pfa)
         stats = planted_nulls(self.LABELS, trials, layout, seed=311)
+        row = planted_nulls(self.LABELS, trials, layout, seed=313)
         # benchmark statistics tie with its exact threshold too
-        stats["benchmark"] = exact + (stats["benchmark"] - 20.0)
-        monkeypatch.setattr(harness, "_simulate_chunks", chunk_source(stats))
+        for planted in (stats, row):
+            planted["benchmark"] = exact + (planted["benchmark"] - 20.0)
+        monkeypatch.setattr(harness, "_simulate_chunks",
+                            chunk_source(stats, row))
 
         def sweep():
-            return cfar_sweep(cfg, pfa, [cfg.cnr_db], [cfg.rho], trials,
+            return cfar_sweep(cfg, pfa, [cfg.cnr_db], [cfg.rho, 0.5], trials,
                               detectors=self.LABELS)
 
         if trials < required_trials(pfa):
@@ -393,15 +389,18 @@ class TestStreamedReduction:
 
         thresholds = calibrate(cfg, self.LABELS, pfa, trials)
         curve = sweep()
-        assert curve.rows == 1  # the nominal row alone
+        # the off-nominal row, drawn chunk by chunk, then the nominal one
+        assert curve.axis_values[:, 1].tolist() == [0.5, cfg.rho]
         for lab in self.LABELS:
             expected = exact if lab == "benchmark" else calibrate_threshold(
                 TrialEnsemble(lab, stats[lab], cfg), pfa)
             assert thresholds[lab] == expected
-            assert np.count_nonzero(stats[lab] == expected) > 1
             rates, cis = curve.column(lab)
-            assert (rates[0], cis[0]) == estimate_rate(stats[lab], expected)
-            assert rates[0] == np.mean(stats[lab] > expected)
+            for i, planted in enumerate((row, stats)):
+                assert np.count_nonzero(planted[lab] == expected) > 1
+                assert (rates[i], cis[i]) == estimate_rate(planted[lab],
+                                                           expected)
+                assert rates[i] == np.mean(planted[lab] > expected)
 
     @pytest.mark.parametrize("where", ["calibrate", "nominal row",
                                        "off-nominal row"])
@@ -413,11 +412,8 @@ class TestStreamedReduction:
         bad = {**clean, "amf": clean["amf"].copy()}
         bad["amf"][CHUNK + j] = np.nan
         null, row = (clean, bad) if where == "off-nominal row" else (bad, clean)
-        monkeypatch.setattr(harness, "_simulate_chunks", chunk_source(null))
-        monkeypatch.setattr(
-            harness, "simulate_statistics",
-            lambda cfg, labels, n, **simulate: SimulatedStatistics(
-                {lab: row[lab] for lab in labels}))
+        monkeypatch.setattr(harness, "_simulate_chunks",
+                            chunk_source(null, row))
 
         with pytest.raises(ValueError,
                            match=rf"^amf: .* first at trial {CHUNK + j}$"):
@@ -431,8 +427,14 @@ class TestStreamedReduction:
         calls = []
         monkeypatch.setattr(harness, "_simulate_chunks",
                             lambda *args, **kwargs: calls.append(args) or [])
-        calibrate(replace(SMALL, scnr_db=6.0), ("benchmark",), 0.05, 2000)
+        cal = calibrate(replace(SMALL, scnr_db=6.0), ("benchmark",), 0.05,
+                        2000)
         assert calls == []
+        assert cal == {"benchmark": _benchmark_threshold(6.0, 0.05)}
+
+
+SIX = ("glrt", "amf", "rao", "ace", "em-bml-d5", "em-bml-d7")
+FLAT = ScenarioConfig(n=4, k=8, master_seed=403)
 
 
 class TestFlatMemory:
@@ -440,14 +442,33 @@ class TestFlatMemory:
         # whole ensembles peaked at 9.2 and 36.8 MiB; the kept tails of
         # 101 and 401 statistics per detector leave one chunk's worth
         cfg = ScenarioConfig(n=8, k=16, master_seed=402)
-        detectors = ("glrt", "amf", "rao", "ace", "em-bml-d5", "em-bml-d7")
 
         def peak(trials):
             tracemalloc.start()
             try:
-                calibrate(cfg, detectors, 1e-3, trials)
+                calibrate(cfg, SIX, 1e-3, trials)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
         assert peak(400_000) < 1.5 * peak(100_000)
+
+    @pytest.mark.parametrize("run, trials", [
+        # whole rows peaked at 4.6 and 18.4 MiB, streamed ones at 2.2
+        (lambda n: pd_curve(FLAT, 0.05, [6.0], SIX, n), 50_000),
+        # an off-nominal row: 1.1 and 3.7 MiB whole, 1.1 streamed
+        (lambda n: cfar_sweep(FLAT, 0.01, [FLAT.cnr_db], [0.5], n,
+                              detectors=SIX), 10_000),
+    ], ids=["pd_curve", "cfar_sweep"])
+    def test_grid_row_peak_does_not_grow_with_trials(self, run, trials):
+        run(trials)  # first-call allocations stay out of the peaks
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                run(n)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(4 * trials) < 1.5 * peak(trials)
