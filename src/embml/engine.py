@@ -34,8 +34,8 @@ that release the GIL, which on the data path are most of a trial: the
 Philox fill, the colouring products and the batched solve. An invariant
 trial costs about 1 us in short numpy calls that contend for the GIL, so
 the harness runs that path on one thread. _simulate_chunks yields the
-chunks as they are computed, which is how the harness reduces a null
-ensemble in flat memory; simulate_statistics concatenates them.
+chunks as they are computed, which is how the harness reduces every
+phase in flat memory; simulate_statistics concatenates them.
 """
 
 from __future__ import annotations

@@ -438,29 +438,18 @@ FLAT = ScenarioConfig(n=4, k=8, master_seed=403)
 
 
 class TestFlatMemory:
-    def test_calibration_peak_does_not_grow_with_trials(self):
+    @pytest.mark.parametrize("run, trials", [
         # whole ensembles peaked at 9.2 and 36.8 MiB; the kept tails of
         # 101 and 401 statistics per detector leave one chunk's worth
-        cfg = ScenarioConfig(n=8, k=16, master_seed=402)
-
-        def peak(trials):
-            tracemalloc.start()
-            try:
-                calibrate(cfg, SIX, 1e-3, trials)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        assert peak(400_000) < 1.5 * peak(100_000)
-
-    @pytest.mark.parametrize("run, trials", [
+        (lambda n: calibrate(ScenarioConfig(n=8, k=16, master_seed=402), SIX,
+                             1e-3, n), 100_000),
         # whole rows peaked at 4.6 and 18.4 MiB, streamed ones at 2.2
         (lambda n: pd_curve(FLAT, 0.05, [6.0], SIX, n), 50_000),
         # an off-nominal row: 1.1 and 3.7 MiB whole, 1.1 streamed
         (lambda n: cfar_sweep(FLAT, 0.01, [FLAT.cnr_db], [0.5], n,
                               detectors=SIX), 10_000),
-    ], ids=["pd_curve", "cfar_sweep"])
-    def test_grid_row_peak_does_not_grow_with_trials(self, run, trials):
+    ], ids=["calibrate", "pd_curve", "cfar_sweep"])
+    def test_peak_does_not_grow_with_trials(self, run, trials):
         run(trials)  # first-call allocations stay out of the peaks
 
         def peak(n):
