@@ -17,9 +17,11 @@ Recorded (or synthesized) cubes are evaluated with a sliding N-pulse
 window: the cell under test is one designated range bin, the secondary
 data are the K/2 bins on each side, and consecutive windows may share a
 configurable number of pulses. Each bin's windows are gathered from the
-cube and evaluated one block of 256 (the engine's block) at a time, so
-only their per-window statistics outlive a block, and the calibration
-bin's statistics only until its thresholds are set.
+cube and evaluated one block of 256 (the engine's block) at a time, and
+each block goes through the harness's chunk loop as it comes: the
+calibration bin's into each detector's top tail, which gives its
+threshold, and the evaluation bin's into exceedance counts. So no bin's
+per-window statistics are ever held whole.
 """
 
 from __future__ import annotations
@@ -39,9 +41,11 @@ from .curves import CurveResult
 from .engine import _BLOCK, _scatter, statistics_from_stacks
 from .harness import (
     _PHASE_CUBE,
-    TrialEnsemble,
-    calibrate_threshold,
-    estimate_rate,
+    NonFiniteStatistic,
+    _Exceedances,
+    _rate_ci,
+    _reduce,
+    _TopTail,
     order_labels,
     required_trials,
 )
@@ -345,27 +349,45 @@ def _region_target(cube: DataCube, n: int, k: int, eval_bin: int,
     return alpha * v
 
 
-def _bin_statistics(cube: DataCube, n: int, k: int, range_bin: int,
-                    overlap: int, count: int, v: np.ndarray,
-                    labels: tuple[str, ...],
-                    target: np.ndarray | None = None) -> dict[str, np.ndarray]:
-    """(windows,) statistics per label of one bin's windows.
+def _window_blocks(cube: DataCube, n: int, k: int, range_bin: int,
+                   overlap: int, count: int, v: np.ndarray,
+                   labels: tuple[str, ...], target: np.ndarray | None = None):
+    """The statistics of one bin's windows, one block of _BLOCK at a time.
 
-    The windows are gathered and evaluated one block of _BLOCK at a time,
-    with target (if any) added to every CUT, so only the statistics
-    outlive a block.
+    Each block is gathered and, with target (if any) added to every CUT,
+    evaluated before the next. A statistic undefined at a window (0/0 at
+    an all-zero CUT, say) warns of nothing here: it is NaN, which the
+    reduction's finite check names.
     """
-    stats = {lab: np.empty(count) for lab in labels}
     for start in range(0, count, _BLOCK):
-        stop = min(start + _BLOCK, count)
-        z, zs = _windows(cube, n, k, range_bin, overlap, start, stop)
+        z, zs = _windows(cube, n, k, range_bin, overlap, start,
+                         min(start + _BLOCK, count))
         if target is not None:
             z += target
-        with _singular_windows_named(cube, zs, range_bin, start):
-            part = statistics_from_stacks(z, zs, v, labels).statistics
-        for lab in labels:
-            stats[lab][start:stop] = part[lab]
-    return stats
+        with (_singular_windows_named(cube, zs, range_bin, start),
+              np.errstate(divide="ignore", invalid="ignore")):
+            part = statistics_from_stacks(z, zs, v, labels)
+        # outside the with, so neither holds while the consumer runs
+        yield part
+
+
+def _reduce_bin(cube: DataCube, n: int, k: int, range_bin: int, overlap: int,
+                count: int, v: np.ndarray, reducers: dict,
+                target: np.ndarray | None = None) -> dict:
+    """Each label's reducer, fed its statistics over one bin's windows.
+
+    A non-finite statistic raises FormatError naming the cube, the range
+    bin, the window and the detector.
+    """
+    blocks = _window_blocks(cube, n, k, range_bin, overlap, count, v,
+                            tuple(reducers), target)
+    try:
+        return _reduce(reducers, blocks)
+    except NonFiniteStatistic as err:
+        raise FormatError(
+            f"{cube.source}: range bin {range_bin}, window {err.index}: "
+            f"{err.detector} statistic is not finite"
+        ) from err
 
 
 @contextmanager
@@ -401,17 +423,21 @@ def sliding_window_run(cube: DataCube, spec) -> CubeRunResult:
     evaluation region's sample covariance (the true covariance of recorded
     data being unknown), so the measured rate is a detection probability;
     otherwise it is an empirical false-alarm probability. A window whose
-    secondary covariance is singular raises FormatError naming the cube,
-    the range bin and the window's index in the bin; a bin without K/2
-    secondary bins on each side, or a calibration bin with too few windows
-    for spec.pfa, raises InsufficientData naming the cube and the bin.
+    secondary covariance is singular, or with a NaN or infinite statistic
+    (0/0 at an all-zero CUT, say), raises FormatError naming the cube, the
+    range bin and the window's index in the bin, and the detector for a
+    statistic; a bin without K/2 secondary bins on each side, or a
+    calibration bin with too few windows for spec.pfa, raises
+    InsufficientData naming the cube and the bin.
 
     Each bin's windows are gathered and evaluated one block of 256 at a
     time, and each block's statistics are bit for bit those of one stack
-    of all the bin's windows. Memory is flat in the window count but for
-    the (windows,) statistics and, in a Pd run, the evaluation region,
-    which is gathered whole once for its covariance and freed before the
-    blocks run.
+    of all the bin's windows. Each block is reduced as it comes, into the
+    calibration bin's order-statistic thresholds or the evaluation bin's
+    exceedance counts, so the rates are those of sorting and counting the
+    whole bins. Memory is flat in the window count but for, in a Pd run,
+    the evaluation region, which is gathered whole once for its covariance
+    and freed before the blocks run.
     """
     cfg = spec.scenario
     n, k = cfg.n, cfg.k
@@ -451,16 +477,12 @@ def sliding_window_run(cube: DataCube, spec) -> CubeRunResult:
     target = None
     if scnr_db is not None:
         target = _region_target(cube, n, k, eval_bin, overlap, count, v, scnr_db)
-    cal_stats = _bin_statistics(cube, n, k, cut_bin, overlap, count, v, labels)
-    thresholds = {
-        lab: calibrate_threshold(TrialEnsemble(lab, cal_stats[lab], cfg), spec.pfa)
-        for lab in labels
-    }
-    del cal_stats  # only the thresholds outlive the calibration bin
-    ev_stats = _bin_statistics(cube, n, k, eval_bin, overlap, count, v, labels,
-                               target)
-    rates, cis = zip(*(estimate_rate(ev_stats[lab], thresholds[lab],
-                                     detector=lab) for lab in labels))
+    cal = _reduce_bin(cube, n, k, cut_bin, overlap, count, v,
+                      {lab: _TopTail(count, spec.pfa) for lab in labels})
+    ev = _reduce_bin(cube, n, k, eval_bin, overlap, count, v,
+                     {lab: _Exceedances(cal[lab].threshold) for lab in labels},
+                     target)
+    rates, cis = zip(*(_rate_ci(ev[lab].count, count) for lab in labels))
     curve = CurveResult(
         axis_names=("scnr_db",),
         axis_values=np.array(

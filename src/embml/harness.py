@@ -8,10 +8,13 @@ point, is reduced chunk by chunk as the engine returns its chunks, so
 memory does not grow with the trial count: a calibrated detector keeps
 only the top trials - rank + 1 statistics that its threshold needs, and a
 grid point one exceedance count per detector. Thresholds and rates are
-exactly those of sorting and averaging the whole ensemble. The CFAR sweep
-and the Pd grids share one point loop. Every experiment phase works in
-its own derived substream namespace, so trials are independent across
-phases and every result is bit-reproducible for a fixed master seed.
+exactly those of sorting and averaging the whole ensemble, which
+TrialEnsemble, calibrate_threshold and estimate_rate still do as the
+reference. One loop, _reduce, feeds the reducers, for these phases and
+for the cube's window blocks. The CFAR sweep and the Pd grids share one
+point loop. Every experiment phase works in its own derived substream
+namespace, so trials are independent across phases and every result is
+bit-reproducible for a fixed master seed.
 Calibration, curves, contours and convergence studies draw each trial's
 maximal invariant on one thread, at about 1 us/trial; only the CFAR sweep
 draws data, because CNR and rho drop out of the invariant by
@@ -22,6 +25,8 @@ depend on it.
 from __future__ import annotations
 
 import math
+from collections.abc import Generator
+from contextlib import closing
 from dataclasses import dataclass, replace
 from statistics import NormalDist
 
@@ -29,11 +34,12 @@ import numpy as np
 
 from .curves import ConvergenceResult, CurveResult
 from .detectors import DetectorId, parse_detector_label
-from .engine import _simulate_chunks, simulate_statistics
+from .engine import SimulatedStatistics, _simulate_chunks, simulate_statistics
 from .scenario import ScenarioConfig, derive_stream_seed
 
 __all__ = [
     "InsufficientTrials",
+    "NonFiniteStatistic",
     "TrialEnsemble",
     "order_labels",
     "required_trials",
@@ -59,26 +65,42 @@ class InsufficientTrials(ValueError):
     """Too few null trials for the requested false alarm probability."""
 
 
+class NonFiniteStatistic(ValueError):
+    """A NaN or infinite statistic, with its detector and trial index."""
+
+    def __init__(self, message: str, detector: str | None, index: int):
+        super().__init__(message)
+        self.detector = detector
+        self.index = index
+
+
 def _require_finite(stats: np.ndarray, detector: str | None,
                     start: int = 0) -> None:
     """Reject NaN and infinite statistics, which would sort and count silently.
 
-    stats are those of trials start, start + 1, ...; the message names the
-    first bad one by its trial index.
+    stats are those of trials start, start + 1, ...; the NonFiniteStatistic
+    raised names the first bad one by its trial index.
     """
     bad = ~np.isfinite(stats)
     if bad.any():
+        index = start + int(np.argmax(bad))
         msg = (
             f"{np.count_nonzero(bad)} of {stats.size} statistics in trials "
             f"[{start}, {start + stats.size}) are not finite, first at trial "
-            f"{start + int(np.argmax(bad))}"
+            f"{index}"
         )
-        raise ValueError(msg if detector is None else f"{detector}: {msg}")
+        raise NonFiniteStatistic(
+            msg if detector is None else f"{detector}: {msg}", detector, index)
 
 
 @dataclass(frozen=True)
 class TrialEnsemble:
-    """Sorted statistics of one detector over a block of trials."""
+    """Sorted statistics of one detector over a block of trials.
+
+    With calibrate_threshold and estimate_rate, the sort-based reference
+    that the streamed reducers are checked against; no subcommand calls
+    it.
+    """
 
     detector: str
     statistics: np.ndarray
@@ -128,7 +150,8 @@ def calibrate_threshold(ensemble: TrialEnsemble, pfa: float) -> float:
 
     The decision rule everywhere is "statistic > threshold means H1", so
     the empirical exceedance rate of the calibration ensemble itself is
-    within one trial quantum of pfa.
+    within one trial quantum of pfa. A reference: runs threshold through
+    _TopTail, which gives the same value without sorting.
     """
     rank = _threshold_rank(ensemble.trial_count, pfa)
     return float(ensemble.statistics[rank - 1])
@@ -146,7 +169,8 @@ def estimate_rate(
     """Exceedance fraction and its binomial 95% confidence half-width.
 
     detector names the statistics in the error raised when one is not
-    finite.
+    finite. A reference: runs count through _Exceedances and _rate_ci,
+    which give the same pair chunk by chunk.
     """
     stats = np.asarray(statistics, dtype=float)
     if stats.size == 0:
@@ -228,15 +252,34 @@ def _check_calibration(cfg, labels, pfa: float, trials: int) -> None:
         raise ValueError("benchmark calibration requires scnr_db on the scenario")
 
 
-def _reduce(cfg, labels, pfa: float, trials: int, seed: int, adaptive,
-            **simulate) -> dict:
-    """Each label's reducer, fed its statistics over trials chunk by chunk.
+def _reduce(reducers: dict,
+            chunks: Generator[SimulatedStatistics, None, None]) -> dict:
+    """Feed each label's reducer its statistics, chunk by chunk.
+
+    chunks is a generator of consecutive runs of trials in order: engine
+    chunks, or a cube bin's window blocks. Each chunk is reduced as it
+    arrives, after a finite check that names a bad statistic by its index
+    in the whole run. chunks is closed as soon as a check raises, so a
+    thread pool behind it has shut down by the time the error is seen.
+    """
+    start = 0
+    with closing(chunks):
+        for part in chunks:
+            for lab, reducer in reducers.items():
+                stats = part.statistics[lab]
+                _require_finite(stats, lab, start)
+                reducer.add(stats)
+            start += stats.size
+    return reducers
+
+
+def _simulated(cfg, labels, pfa: float, trials: int, seed: int, adaptive,
+               **simulate) -> dict:
+    """Each label's reducer, fed its statistics over trials as simulated.
 
     The benchmark counts its exceedances of its exact threshold at
-    cfg.scnr_db; every other label gets the reducer adaptive(label). Each
-    chunk is reduced as the engine returns it, after a finite check that
-    names a bad statistic by its trial index in the ensemble. Nothing is
-    drawn for no labels.
+    cfg.scnr_db; every other label gets the reducer adaptive(label).
+    Nothing is drawn for no labels.
     """
     reducers = {
         lab: _Exceedances(_benchmark_threshold(cfg.scnr_db, pfa))
@@ -246,15 +289,8 @@ def _reduce(cfg, labels, pfa: float, trials: int, seed: int, adaptive,
     }
     if not labels:
         return reducers
-    start = 0
-    for part in _simulate_chunks(cfg, labels, trials, stream_seed=seed,
-                                 **simulate):
-        for lab, reducer in reducers.items():
-            stats = part.statistics[lab]
-            _require_finite(stats, lab, start)
-            reducer.add(stats)
-        start += stats.size
-    return reducers
+    return _reduce(reducers, _simulate_chunks(cfg, labels, trials,
+                                              stream_seed=seed, **simulate))
 
 
 def _null_phase(cfg, labels, pfa: float, trials: int, **simulate) -> dict:
@@ -264,8 +300,8 @@ def _null_phase(cfg, labels, pfa: float, trials: int, **simulate) -> dict:
     order-statistic threshold.
     """
     seed = derive_stream_seed(cfg.master_seed, _PHASE_CALIBRATION)
-    return _reduce(_null_config(cfg), labels, pfa, trials, seed,
-                   lambda lab: _TopTail(trials, pfa), **simulate)
+    return _simulated(_null_config(cfg), labels, pfa, trials, seed,
+                      lambda lab: _TopTail(trials, pfa), **simulate)
 
 
 def _rate_curve(cfg, phase, axis_names, rows, labels, trials, pfa, thresholds,
@@ -284,9 +320,9 @@ def _rate_curve(cfg, phase, axis_names, rows, labels, trials, pfa, thresholds,
             reducers = nominal
         else:
             seed = derive_stream_seed(cfg.master_seed, phase, i)
-            reducers = _reduce(point_cfg, labels, pfa, trials, seed,
-                               lambda lab: _Exceedances(thresholds[lab]),
-                               **simulate)
+            reducers = _simulated(point_cfg, labels, pfa, trials, seed,
+                                  lambda lab: _Exceedances(thresholds[lab]),
+                                  **simulate)
         for j, lab in enumerate(labels):
             rates[i, j], cis[i, j] = _rate_ci(reducers[lab].count, trials)
 

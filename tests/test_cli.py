@@ -3,10 +3,14 @@
 import argparse
 import hashlib
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import embml
 from embml.cli import _spec_from_args, build_parser, main
 from embml.cube import DataCube, synthesize_cube, write_cube
 from embml.scenario import ScenarioConfig
@@ -206,6 +210,31 @@ class TestExitCodes:
         assert "late-zero.bin" in stderr
         assert re.search(r"\bbin 13\b", stderr)
         assert re.search(r"\bwindow 300\b", stderr)
+
+    def test_non_finite_window_statistic_is_three_with_one_error_line(
+        self, tmp_path
+    ):
+        # pulses 2400-2407 of the evaluation bin are its window 300, in the
+        # second block of 256; their all-zero CUT makes the ACE 0/0. Run in
+        # a fresh interpreter, so that a numpy warning would reach stderr.
+        data = synthesize_cube(ScenarioConfig(n=8, k=16, master_seed=3),
+                               8000, 18).data.copy()
+        data[2400:2408, 9] = 0.0
+        cube_path = tmp_path / "zero-cut.bin"
+        write_cube(DataCube(data), cube_path, "interleaved-binary")
+        src = str(Path(embml.__file__).resolve().parents[1])
+        run = subprocess.run(
+            [sys.executable, "-m", "embml.cli", "ingest-run",
+             "--cube", str(cube_path), "--cut-bin", "8", "--eval-bin", "9",
+             "--overlap", "0", "--pfa", "0.1", "--n", "8", "--k", "16",
+             "--out", str(tmp_path / "x.csv")],
+            cwd=src, capture_output=True, text=True,
+        )
+        assert run.returncode == 3
+        assert run.stderr == (
+            f"error: {cube_path}: range bin 9, window 300: ace statistic is "
+            "not finite\n")
+
 
 class TestFlagPlumbing:
     def test_flags_override_config(self, tmp_path, capsys):

@@ -614,6 +614,21 @@ class TestBlockwiseWindows:
         np.testing.assert_array_equal(result.curve.rates[0], rates)
         np.testing.assert_array_equal(result.curve.cis[0], cis)
 
+    @pytest.mark.parametrize("role", ["cube_cut_bin", "cube_eval_bin"])
+    def test_non_finite_statistic_is_named_by_bin_and_window(self, role):
+        # window 300 lies in the second block of 256, at offset 44; its
+        # all-zero CUT makes the ACE 0/0
+        cfg = ScenarioConfig(n=4, k=8, master_seed=87)
+        spec = self.make_spec(cfg, 0.2, 0)
+        range_bin = getattr(spec, role)
+        data = synthesize_cube(cfg, 4 * 1000, 10).data.copy()
+        data[4 * 300:4 * 301, range_bin] = 0.0
+        cube = DataCube(data, source="zero-cut.bin")
+        with pytest.raises(FormatError, match=(
+                rf"^zero-cut\.bin: range bin {range_bin}, window 300: ace "
+                "statistic is not finite$")):
+            sliding_window_run(cube, spec)
+
     @pytest.mark.parametrize("overlap", [0, 3])
     def test_region_covariance_keeps_its_bits(self, monkeypatch, overlap):
         # the (windows, n, k) stack flattened through a transposed copy, as
