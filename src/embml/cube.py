@@ -4,13 +4,13 @@ A cube holds complex baseband returns indexed (pulse, range bin). Two
 fully specified encodings are supported: an interleaved little-endian
 binary format for bulk data and a CSV format for inspection (grammar in
 README). Both readers view the stored float pairs as complex, so a read is
-exact to the bit. A CSV file is read once, one block of text at a time,
-and parsed by numpy's C tokenizer, so a read holds the cube and one block,
-never the whole text, and a well-formed file may come from a FIFO. The
-line parser runs only when the tokenizer refuses a block or may read it
-differently; it reopens the file and parses it line by line into one flat
-buffer, giving the same cells or a FormatError at path:line. A pipe cannot
-be reopened, so a refused cube from one is a FormatError at once. A binary
+exact to the bit. A CSV file is opened once and read one block at a time,
+each completed to the end of its last line. Each such run of whole lines
+goes to numpy's C tokenizer, and a run it refuses, or may read
+differently, to the line parser, which goes on from the line and row
+width the runs before it left. Both append to one flat buffer of doubles,
+so a read holds the cube and one run, never the whole text, gives the
+same cells or a FormatError at path:line, and works from a FIFO. A binary
 cube is read into one buffer that grows block by block from a pipe.
 
 Recorded (or synthesized) cubes are evaluated with a sliding N-pulse
@@ -102,8 +102,9 @@ class DataCube:
             finite = np.isfinite(data[top:top + _BLOCK])
             if not finite.all():
                 pulse, rbin = divmod(int(np.argmin(finite)), data.shape[1])
+                where = f"{self.source}: " if self.source else ""
                 raise FormatError(
-                    f"cube contains non-finite samples, first at pulse "
+                    f"{where}cube contains non-finite samples, first at pulse "
                     f"{top + pulse}, range bin {rbin}"
                 )
         object.__setattr__(self, "data", data)
@@ -137,10 +138,7 @@ def read_cube_binary(path) -> DataCube:
             f"({expected} bytes) but file holds {len(raw)}"
         )
     data = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size).reshape(p, r)
-    try:
-        return DataCube(data=data, source=str(path))
-    except FormatError as err:
-        raise FormatError(f"{path}: {err}") from err
+    return DataCube(data=data, source=str(path))
 
 
 def write_cube_csv(cube: DataCube, path) -> None:
@@ -153,49 +151,38 @@ def write_cube_csv(cube: DataCube, path) -> None:
 
 
 def read_cube_csv(path) -> DataCube:
+    cells = array("d")
+    line, width = 0, None
     with open(path, "rb") as fh:
-        cells = _tokenized_csv(fh)
-        if cells is None and not fh.seekable():
-            raise FormatError(
-                f"{path}: the tokenizer refused this cube text; the line "
-                "parser that names the fault must re-read the file, and a "
-                "pipe cannot be re-read"
-            )
-    if cells is None:
-        cells = _parse_csv_lines(path)
-    try:
-        return DataCube(data=cells.view(np.complex128), source=str(path))
-    except FormatError as err:
-        raise FormatError(f"{path}: {err}") from err
+        # a block and the rest of its last line: a run of whole lines
+        while run := fh.read(_READ_BLOCK) + fh.readline():
+            tokens = _tokenized_csv(run)
+            if tokens is None or width not in (None, tokens.shape[1]):
+                line, width = _parse_csv_lines(path, run, cells, line, width)
+                continue
+            cells.frombytes(memoryview(tokens).cast("B"))
+            width = tokens.shape[1]
+            # the tokenizer refuses a \r outside \r\n, so the line parser
+            # would count a line per b"\n" (numpy counts 4x as fast as bytes)
+            ends = np.frombuffer(run, np.uint8) == ord("\n")
+            line += int(np.count_nonzero(ends))
+    if width is None:
+        raise FormatError(f"{path}: empty cube file")
+    data = np.frombuffer(cells, np.complex128).reshape(-1, width // 2)
+    return DataCube(data=data, source=str(path))
 
 
-def _csv_lines(stream):
-    """The lines of a binary stream, split on b"\n" as iterating io.BytesIO
-    splits them, read one _READ_BLOCK at a time; ValueError at the first
-    block holding a non-ASCII byte or one of the ASCII separators 0x1C-0x1F."""
-    pending = []
-    while block := stream.read(_READ_BLOCK):
-        # the tokenizer strips the separators around a cell as whitespace,
-        # and float() refuses them
-        if not block.isascii() or any(sep in block
-                                       for sep in b"\x1c\x1d\x1e\x1f"):
-            raise ValueError("cube text the tokenizer may read differently")
-        cut = block.rfind(b"\n") + 1
-        if cut:
-            pending.append(block[:cut])
-            yield from io.BytesIO(b"".join(pending))
-            pending = []
-        pending.append(block[cut:])
-    if tail := b"".join(pending):
-        yield tail
-
-
-def _tokenized_csv(stream) -> np.ndarray | None:
-    """The (pulses, 2R) cells as numpy's C tokenizer reads them, or None."""
+def _tokenized_csv(text: bytes) -> np.ndarray | None:
+    """The (rows, 2R) cells of a run of lines as numpy's C tokenizer reads
+    them, or None where it refuses them or may read them differently."""
+    # the tokenizer strips the separators around a cell as whitespace,
+    # and float() refuses them
+    if not text.isascii() or any(sep in text for sep in b"\x1c\x1d\x1e\x1f"):
+        return None
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            cells = np.loadtxt(_csv_lines(stream), delimiter=",",
+            cells = np.loadtxt(io.BytesIO(text), delimiter=",",
                                dtype=np.float64, comments=None, ndmin=2)
     except (ValueError, Warning):
         return None
@@ -204,38 +191,37 @@ def _tokenized_csv(stream) -> np.ndarray | None:
     return cells
 
 
-def _parse_csv_lines(path) -> np.ndarray:
-    """The (pulses, 2R) cells, parsed line by line into one flat buffer;
-    FormatError as path:line."""
-    cells = array("d")
-    width = None
-    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.isascii():
-                raise FormatError(f"{path}:{lineno}: non-ASCII byte in cube text")
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                values = list(map(float, line.split(",")))
-            except ValueError as err:
-                raise FormatError(f"{path}:{lineno}: {err}") from err
-            if len(values) % 2 != 0:
-                raise FormatError(
-                    f"{path}:{lineno}: odd cell count {len(values)}; "
-                    "cells must be re,im pairs"
-                )
-            if width is None:
-                width = len(values)
-            elif len(values) != width:
-                raise FormatError(
-                    f"{path}:{lineno}: ragged row ({len(values)} cells, "
-                    f"expected {width})"
-                )
-            cells.fromlist(values)
-    if width is None:
-        raise FormatError(f"{path}: empty cube file")
-    return np.frombuffer(cells).reshape(-1, width)
+def _parse_csv_lines(path, text: bytes, cells: array, line: int,
+                     width: int | None) -> tuple[int, int | None]:
+    """Parse a run of lines into cells, going on from the line number and
+    row width before it; return both after it, or raise FormatError as
+    path:line. Lines split as a text-mode file splits them."""
+    lines = io.TextIOWrapper(io.BytesIO(text), encoding="ascii",
+                             errors="surrogateescape")
+    for line, row in enumerate(lines, start=line + 1):
+        if not row.isascii():
+            raise FormatError(f"{path}:{line}: non-ASCII byte in cube text")
+        row = row.strip()
+        if not row:
+            continue
+        try:
+            values = list(map(float, row.split(",")))
+        except ValueError as err:
+            raise FormatError(f"{path}:{line}: {err}") from err
+        if len(values) % 2 != 0:
+            raise FormatError(
+                f"{path}:{line}: odd cell count {len(values)}; "
+                "cells must be re,im pairs"
+            )
+        if width is None:
+            width = len(values)
+        elif len(values) != width:
+            raise FormatError(
+                f"{path}:{line}: ragged row ({len(values)} cells, "
+                f"expected {width})"
+            )
+        cells.fromlist(values)
+    return line, width
 
 
 def ingest_cube(path, format: str = "interleaved-binary") -> DataCube:

@@ -192,17 +192,17 @@ def _evaluate(
     scalars,
     benchmark_aux,
     logdet_s,
-    record_em_trace: bool,
     trace_l_max: int | None,
 ) -> SimulatedStatistics:
     """Detector statistics of a trial range, whichever generator drew it.
 
     scalars is (a, |b|^2, c), benchmark_aux the (u, c, alpha) arguments of
     benchmark_statistic_from_aux and logdet_s log det S; each is None
-    unless _needs asks for it (logdet_s only with the trace). Every
-    operation is elementwise over trials, so a trial's statistics do not
-    depend on how many trials are evaluated with it. EM variant labels
-    like em-bml-d5 share a single EM recursion run to the largest cap.
+    unless _needs asks for it, and the EM trace is recorded exactly when
+    logdet_s is given. Every operation is elementwise over trials, so a
+    trial's statistics do not depend on how many trials are evaluated
+    with it. EM variant labels like em-bml-d5 share a single EM recursion
+    run to the largest cap.
     """
     parsed = [parse_detector_label(lab) for lab in labels]
     em_ls = sorted({lmax for det, lmax in parsed if det is DetectorId.EM_BML_D})
@@ -220,9 +220,9 @@ def _evaluate(
         )
 
     em_delta = None
-    if em_ls or record_em_trace:
+    if em_ls or logdet_s is not None:
         l_top = max(em_ls, default=0)
-        if record_em_trace:
+        if logdet_s is not None:
             l_top = max(l_top, trace_l_max or 0)
         snaps, em_delta = _em_batched(
             *scalars, logdet_s, l_top, tuple(em_ls), k, n,
@@ -300,7 +300,7 @@ def statistics_from_stacks(
                                              record_em_trace)
     return _evaluate(labels, z.shape[1], k, scalars,
                      None if u is None else (u, c, alpha), logdet_s,
-                     record_em_trace, trace_l_max)
+                     trace_l_max)
 
 
 def benchmark_statistic_from_aux(
@@ -413,7 +413,7 @@ def _data_chunk(cfg, labels, stream_seed, start, stop, inject, record_trace,
     scalars, u, logdet_s = kept
     return _evaluate(labels, cfg.n, cfg.k, scalars,
                      None if u is None else (u, c, alpha), logdet_s,
-                     record_trace, trace_l_max)
+                     trace_l_max)
 
 
 def _invariant_block(n: int, k: int, rngs, record_trace: bool,
@@ -502,7 +502,7 @@ def _invariant_chunk(cfg, labels, stream_seed, start, stop, inject,
         )
 
     return _evaluate(labels, n, k, scalars, benchmark_aux, logdet_s,
-                     record_trace, trace_l_max)
+                     trace_l_max)
 
 
 def _compute_chunk(args) -> SimulatedStatistics:

@@ -4,6 +4,7 @@ import hashlib
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -70,6 +71,7 @@ CSV_CASES = [
     pytest.param(b"1.0,2.0\n", True, id="one-pair"),
     pytest.param(b"1.0,2.0\n3.0,4\xc3\xa9\n", False, id="non-ascii"),
     pytest.param(b"1.0\x1c,2.0\n", False, id="separator-byte"),
+    pytest.param(b"1.0,2.0\r3.0,4.0\n", False, id="lone-cr"),
 ]
 
 
@@ -153,9 +155,9 @@ class TestCsvFormat:
             except FormatError as err:
                 return f"FormatError: {err}"
 
-        assert (cube_module._tokenized_csv(io.BytesIO(text)) is not None) == tokenized
+        assert (cube_module._tokenized_csv(text) is not None) == tokenized
         got = read()
-        monkeypatch.setattr(cube_module, "_tokenized_csv", lambda raw: None)
+        monkeypatch.setattr(cube_module, "_tokenized_csv", lambda text: None)
         assert got == read()
 
     @pytest.mark.parametrize("block", [1, 2, 7])
@@ -166,8 +168,9 @@ class TestCsvFormat:
     ])
     def test_block_size_changes_nothing(self, tmp_path, monkeypatch, text,
                                         tokenized, block):
-        # lines and refused bytes may straddle blocks; a refused block after
-        # lines already tokenized still sends the whole read to the line parser
+        # small blocks cut the text into runs of a line or a few; a refused
+        # run after runs already tokenized goes to the line parser where it
+        # stands
         path = tmp_path / "cube.csv"
         path.write_bytes(text)
 
@@ -179,8 +182,32 @@ class TestCsvFormat:
 
         whole = read()
         monkeypatch.setattr(cube_module, "_READ_BLOCK", block)
-        assert (cube_module._tokenized_csv(io.BytesIO(text)) is not None) == tokenized
+        assert (cube_module._tokenized_csv(text) is not None) == tokenized
         assert read() == whole
+
+    def test_fault_after_tokenized_runs_is_named_by_its_line(
+        self, tmp_path, monkeypatch
+    ):
+        # small blocks cut the text into runs of a few lines; those before
+        # line 40, blank and CRLF lines among them, count toward its number
+        head = (b"1.0,2.0\n" + b"\n" + b"3.0,4.0\r\n") * 13
+        path = tmp_path / "cube.csv"
+        path.write_bytes(head + b"5.0,spam\n" + b"1.0,2.0\n" * 5)
+        tokenizer = cube_module._tokenized_csv
+        accepted = []
+
+        def recording(text):
+            cells = tokenizer(text)
+            accepted.append(cells is not None)
+            return cells
+
+        monkeypatch.setattr(cube_module, "_READ_BLOCK", 20)
+        monkeypatch.setattr(cube_module, "_tokenized_csv", recording)
+        with pytest.raises(FormatError, match=(
+                rf"^{re.escape(str(path))}:40: could not convert string "
+                r"to float: 'spam'$")):
+            read_cube_csv(path)
+        assert sum(accepted) >= 5
 
     def test_well_formed_file_never_reaches_the_line_parser(
         self, tmp_path, monkeypatch
@@ -190,7 +217,7 @@ class TestCsvFormat:
         path = tmp_path / "cube.csv"
         write_cube_csv(DataCube(data), path)
 
-        def refuse(path):
+        def refuse(*args):
             raise AssertionError("line parser reached")
 
         monkeypatch.setattr(cube_module, "_parse_csv_lines", refuse)
@@ -205,9 +232,9 @@ class TestCsvFormat:
         write_cube_csv(cube, path)
         parsed = []
 
-        def recording(path):
-            parsed.append(path)
-            return line_parser(path)
+        def recording(*args):
+            parsed.append(args)
+            return line_parser(*args)
 
         line_parser = cube_module._parse_csv_lines
         monkeypatch.setattr(cube_module, "_parse_csv_lines", recording)
@@ -321,17 +348,30 @@ class TestFifo:
         assert str(from_fifo.value) == str(from_file.value).replace(
             str(path), str(tmp_path / "cube.fifo"))
 
-    def test_refused_csv_fifo_fails_instead_of_waiting(self, tmp_path):
-        # the line parser reopens the path, which for a FIFO waits for a
-        # new writer
-        cube = synthesize_cube(ScenarioConfig(master_seed=89), 50, 4)
+    @pytest.mark.parametrize("tail,fails", [
+        pytest.param(b"   \n", False, id="whitespace-line"),
+        pytest.param(b"1_0," + b"0.5," * 22 + b"0.5\n", False, id="underscore"),
+        pytest.param(b"1.0,2.0\n", True, id="ragged"),
+        pytest.param(b"1.0,2.0,3.0\n", True, id="odd-cells"),
+        pytest.param(b"1.0,2\xc3\xa9\n", True, id="non-ascii"),
+    ])
+    def test_refused_csv_fifo_reads_as_the_file(self, tmp_path, tail, fails):
+        # the refused run is the last of several; the runs before it are
+        # tokenized, and nothing is read twice
+        cube = synthesize_cube(ScenarioConfig(master_seed=89), 400, 12)
         path = tmp_path / "cube.csv"
         write_cube_csv(cube, path)
-        with pytest.raises(FormatError, match=(
-                r"cube\.fifo: .*line parser .* must re-read the file, "
-                r"and a pipe cannot be re-read$")):
-            through_fifo(tmp_path, path.read_bytes() + b"   \n",
-                         read_cube_csv, timeout=5.0)
+        path.write_bytes(path.read_bytes() + tail)
+
+        def read(source):
+            try:
+                return read_cube_csv(source).data.tobytes()
+            except FormatError as err:
+                return f"FormatError: {err}".replace(str(source), "<cube>")
+
+        from_file = read(path)
+        assert isinstance(from_file, str) == fails
+        assert through_fifo(tmp_path, path.read_bytes(), read) == from_file
 
 
 class TestCrossFormat:
