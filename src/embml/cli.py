@@ -28,7 +28,7 @@ from .config import (
     ValidationError,
     parse_config,
 )
-from .cube import FormatError, ingest_cube, sliding_window_run
+from .cube import CUBE_FORMATS, FormatError, ingest_cube, sliding_window_run
 from .curves import IoError, write_convergence, write_curve, write_text
 from .harness import (
     calibrate,
@@ -124,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     cube = subparsers["ingest-run"]
     _value_flag(cube, "--cube", "cube.path", help="cube file path")
     _value_flag(cube, "--cube-format", "cube.format",
-                help="cube file encoding: interleaved-binary or csv")
+                help=f"cube file encoding: {' or '.join(CUBE_FORMATS)}")
     _value_flag(cube, "--cut-bin", "cube.cut_bin",
                 help="range bin under test")
     _value_flag(cube, "--eval-bin", "cube.eval_bin",

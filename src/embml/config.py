@@ -13,6 +13,7 @@ from __future__ import annotations
 import configparser
 from dataclasses import dataclass, field
 
+from .cube import CUBE_FORMATS
 from .detectors import DetectorId, detector_label, parse_detector_label
 from .harness import required_trials
 from .scenario import ScenarioConfig
@@ -120,9 +121,9 @@ class ExperimentSpec:
                 raise ValidationError(
                     f"cos_sq_phi_grid values must lie in [0, 1]; got {c}"
                 )
-        if self.cube_format not in ("interleaved-binary", "csv"):
+        if self.cube_format not in CUBE_FORMATS:
             raise ValidationError(
-                "cube_format must be interleaved-binary or csv; "
+                f"cube_format must be {' or '.join(CUBE_FORMATS)}; "
                 f"got {self.cube_format!r}"
             )
         if self.command == "ingest-run":

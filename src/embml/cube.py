@@ -224,21 +224,25 @@ def _parse_csv_lines(path, text: bytes, cells: array, line: int,
     return line, width
 
 
+# the cube encodings by name: (reader, writer)
+CUBE_FORMATS = {
+    "interleaved-binary": (read_cube_binary, write_cube_binary),
+    "csv": (read_cube_csv, write_cube_csv),
+}
+
+
+def _codec(format: str):
+    if format not in CUBE_FORMATS:
+        raise ValueError(f"unknown cube format {format!r}")
+    return CUBE_FORMATS[format]
+
+
 def ingest_cube(path, format: str = "interleaved-binary") -> DataCube:
-    if format == "interleaved-binary":
-        return read_cube_binary(path)
-    if format == "csv":
-        return read_cube_csv(path)
-    raise ValueError(f"unknown cube format {format!r}")
+    return _codec(format)[0](path)
 
 
 def write_cube(cube: DataCube, path, format: str = "interleaved-binary") -> None:
-    if format == "interleaved-binary":
-        write_cube_binary(cube, path)
-    elif format == "csv":
-        write_cube_csv(cube, path)
-    else:
-        raise ValueError(f"unknown cube format {format!r}")
+    _codec(format)[1](cube, path)
 
 
 def synthesize_cube(

@@ -12,30 +12,29 @@ _evaluate, computes every statistic from it. Two generators feed it:
   and solves S against [v, z] (_stack_invariants).
   statistics_from_stacks is its entry for data from outside (cube
   windows); it is cross-checked to 1e-9 against the per-trial reference.
-- the invariant path (simulate_statistics(..., invariant=True)) draws a,
-  |b|^2, c, log det S and the benchmark's projection exactly from O(n)
-  scalars per trial, with no data matrix and no solve. The test suite
-  checks its distributions against the data path.
+- the invariant path draws a, |b|^2, c, log det S and the benchmark's
+  projection exactly from O(n) scalars per trial, with no data matrix and
+  no solve. The test suite checks its distributions against the data
+  path.
 
+A chunk of _CHUNK trials is the unit of work: _compute_chunk has one path
+draw what _needs says the labels read, and runs _evaluate once over it.
 On both paths each block of _BLOCK trials draws from a generator keyed by
 (stream_seed, block_index), with a tag per path; a chunk builds one Philox
-and re-keys it for each block (scenario.block_rngs). Each trial's draws
-depend only on its index, never on where a chunk starts. The data path
-draws, colours and solves one block at a time into buffers allocated once
-per chunk, and keeps only the block's (a, |b|^2, c), benchmark projection
-and log det S, whichever the labels need, so a chunk holds one block's
-matrices, never the chunk's. The invariant path, at O(n) scalars per
-trial, fills the whole blocks covering a chunk into one buffer
-(_covering_blocks). Either way _evaluate then runs once over the chunk,
-elementwise per trial. So results are bit-identical for a given stream
-seed no matter the chunk size or worker count, and the chunk size is only
-the task size of a thread pool. Threads overlap only inside numpy calls
-that release the GIL, which on the data path are most of a trial: the
-Philox fill, the colouring products and the batched solve. An invariant
-trial costs about 1 us in short numpy calls that contend for the GIL, so
-the harness runs that path on one thread. _simulate_chunks yields the
-chunks as they are computed, which is how the harness reduces every
-phase in flat memory; simulate_statistics concatenates them.
+and re-keys it for each block covering it (_blocks, scenario.block_rngs),
+so each trial's draws depend only on its index, never on where a chunk
+starts. The data path draws, colours and solves one block at a time and
+keeps only the chunk's part of what the labels read, so a chunk holds one
+block's matrices, never the chunk's. The invariant path, at O(n) scalars
+per trial, fills the whole covering blocks into one buffer. Results are
+bit-identical for a given stream seed whatever the chunk size or worker
+count, which only set the tasks of a thread pool. Threads overlap only
+inside numpy calls that release the GIL, most of a data trial (the Philox
+fill, the colouring products, the batched solve); an invariant trial
+costs about 1 us in short calls that contend for the GIL, so the harness
+runs that path on one thread. The chunk iterator, _simulate_chunks, is
+the package's entry: it yields each chunk as it is computed, so the
+harness reduces every phase in flat memory.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -64,7 +62,8 @@ from .scenario import (
 
 __all__ = ["SimulatedStatistics", "simulate_statistics", "statistics_from_stacks"]
 
-_DEFAULT_CHUNK = 4096
+# trials per chunk, the task size of a thread pool
+_CHUNK = 4096
 # trials per block key, on either path
 _BLOCK = 256
 _CLASSICAL = {d.value for d in (DetectorId.GLRT, DetectorId.AMF, DetectorId.RAO,
@@ -310,21 +309,9 @@ def benchmark_statistic_from_aux(
     return 2.0 * (np.conj(alpha) * u).real - abs(alpha) ** 2 * c
 
 
-def _covering_blocks(fill, start: int, stop: int, rows: int) -> np.ndarray:
-    """Columns of trials [start, stop) in a buffer of their whole blocks.
-
-    The (rows, blocks * _BLOCK) buffer holds every block covering the
-    range; fill(b, slab) writes block b into its (rows, _BLOCK) column
-    slab. Each trial's draws depend only on its index, never on where a
-    chunk starts.
-    """
-    first = start // _BLOCK
-    blocks = range(first, (stop - 1) // _BLOCK + 1)
-    buf = np.empty((rows, len(blocks) * _BLOCK))
-    for i, b in enumerate(blocks):
-        fill(b, buf[:, i * _BLOCK : (i + 1) * _BLOCK])
-    offset = first * _BLOCK
-    return buf[:, start - offset : stop - offset]
+def _blocks(start: int, stop: int) -> range:
+    """Indices of the blocks of _BLOCK trials covering trials [start, stop)."""
+    return range(start // _BLOCK, (stop - 1) // _BLOCK + 1)
 
 
 def _coloured_blocks(
@@ -355,7 +342,7 @@ def _coloured_blocks(
     w = np.empty((2, n, _BLOCK * cols))
     block = np.empty((n, _BLOCK * cols), dtype=np.complex128)
     rngs = block_rngs(stream_seed, data=True)
-    for b in range(start // _BLOCK, (stop - 1) // _BLOCK + 1):
+    for b in _blocks(start, stop):
         rngs(b).standard_normal(out=w)
         # the reciprocal gives the bits of numpy's complex division by sqrt(2)
         np.multiply(w, 1.0 / np.sqrt(2.0), out=w)
@@ -366,14 +353,14 @@ def _coloured_blocks(
         yield lo, hi, block.reshape(n, _BLOCK, cols)[:, lo - first : hi - first]
 
 
-def _data_chunk(cfg, labels, stream_seed, start, stop, inject, record_trace,
-                trace_l_max) -> SimulatedStatistics:
-    """Statistics of trials [start, stop) drawn as data.
+def _data_chunk(cfg, stream_seed, start, stop, inject, need_scalars,
+                need_benchmark, need_logdet):
+    """(a, |b|^2, c), the benchmark's arguments and log det S of trials
+    [start, stop) drawn as data, each None unless needed.
 
     Each block's part of the range is drawn, coloured and solved on its
-    own, and keeps only (a, |b|^2, c), the benchmark's projection and
-    log det S, whichever the labels need; the statistics are then evaluated
-    once over the chunk. Labels that need none of the three form no S.
+    own, and keeps only those. Needing neither (a, |b|^2, c) nor log det S
+    forms no S.
     """
     m = build_covariance(cfg)
     v = steering_vector(cfg.n, cfg.doppler)
@@ -389,8 +376,6 @@ def _data_chunk(cfg, labels, stream_seed, start, stop, inject, record_trace,
     if inject:
         target = injection_amplitude(v_true, m, cfg.scnr_db) * v_true
 
-    labels = tuple(labels)
-    need_scalars, need_benchmark = _needs(labels, record_trace)
     minv_v, c, alpha = (_benchmark_projection(v, m, alpha_hyp)
                         if need_benchmark else (None, None, None))
     trials = stop - start
@@ -398,36 +383,33 @@ def _data_chunk(cfg, labels, stream_seed, start, stop, inject, record_trace,
     kept = (
         np.empty((3, trials)) if need_scalars else None,
         np.empty(trials, dtype=np.complex128) if need_benchmark else None,
-        np.empty(trials) if record_trace else None,
+        np.empty(trials) if need_logdet else None,
     )
     for lo, hi, stack in _coloured_blocks(cfg, m.chol, stream_seed, start, stop):
         z = stack[:, :, 0].T
         if inject:
             z = z + target
         block = _stack_invariants(z, stack[:, :, 1:].transpose(1, 0, 2), v,
-                                  need_scalars, minv_v, record_trace)
+                                  need_scalars, minv_v, need_logdet)
         for out, part in zip(kept, block):
             if out is not None:
                 out[..., lo - start : hi - start] = part
 
     scalars, u, logdet_s = kept
-    return _evaluate(labels, cfg.n, cfg.k, scalars,
-                     None if u is None else (u, c, alpha), logdet_s,
-                     trace_l_max)
+    return scalars, None if u is None else (u, c, alpha), logdet_s
 
 
-def _invariant_block(n: int, k: int, rngs, record_trace: bool,
-                     block: int, out: np.ndarray) -> None:
+def _invariant_block(n: int, k: int, rng, record_trace: bool,
+                     out: np.ndarray) -> None:
     """Raw draws of one block of _BLOCK trials into out, one column per trial.
 
     Rows: the real then the imaginary parts of z1, z2 and the strictly
     lower entries of T (row by row), the Gamma(k-n+p-i) squares of T's
     diagonal, Gamma(n-2) for r^2 when n > 2, and with the trace the sum of
     log Gamma(k-i), i < n-p. The trace row is drawn last, so the other rows
-    do not depend on it. rngs(block) is the block's generator.
+    do not depend on it. rng is the block's generator.
     """
     p = min(n, 3)
-    rng = rngs(block)
     normals = 2 * (2 + p * (p - 1) // 2)
     out[:normals] = rng.standard_normal((normals, _BLOCK))
     shapes = [k - n + p - i for i in range(p)] + [n - 2] * (n > 2)
@@ -438,9 +420,11 @@ def _invariant_block(n: int, k: int, rngs, record_trace: bool,
         out[-1] = np.log(rest).sum(axis=1)
 
 
-def _invariant_chunk(cfg, labels, stream_seed, start, stop, inject,
-                     record_trace, trace_l_max) -> SimulatedStatistics:
-    """Statistics of trials [start, stop) drawn through the maximal invariant.
+def _invariant_chunk(cfg, stream_seed, start, stop, inject, need_scalars,
+                     need_benchmark, need_logdet):
+    """(a, |b|^2, c), the benchmark's arguments and log det S of trials
+    [start, stop) drawn through the maximal invariant, each None unless
+    needed.
 
     After whitening, a rotation puts v along e1 and the true steering in
     span(e1, e2), and one inside span(e3, ..., en) puts the rest of the CUT
@@ -453,10 +437,16 @@ def _invariant_chunk(cfg, labels, stream_seed, start, stop, inject,
     """
     n, k, p = cfg.n, cfg.k, min(cfg.n, 3)
     m_normal = 2 + p * (p - 1) // 2
-    draws = _covering_blocks(
-        partial(_invariant_block, n, k, block_rngs(stream_seed), record_trace),
-        start, stop, 2 * m_normal + p + (n > 2) + record_trace,
-    )
+    # the whole blocks covering the range, one column per trial
+    blocks = _blocks(start, stop)
+    buf = np.empty((2 * m_normal + p + (n > 2) + need_logdet,
+                    len(blocks) * _BLOCK))
+    rngs = block_rngs(stream_seed)
+    for i, b in enumerate(blocks):
+        _invariant_block(n, k, rngs(b), need_logdet,
+                         buf[:, i * _BLOCK : (i + 1) * _BLOCK])
+    first = start - blocks[0] * _BLOCK
+    draws = buf[:, first : first + stop - start]
     w = (draws[:m_normal] + 1j * draws[m_normal : 2 * m_normal]) / math.sqrt(2.0)
     gammas = draws[2 * m_normal :]
     root_s = None if cfg.scnr_db is None else 10.0 ** (cfg.scnr_db / 20.0)
@@ -469,8 +459,6 @@ def _invariant_chunk(cfg, labels, stream_seed, start, stop, inject,
         x[0] += root_s * math.sqrt(cfg.cos_sq_phi)
         x[1] += root_s * math.sqrt(1.0 - cfg.cos_sq_phi)
 
-    labels = tuple(labels)
-    need_scalars, need_benchmark = _needs(labels, record_trace)
     scalars = benchmark_aux = logdet_s = None
     if need_scalars:
         # forward substitution T [y, u] = [e1, x]; then a = |y|^2,
@@ -494,20 +482,26 @@ def _invariant_chunk(cfg, labels, stream_seed, start, stop, inject,
         if root_s is None:
             raise ValueError("benchmark statistics require an amplitude")
         benchmark_aux = (x[0], 1.0, root_s)
-    if record_trace:
+    if need_logdet:
         logdet_s = (
             np.log(gammas[:p]).sum(axis=0)
             + draws[-1]
             + build_covariance(cfg).log_det()
         )
 
-    return _evaluate(labels, n, k, scalars, benchmark_aux, logdet_s,
-                     trace_l_max)
+    return scalars, benchmark_aux, logdet_s
 
 
 def _compute_chunk(args) -> SimulatedStatistics:
-    invariant, *rest = args
-    return (_invariant_chunk if invariant else _data_chunk)(*rest)
+    """One chunk's statistics; the EM trace is recorded given trace_l_max."""
+    invariant, cfg, labels, seed, start, stop, inject, trace_l_max = args
+    traced = trace_l_max is not None
+    need_scalars, need_benchmark = _needs(labels, traced)
+    draw = _invariant_chunk if invariant else _data_chunk
+    scalars, benchmark_aux, logdet_s = draw(
+        cfg, seed, start, stop, inject, need_scalars, need_benchmark, traced)
+    return _evaluate(labels, cfg.n, cfg.k, scalars, benchmark_aux, logdet_s,
+                     trace_l_max)
 
 
 def _concatenate(parts) -> SimulatedStatistics:
@@ -531,22 +525,35 @@ def _simulate_chunks(
     *,
     stream_seed: int | None = None,
     inject: bool = False,
-    record_em_trace: bool = False,
     trace_l_max: int | None = None,
     workers: int = 1,
-    chunk_size: int = _DEFAULT_CHUNK,
     invariant: bool = False,
 ) -> Iterator[SimulatedStatistics]:
-    """simulate_statistics' chunks in trial order, each as it is computed."""
+    """n_trials independent trials' statistics, one chunk at a time in order.
+
+    Under inject=True the cell under test receives a target along the
+    scenario's true steering (mismatched when cos_sq_phi < 1) at scnr_db.
+    stream_seed defaults to the scenario's master_seed; harness phases pass
+    derived seeds so different experiment stages never share substreams.
+    Given trace_l_max, each chunk records the EM convergence trace to that
+    iteration. invariant=True draws each trial's maximal invariant instead
+    of its data; the statistics have the same distribution but come from
+    another random stream. With workers > 1 and more than one chunk of
+    _CHUNK trials, the chunks run on up to that many threads (numpy
+    releases the GIL in the draws, the colouring products and the solve);
+    results are bit-identical for fixed seeds regardless of workers or
+    _CHUNK. A chunk's exception reaches the caller unchanged.
+    """
     if n_trials <= 0:
         raise ValueError("n_trials must be positive")
     if inject and cfg.scnr_db is None:
         raise ValueError("injection requires scnr_db")
     seed = cfg.master_seed if stream_seed is None else stream_seed
-    starts = range(0, n_trials, chunk_size)
+    labels = tuple(labels)
+    starts = range(0, n_trials, _CHUNK)
     args = (
-        (invariant, cfg, labels, seed, start, min(start + chunk_size, n_trials),
-         inject, record_em_trace, trace_l_max)
+        (invariant, cfg, labels, seed, start, min(start + _CHUNK, n_trials),
+         inject, trace_l_max)
         for start in starts
     )
     if workers > 1 and len(starts) > 1:
@@ -565,28 +572,16 @@ def simulate_statistics(
     *,
     stream_seed: int | None = None,
     inject: bool = False,
-    record_em_trace: bool = False,
     trace_l_max: int | None = None,
     workers: int = 1,
-    chunk_size: int = _DEFAULT_CHUNK,
     invariant: bool = False,
 ) -> SimulatedStatistics:
-    """Simulate n_trials independent trials and evaluate the detectors.
+    """_simulate_chunks' chunks joined into one result of n_trials trials.
 
-    Under inject=True the cell under test receives a target along the
-    scenario's true steering (mismatched when cos_sq_phi < 1) at scnr_db.
-    stream_seed defaults to the scenario's master_seed; harness phases pass
-    derived seeds so different experiment stages never share substreams.
-    invariant=True draws each trial's maximal invariant instead of its
-    data; the statistics have the same distribution but come from another
-    random stream. With workers > 1 and more than one chunk of chunk_size
-    trials, the chunks run on up to that many threads (numpy releases
-    the GIL in the draws, the colouring products and the solve); results
-    are bit-identical for fixed seeds regardless of workers or chunk_size.
-    A chunk's exception reaches the caller unchanged.
+    The package reduces the chunks as they come instead; this whole-array
+    form is kept for the benchmark's generate layer and for the tests.
     """
     return _concatenate(list(_simulate_chunks(
         cfg, labels, n_trials, stream_seed=stream_seed, inject=inject,
-        record_em_trace=record_em_trace, trace_l_max=trace_l_max,
-        workers=workers, chunk_size=chunk_size, invariant=invariant,
+        trace_l_max=trace_l_max, workers=workers, invariant=invariant,
     )))

@@ -34,7 +34,7 @@ import numpy as np
 
 from .curves import ConvergenceResult, CurveResult
 from .detectors import DetectorId, parse_detector_label
-from .engine import SimulatedStatistics, _simulate_chunks, simulate_statistics
+from .engine import SimulatedStatistics, _simulate_chunks
 from .scenario import ScenarioConfig, derive_stream_seed
 
 __all__ = [
@@ -468,6 +468,8 @@ def convergence_study(
     """Mean |relative objective change| per EM iteration, per configuration.
 
     scnr_list entries are SCNRs in dB, or None for the null hypothesis.
+    Each configuration's trace is read chunk by chunk into one buffer of
+    trials x l_max, which every configuration reuses.
     """
     if trials < 1000:
         raise InsufficientTrials(
@@ -478,6 +480,7 @@ def convergence_study(
     names = []
     means = np.empty((l_max, len(scnr_list)))
     cis = np.empty_like(means)
+    trace = np.empty((trials, l_max))
     for j, scnr in enumerate(scnr_list):
         if scnr is None:
             names.append("h0")
@@ -487,18 +490,16 @@ def convergence_study(
             names.append(f"scnr{scnr:g}")
             point_cfg = replace(cfg, scnr_db=float(scnr))
             inject = True
-        sim = simulate_statistics(
-            point_cfg,
-            (),
-            trials,
-            stream_seed=derive_stream_seed(cfg.master_seed, _PHASE_CONVERGENCE, j),
-            inject=inject,
-            record_em_trace=True,
-            trace_l_max=l_max,
-            invariant=True,
-        )
-        means[:, j] = sim.em_delta_l.mean(axis=0)
-        cis[:, j] = 1.96 * sim.em_delta_l.std(axis=0) / math.sqrt(trials)
+        seed = derive_stream_seed(cfg.master_seed, _PHASE_CONVERGENCE, j)
+        start = 0
+        for part in _simulate_chunks(point_cfg, (), trials, stream_seed=seed,
+                                     inject=inject, trace_l_max=l_max,
+                                     invariant=True):
+            stop = start + len(part.em_delta_l)
+            trace[start:stop] = part.em_delta_l
+            start = stop
+        means[:, j] = trace.mean(axis=0)
+        cis[:, j] = 1.96 * trace.std(axis=0) / math.sqrt(trials)
 
     return ConvergenceResult(
         iterations=tuple(range(1, l_max + 1)),

@@ -139,6 +139,20 @@ class TestValidation:
             ExperimentSpec(scnr_grid_db=())
 
 
+# (id, spec fields, message): argument checks that must fail loudly
+ARGUMENT_CHECKS = (
+    ("unknown-cube-format", {"cube_format": "hdf5"},
+     "cube_format must be interleaved-binary or csv; got 'hdf5'"),
+)
+
+
+@pytest.mark.parametrize("fields, message", [c[1:] for c in ARGUMENT_CHECKS],
+                         ids=[c[0] for c in ARGUMENT_CHECKS])
+def test_argument_check_fails_loudly(fields, message):
+    with pytest.raises(ValidationError, match=message):
+        ExperimentSpec(**fields)
+
+
 class TestRoundTrip:
     def test_serialize_parse_round_trip(self):
         specs = [

@@ -374,6 +374,39 @@ class TestFifo:
         assert through_fifo(tmp_path, path.read_bytes(), read) == from_file
 
 
+def window_run(**fields):
+    """sliding_window_run at n = 4, k = 8 with the given spec fields."""
+    spec = ExperimentSpec(**{
+        "command": "ingest-run", "cube_path": "unused",
+        "scenario": ScenarioConfig(n=4, k=8, master_seed=66),
+        "detectors": ("glrt",), "pfa": 0.05, "trials": 1,
+        "cube_cut_bin": 4, "cube_eval_bin": 5, "cube_overlap": 0, **fields})
+    return sliding_window_run(synthesize_cube(spec.scenario, 64, 10), spec)
+
+
+# (id, call, error, message): argument checks that must fail loudly
+ARGUMENT_CHECKS = (
+    ("one-dimensional-cube", lambda: DataCube(np.ones(4)), FormatError,
+     "must be 2-D"),
+    ("write-unknown-format",
+     lambda: write_cube(DataCube(np.ones((2, 2))), "unused", "tarball"),
+     ValueError, "unknown cube format 'tarball'"),
+    ("benchmark-only-window-run",
+     lambda: window_run(detectors=("benchmark",)), ValueError,
+     "no adaptive detectors"),
+    ("window-run-without-cut-bin", lambda: window_run(cube_cut_bin=None),
+     InsufficientData, "needs cut_bin and eval_bin"),
+)
+
+
+@pytest.mark.parametrize("call, error, message",
+                         [c[1:] for c in ARGUMENT_CHECKS],
+                         ids=[c[0] for c in ARGUMENT_CHECKS])
+def test_argument_check_fails_loudly(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 class TestCrossFormat:
     def test_binary_and_csv_ingest_identically(self, tmp_path):
         cube = synthesize_cube(ScenarioConfig(master_seed=63), 16, 4)

@@ -40,6 +40,15 @@ ALL_LABELS = ("glrt", "amf", "rao", "ace", "benchmark", "em-bml-d5",
               "em-bml-d7")
 
 
+@pytest.fixture
+def chunked(monkeypatch):
+    """simulate_statistics with the engine's chunk size set for the call."""
+    def run(chunk, *args, **kwargs):
+        monkeypatch.setattr(engine, "_CHUNK", chunk)
+        return simulate_statistics(*args, **kwargs)
+    return run
+
+
 def stacks_from_batches(batches):
     z = np.stack([b.cut for b in batches])
     zs = np.stack([b.secondary for b in batches])
@@ -109,23 +118,50 @@ class TestCrossCheck:
             statistics_from_stacks(z, zs, v, ("benchmark",))
 
 
+def short_stacks():
+    """One n = 8 trial with k = 7 < n secondary vectors."""
+    cfg = ScenarioConfig(master_seed=203)
+    m = build_covariance(cfg)
+    z, zs = stacks_from_batches([sample_batch(cfg, m, 0)])
+    return z, zs[:, :, :7], steering_vector(cfg.n, cfg.doppler)
+
+
+# (id, call, error, message): argument checks that must fail loudly
+ARGUMENT_CHECKS = (
+    ("no-trials", lambda: simulate_statistics(ScenarioConfig(), ("amf",), 0),
+     "n_trials must be positive"),
+    ("k-below-n", lambda: statistics_from_stacks(*short_stacks(), ("amf",)),
+     "k >= n"),
+    ("benchmark-data-no-amplitude",
+     lambda: simulate_statistics(ScenarioConfig(), ("benchmark",), 10),
+     "require an amplitude"),
+    ("benchmark-invariant-no-amplitude",
+     lambda: simulate_statistics(ScenarioConfig(scnr_db=None), ("benchmark",),
+                                 10, invariant=True),
+     "require an amplitude"),
+)
+
+
+@pytest.mark.parametrize("call, message", [c[1:] for c in ARGUMENT_CHECKS],
+                         ids=[c[0] for c in ARGUMENT_CHECKS])
+def test_argument_check_fails_loudly(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestSchedulingInvariance:
-    def test_chunk_size_does_not_change_results(self):
+    def test_chunk_size_does_not_change_results(self, chunked):
         cfg = ScenarioConfig(master_seed=204)
-        fine = simulate_statistics(cfg, ("glrt", "em-bml-d5"), 100,
-                                   chunk_size=7)
-        coarse = simulate_statistics(cfg, ("glrt", "em-bml-d5"), 100,
-                                     chunk_size=4096)
+        fine = chunked(7, cfg, ("glrt", "em-bml-d5"), 100)
+        coarse = chunked(4096, cfg, ("glrt", "em-bml-d5"), 100)
         for lab in ("glrt", "em-bml-d5"):
             np.testing.assert_array_equal(fine.statistics[lab],
                                           coarse.statistics[lab])
 
-    def test_worker_count_does_not_change_results(self):
+    def test_worker_count_does_not_change_results(self, chunked):
         cfg = ScenarioConfig(master_seed=205)
-        solo = simulate_statistics(cfg, ("amf",), 200, chunk_size=50,
-                                   workers=1)
-        pair = simulate_statistics(cfg, ("amf",), 200, chunk_size=50,
-                                   workers=2)
+        solo = chunked(50, cfg, ("amf",), 200, workers=1)
+        pair = chunked(50, cfg, ("amf",), 200, workers=2)
         np.testing.assert_array_equal(solo.statistics["amf"],
                                       pair.statistics["amf"])
 
@@ -137,12 +173,12 @@ class TestSchedulingInvariance:
 
     STRADDLE_LABELS = ("glrt", "benchmark", "em-bml-d5")
 
-    def straddling_run(self, invariant, **kwargs):
+    def straddling_run(self, chunked, chunk, invariant, **kwargs):
         # 600 trials: chunks of 7 and 100 straddle the 256-trial blocks
         cfg = ScenarioConfig(n=16, k=32, scnr_db=10.0, cos_sq_phi=0.6,
                              master_seed=211)
-        return simulate_statistics(
-            cfg, self.STRADDLE_LABELS, 600, inject=True, record_em_trace=True,
+        return chunked(
+            chunk, cfg, self.STRADDLE_LABELS, 600, inject=True,
             trace_l_max=4, invariant=invariant, **kwargs)
 
     def assert_identical(self, first, second):
@@ -151,37 +187,36 @@ class TestSchedulingInvariance:
                                           second.statistics[lab])
         np.testing.assert_array_equal(first.em_delta_l, second.em_delta_l)
 
-    def check_chunk_sizes(self, invariant):
-        reference = self.straddling_run(invariant, chunk_size=4096)
+    def check_chunk_sizes(self, chunked, invariant):
+        reference = self.straddling_run(chunked, 4096, invariant)
         for chunk_size in (7, 100):
             self.assert_identical(
-                self.straddling_run(invariant, chunk_size=chunk_size),
+                self.straddling_run(chunked, chunk_size, invariant),
                 reference)
 
-    def check_worker_counts(self, invariant):
+    def check_worker_counts(self, chunked, invariant):
         self.assert_identical(
-            self.straddling_run(invariant, chunk_size=100, workers=1),
-            self.straddling_run(invariant, chunk_size=100, workers=2))
+            self.straddling_run(chunked, 100, invariant, workers=1),
+            self.straddling_run(chunked, 100, invariant, workers=2))
 
-    def test_invariant_chunk_size_does_not_change_results(self):
-        self.check_chunk_sizes(invariant=True)
+    def test_invariant_chunk_size_does_not_change_results(self, chunked):
+        self.check_chunk_sizes(chunked, invariant=True)
 
-    def test_invariant_worker_count_does_not_change_results(self):
-        self.check_worker_counts(invariant=True)
+    def test_invariant_worker_count_does_not_change_results(self, chunked):
+        self.check_worker_counts(chunked, invariant=True)
 
-    def test_data_chunk_size_does_not_change_results(self):
-        self.check_chunk_sizes(invariant=False)
+    def test_data_chunk_size_does_not_change_results(self, chunked):
+        self.check_chunk_sizes(chunked, invariant=False)
 
-    def test_data_worker_count_does_not_change_results(self):
-        self.check_worker_counts(invariant=False)
+    def test_data_worker_count_does_not_change_results(self, chunked):
+        self.check_worker_counts(chunked, invariant=False)
 
     def test_invariant_trace_does_not_move_the_statistics(self):
         cfg = ScenarioConfig(scnr_db=10.0, master_seed=212)
         plain = simulate_statistics(cfg, ("glrt",), 300, inject=True,
                                     invariant=True)
         traced = simulate_statistics(cfg, ("glrt",), 300, inject=True,
-                                     record_em_trace=True, trace_l_max=3,
-                                     invariant=True)
+                                     trace_l_max=3, invariant=True)
         np.testing.assert_array_equal(plain.statistics["glrt"],
                                       traced.statistics["glrt"])
 
@@ -216,8 +251,7 @@ class TestInvariantGenerator:
                              master_seed=220 + n + k)
         data, drawn = (
             simulate_statistics(cfg, GATE_LABELS, GATE_TRIALS, inject=inject,
-                                record_em_trace=True, trace_l_max=GATE_L,
-                                invariant=invariant)
+                                trace_l_max=GATE_L, invariant=invariant)
             for invariant in (False, True)
         )
         pvalues = {
@@ -246,7 +280,7 @@ class TestDataGenerator:
     @pytest.mark.parametrize("invariant", [False, True],
                              ids=["data", "invariant"])
     def test_one_philox_per_chunk_and_one_key_per_block(self, monkeypatch,
-                                                         invariant):
+                                                         chunked, invariant):
         """1000 trials in chunks of 512 build two Philox generators, one per
         chunk, and key them for blocks 0-3, once each."""
         keys, philox_built = [], []
@@ -262,8 +296,8 @@ class TestDataGenerator:
 
         monkeypatch.setattr(np.random, "Philox", count_philox)
         monkeypatch.setattr(scenario, "block_key", count_key)
-        sim = simulate_statistics(ScenarioConfig(master_seed=213), ("amf",),
-                                  1000, chunk_size=512, invariant=invariant)
+        sim = chunked(512, ScenarioConfig(master_seed=213), ("amf",), 1000,
+                      invariant=invariant)
         assert sim.statistics["amf"].shape == (1000,)
         assert keys == [(b, not invariant) for b in range(4)]
         # every Philox is a chunk's, so no per-trial trial_rng was built
@@ -348,7 +382,7 @@ class TestDataStream:
 
 class TestWorkerPool:
     def test_chunk_error_reaches_the_caller_and_stops_the_run(
-        self, monkeypatch
+        self, monkeypatch, chunked
     ):
         # the first chunk fails at once and every other takes 50 ms, so the
         # failure reaches the caller while the other thread is in its first
@@ -365,13 +399,13 @@ class TestWorkerPool:
         monkeypatch.setattr(engine, "_compute_chunk", chunk)
         threads = threading.active_count()
         with pytest.raises(RuntimeError) as raised:
-            simulate_statistics(ScenarioConfig(), ("amf",), 640, chunk_size=10,
-                                workers=2)
+            chunked(10, ScenarioConfig(), ("amf",), 640, workers=2)
         assert raised.value is err
         assert 1 <= len(started) <= 8
         assert threading.active_count() == threads
 
-    def test_pool_gets_no_more_workers_than_chunks(self, monkeypatch):
+    def test_pool_gets_no_more_workers_than_chunks(self, monkeypatch,
+                                                   chunked):
         # map submits every chunk at once, which starts every thread, so 64
         # workers for two chunks would start 62 threads for nothing
         built = []
@@ -393,10 +427,9 @@ class TestWorkerPool:
 
         monkeypatch.setattr(engine, "ThreadPoolExecutor", InProcessPool)
         cfg = ScenarioConfig(master_seed=216)
-        wide = simulate_statistics(cfg, ("amf",), 600, chunk_size=300,
-                                   workers=64)
+        wide = chunked(300, cfg, ("amf",), 600, workers=64)
         assert built == [2]
-        solo = simulate_statistics(cfg, ("amf",), 600, chunk_size=300)
+        solo = chunked(300, cfg, ("amf",), 600)
         np.testing.assert_array_equal(wide.statistics["amf"],
                                       solo.statistics["amf"])
 

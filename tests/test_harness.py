@@ -273,6 +273,22 @@ class TestConvergenceStudy:
         assert np.all(np.diff(means) < 0)
 
 
+# (id, call, error, message): argument checks that must fail loudly
+ARGUMENT_CHECKS = (
+    ("convergence-no-iterations",
+     lambda: convergence_study(SMALL, [None], 1000, 0), ValueError,
+     "l_max must be positive"),
+)
+
+
+@pytest.mark.parametrize("call, error, message",
+                         [c[1:] for c in ARGUMENT_CHECKS],
+                         ids=[c[0] for c in ARGUMENT_CHECKS])
+def test_argument_check_fails_loudly(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 class TestProcessPools:
     """Only the CFAR sweep's data path fans out to a pool of threads.
 
@@ -461,3 +477,19 @@ class TestFlatMemory:
                 tracemalloc.stop()
 
         assert peak(4 * trials) < 1.5 * peak(trials)
+
+    def test_convergence_holds_one_trace(self):
+        # two configurations of 5e4 trials x 10 iterations: a whole trace per
+        # configuration, the last still held while the next was drawn,
+        # peaked at 3.0 traces; one buffer read chunk by chunk, and the
+        # copy std makes of it, leave 2.0
+        cfg = ScenarioConfig(n=8, k=16, master_seed=404)
+        trials, l_max = 50_000, 10
+        convergence_study(cfg, [None, 10.0], 1000, l_max)
+        tracemalloc.start()
+        try:
+            convergence_study(cfg, [None, 10.0], trials, l_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * trials * l_max * 8
