@@ -11,6 +11,7 @@ the unknown-key checks, parsing and serialization all read.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 
 from .cube import CUBE_FORMATS
@@ -113,6 +114,11 @@ class ExperimentSpec:
         for name in ("scnr_grid_db", "cnr_grid_db", "rho_grid", "cos_sq_phi_grid"):
             if len(getattr(self, name)) == 0:
                 raise ValidationError(f"{name} must be nonempty")
+        for name in ("scnr_grid_db", "cnr_grid_db"):
+            for db in getattr(self, name):
+                if not math.isfinite(db):
+                    raise ValidationError(
+                        f"{name} values must be finite; got {db}")
         for r in self.rho_grid:
             if not 0.0 <= r < 1.0:
                 raise ValidationError(f"rho_grid values must lie in [0, 1); got {r}")

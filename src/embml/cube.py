@@ -21,7 +21,9 @@ cube and evaluated one block of 256 (the engine's block) at a time, and
 each block goes through the harness's chunk loop as it comes: the
 calibration bin's into each detector's top tail, which gives its
 threshold, and the evaluation bin's into exceedance counts. So no bin's
-per-window statistics are ever held whole.
+per-window statistics are ever held whole. A statistic undefined at a
+window (0/0 at an all-zero CUT, say) is a NaN the engine computes without
+a warning, and the chunk loop names it by its window.
 """
 
 from __future__ import annotations
@@ -346,18 +348,17 @@ def _window_blocks(cube: DataCube, n: int, k: int, range_bin: int,
 
     Each block is gathered and, with target (if any) added to every CUT,
     evaluated before the next. A statistic undefined at a window (0/0 at
-    an all-zero CUT, say) warns of nothing here: it is NaN, which the
-    reduction's finite check names.
+    an all-zero CUT, say) is a NaN the engine computes without a warning,
+    which the reduction's finite check names.
     """
     for start in range(0, count, _BLOCK):
         z, zs = _windows(cube, n, k, range_bin, overlap, start,
                          min(start + _BLOCK, count))
         if target is not None:
             z += target
-        with (_singular_windows_named(cube, zs, range_bin, start),
-              np.errstate(divide="ignore", invalid="ignore")):
+        with _singular_windows_named(cube, zs, range_bin, start):
             part = statistics_from_stacks(z, zs, v, labels)
-        # outside the with, so neither holds while the consumer runs
+        # outside the with, so it does not hold while the consumer runs
         yield part
 
 

@@ -5,7 +5,8 @@ implementations; this module evaluates the same statistics on whole blocks
 of trials at once. The classical statistics and the whole EM recursion are
 closed forms in the maximal invariant a = v^H S^-1 v, |b|^2 = |v^H S^-1 z|^2
 and c = z^H S^-1 z (the EM trace also needs log det S), and one helper,
-_evaluate, computes every statistic from it. Two generators feed it:
+_evaluate, computes the requested statistics from it. Two generators feed
+it:
 
 - the data path draws the (n, k+1) data matrices of each block of trials,
   colours them in place by two real products with chol(M), which is real,
@@ -19,6 +20,11 @@ _evaluate, computes every statistic from it. Two generators feed it:
 
 A chunk of _CHUNK trials is the unit of work: _compute_chunk has one path
 draw what _needs says the labels read, and runs _evaluate once over it.
+A chunk is a plain dict of per-trial arrays: one (trials,) array per
+detector label, and the (trials, l_max) EM trace under TRACE when it is
+recorded. _evaluate silences numpy's divide and invalid warnings, so an
+undefined statistic (0/0, say) is a quiet NaN, which the harness's finite
+check names by its trial.
 On both paths each block of _BLOCK trials draws from a generator keyed by
 (stream_seed, block_index), with a tag per path; a chunk builds one Philox
 and re-keys it for each block covering it (_blocks, scenario.block_rngs),
@@ -44,7 +50,6 @@ from collections.abc import Iterator
 # unused here; the benchmark's pool counter patches this name
 from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,27 +65,25 @@ from .scenario import (
     steering_vector,
 )
 
-__all__ = ["SimulatedStatistics", "simulate_statistics", "statistics_from_stacks"]
+__all__ = ["TRACE", "simulate_statistics", "statistics_from_stacks"]
 
 # trials per chunk, the task size of a thread pool
 _CHUNK = 4096
 # trials per block key, on either path
 _BLOCK = 256
-_CLASSICAL = {d.value for d in (DetectorId.GLRT, DetectorId.AMF, DetectorId.RAO,
-                                DetectorId.ACE)}
+# a chunk's key for the (trials, l_max) EM trace; no detector label
+# parses to it
+TRACE = "em-delta"
 
-
-@dataclass(frozen=True)
-class SimulatedStatistics:
-    """Per-trial statistics for a block of Monte Carlo trials.
-
-    statistics maps detector labels to (trials,) arrays.
-    em_delta_l[(t, l-1)] holds the per-trial convergence trace when
-    recorded.
-    """
-
-    statistics: dict[str, np.ndarray]
-    em_delta_l: np.ndarray | None = None
+# the classical statistics from a = v^H S^-1 v, b2 = |v^H S^-1 z|^2 and
+# c = z^H S^-1 z. Rao uses the Sherman-Morrison identity on S + z z^H:
+# v^H T^-1 z = b / (1 + c) and v^H T^-1 v = a - |b|^2 / (1 + c).
+_CLASSICAL = {
+    DetectorId.GLRT: lambda a, b2, c: b2 / (a * (1.0 + c)),
+    DetectorId.AMF: lambda a, b2, c: b2 / a,
+    DetectorId.RAO: lambda a, b2, c: (b2 / (1.0 + c)**2) / (a - b2 / (1.0 + c)),
+    DetectorId.ACE: lambda a, b2, c: b2 / (a * c),
+}
 
 
 def _sigmoid_clamped(r: np.ndarray) -> np.ndarray:
@@ -91,24 +94,6 @@ def _sigmoid_clamped(r: np.ndarray) -> np.ndarray:
     e = np.exp(r[~pos])
     out[~pos] = e / (1.0 + e)
     return np.clip(out, POSTERIOR_FLOOR, 1.0 - POSTERIOR_FLOOR)
-
-
-def _classical_batched(
-    a: np.ndarray, b2: np.ndarray, c: np.ndarray
-) -> dict[str, np.ndarray]:
-    """AMF/GLRT/ACE/Rao for a trial stack from three whitened scalars.
-
-    Rao uses the Sherman-Morrison identity on S + z z^H:
-    v^H T^-1 z = b / (1 + c) and v^H T^-1 v = a - |b|^2 / (1 + c)
-    with a = v^H S^-1 v, b = v^H S^-1 z, b2 = |b|^2, c = z^H S^-1 z.
-    """
-    one_c = 1.0 + c
-    return {
-        DetectorId.GLRT.value: b2 / (a * one_c),
-        DetectorId.AMF.value: b2 / a,
-        DetectorId.RAO.value: (b2 / one_c**2) / (a - b2 / one_c),
-        DetectorId.ACE.value: b2 / (a * c),
-    }
 
 
 def _em_batched(
@@ -179,7 +164,7 @@ def _needs(labels: tuple[str, ...], record_em_trace: bool) -> tuple[bool, bool]:
     """
     parsed = [parse_detector_label(lab)[0] for lab in labels]
     need_scalars = record_em_trace or any(
-        det.value in _CLASSICAL or det is DetectorId.EM_BML_D for det in parsed
+        det in _CLASSICAL or det is DetectorId.EM_BML_D for det in parsed
     )
     return need_scalars, DetectorId.BENCHMARK in parsed
 
@@ -192,44 +177,46 @@ def _evaluate(
     benchmark_aux,
     logdet_s,
     trace_l_max: int | None,
-) -> SimulatedStatistics:
+) -> dict[str, np.ndarray]:
     """Detector statistics of a trial range, whichever generator drew it.
 
     scalars is (a, |b|^2, c), benchmark_aux the (u, c, alpha) arguments of
     benchmark_statistic_from_aux and logdet_s log det S; each is None
-    unless _needs asks for it, and the EM trace is recorded exactly when
-    logdet_s is given. Every operation is elementwise over trials, so a
-    trial's statistics do not depend on how many trials are evaluated
-    with it. EM variant labels like em-bml-d5 share a single EM recursion
-    run to the largest cap.
+    unless _needs asks for it, and the EM trace is recorded, under TRACE,
+    exactly when logdet_s is given. Only the labels' statistics are
+    computed, and a division by zero or an undefined value leaves its
+    inf or NaN without a warning. Every operation is elementwise over
+    trials, so a trial's statistics do not depend on how many trials are
+    evaluated with it. EM variant labels like em-bml-d5 share a single EM
+    recursion run to the largest cap.
     """
     parsed = [parse_detector_label(lab) for lab in labels]
     em_ls = sorted({lmax for det, lmax in parsed if det is DetectorId.EM_BML_D})
 
     stats: dict[str, np.ndarray] = {}
-    if any(det.value in _CLASSICAL for det, _ in parsed):
-        classical = _classical_batched(*scalars)
+    with np.errstate(divide="ignore", invalid="ignore"):
         for det, _ in parsed:
-            if det.value in classical:
-                stats[det.value] = classical[det.value]
+            if det in _CLASSICAL:
+                stats[det.value] = _CLASSICAL[det](*scalars)
 
-    if benchmark_aux is not None:
-        stats[DetectorId.BENCHMARK.value] = benchmark_statistic_from_aux(
-            *benchmark_aux
-        )
+        if benchmark_aux is not None:
+            stats[DetectorId.BENCHMARK.value] = benchmark_statistic_from_aux(
+                *benchmark_aux
+            )
 
-    em_delta = None
-    if em_ls or logdet_s is not None:
-        l_top = max(em_ls, default=0)
-        if logdet_s is not None:
-            l_top = max(l_top, trace_l_max or 0)
-        snaps, em_delta = _em_batched(
-            *scalars, logdet_s, l_top, tuple(em_ls), k, n,
-        )
-        for l in em_ls:
-            stats[detector_label(DetectorId.EM_BML_D, l)] = snaps[l]
+        if em_ls or logdet_s is not None:
+            l_top = max(em_ls, default=0)
+            if logdet_s is not None:
+                l_top = max(l_top, trace_l_max or 0)
+            snaps, em_delta = _em_batched(
+                *scalars, logdet_s, l_top, tuple(em_ls), k, n,
+            )
+            for l in em_ls:
+                stats[detector_label(DetectorId.EM_BML_D, l)] = snaps[l]
+            if logdet_s is not None:
+                stats[TRACE] = em_delta
 
-    return SimulatedStatistics(statistics=stats, em_delta_l=em_delta)
+    return stats
 
 
 def _scatter(zs: np.ndarray) -> np.ndarray:
@@ -280,12 +267,13 @@ def statistics_from_stacks(
     alpha_hyp: complex | None = None,
     record_em_trace: bool = False,
     trace_l_max: int | None = None,
-) -> SimulatedStatistics:
-    """Evaluate detector statistics on stacked trials.
+) -> dict[str, np.ndarray]:
+    """Evaluate detector statistics on stacked trials, one (B,) array per label.
 
     z is (B, n), zs is (B, n, k). The benchmark needs the true covariance
-    and the hypothesized amplitude. The EM trace of the result is None
-    unless requested. Labels may name any subset of detectors.
+    and the hypothesized amplitude. The (B, trace_l_max) EM trace is under
+    TRACE when requested (record_em_trace). Labels may name any subset of
+    detectors.
     """
     v = np.asarray(v, dtype=np.complex128)
     k = zs.shape[2]
@@ -492,7 +480,7 @@ def _invariant_chunk(cfg, stream_seed, start, stop, inject, need_scalars,
     return scalars, benchmark_aux, logdet_s
 
 
-def _compute_chunk(args) -> SimulatedStatistics:
+def _compute_chunk(args) -> dict[str, np.ndarray]:
     """One chunk's statistics; the EM trace is recorded given trace_l_max."""
     invariant, cfg, labels, seed, start, stop, inject, trace_l_max = args
     traced = trace_l_max is not None
@@ -502,20 +490,6 @@ def _compute_chunk(args) -> SimulatedStatistics:
         cfg, seed, start, stop, inject, need_scalars, need_benchmark, traced)
     return _evaluate(labels, cfg.n, cfg.k, scalars, benchmark_aux, logdet_s,
                      trace_l_max)
-
-
-def _concatenate(parts) -> SimulatedStatistics:
-    """One result of consecutive trial ranges, in order."""
-    traced = parts[0].em_delta_l is not None
-    return SimulatedStatistics(
-        statistics={
-            lab: np.concatenate([p.statistics[lab] for p in parts])
-            for lab in parts[0].statistics
-        },
-        em_delta_l=(
-            np.concatenate([p.em_delta_l for p in parts]) if traced else None
-        ),
-    )
 
 
 def _simulate_chunks(
@@ -528,7 +502,7 @@ def _simulate_chunks(
     trace_l_max: int | None = None,
     workers: int = 1,
     invariant: bool = False,
-) -> Iterator[SimulatedStatistics]:
+) -> Iterator[dict[str, np.ndarray]]:
     """n_trials independent trials' statistics, one chunk at a time in order.
 
     Under inject=True the cell under test receives a target along the
@@ -536,9 +510,9 @@ def _simulate_chunks(
     stream_seed defaults to the scenario's master_seed; harness phases pass
     derived seeds so different experiment stages never share substreams.
     Given trace_l_max, each chunk records the EM convergence trace to that
-    iteration. invariant=True draws each trial's maximal invariant instead
-    of its data; the statistics have the same distribution but come from
-    another random stream. With workers > 1 and more than one chunk of
+    iteration under TRACE. invariant=True draws each trial's maximal
+    invariant instead of its data; the statistics have the same
+    distribution but come from another random stream. With workers > 1 and more than one chunk of
     _CHUNK trials, the chunks run on up to that many threads (numpy
     releases the GIL in the draws, the colouring products and the solve);
     results are bit-identical for fixed seeds regardless of workers or
@@ -575,13 +549,14 @@ def simulate_statistics(
     trace_l_max: int | None = None,
     workers: int = 1,
     invariant: bool = False,
-) -> SimulatedStatistics:
-    """_simulate_chunks' chunks joined into one result of n_trials trials.
+) -> dict[str, np.ndarray]:
+    """_simulate_chunks' chunks joined into one chunk of n_trials trials.
 
     The package reduces the chunks as they come instead; this whole-array
     form is kept for the benchmark's generate layer and for the tests.
     """
-    return _concatenate(list(_simulate_chunks(
+    parts = list(_simulate_chunks(
         cfg, labels, n_trials, stream_seed=stream_seed, inject=inject,
         trace_l_max=trace_l_max, workers=workers, invariant=invariant,
-    )))
+    ))
+    return {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}

@@ -10,11 +10,14 @@ only the top trials - rank + 1 statistics that its threshold needs, and a
 grid point one exceedance count per detector. Thresholds and rates are
 exactly those of sorting and averaging the whole ensemble, which
 TrialEnsemble, calibrate_threshold and estimate_rate still do as the
-reference. One loop, _reduce, feeds the reducers, for these phases and
-for the cube's window blocks. The CFAR sweep and the Pd grids share one
-point loop. Every experiment phase works in its own derived substream
-namespace, so trials are independent across phases and every result is
-bit-reproducible for a fixed master seed.
+reference. One loop, _reduce, feeds the reducers, for these phases, for
+the convergence study's EM traces (copied into one reused buffer, so
+their means keep their bits) and for the cube's window blocks. Each
+chunk is a dict of per-trial arrays, and _reduce refuses a NaN or
+infinite value in any of them, naming its trial. The CFAR sweep and the
+Pd grids share one point loop. Every experiment phase works in its own
+derived substream namespace, so trials are independent across phases and
+every result is bit-reproducible for a fixed master seed.
 Calibration, curves, contours and convergence studies draw each trial's
 maximal invariant on one thread, at about 1 us/trial; only the CFAR sweep
 draws data, because CNR and rho drop out of the invariant by
@@ -34,7 +37,7 @@ import numpy as np
 
 from .curves import ConvergenceResult, CurveResult
 from .detectors import DetectorId, parse_detector_label
-from .engine import SimulatedStatistics, _simulate_chunks
+from .engine import TRACE, _simulate_chunks
 from .scenario import ScenarioConfig, derive_stream_seed
 
 __all__ = [
@@ -78,15 +81,17 @@ def _require_finite(stats: np.ndarray, detector: str | None,
                     start: int = 0) -> None:
     """Reject NaN and infinite statistics, which would sort and count silently.
 
-    stats are those of trials start, start + 1, ...; the NonFiniteStatistic
-    raised names the first bad one by its trial index.
+    stats has one row per trial, of trials start, start + 1, ... (a (trials,)
+    array, or a (trials, l_max) EM trace); the NonFiniteStatistic raised
+    names the first trial with a bad value by its index.
     """
     bad = ~np.isfinite(stats)
     if bad.any():
+        bad = bad.reshape(len(stats), -1).any(axis=1)
         index = start + int(np.argmax(bad))
         msg = (
-            f"{np.count_nonzero(bad)} of {stats.size} statistics in trials "
-            f"[{start}, {start + stats.size}) are not finite, first at trial "
+            f"{np.count_nonzero(bad)} of {len(stats)} statistics in trials "
+            f"[{start}, {start + len(stats)}) are not finite, first at trial "
             f"{index}"
         )
         raise NonFiniteStatistic(
@@ -228,6 +233,17 @@ class _Exceedances:
         self.count += int(np.count_nonzero(values > self.threshold))
 
 
+class _Rows:
+    """Rows as they come, copied in order into one buffer of them all."""
+
+    def __init__(self, out: np.ndarray):
+        self._out, self._stop = out, 0
+
+    def add(self, values: np.ndarray) -> None:
+        start, self._stop = self._stop, self._stop + len(values)
+        self._out[start:self._stop] = values
+
+
 def _null_config(cfg: ScenarioConfig) -> ScenarioConfig:
     """The calibration scene: matched steering, scnr kept for the benchmark."""
     return replace(cfg, cos_sq_phi=1.0)
@@ -253,23 +269,24 @@ def _check_calibration(cfg, labels, pfa: float, trials: int) -> None:
 
 
 def _reduce(reducers: dict,
-            chunks: Generator[SimulatedStatistics, None, None]) -> dict:
-    """Feed each label's reducer its statistics, chunk by chunk.
+            chunks: Generator[dict[str, np.ndarray], None, None]) -> dict:
+    """Feed each key's reducer its per-trial rows, chunk by chunk.
 
-    chunks is a generator of consecutive runs of trials in order: engine
-    chunks, or a cube bin's window blocks. Each chunk is reduced as it
-    arrives, after a finite check that names a bad statistic by its index
-    in the whole run. chunks is closed as soon as a check raises, so a
-    thread pool behind it has shut down by the time the error is seen.
+    chunks is a generator of consecutive runs of trials in order, each a
+    dict of arrays with one row per trial: engine chunks, or a cube bin's
+    window blocks. Each chunk is reduced as it arrives, after a finite
+    check that names a bad statistic by its trial index in the whole run.
+    chunks is closed as soon as a check raises, so a thread pool behind it
+    has shut down by the time the error is seen.
     """
     start = 0
     with closing(chunks):
         for part in chunks:
             for lab, reducer in reducers.items():
-                stats = part.statistics[lab]
+                stats = part[lab]
                 _require_finite(stats, lab, start)
                 reducer.add(stats)
-            start += stats.size
+            start += len(stats)
     return reducers
 
 
@@ -468,8 +485,10 @@ def convergence_study(
     """Mean |relative objective change| per EM iteration, per configuration.
 
     scnr_list entries are SCNRs in dB, or None for the null hypothesis.
-    Each configuration's trace is read chunk by chunk into one buffer of
-    trials x l_max, which every configuration reuses.
+    Each configuration's trace is reduced chunk by chunk into one buffer of
+    trials x l_max, which every configuration reuses. A non-finite
+    objective change raises NonFiniteStatistic naming the configuration
+    and the first trial with one.
     """
     if trials < 1000:
         raise InsufficientTrials(
@@ -491,13 +510,14 @@ def convergence_study(
             point_cfg = replace(cfg, scnr_db=float(scnr))
             inject = True
         seed = derive_stream_seed(cfg.master_seed, _PHASE_CONVERGENCE, j)
-        start = 0
-        for part in _simulate_chunks(point_cfg, (), trials, stream_seed=seed,
-                                     inject=inject, trace_l_max=l_max,
-                                     invariant=True):
-            stop = start + len(part.em_delta_l)
-            trace[start:stop] = part.em_delta_l
-            start = stop
+        chunks = _simulate_chunks(point_cfg, (), trials, stream_seed=seed,
+                                  inject=inject, trace_l_max=l_max,
+                                  invariant=True)
+        try:
+            _reduce({TRACE: _Rows(trace)}, chunks)
+        except NonFiniteStatistic as err:
+            raise NonFiniteStatistic(f"{names[-1]}: {err}", err.detector,
+                                     err.index) from err
         means[:, j] = trace.mean(axis=0)
         cis[:, j] = 1.96 * trace.std(axis=0) / math.sqrt(trials)
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import embml
+from embml import engine, harness
 from embml.cli import _spec_from_args, build_parser, main
 from embml.cube import DataCube, synthesize_cube, write_cube
 from embml.scenario import ScenarioConfig
@@ -210,6 +211,63 @@ class TestExitCodes:
         assert "late-zero.bin" in stderr
         assert re.search(r"\bbin 13\b", stderr)
         assert re.search(r"\bwindow 300\b", stderr)
+
+    @pytest.mark.parametrize("command, grid, key", [
+        ("pd-curve", ["--scnr-grid", "0", "nan"], "scnr_grid_db"),
+        ("convergence", ["--scnr-grid", "nan"], "scnr_grid_db"),
+        # pfa-sweep calibrates on its own trials
+        ("pfa-sweep", ["--cnr-grid", "30", "inf", "--trials", "100000000"],
+         "cnr_grid_db"),
+    ])
+    def test_non_finite_grid_value_is_two_before_any_draw(
+        self, tmp_path, capsys, monkeypatch, command, grid, key
+    ):
+        # at --pfa 1e-6 a calibration drawn before the check would be 10^8
+        # trials
+        drawn = []
+
+        def draw(*args, **kwargs):
+            drawn.append(args)
+            raise AssertionError("trials were drawn")
+
+        monkeypatch.setattr(harness, "_simulate_chunks", draw)
+        code, _, stderr = run_cli(
+            [command, *grid, "--pfa", "1e-6",
+             "--out", str(tmp_path / "x.csv")], capsys)
+        assert code == 2
+        assert key in stderr
+        assert drawn == []
+
+    def test_non_finite_convergence_trace_is_two_with_one_error_line(
+        self, tmp_path
+    ):
+        # at 200 dB the closed-form EM trace loses its precision and is NaN
+        # for about half the trials, trial 0 among them, though the
+        # per-trial reference is finite there. Run in a fresh interpreter,
+        # so that a numpy warning would reach stderr.
+        out = tmp_path / "x.csv"
+        src = str(Path(embml.__file__).resolve().parents[1])
+        run = subprocess.run(
+            [sys.executable, "-m", "embml.cli", "convergence",
+             "--scnr-grid", "200", "--trials", "1000", "--l-max", "3",
+             "--out", str(out)],
+            cwd=src, capture_output=True, text=True,
+        )
+        assert run.returncode == 2
+        assert re.fullmatch(
+            rf"error: scnr200: {re.escape(engine.TRACE)}: .* first at trial "
+            r"0\n", run.stderr)
+        assert not out.exists()
+
+    def test_unrequested_statistic_warns_of_nothing(self, tmp_path, capsys):
+        # at 200 dB the Rao statistic divides by zero; pytest turns a
+        # RuntimeWarning into an error, so computing it unasked would fail
+        code, _, stderr = run_cli(
+            ["pd-curve", "--detectors", "amf", "em-bml-d5",
+             "--scnr-grid", "200", "--pfa", "0.05", "--trials", "2000",
+             "--out", str(tmp_path / "x.csv")], capsys)
+        assert code == 0
+        assert stderr == ""
 
     def test_non_finite_window_statistic_is_three_with_one_error_line(
         self, tmp_path

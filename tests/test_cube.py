@@ -648,8 +648,8 @@ class TestBlockwiseWindows:
             m_hat = HermitianMatrix(flat.T @ flat.conj() / flat.shape[0])
             z_ev = z_ev + math.sqrt(10.0 ** (cfg.scnr_db / 10.0)
                                     / m_hat.quad_form(v)) * v
-        cal = statistics_from_stacks(z_cal, zs_cal, v, labels).statistics
-        ev = statistics_from_stacks(z_ev, zs_ev, v, labels).statistics
+        cal = statistics_from_stacks(z_cal, zs_cal, v, labels)
+        ev = statistics_from_stacks(z_ev, zs_ev, v, labels)
         rates_cis = np.array([
             estimate_rate(ev[lab], calibrate_threshold(
                 TrialEnsemble(lab, cal[lab], cfg), spec.pfa))
@@ -678,11 +678,11 @@ class TestBlockwiseWindows:
         assert result.window_count == windows
         per_bin = math.ceil(windows / 256)
         assert len(blocks) == 2 * per_bin
-        assert all(len(b.statistics["glrt"]) <= 256 for b in blocks)
+        assert all(len(b["glrt"]) <= 256 for b in blocks)
         for lab in result.curve.detectors:
             for whole, parts in ((cal, blocks[:per_bin]), (ev, blocks[per_bin:])):
                 np.testing.assert_array_equal(
-                    np.concatenate([p.statistics[lab] for p in parts]),
+                    np.concatenate([p[lab] for p in parts]),
                     whole[lab])
         np.testing.assert_array_equal(result.curve.rates[0], rates)
         np.testing.assert_array_equal(result.curve.cis[0], cis)

@@ -77,11 +77,11 @@ def check_against_reference(n, k, cnr_db, rho, inject):
         batches = [inject_target(b, v, m, cfg.scnr_db) for b in batches]
     z, zs = stacks_from_batches(batches)
 
-    sim = statistics_from_stacks(
+    stats = statistics_from_stacks(
         z, zs, v, ALL_LABELS, true_m=m, alpha_hyp=alpha,
         record_em_trace=True, trace_l_max=7,
     )
-    stats, delta = sim.statistics, sim.em_delta_l
+    delta = stats[engine.TRACE]
 
     for i, batch in enumerate(batches):
         sc = sample_covariance(batch)
@@ -155,21 +155,19 @@ class TestSchedulingInvariance:
         fine = chunked(7, cfg, ("glrt", "em-bml-d5"), 100)
         coarse = chunked(4096, cfg, ("glrt", "em-bml-d5"), 100)
         for lab in ("glrt", "em-bml-d5"):
-            np.testing.assert_array_equal(fine.statistics[lab],
-                                          coarse.statistics[lab])
+            np.testing.assert_array_equal(fine[lab], coarse[lab])
 
     def test_worker_count_does_not_change_results(self, chunked):
         cfg = ScenarioConfig(master_seed=205)
         solo = chunked(50, cfg, ("amf",), 200, workers=1)
         pair = chunked(50, cfg, ("amf",), 200, workers=2)
-        np.testing.assert_array_equal(solo.statistics["amf"],
-                                      pair.statistics["amf"])
+        np.testing.assert_array_equal(solo["amf"], pair["amf"])
 
     def test_stream_seed_partitions_trials(self):
         cfg = ScenarioConfig(master_seed=206)
         a = simulate_statistics(cfg, ("amf",), 50, stream_seed=1)
         b = simulate_statistics(cfg, ("amf",), 50, stream_seed=2)
-        assert not np.array_equal(a.statistics["amf"], b.statistics["amf"])
+        assert not np.array_equal(a["amf"], b["amf"])
 
     STRADDLE_LABELS = ("glrt", "benchmark", "em-bml-d5")
 
@@ -183,9 +181,8 @@ class TestSchedulingInvariance:
 
     def assert_identical(self, first, second):
         for lab in self.STRADDLE_LABELS:
-            np.testing.assert_array_equal(first.statistics[lab],
-                                          second.statistics[lab])
-        np.testing.assert_array_equal(first.em_delta_l, second.em_delta_l)
+            np.testing.assert_array_equal(first[lab], second[lab])
+        np.testing.assert_array_equal(first[engine.TRACE], second[engine.TRACE])
 
     def check_chunk_sizes(self, chunked, invariant):
         reference = self.straddling_run(chunked, 4096, invariant)
@@ -217,8 +214,7 @@ class TestSchedulingInvariance:
                                     invariant=True)
         traced = simulate_statistics(cfg, ("glrt",), 300, inject=True,
                                      trace_l_max=3, invariant=True)
-        np.testing.assert_array_equal(plain.statistics["glrt"],
-                                      traced.statistics["glrt"])
+        np.testing.assert_array_equal(plain["glrt"], traced["glrt"])
 
 
 # Distribution gate between the two generators: (n, k, scnr_db, cos_sq_phi,
@@ -255,12 +251,12 @@ class TestInvariantGenerator:
             for invariant in (False, True)
         )
         pvalues = {
-            lab: sps.ks_2samp(data.statistics[lab], drawn.statistics[lab]).pvalue
+            lab: sps.ks_2samp(data[lab], drawn[lab]).pvalue
             for lab in GATE_LABELS
         }
         for l in range(GATE_L):
             pvalues[f"dl{l + 1}"] = sps.ks_2samp(
-                data.em_delta_l[:, l], drawn.em_delta_l[:, l]).pvalue
+                data[engine.TRACE][:, l], drawn[engine.TRACE][:, l]).pvalue
         failed = {key: p for key, p in pvalues.items() if p < GATE_ALPHA}
         assert not failed, f"KS p-values below {GATE_ALPHA:.1e}: {failed}"
 
@@ -269,7 +265,7 @@ class TestInvariantGenerator:
         """Under H0, P(GLRT <= eta) = 1 - (1 - eta)^(k - n + 1) (Kelly 1986)."""
         cfg = ScenarioConfig(n=n, k=k, master_seed=230 + n)
         glrt = simulate_statistics(cfg, ("glrt",), 20_000,
-                                   invariant=True).statistics["glrt"]
+                                   invariant=True)["glrt"]
         pvalue = sps.kstest(
             glrt, lambda eta: 1.0 - (1.0 - eta) ** (k - n + 1)).pvalue
         # three tests, family-wise false-failure rate 1e-3
@@ -298,7 +294,7 @@ class TestDataGenerator:
         monkeypatch.setattr(scenario, "block_key", count_key)
         sim = chunked(512, ScenarioConfig(master_seed=213), ("amf",), 1000,
                       invariant=invariant)
-        assert sim.statistics["amf"].shape == (1000,)
+        assert sim["amf"].shape == (1000,)
         assert keys == [(b, not invariant) for b in range(4)]
         # every Philox is a chunk's, so no per-trial trial_rng was built
         assert len(philox_built) == 2
@@ -325,10 +321,9 @@ class TestDataGenerator:
         sim = simulate_statistics(cfg, labels, 600, inject=True)
         # the clairvoyant's M^-1 v takes n x n solves, never a stack's
         assert not any(stacked)
-        assert sim.statistics.keys() == set(labels)
+        assert sim.keys() == set(labels)
         for lab in labels:
-            np.testing.assert_array_equal(sim.statistics[lab],
-                                          full.statistics[lab])
+            np.testing.assert_array_equal(sim[lab], full[lab])
 
 
 def sha256(array):
@@ -377,7 +372,7 @@ class TestDataStream:
         sim = simulate_statistics(
             ScenarioConfig(master_seed=242),
             ("glrt", "amf", "rao", "ace", "em-bml-d5", "em-bml-d7"), 600)
-        assert sha256(sim.statistics["amf"]) == GOLDEN_AMF
+        assert sha256(sim["amf"]) == GOLDEN_AMF
 
 
 class TestWorkerPool:
@@ -430,8 +425,7 @@ class TestWorkerPool:
         wide = chunked(300, cfg, ("amf",), 600, workers=64)
         assert built == [2]
         solo = chunked(300, cfg, ("amf",), 600)
-        np.testing.assert_array_equal(wide.statistics["amf"],
-                                      solo.statistics["amf"])
+        np.testing.assert_array_equal(wide["amf"], solo["amf"])
 
 
 SIX = ("glrt", "amf", "rao", "ace", "em-bml-d5", "em-bml-d7")
@@ -450,7 +444,7 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sim.statistics["amf"].shape == (4096,)
+        assert sim["amf"].shape == (4096,)
         assert peak < 12 * 2**20
 
 
@@ -459,8 +453,7 @@ class TestInjection:
         cfg = ScenarioConfig(scnr_db=20.0, master_seed=207)
         null = simulate_statistics(cfg, ("glrt",), 400, inject=False)
         hit = simulate_statistics(cfg, ("glrt",), 400, inject=True)
-        assert hit.statistics["glrt"].mean() > \
-            5 * null.statistics["glrt"].mean()
+        assert hit["glrt"].mean() > 5 * null["glrt"].mean()
 
     def test_injection_requires_scnr(self):
         cfg = ScenarioConfig(master_seed=208)
@@ -472,8 +465,7 @@ class TestInjection:
         matched = simulate_statistics(cfg, ("amf",), 400, inject=True)
         skewed = simulate_statistics(replace(cfg, cos_sq_phi=0.3),
                                      ("amf",), 400, inject=True)
-        assert skewed.statistics["amf"].mean() < \
-            0.8 * matched.statistics["amf"].mean()
+        assert skewed["amf"].mean() < 0.8 * matched["amf"].mean()
 
 
 class TestSaturation:
@@ -487,9 +479,8 @@ class TestSaturation:
         q1 = np.float64(1.0 - POSTERIOR_FLOOR)
         l_sat = np.log(q1) - np.log(1.0 - q1)
         cfg = ScenarioConfig(scnr_db=scnr_db, master_seed=210)
-        sim = simulate_statistics(cfg, ("amf", "em-bml-d4", "em-bml-d5"),
-                                  2000, inject=scnr_db is not None)
-        stats = sim.statistics
+        stats = simulate_statistics(cfg, ("amf", "em-bml-d4", "em-bml-d5"),
+                                    2000, inject=scnr_db is not None)
         saturated = stats["em-bml-d4"] >= l_sat
         assert saturated.sum() > 100
         np.testing.assert_allclose(

@@ -9,7 +9,7 @@ import pytest
 
 from embml import harness
 from embml.curves import format_curve
-from embml.engine import SimulatedStatistics, simulate_statistics
+from embml.engine import TRACE, simulate_statistics
 from embml.harness import (
     _benchmark_threshold,
     InsufficientTrials,
@@ -149,7 +149,7 @@ class TestBenchmarkThreshold:
         pfa, trials = 0.05, 20_000
         cfg = replace(SMALL, scnr_db=8.0, master_seed=307, **clutter)
         stats = simulate_statistics(cfg, ("benchmark",), trials)
-        rate, _ = estimate_rate(stats.statistics["benchmark"],
+        rate, _ = estimate_rate(stats["benchmark"],
                                 _benchmark_threshold(cfg.scnr_db, pfa))
         assert abs(rate - pfa) <= 4 * np.sqrt(pfa * (1 - pfa) / trials)
 
@@ -363,8 +363,7 @@ def chunk_source(null, row=None):
         stats = null if row is None or stream_seed == calibration else row
         assert all(stats[lab].size == n_trials for lab in labels)
         for start in range(0, n_trials, CHUNK):
-            yield SimulatedStatistics(
-                {lab: stats[lab][start:start + CHUNK] for lab in labels})
+            yield {lab: stats[lab][start:start + CHUNK] for lab in labels}
 
     return chunks
 
@@ -438,6 +437,18 @@ class TestStreamedReduction:
             else:
                 cfar_sweep(SMALL, 0.05, [SMALL.cnr_db], [SMALL.rho, 0.5],
                            trials, detectors=("glrt", "amf"))
+
+    def test_non_finite_trace_row_is_named_by_its_trial(self):
+        # two chunks of 5 trials x 3 iterations; the NaN sits in row 2 of
+        # the second chunk, so trial 5 + 2 is the first bad one
+        chunks = [np.ones((5, 3)), np.ones((5, 3))]
+        chunks[1][2, 1] = np.nan
+        trace = np.empty((10, 3))
+        with pytest.raises(ValueError,
+                           match=rf"^{TRACE}: 1 of 5 .* first at trial 7$"):
+            harness._reduce({TRACE: harness._Rows(trace)},
+                            ({TRACE: c} for c in chunks))
+        np.testing.assert_array_equal(trace[:5], chunks[0])
 
     def test_benchmark_only_calibration_draws_no_chunk(self, monkeypatch):
         calls = []
