@@ -11,13 +11,12 @@ the unknown-key checks, parsing and serialization all read.
 from __future__ import annotations
 
 import configparser
-import math
 from dataclasses import dataclass, field
 
 from .cube import CUBE_FORMATS
 from .detectors import DetectorId, detector_label, parse_detector_label
 from .harness import required_trials
-from .scenario import ScenarioConfig
+from .scenario import ScenarioConfig, _finite_db
 
 __all__ = [
     "COMMANDS",
@@ -116,9 +115,10 @@ class ExperimentSpec:
                 raise ValidationError(f"{name} must be nonempty")
         for name in ("scnr_grid_db", "cnr_grid_db"):
             for db in getattr(self, name):
-                if not math.isfinite(db):
+                if not _finite_db(db):
                     raise ValidationError(
-                        f"{name} values must be finite; got {db}")
+                        f"{name} values must be finite, as must their linear "
+                        f"power 10^(dB/10); got {db}")
         for r in self.rho_grid:
             if not 0.0 <= r < 1.0:
                 raise ValidationError(f"rho_grid values must lie in [0, 1); got {r}")

@@ -341,39 +341,31 @@ def _region_target(cube: DataCube, n: int, k: int, eval_bin: int,
     return alpha * v
 
 
-def _window_blocks(cube: DataCube, n: int, k: int, range_bin: int,
-                   overlap: int, count: int, v: np.ndarray,
-                   labels: tuple[str, ...], target: np.ndarray | None = None):
-    """The statistics of one bin's windows, one block of _BLOCK at a time.
-
-    Each block is gathered and, with target (if any) added to every CUT,
-    evaluated before the next. A statistic undefined at a window (0/0 at
-    an all-zero CUT, say) is a NaN the engine computes without a warning,
-    which the reduction's finite check names.
-    """
-    for start in range(0, count, _BLOCK):
-        z, zs = _windows(cube, n, k, range_bin, overlap, start,
-                         min(start + _BLOCK, count))
-        if target is not None:
-            z += target
-        with _singular_windows_named(cube, zs, range_bin, start):
-            part = statistics_from_stacks(z, zs, v, labels)
-        # outside the with, so it does not hold while the consumer runs
-        yield part
-
-
 def _reduce_bin(cube: DataCube, n: int, k: int, range_bin: int, overlap: int,
                 count: int, v: np.ndarray, reducers: dict,
                 target: np.ndarray | None = None) -> dict:
     """Each label's reducer, fed its statistics over one bin's windows.
 
-    A non-finite statistic raises FormatError naming the cube, the range
-    bin, the window and the detector.
+    The windows are gathered and, with target (if any) added to every
+    CUT, evaluated one block of _BLOCK at a time, each block reduced
+    before the next is gathered. A non-finite statistic (0/0 at an
+    all-zero CUT, say, which the engine computes without a warning)
+    raises FormatError naming the cube, the range bin, the window and the
+    detector.
     """
-    blocks = _window_blocks(cube, n, k, range_bin, overlap, count, v,
-                            tuple(reducers), target)
+    def blocks():
+        for start in range(0, count, _BLOCK):
+            z, zs = _windows(cube, n, k, range_bin, overlap, start,
+                             min(start + _BLOCK, count))
+            if target is not None:
+                z += target
+            with _singular_windows_named(cube, zs, range_bin, start):
+                part = statistics_from_stacks(z, zs, v, tuple(reducers))
+            # outside the with, so it does not hold while the consumer runs
+            yield part
+
     try:
-        return _reduce(reducers, blocks)
+        return _reduce(reducers, blocks())
     except NonFiniteStatistic as err:
         raise FormatError(
             f"{cube.source}: range bin {range_bin}, window {err.index}: "

@@ -139,23 +139,17 @@ def detector_label(detector: DetectorId, lmax: int | None = None) -> str:
 
 
 def parse_detector_label(label: str) -> tuple[DetectorId, int | None]:
-    """Inverse of detector_label. Raises ValueError on unknown labels."""
-    name = label.strip().lower()
+    """Inverse of detector_label on exactly the strings it writes: lowercase,
+    an EM cap in ASCII decimal without leading zeros. Raises ValueError on
+    any other string, so each detector has one label."""
     prefix = DetectorId.EM_BML_D.value
-    if name.startswith(prefix):
-        tail = name[len(prefix):]
-        if not tail:
-            raise ValueError(f"detector {label!r} needs an iteration cap, e.g. {prefix}5")
-        try:
-            lmax = int(tail)
-        except ValueError:
-            raise ValueError(f"unknown detector label {label!r}") from None
-        if lmax < 0:
-            raise ValueError(f"iteration cap must be nonnegative in {label!r}")
-        return DetectorId.EM_BML_D, lmax
+    if label == prefix:
+        raise ValueError(f"detector {label!r} needs an iteration cap, e.g. {prefix}5")
+    cap = label.removeprefix(prefix)
+    if cap != label and cap.isascii() and cap.isdigit() and (
+            cap == "0" or cap[0] != "0"):
+        return DetectorId.EM_BML_D, int(cap)
     for det in DetectorId:
-        if name == det.value:
-            if det is DetectorId.EM_BML_D:
-                break
+        if label == det.value and det is not DetectorId.EM_BML_D:
             return det, None
     raise ValueError(f"unknown detector label {label!r}")

@@ -22,9 +22,11 @@ A chunk of _CHUNK trials is the unit of work: _compute_chunk has one path
 draw what _needs says the labels read, and runs _evaluate once over it.
 A chunk is a plain dict of per-trial arrays: one (trials,) array per
 detector label, and the (trials, l_max) EM trace under TRACE when it is
-recorded. _evaluate silences numpy's divide and invalid warnings, so an
-undefined statistic (0/0, say) is a quiet NaN, which the harness's finite
-check names by its trial.
+recorded. _compute_chunk and statistics_from_stacks draw and evaluate
+with numpy's divide, invalid and overflow warnings silenced on the thread
+that runs them, so an undefined or overflowing statistic (0/0, say, or a
+square at an extreme SCNR) is a quiet NaN or inf, which the harness's
+finite check names by its trial.
 On both paths each block of _BLOCK trials draws from a generator keyed by
 (stream_seed, block_index), with a tag per path; a chunk builds one Philox
 and re-keys it for each block covering it (_blocks, scenario.block_rngs),
@@ -39,8 +41,10 @@ inside numpy calls that release the GIL, most of a data trial (the Philox
 fill, the colouring products, the batched solve); an invariant trial
 costs about 1 us in short calls that contend for the GIL, so the harness
 runs that path on one thread. The chunk iterator, _simulate_chunks, is
-the package's entry: it yields each chunk as it is computed, so the
-harness reduces every phase in flat memory.
+the package's one entry, and every caller names its stream seed: it
+yields each chunk as it is computed, so the harness reduces every phase
+in flat memory. simulate_statistics joins one null data run at the
+scenario's master seed, for the benchmark.
 """
 
 from __future__ import annotations
@@ -74,6 +78,10 @@ _BLOCK = 256
 # a chunk's key for the (trials, l_max) EM trace; no detector label
 # parses to it
 TRACE = "em-delta"
+
+# each function that draws and evaluates trials enters this on its own
+# thread, since numpy's error state is per thread
+_quiet = np.errstate(divide="ignore", invalid="ignore", over="ignore")
 
 # the classical statistics from a = v^H S^-1 v, b2 = |v^H S^-1 z|^2 and
 # c = z^H S^-1 z. Rao uses the Sherman-Morrison identity on S + z z^H:
@@ -184,37 +192,35 @@ def _evaluate(
     benchmark_statistic_from_aux and logdet_s log det S; each is None
     unless _needs asks for it, and the EM trace is recorded, under TRACE,
     exactly when logdet_s is given. Only the labels' statistics are
-    computed, and a division by zero or an undefined value leaves its
-    inf or NaN without a warning. Every operation is elementwise over
-    trials, so a trial's statistics do not depend on how many trials are
-    evaluated with it. EM variant labels like em-bml-d5 share a single EM
-    recursion run to the largest cap.
+    computed, and its callers run it under _quiet. Every operation is
+    elementwise over trials, so a trial's statistics do not depend on how
+    many trials are evaluated with it. EM variant labels like em-bml-d5
+    share a single EM recursion run to the largest cap.
     """
     parsed = [parse_detector_label(lab) for lab in labels]
     em_ls = sorted({lmax for det, lmax in parsed if det is DetectorId.EM_BML_D})
 
     stats: dict[str, np.ndarray] = {}
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for det, _ in parsed:
-            if det in _CLASSICAL:
-                stats[det.value] = _CLASSICAL[det](*scalars)
+    for det, _ in parsed:
+        if det in _CLASSICAL:
+            stats[det.value] = _CLASSICAL[det](*scalars)
 
-        if benchmark_aux is not None:
-            stats[DetectorId.BENCHMARK.value] = benchmark_statistic_from_aux(
-                *benchmark_aux
-            )
+    if benchmark_aux is not None:
+        stats[DetectorId.BENCHMARK.value] = benchmark_statistic_from_aux(
+            *benchmark_aux
+        )
 
-        if em_ls or logdet_s is not None:
-            l_top = max(em_ls, default=0)
-            if logdet_s is not None:
-                l_top = max(l_top, trace_l_max or 0)
-            snaps, em_delta = _em_batched(
-                *scalars, logdet_s, l_top, tuple(em_ls), k, n,
-            )
-            for l in em_ls:
-                stats[detector_label(DetectorId.EM_BML_D, l)] = snaps[l]
-            if logdet_s is not None:
-                stats[TRACE] = em_delta
+    if em_ls or logdet_s is not None:
+        l_top = max(em_ls, default=0)
+        if logdet_s is not None:
+            l_top = max(l_top, trace_l_max or 0)
+        snaps, em_delta = _em_batched(
+            *scalars, logdet_s, l_top, tuple(em_ls), k, n,
+        )
+        for l in em_ls:
+            stats[detector_label(DetectorId.EM_BML_D, l)] = snaps[l]
+        if logdet_s is not None:
+            stats[TRACE] = em_delta
 
     return stats
 
@@ -257,6 +263,7 @@ def _benchmark_projection(v, true_m, alpha_hyp):
     return minv_v, float(np.vdot(v, minv_v).real), alpha_hyp
 
 
+@_quiet
 def statistics_from_stacks(
     z: np.ndarray,
     zs: np.ndarray,
@@ -480,6 +487,7 @@ def _invariant_chunk(cfg, stream_seed, start, stop, inject, need_scalars,
     return scalars, benchmark_aux, logdet_s
 
 
+@_quiet
 def _compute_chunk(args) -> dict[str, np.ndarray]:
     """One chunk's statistics; the EM trace is recorded given trace_l_max."""
     invariant, cfg, labels, seed, start, stop, inject, trace_l_max = args
@@ -497,7 +505,7 @@ def _simulate_chunks(
     labels: tuple[str, ...],
     n_trials: int,
     *,
-    stream_seed: int | None = None,
+    stream_seed: int,
     inject: bool = False,
     trace_l_max: int | None = None,
     workers: int = 1,
@@ -505,10 +513,10 @@ def _simulate_chunks(
 ) -> Iterator[dict[str, np.ndarray]]:
     """n_trials independent trials' statistics, one chunk at a time in order.
 
+    The trials draw from stream_seed's substream; harness phases pass
+    derived seeds so different experiment stages never share substreams.
     Under inject=True the cell under test receives a target along the
     scenario's true steering (mismatched when cos_sq_phi < 1) at scnr_db.
-    stream_seed defaults to the scenario's master_seed; harness phases pass
-    derived seeds so different experiment stages never share substreams.
     Given trace_l_max, each chunk records the EM convergence trace to that
     iteration under TRACE. invariant=True draws each trial's maximal
     invariant instead of its data; the statistics have the same
@@ -522,12 +530,11 @@ def _simulate_chunks(
         raise ValueError("n_trials must be positive")
     if inject and cfg.scnr_db is None:
         raise ValueError("injection requires scnr_db")
-    seed = cfg.master_seed if stream_seed is None else stream_seed
     labels = tuple(labels)
     starts = range(0, n_trials, _CHUNK)
     args = (
-        (invariant, cfg, labels, seed, start, min(start + _CHUNK, n_trials),
-         inject, trace_l_max)
+        (invariant, cfg, labels, stream_seed, start,
+         min(start + _CHUNK, n_trials), inject, trace_l_max)
         for start in starts
     )
     if workers > 1 and len(starts) > 1:
@@ -543,20 +550,13 @@ def simulate_statistics(
     cfg: ScenarioConfig,
     labels: tuple[str, ...],
     n_trials: int,
-    *,
-    stream_seed: int | None = None,
-    inject: bool = False,
-    trace_l_max: int | None = None,
-    workers: int = 1,
-    invariant: bool = False,
 ) -> dict[str, np.ndarray]:
-    """_simulate_chunks' chunks joined into one chunk of n_trials trials.
+    """The null statistics of n_trials data trials at cfg.master_seed, each
+    label's chunks joined into one (n_trials,) array.
 
-    The package reduces the chunks as they come instead; this whole-array
-    form is kept for the benchmark's generate layer and for the tests.
+    The package reduces _simulate_chunks' chunks as they come instead;
+    this whole-array form is kept for the benchmark's generate layer.
     """
-    parts = list(_simulate_chunks(
-        cfg, labels, n_trials, stream_seed=stream_seed, inject=inject,
-        trace_l_max=trace_l_max, workers=workers, invariant=invariant,
-    ))
+    parts = list(_simulate_chunks(cfg, labels, n_trials,
+                                  stream_seed=cfg.master_seed))
     return {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}

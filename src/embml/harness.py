@@ -133,8 +133,15 @@ def order_labels(labels) -> tuple[str, ...]:
 
 
 def required_trials(pfa: float) -> int:
-    """Smallest null ensemble that thresholds pfa: ceil(100 / pfa) trials."""
-    return math.ceil(100.0 / pfa - 1e-9)
+    """Smallest null ensemble that thresholds pfa: ceil(100 / pfa) trials.
+
+    Raises ValueError when 100 / pfa overflows the float range.
+    """
+    trials = 100.0 / pfa
+    if not math.isfinite(trials):
+        raise ValueError(f"pfa={pfa} is too small: 100/pfa trials overflow "
+                         "the float range")
+    return math.ceil(trials - 1e-9)
 
 
 def _threshold_rank(n: int, pfa: float) -> int:
@@ -486,9 +493,10 @@ def convergence_study(
 
     scnr_list entries are SCNRs in dB, or None for the null hypothesis.
     Each configuration's trace is reduced chunk by chunk into one buffer of
-    trials x l_max, which every configuration reuses. A non-finite
-    objective change raises NonFiniteStatistic naming the configuration
-    and the first trial with one.
+    trials x l_max, which every configuration reuses. Configurations are
+    named h0 and scnr{:g}, and two with one name raise ValueError before
+    any draw. A non-finite objective change raises NonFiniteStatistic
+    naming the configuration and the first trial with one.
     """
     if trials < 1000:
         raise InsufficientTrials(
@@ -496,27 +504,23 @@ def convergence_study(
         )
     if l_max < 1:
         raise ValueError("l_max must be positive")
-    names = []
+    names = ["h0" if scnr is None else f"scnr{scnr:g}" for scnr in scnr_list]
+    for j, name in enumerate(names):
+        if name in names[:j]:
+            raise ValueError(f"two convergence configurations are named {name}")
     means = np.empty((l_max, len(scnr_list)))
     cis = np.empty_like(means)
     trace = np.empty((trials, l_max))
     for j, scnr in enumerate(scnr_list):
-        if scnr is None:
-            names.append("h0")
-            point_cfg = replace(cfg, scnr_db=None)
-            inject = False
-        else:
-            names.append(f"scnr{scnr:g}")
-            point_cfg = replace(cfg, scnr_db=float(scnr))
-            inject = True
+        point_cfg = replace(cfg, scnr_db=None if scnr is None else float(scnr))
         seed = derive_stream_seed(cfg.master_seed, _PHASE_CONVERGENCE, j)
         chunks = _simulate_chunks(point_cfg, (), trials, stream_seed=seed,
-                                  inject=inject, trace_l_max=l_max,
+                                  inject=scnr is not None, trace_l_max=l_max,
                                   invariant=True)
         try:
             _reduce({TRACE: _Rows(trace)}, chunks)
         except NonFiniteStatistic as err:
-            raise NonFiniteStatistic(f"{names[-1]}: {err}", err.detector,
+            raise NonFiniteStatistic(f"{names[j]}: {err}", err.detector,
                                      err.index) from err
         means[:, j] = trace.mean(axis=0)
         cis[:, j] = 1.96 * trace.std(axis=0) / math.sqrt(trials)

@@ -44,6 +44,15 @@ class DegenerateDirection(ValueError):
     """No usable orthogonal direction could be built for the mismatch."""
 
 
+def _finite_db(db: float) -> bool:
+    """Whether a dB value and its linear power 10^(db/10) are finite floats;
+    the power overflows the float range above about 3082.5 dB."""
+    try:
+        return math.isfinite(db) and math.isfinite(10.0 ** (db / 10.0))
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Parameters of one synthetic detection scene.
@@ -77,14 +86,16 @@ class ScenarioConfig:
             raise ValueError(f"k must be an integer >= n, got {self.k}")
         if not 0.0 <= self.rho < 1.0:
             raise ValueError(f"rho must lie in [0, 1), got {self.rho}")
-        if not math.isfinite(self.cnr_db):
-            raise ValueError("cnr_db must be finite")
+        if not _finite_db(self.cnr_db):
+            raise ValueError("cnr_db must be finite, as must its linear power "
+                             f"10^(cnr_db/10); got {self.cnr_db}")
         if not (self.noise_power > 0 and math.isfinite(self.noise_power)):
             raise ValueError("noise_power must be positive and finite")
         if not -0.5 <= self.doppler < 0.5:
             raise ValueError(f"doppler must lie in [-0.5, 0.5), got {self.doppler}")
-        if self.scnr_db is not None and not math.isfinite(self.scnr_db):
-            raise ValueError("scnr_db must be finite or None")
+        if self.scnr_db is not None and not _finite_db(self.scnr_db):
+            raise ValueError("scnr_db must be finite or None, and its linear "
+                             f"power 10^(scnr_db/10) finite; got {self.scnr_db}")
         if not 0.0 <= self.cos_sq_phi <= 1.0:
             raise ValueError(f"cos_sq_phi must lie in [0, 1], got {self.cos_sq_phi}")
         if not (isinstance(self.master_seed, int) and 0 <= self.master_seed < _U64):

@@ -2,6 +2,7 @@
 
 import re
 import sys
+import threading
 
 import pytest
 
@@ -20,6 +21,16 @@ def pytest_terminal_summary(terminalreporter):
     terminalreporter.section("acceptance criteria")
     for line in sorted(lines, key=_criterion_key):
         terminalreporter.write_line(line)
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_its_test():
+    """Fail a test that leaves alive a thread it started: a pool worker or
+    a FIFO writer, say."""
+    before = set(threading.enumerate())
+    yield
+    leaked = [t.name for t in threading.enumerate() if t not in before]
+    assert not leaked, f"threads left alive: {', '.join(leaked)}"
 
 
 @pytest.fixture

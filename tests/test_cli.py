@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import embml
-from embml import engine, harness
+from embml import cli, engine, harness
 from embml.cli import _spec_from_args, build_parser, main
 from embml.cube import DataCube, synthesize_cube, write_cube
 from embml.scenario import ScenarioConfig
@@ -24,6 +24,20 @@ def run_cli(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def drawn(monkeypatch):
+    """The arguments of every harness._simulate_chunks call, each of which
+    fails the test."""
+    calls = []
+
+    def draw(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("trials were drawn")
+
+    monkeypatch.setattr(harness, "_simulate_chunks", draw)
+    return calls
 
 
 class TestExitCodes:
@@ -59,6 +73,69 @@ class TestExitCodes:
              "--out", str(tmp_path / "x.csv")], capsys)
         assert code == 2
         assert "matched-filter" in stderr
+
+    @pytest.mark.parametrize("command, label, via_ini", [
+        ("calibrate", "GLRT", False),
+        ("pd-curve", "Amf", True),
+        ("pfa-sweep", "Amf", True),
+        ("mismatch-contour", "Amf", True),
+        ("ingest-run", "Amf", True),
+    ])
+    def test_other_label_spelling_is_two_before_any_draw(
+        self, tmp_path, capsys, monkeypatch, drawn, command, label, via_ini
+    ):
+        opened = []
+        monkeypatch.setattr(cli, "ingest_cube", lambda *a: opened.append(a))
+        if via_ini:
+            ini = write_ini(tmp_path / "run.ini", {
+                "run": {"detectors": label},
+                "cube": {"path": str(tmp_path / "cube.bin")}})
+            args = ["--config", ini]
+        else:
+            args = ["--detectors", label]
+        code, _, stderr = run_cli(
+            [command, *args, "--out", str(tmp_path / "x.csv")], capsys)
+        assert code == 2
+        assert re.fullmatch(rf"error: .*'{label}'.*\n", stderr)
+        assert drawn == []
+        assert opened == []
+
+    def test_tiny_pfa_is_two_and_names_pfa(self, tmp_path, capsys):
+        # 100/pfa trials overflow the float range below about 5.6e-307
+        code, _, stderr = run_cli(
+            ["calibrate", "--pfa", "1e-310", "--out", str(tmp_path / "x.csv")],
+            capsys)
+        assert code == 2
+        assert re.fullmatch(r"error: pfa=1e-310 .*\n", stderr)
+
+    @pytest.mark.parametrize("args, key", [
+        (["--scnr", "3100", "--detectors", "benchmark", "amf"], "scnr_db"),
+        (["--cnr", "3100"], "cnr_db"),
+    ])
+    def test_scenario_db_past_the_float_range_is_two_before_any_draw(
+        self, tmp_path, capsys, drawn, args, key
+    ):
+        # 10^(dB/10) overflows a float above about 3082.5 dB
+        code, _, stderr = run_cli(
+            ["calibrate", *args, "--pfa", "0.05", "--trials", "2000",
+             "--out", str(tmp_path / "x.csv")], capsys)
+        assert code == 2
+        assert re.fullmatch(rf"error: scenario: {key} .*3100.*\n", stderr)
+        assert drawn == []
+
+    def test_duplicate_convergence_name_is_two_before_any_draw(
+        self, tmp_path, capsys, drawn
+    ):
+        # both print as scnr10 under {:g}, and each configuration draws its
+        # own substream, so two columns of one name would differ
+        out = tmp_path / "x.csv"
+        code, _, stderr = run_cli(
+            ["convergence", "--scnr-grid", "10", "10.0000001", "--trials",
+             "1000", "--l-max", "2", "--out", str(out)], capsys)
+        assert code == 2
+        assert re.fullmatch(r"error: .*scnr10\n", stderr)
+        assert drawn == []
+        assert not out.exists()
 
     def test_missing_config_file_is_three(self, capsys):
         code, _, stderr = run_cli(
@@ -218,19 +295,16 @@ class TestExitCodes:
         # pfa-sweep calibrates on its own trials
         ("pfa-sweep", ["--cnr-grid", "30", "inf", "--trials", "100000000"],
          "cnr_grid_db"),
+        # 10^(dB/10) overflows a float above about 3082.5 dB
+        ("pd-curve", ["--scnr-grid", "0", "3100"], "scnr_grid_db"),
+        ("pfa-sweep", ["--cnr-grid", "30", "3100", "--trials", "100000000"],
+         "cnr_grid_db"),
     ])
     def test_non_finite_grid_value_is_two_before_any_draw(
-        self, tmp_path, capsys, monkeypatch, command, grid, key
+        self, tmp_path, capsys, drawn, command, grid, key
     ):
         # at --pfa 1e-6 a calibration drawn before the check would be 10^8
         # trials
-        drawn = []
-
-        def draw(*args, **kwargs):
-            drawn.append(args)
-            raise AssertionError("trials were drawn")
-
-        monkeypatch.setattr(harness, "_simulate_chunks", draw)
         code, _, stderr = run_cli(
             [command, *grid, "--pfa", "1e-6",
              "--out", str(tmp_path / "x.csv")], capsys)
@@ -268,6 +342,19 @@ class TestExitCodes:
              "--out", str(tmp_path / "x.csv")], capsys)
         assert code == 0
         assert stderr == ""
+
+    def test_overflowing_statistic_is_two_with_one_error_line(
+        self, tmp_path, capsys
+    ):
+        # at 3000 dB the EM recursion squares a value past the float range
+        # for some trials; pytest turns the RuntimeWarning numpy would print
+        # into an error
+        code, _, stderr = run_cli(
+            ["pd-curve", "--scnr-grid", "3000", "--detectors", "amf", "glrt",
+             "em-bml-d5", "--pfa", "0.05", "--trials", "2000",
+             "--out", str(tmp_path / "x.csv")], capsys)
+        assert code == 2
+        assert re.fullmatch(r"error: em-bml-d5: .* not finite, .*\n", stderr)
 
     def test_non_finite_window_statistic_is_three_with_one_error_line(
         self, tmp_path

@@ -181,6 +181,21 @@ class TestLabels:
             with pytest.raises(ValueError):
                 parse_detector_label(bad)
 
+    @pytest.mark.parametrize("label", [
+        "glrt", "amf", "rao", "ace", "benchmark", "em-bml-d0", "em-bml-d5",
+        "em-bml-d12",
+    ])
+    def test_canonical_label_round_trips(self, label):
+        assert detector_label(*parse_detector_label(label)) == label
+
+    @pytest.mark.parametrize("label", [
+        "GLRT", "Amf", " glrt", "em-bml-d05", "em-bml-d+5", "em-bml-d 5",
+        "EM-BML-D5", "em-bml-d٥", "em-bml-d-1",
+    ])
+    def test_other_spellings_are_refused(self, label):
+        with pytest.raises(ValueError, match="detector"):
+            parse_detector_label(label)
+
     def test_em_label_requires_cap(self):
         with pytest.raises(ValueError):
             detector_label(DetectorId.EM_BML_D)

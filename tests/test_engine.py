@@ -25,7 +25,7 @@ from embml.detectors import (
     sample_covariance,
 )
 from embml.em import POSTERIOR_FLOOR, em_bml_statistic, run_em
-from embml.engine import simulate_statistics, statistics_from_stacks
+from embml.engine import statistics_from_stacks
 from embml.scenario import (
     DataBatch,
     ScenarioConfig,
@@ -40,12 +40,20 @@ ALL_LABELS = ("glrt", "amf", "rao", "ace", "benchmark", "em-bml-d5",
               "em-bml-d7")
 
 
+def joined(cfg, labels, n_trials, **kwargs):
+    """engine._simulate_chunks' chunks joined into one array per key, drawn
+    from the scenario's master seed unless a stream_seed is given."""
+    kwargs.setdefault("stream_seed", cfg.master_seed)
+    parts = list(engine._simulate_chunks(cfg, labels, n_trials, **kwargs))
+    return {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
+
+
 @pytest.fixture
 def chunked(monkeypatch):
-    """simulate_statistics with the engine's chunk size set for the call."""
+    """joined with the engine's chunk size set for the call."""
     def run(chunk, *args, **kwargs):
         monkeypatch.setattr(engine, "_CHUNK", chunk)
-        return simulate_statistics(*args, **kwargs)
+        return joined(*args, **kwargs)
     return run
 
 
@@ -128,16 +136,16 @@ def short_stacks():
 
 # (id, call, error, message): argument checks that must fail loudly
 ARGUMENT_CHECKS = (
-    ("no-trials", lambda: simulate_statistics(ScenarioConfig(), ("amf",), 0),
+    ("no-trials", lambda: joined(ScenarioConfig(), ("amf",), 0),
      "n_trials must be positive"),
     ("k-below-n", lambda: statistics_from_stacks(*short_stacks(), ("amf",)),
      "k >= n"),
     ("benchmark-data-no-amplitude",
-     lambda: simulate_statistics(ScenarioConfig(), ("benchmark",), 10),
+     lambda: joined(ScenarioConfig(), ("benchmark",), 10),
      "require an amplitude"),
     ("benchmark-invariant-no-amplitude",
-     lambda: simulate_statistics(ScenarioConfig(scnr_db=None), ("benchmark",),
-                                 10, invariant=True),
+     lambda: joined(ScenarioConfig(scnr_db=None), ("benchmark",), 10,
+                    invariant=True),
      "require an amplitude"),
 )
 
@@ -165,8 +173,8 @@ class TestSchedulingInvariance:
 
     def test_stream_seed_partitions_trials(self):
         cfg = ScenarioConfig(master_seed=206)
-        a = simulate_statistics(cfg, ("amf",), 50, stream_seed=1)
-        b = simulate_statistics(cfg, ("amf",), 50, stream_seed=2)
+        a = joined(cfg, ("amf",), 50, stream_seed=1)
+        b = joined(cfg, ("amf",), 50, stream_seed=2)
         assert not np.array_equal(a["amf"], b["amf"])
 
     STRADDLE_LABELS = ("glrt", "benchmark", "em-bml-d5")
@@ -210,10 +218,9 @@ class TestSchedulingInvariance:
 
     def test_invariant_trace_does_not_move_the_statistics(self):
         cfg = ScenarioConfig(scnr_db=10.0, master_seed=212)
-        plain = simulate_statistics(cfg, ("glrt",), 300, inject=True,
-                                    invariant=True)
-        traced = simulate_statistics(cfg, ("glrt",), 300, inject=True,
-                                     trace_l_max=3, invariant=True)
+        plain = joined(cfg, ("glrt",), 300, inject=True, invariant=True)
+        traced = joined(cfg, ("glrt",), 300, inject=True, trace_l_max=3,
+                        invariant=True)
         np.testing.assert_array_equal(plain["glrt"], traced["glrt"])
 
 
@@ -246,8 +253,8 @@ class TestInvariantGenerator:
         cfg = ScenarioConfig(n=n, k=k, scnr_db=scnr_db, cos_sq_phi=cos_sq_phi,
                              master_seed=220 + n + k)
         data, drawn = (
-            simulate_statistics(cfg, GATE_LABELS, GATE_TRIALS, inject=inject,
-                                trace_l_max=GATE_L, invariant=invariant)
+            joined(cfg, GATE_LABELS, GATE_TRIALS, inject=inject,
+                   trace_l_max=GATE_L, invariant=invariant)
             for invariant in (False, True)
         )
         pvalues = {
@@ -264,8 +271,7 @@ class TestInvariantGenerator:
     def test_glrt_null_matches_kelly_cdf(self, n, k):
         """Under H0, P(GLRT <= eta) = 1 - (1 - eta)^(k - n + 1) (Kelly 1986)."""
         cfg = ScenarioConfig(n=n, k=k, master_seed=230 + n)
-        glrt = simulate_statistics(cfg, ("glrt",), 20_000,
-                                   invariant=True)["glrt"]
+        glrt = joined(cfg, ("glrt",), 20_000, invariant=True)["glrt"]
         pvalue = sps.kstest(
             glrt, lambda eta: 1.0 - (1.0 - eta) ** (k - n + 1)).pvalue
         # three tests, family-wise false-failure rate 1e-3
@@ -305,7 +311,7 @@ class TestDataGenerator:
                                                     labels):
         # 600 trials straddle the 256-trial blocks
         cfg = ScenarioConfig(scnr_db=10.0, master_seed=214)
-        full = simulate_statistics(cfg, ("amf", "benchmark"), 600, inject=True)
+        full = joined(cfg, ("amf", "benchmark"), 600, inject=True)
         stacked = []
 
         def no_scatter(zs):
@@ -318,7 +324,7 @@ class TestDataGenerator:
         solve = np.linalg.solve
         monkeypatch.setattr(engine, "_scatter", no_scatter)
         monkeypatch.setattr(np.linalg, "solve", record_solve)
-        sim = simulate_statistics(cfg, labels, 600, inject=True)
+        sim = joined(cfg, labels, 600, inject=True)
         # the clairvoyant's M^-1 v takes n x n solves, never a stack's
         assert not any(stacked)
         assert sim.keys() == set(labels)
@@ -369,7 +375,7 @@ class TestDataStream:
             next(engine._coloured_blocks(cfg, chol, 241, 0, 10))
 
     def test_default_detector_amf_is_pinned(self):
-        sim = simulate_statistics(
+        sim = engine.simulate_statistics(
             ScenarioConfig(master_seed=242),
             ("glrt", "amf", "rao", "ace", "em-bml-d5", "em-bml-d7"), 600)
         assert sha256(sim["amf"]) == GOLDEN_AMF
@@ -437,10 +443,10 @@ class TestMemory:
         # solve's copies peak at about 81 MiB; one 256-trial block at a time
         # keeps the peak near 6 MiB
         cfg = ScenarioConfig(n=16, k=32, master_seed=217)
-        simulate_statistics(cfg, SIX, 10)
+        joined(cfg, SIX, 10)
         tracemalloc.start()
         try:
-            sim = simulate_statistics(cfg, SIX, 4096)
+            sim = joined(cfg, SIX, 4096)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -451,20 +457,20 @@ class TestMemory:
 class TestInjection:
     def test_injection_raises_detection_statistics(self):
         cfg = ScenarioConfig(scnr_db=20.0, master_seed=207)
-        null = simulate_statistics(cfg, ("glrt",), 400, inject=False)
-        hit = simulate_statistics(cfg, ("glrt",), 400, inject=True)
+        null = joined(cfg, ("glrt",), 400, inject=False)
+        hit = joined(cfg, ("glrt",), 400, inject=True)
         assert hit["glrt"].mean() > 5 * null["glrt"].mean()
 
     def test_injection_requires_scnr(self):
         cfg = ScenarioConfig(master_seed=208)
         with pytest.raises(ValueError):
-            simulate_statistics(cfg, ("glrt",), 10, inject=True)
+            joined(cfg, ("glrt",), 10, inject=True)
 
     def test_mismatched_injection_lowers_matched_response(self):
         cfg = ScenarioConfig(scnr_db=20.0, master_seed=209)
-        matched = simulate_statistics(cfg, ("amf",), 400, inject=True)
-        skewed = simulate_statistics(replace(cfg, cos_sq_phi=0.3),
-                                     ("amf",), 400, inject=True)
+        matched = joined(cfg, ("amf",), 400, inject=True)
+        skewed = joined(replace(cfg, cos_sq_phi=0.3), ("amf",), 400,
+                        inject=True)
         assert skewed["amf"].mean() < 0.8 * matched["amf"].mean()
 
 
@@ -479,8 +485,8 @@ class TestSaturation:
         q1 = np.float64(1.0 - POSTERIOR_FLOOR)
         l_sat = np.log(q1) - np.log(1.0 - q1)
         cfg = ScenarioConfig(scnr_db=scnr_db, master_seed=210)
-        stats = simulate_statistics(cfg, ("amf", "em-bml-d4", "em-bml-d5"),
-                                    2000, inject=scnr_db is not None)
+        stats = joined(cfg, ("amf", "em-bml-d4", "em-bml-d5"), 2000,
+                       inject=scnr_db is not None)
         saturated = stats["em-bml-d4"] >= l_sat
         assert saturated.sum() > 100
         np.testing.assert_allclose(
