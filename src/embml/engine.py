@@ -5,18 +5,21 @@ implementations; this module evaluates the same statistics on whole blocks
 of trials at once. The classical statistics and the whole EM recursion are
 closed forms in the maximal invariant a = v^H S^-1 v, |b|^2 = |v^H S^-1 z|^2
 and c = z^H S^-1 z (the EM trace also needs log det S), and one helper,
-_evaluate, computes the requested statistics from it. Two generators feed
-it:
+_evaluate, computes the requested statistics from it. Each is read off
+the whitened pair L^-1 [v, z], L a lower factor of S, and one forward
+substitution, _whitened, forms that pair on both of the generators that
+feed _evaluate:
 
 - the data path draws the (n, k+1) data matrices of each block of trials,
   colours them in place by two real products with chol(M), which is real,
-  and solves S against [v, z] (_stack_invariants).
-  statistics_from_stacks is its entry for data from outside (cube
-  windows); it is cross-checked to 1e-9 against the per-trial reference.
+  and factors each trial's S once by Cholesky, which also gives log det S
+  (_stack_invariants). statistics_from_stacks is its entry for data from
+  outside (cube windows); it is cross-checked to 1e-9 against the
+  per-trial reference.
 - the invariant path draws a, |b|^2, c, log det S and the benchmark's
-  projection exactly from O(n) scalars per trial, with no data matrix and
-  no solve. The test suite checks its distributions against the data
-  path.
+  projection exactly from O(n) scalars per trial, with no data matrix:
+  L is Bartlett's p x p factor T, p = min(n, 3). The test suite checks its
+  distributions against the data path.
 
 A chunk of _CHUNK trials is the unit of work: _compute_chunk has one path
 draw what _needs says the labels read, and runs _evaluate once over it.
@@ -31,20 +34,20 @@ On both paths each block of _BLOCK trials draws from a generator keyed by
 (stream_seed, block_index), with a tag per path; a chunk builds one Philox
 and re-keys it for each block covering it (_blocks, scenario.block_rngs),
 so each trial's draws depend only on its index, never on where a chunk
-starts. The data path draws, colours and solves one block at a time and
+starts. The data path draws, colours and whitens one block at a time and
 keeps only the chunk's part of what the labels read, so a chunk holds one
 block's matrices, never the chunk's. The invariant path, at O(n) scalars
 per trial, fills the whole covering blocks into one buffer. Results are
 bit-identical for a given stream seed whatever the chunk size or worker
 count, which only set the tasks of a thread pool. Threads overlap only
 inside numpy calls that release the GIL, most of a data trial (the Philox
-fill, the colouring products, the batched solve); an invariant trial
-costs about 1 us in short calls that contend for the GIL, so the harness
-runs that path on one thread. The chunk iterator, _simulate_chunks, is
-the package's one entry, and every caller names its stream seed: it
-yields each chunk as it is computed, so the harness reduces every phase
-in flat memory. simulate_statistics joins one null data run at the
-scenario's master seed, for the benchmark.
+fill, the colouring products, the batched Cholesky factorization); an
+invariant trial costs about 1 us in short calls that contend for the GIL,
+so the harness runs that path on one thread. The chunk iterator,
+_simulate_chunks, is the package's one entry, and every caller names its
+stream seed: it yields each chunk as it is computed, so the harness
+reduces every phase in flat memory. simulate_statistics joins one null
+data run at the scenario's master seed, for the benchmark.
 """
 
 from __future__ import annotations
@@ -96,12 +99,10 @@ _CLASSICAL = {
 
 def _sigmoid_clamped(r: np.ndarray) -> np.ndarray:
     """Elementwise logistic of a log ratio, clamped inside (0, 1)."""
-    out = np.empty_like(r)
-    pos = r >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-r[pos]))
-    e = np.exp(r[~pos])
-    out[~pos] = e / (1.0 + e)
-    return np.clip(out, POSTERIOR_FLOOR, 1.0 - POSTERIOR_FLOOR)
+    # e <= 1, so neither branch overflows; -|r| is exactly -r or r
+    e = np.exp(-np.abs(r))
+    return np.clip(np.where(r >= 0, 1.0 / (1.0 + e), e / (1.0 + e)),
+                   POSTERIOR_FLOOR, 1.0 - POSTERIOR_FLOOR)
 
 
 def _em_batched(
@@ -230,27 +231,44 @@ def _scatter(zs: np.ndarray) -> np.ndarray:
     return zs @ zs.conj().swapaxes(1, 2)
 
 
+def _whitened(sol, lower, diag):
+    """(a, |b|^2, c) of a (2, n, trials) stack [v, z], whitened in place.
+
+    The lower factor L of S is given as its strictly lower entries
+    lower[i][j] and real diagonal diag[i], one value per trial each.
+    Forward substitution leaves [y, u] = L^-1 [v, z] in sol, and a = |y|^2,
+    b = y^H u and c = |u|^2. Each sum adds the n rows in order, so a
+    trial's values do not depend on how many trials are whitened with it.
+    """
+    for i in range(len(diag)):
+        for j in range(i):
+            sol[:, i] -= lower[i][j] * sol[:, j]
+        sol[:, i] /= diag[i]
+    y, u = sol
+    return (sum(np.abs(y) ** 2), np.abs(sum(y.conj() * u)) ** 2,
+            sum(np.abs(u) ** 2))
+
+
 def _stack_invariants(z, zs, v, need_scalars: bool, minv_v, need_logdet: bool):
     """What the statistics read of a trial stack: (a, |b|^2, c), the
     benchmark's projection v^H M^-1 z and log det S.
 
     Each is None unless needed; the projection is needed when M^-1 v
-    (minv_v) is given. S is formed only when the invariant or log det S is
-    needed, and then once; one solve of S against [v, z] gives a, b and c.
+    (minv_v) is given. S is formed and factored only when the invariant or
+    log det S is needed, and then once, S = L L^H by Cholesky: _whitened
+    forward-substitutes [v, z] against L, and log det S = 2 sum log L_ii.
     """
     u = None if minv_v is None else np.einsum("i,bi->b", minv_v.conj(), z)
     if not (need_scalars or need_logdet):
         return None, u, None
-    s = _scatter(zs)
+    lower = np.linalg.cholesky(_scatter(zs)).transpose(1, 2, 0)
+    diag = lower.diagonal().real.T
     scalars = None
     if need_scalars:
-        x = np.linalg.solve(s, np.stack(np.broadcast_arrays(v, z), axis=2))
-        scalars = (
-            np.einsum("i,bi->b", v.conj(), x[:, :, 0]).real,
-            np.abs(np.einsum("i,bi->b", v.conj(), x[:, :, 1])) ** 2,
-            np.einsum("bi,bi->b", z.conj(), x[:, :, 1]).real,
-        )
-    return scalars, u, np.linalg.slogdet(s)[1] if need_logdet else None
+        sol = np.empty((2, *z.T.shape), dtype=np.complex128)
+        sol[0], sol[1] = v[:, None], z.T
+        scalars = _whitened(sol, lower, diag)
+    return scalars, u, 2.0 * sum(np.log(diag)) if need_logdet else None
 
 
 def _benchmark_projection(v, true_m, alpha_hyp):
@@ -353,7 +371,7 @@ def _data_chunk(cfg, stream_seed, start, stop, inject, need_scalars,
     """(a, |b|^2, c), the benchmark's arguments and log det S of trials
     [start, stop) drawn as data, each None unless needed.
 
-    Each block's part of the range is drawn, coloured and solved on its
+    Each block's part of the range is drawn, coloured and whitened on its
     own, and keeps only those. Needing neither (a, |b|^2, c) nor log det S
     forms no S.
     """
@@ -456,22 +474,14 @@ def _invariant_chunk(cfg, stream_seed, start, stop, inject, need_scalars,
 
     scalars = benchmark_aux = logdet_s = None
     if need_scalars:
-        # forward substitution T [y, u] = [e1, x]; then a = |y|^2,
-        # b = y^H u and c = |u|^2
-        diag = np.sqrt(gammas[:p])
+        # [e1, x] whitened by T, whose strictly lower entries are w[2:],
+        # row by row
         off = iter(w[2:])
         sol = np.zeros((2, p, x.shape[1]), dtype=np.complex128)
         sol[0, 0] = 1.0
         sol[1] = x
-        for i in range(p):
-            for j in range(i):
-                sol[:, i] -= next(off) * sol[:, j]
-            sol[:, i] /= diag[i]
-        scalars = (
-            np.sum(np.abs(sol[0]) ** 2, axis=0),
-            np.abs(np.sum(sol[0].conj() * sol[1], axis=0)) ** 2,
-            np.sum(np.abs(sol[1]) ** 2, axis=0),
-        )
+        scalars = _whitened(sol, [[next(off) for _ in range(i)]
+                                  for i in range(p)], np.sqrt(gammas[:p]))
     if need_benchmark:
         # v^H M^-1 z = x1 and v^H M^-1 v = 1 for v = e1, so alpha = sqrt(s)
         if root_s is None:
@@ -520,11 +530,12 @@ def _simulate_chunks(
     Given trace_l_max, each chunk records the EM convergence trace to that
     iteration under TRACE. invariant=True draws each trial's maximal
     invariant instead of its data; the statistics have the same
-    distribution but come from another random stream. With workers > 1 and more than one chunk of
-    _CHUNK trials, the chunks run on up to that many threads (numpy
-    releases the GIL in the draws, the colouring products and the solve);
-    results are bit-identical for fixed seeds regardless of workers or
-    _CHUNK. A chunk's exception reaches the caller unchanged.
+    distribution but come from another random stream. With workers > 1
+    and more than one chunk of _CHUNK trials, the chunks run on up to that
+    many threads (numpy releases the GIL in the draws, the colouring
+    products and the factorization); results are bit-identical for fixed
+    seeds regardless of workers or _CHUNK. A chunk's exception reaches the
+    caller unchanged.
     """
     if n_trials <= 0:
         raise ValueError("n_trials must be positive")

@@ -91,6 +91,12 @@ class ScenarioConfig:
                              f"10^(cnr_db/10); got {self.cnr_db}")
         if not (self.noise_power > 0 and math.isfinite(self.noise_power)):
             raise ValueError("noise_power must be positive and finite")
+        # M's diagonal, as build_covariance computes it
+        if not math.isfinite(self.noise_power
+                             + self.noise_power * 10.0 ** (self.cnr_db / 10.0)):
+            raise ValueError(
+                "noise_power * (1 + 10^(cnr_db/10)) must be a finite float; "
+                f"got noise_power {self.noise_power} and cnr_db {self.cnr_db}")
         if not -0.5 <= self.doppler < 0.5:
             raise ValueError(f"doppler must lie in [-0.5, 0.5), got {self.doppler}")
         if self.scnr_db is not None and not _finite_db(self.scnr_db):

@@ -12,6 +12,48 @@ def _criterion_key(line):
     return (int(m.group(1)), m.group(2)) if m else (99, line)
 
 
+def _simd_groups():
+    """numpy's baseline SIMD group and the dispatch groups enabled on this
+    CPU, which choose the loops of its ufuncs."""
+    from numpy._core import _multiarray_umath as umath
+
+    enabled = umath.__cpu_features__
+    return " ".join([*umath.__cpu_baseline__,
+                     *(g for g in umath.__cpu_dispatch__ if enabled.get(g))])
+
+
+def _openblas_core():
+    """The kernel that the OpenBLAS bundled with numpy chose for this CPU."""
+    import ctypes
+    import glob
+    import os
+
+    import numpy
+
+    libs = os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs")
+    lib = ctypes.CDLL(glob.glob(os.path.join(libs, "*openblas*"))[0])
+    corename = lib.scipy_openblas_get_corename64_
+    corename.argtypes = []
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
+def pytest_report_header():
+    """What the pinned bits depend on: the numpy version, its SIMD groups
+    and the OpenBLAS kernel. A field that cannot be read prints unknown."""
+    import numpy
+
+    fields = {"numpy": lambda: numpy.__version__, "SIMD": _simd_groups,
+              "OpenBLAS core": _openblas_core}
+    values = []
+    for name, read in fields.items():
+        try:
+            values.append(f"{name} {read() or 'unknown'}")
+        except Exception:  # the header never fails the run
+            values.append(f"{name} unknown")
+    return "; ".join(values)
+
+
 def pytest_terminal_summary(terminalreporter):
     """Echo the acceptance criteria lines outside of output capture."""
     mod = sys.modules.get("test_acceptance")

@@ -123,6 +123,21 @@ class TestExitCodes:
         assert re.fullmatch(rf"error: scenario: {key} .*3100.*\n", stderr)
         assert drawn == []
 
+    @pytest.mark.parametrize("command", ["calibrate", "pfa-sweep"])
+    def test_overflowing_clutter_power_is_two_before_any_draw(
+        self, tmp_path, capsys, drawn, command
+    ):
+        # each dB value is in range, but M's diagonal 1e300 (1 + 1e10) is not
+        ini = write_ini(tmp_path / "loud.ini", {
+            "scenario": {"noise_power": "1e300", "cnr_db": "100"}})
+        code, _, stderr = run_cli(
+            [command, "--config", ini, "--pfa", "0.05", "--trials", "2000",
+             "--out", str(tmp_path / "x.csv")], capsys)
+        assert code == 2
+        assert re.fullmatch(r"error: .*noise_power.*\n", stderr)
+        assert "cnr_db" in stderr
+        assert drawn == []
+
     def test_duplicate_convergence_name_is_two_before_any_draw(
         self, tmp_path, capsys, drawn
     ):
@@ -269,15 +284,24 @@ class TestExitCodes:
         assert re.search(rf"\bbin 17 \({option}\)", stderr)
         assert "18-bin cube" in stderr
 
-    @pytest.mark.parametrize("scnr", [[], ["--scnr", "10"]])
+    @pytest.mark.parametrize("scnr, rank", [
+        ([], 0), (["--scnr", "10"], 0), ([], 3), (["--scnr", "10"], 3)],
+        ids=["scnr0", "scnr1", "rank3-scnr0", "rank3-scnr1"])
     def test_singular_window_is_named_by_its_index_in_the_bin(
-        self, tmp_path, capsys, scnr
+        self, tmp_path, capsys, scnr, rank
     ):
         # windows are evaluated in blocks of 256; window 300 lies in the
         # second block, at offset 44
         cfg = ScenarioConfig(n=4, k=8, master_seed=82)
         data = synthesize_cube(cfg, pulses=4 * 1000, range_bins=18).data.copy()
-        data[4 * 300:, 9:] = 0.0  # the evaluation region of bin 13, window 300 on
+        late = data[4 * 300:]  # the pulses of window 300 on
+        if rank == 0:
+            late[:, 9:] = 0.0  # the evaluation region of bin 13
+        else:
+            # the eight secondary bins are nonzero multiples of bins 9, 10
+            # and 11, so they span 3 < n = 4 dimensions
+            late[:, [12, 14, 15, 16, 17]] = (
+                late[:, [9, 10, 11, 9, 10]] * [2.0, -3.0, 1j, 0.5, -2j])
         cube_path = tmp_path / "late-zero.bin"
         write_cube(DataCube(data), cube_path, "interleaved-binary")
         code, _, stderr = run_cli(
