@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 from .cube import CUBE_FORMATS
 from .detectors import DetectorId, detector_label, parse_detector_label
+from .engine import _MAX_TRIALS
 from .harness import required_trials
 from .scenario import ScenarioConfig, _finite_db
 
@@ -93,21 +94,34 @@ class ExperimentSpec:
             raise ValidationError("trials must be positive")
         if self.calibration_trials is not None and self.calibration_trials < 1:
             raise ValidationError("calibration_trials must be positive")
+        # block keys keep trial streams apart below _MAX_TRIALS trials only
+        for name in ("trials", "calibration_trials"):
+            value = getattr(self, name)
+            if value is not None and value > _MAX_TRIALS:
+                raise ValidationError(
+                    f"{name} must be at most 2^70 = {_MAX_TRIALS}, beyond "
+                    f"which trial streams collide; got {value}")
         # the null-ensemble size each command calibrates on, where the spec
         # fixes it: pfa-sweep's nominal row reuses its calibration ensemble,
         # so it calibrates on trials; the curve commands fall back to exactly
         # 100/pfa, and ingest-run checks its cube's window count
+        needed = required_trials(self.pfa)
         cal = {
             "calibrate": self.calibration_trials or self.trials,
             "pfa-sweep": self.trials,
-            "pd-curve": self.calibration_trials,
-            "mismatch-contour": self.calibration_trials,
+            "pd-curve": self.calibration_trials or needed,
+            "mismatch-contour": self.calibration_trials or needed,
         }.get(self.command)
-        needed = required_trials(self.pfa)
         if cal is not None and cal < needed:
             raise ValidationError(
                 f"calibration trials must be >= 100/pfa = {needed}; got {cal}"
             )
+        if cal is not None and cal > _MAX_TRIALS:
+            # trials and calibration_trials passed above, so cal is 100/pfa
+            raise ValidationError(
+                f"pfa={self.pfa} would calibrate on 100/pfa = {needed:.3g} trials, "
+                f"more than 2^70 = {_MAX_TRIALS}, beyond which trial streams "
+                "collide; give calibration_trials")
         if not self.l_max or any(l < 1 for l in self.l_max):
             raise ValidationError("l_max list must be nonempty positive integers")
         for name in ("scnr_grid_db", "cnr_grid_db", "rho_grid", "cos_sq_phi_grid"):

@@ -19,13 +19,17 @@ feed _evaluate:
 - the invariant path draws a, |b|^2, c, log det S and the benchmark's
   projection exactly from O(n) scalars per trial, with no data matrix:
   L is Bartlett's p x p factor T, p = min(n, 3). The test suite checks its
-  distributions against the data path.
+  distributions against the data path. A target is only an offset of the
+  CUT there, so the draws are target-free (_invariant_draws), and one
+  chunk's draws serve every row of a grid, each adding its own target
+  (_invariant_row) into a _GridChunk.
 
 A chunk of _CHUNK trials is the unit of work: _compute_chunk has one path
-draw what _needs says the labels read, and runs _evaluate once over it.
+draw what _needs says the labels read, and _evaluate runs once over it,
+or once per row of a grid.
 A chunk is a plain dict of per-trial arrays: one (trials,) array per
 detector label, and the (trials, l_max) EM trace under TRACE when it is
-recorded. _compute_chunk and statistics_from_stacks draw and evaluate
+recorded; a grid's chunk is keyed (row, label) instead. _compute_chunk and statistics_from_stacks draw and evaluate
 with numpy's divide, invalid and overflow warnings silenced on the thread
 that runs them, so an undefined or overflowing statistic (0/0, say, or a
 square at an extreme SCNR) is a quiet NaN or inf, which the harness's
@@ -39,7 +43,8 @@ keeps only the chunk's part of what the labels read, so a chunk holds one
 block's matrices, never the chunk's. The invariant path, at O(n) scalars
 per trial, fills the whole covering blocks into one buffer. Results are
 bit-identical for a given stream seed whatever the chunk size or worker
-count, which only set the tasks of a thread pool. Threads overlap only
+count, which only set the tasks of a thread pool, one thread per usable
+CPU at most. Threads overlap only
 inside numpy calls that release the GIL, most of a data trial (the Philox
 fill, the colouring products, the batched Cholesky factorization); an
 invariant trial costs about 1 us in short calls that contend for the GIL,
@@ -53,6 +58,7 @@ data run at the scenario's master seed, for the benchmark.
 from __future__ import annotations
 
 import math
+import os
 from collections.abc import Iterator
 # unused here; the benchmark's pool counter patches this name
 from concurrent.futures import ProcessPoolExecutor  # noqa: F401
@@ -64,6 +70,7 @@ from .detectors import DetectorId, detector_label, parse_detector_label
 from .em import POSTERIOR_FLOOR
 from .linalg import HermitianMatrix
 from .scenario import (
+    _DATA_BLOCK_KEY_BIT,
     ScenarioConfig,
     block_rngs,
     build_covariance,
@@ -78,6 +85,9 @@ __all__ = ["TRACE", "simulate_statistics", "statistics_from_stacks"]
 _CHUNK = 4096
 # trials per block key, on either path
 _BLOCK = 256
+# block_key keeps the streams of block indices below 2^62 apart, so of
+# this many trials
+_MAX_TRIALS = _BLOCK * _DATA_BLOCK_KEY_BIT
 # a chunk's key for the (trials, l_max) EM trace; no detector label
 # parses to it
 TRACE = "em-delta"
@@ -433,24 +443,18 @@ def _invariant_block(n: int, k: int, rng, record_trace: bool,
         out[-1] = np.log(rest).sum(axis=1)
 
 
-def _invariant_chunk(cfg, stream_seed, start, stop, inject, need_scalars,
-                     need_benchmark, need_logdet):
-    """(a, |b|^2, c), the benchmark's arguments and log det S of trials
-    [start, stop) drawn through the maximal invariant, each None unless
-    needed.
+def _invariant_draws(n: int, k: int, stream_seed: int, start: int, stop: int,
+                     need_logdet: bool):
+    """The target-free draws (w, gammas) of trials [start, stop) on the
+    invariant path, one column per trial.
 
-    After whitening, a rotation puts v along e1 and the true steering in
-    span(e1, e2), and one inside span(e3, ..., en) puts the rest of the CUT
-    noise on e3, so the CUT is (z1 + sqrt(s) cos phi, z2 + sqrt(s) sin phi,
-    r, 0, ...) with r^2 ~ Gamma(n-2). S is unitarily invariant, so
-    a, b and c need only the leading p x p block of S^-1, p = min(n, 3):
-    the inverse of W ~ CW(k-n+p, p, I), drawn as T T^H by Bartlett's
-    decomposition, and W's complement gives the rest of log det S. v is
-    taken as e1 itself: every statistic is invariant to the scale of v.
+    w holds the complex normals z1, z2 and the strictly lower entries of
+    Bartlett's T (row by row); gammas the squares of T's diagonal, r^2 when
+    n > 2 and, given need_logdet, the trace row last. The whole blocks
+    covering the range are drawn into one buffer.
     """
-    n, k, p = cfg.n, cfg.k, min(cfg.n, 3)
+    p = min(n, 3)
     m_normal = 2 + p * (p - 1) // 2
-    # the whole blocks covering the range, one column per trial
     blocks = _blocks(start, stop)
     buf = np.empty((2 * m_normal + p + (n > 2) + need_logdet,
                     len(blocks) * _BLOCK))
@@ -461,10 +465,32 @@ def _invariant_chunk(cfg, stream_seed, start, stop, inject, need_scalars,
     first = start - blocks[0] * _BLOCK
     draws = buf[:, first : first + stop - start]
     w = (draws[:m_normal] + 1j * draws[m_normal : 2 * m_normal]) / math.sqrt(2.0)
-    gammas = draws[2 * m_normal :]
+    return w, draws[2 * m_normal :]
+
+
+@_quiet
+def _invariant_row(cfg, labels, draws, inject, trace_l_max):
+    """labels' statistics of the invariant draws (w, gammas) with cfg's
+    target; the EM trace is recorded given trace_l_max.
+
+    After whitening, a rotation puts v along e1 and the true steering in
+    span(e1, e2), and one inside span(e3, ..., en) puts the rest of the CUT
+    noise on e3, so the CUT is (z1 + sqrt(s) cos phi, z2 + sqrt(s) sin phi,
+    r, 0, ...) with r^2 ~ Gamma(n-2). The target is only that offset, so
+    the draws serve every scenario of one n and k. S is unitarily
+    invariant, so a, b and c need only the leading p x p block of S^-1,
+    p = min(n, 3): the inverse of W ~ CW(k-n+p, p, I), drawn as T T^H by
+    Bartlett's decomposition, and W's complement gives the rest of
+    log det S. v is taken as e1 itself: every statistic is invariant to the
+    scale of v.
+    """
+    n, p = cfg.n, min(cfg.n, 3)
+    w, gammas = draws
+    need_logdet = trace_l_max is not None
+    need_scalars, need_benchmark = _needs(labels, need_logdet)
     root_s = None if cfg.scnr_db is None else 10.0 ** (cfg.scnr_db / 20.0)
 
-    x = np.zeros((p, stop - start), dtype=np.complex128)
+    x = np.zeros((p, w.shape[1]), dtype=np.complex128)
     x[:2] = w[:2]
     if n > 2:
         x[2] = np.sqrt(gammas[p])
@@ -490,24 +516,52 @@ def _invariant_chunk(cfg, stream_seed, start, stop, inject, need_scalars,
     if need_logdet:
         logdet_s = (
             np.log(gammas[:p]).sum(axis=0)
-            + draws[-1]
+            + gammas[-1]
             + build_covariance(cfg).log_det()
         )
+    return _evaluate(labels, n, cfg.k, scalars, benchmark_aux, logdet_s,
+                     trace_l_max)
 
-    return scalars, benchmark_aux, logdet_s
+
+class _GridChunk:
+    """One chunk's statistics at each row of a grid, keyed (row, label).
+
+    The rows share the chunk's draws. A row is evaluated when one of its
+    keys is first read, so the keys must be read in row order; only the
+    current row's statistics are held, whatever the number of rows.
+    """
+
+    def __init__(self, rows: Iterator[dict[str, np.ndarray]]):
+        self._rows, self._row, self._stats = rows, -1, {}
+
+    def __getitem__(self, key: tuple[int, str]) -> np.ndarray:
+        row, label = key
+        if row < self._row:
+            raise KeyError(f"row {row} was read and dropped")
+        while self._row < row:
+            self._stats, self._row = next(self._rows), self._row + 1
+        return self._stats[label]
 
 
 @_quiet
-def _compute_chunk(args) -> dict[str, np.ndarray]:
-    """One chunk's statistics; the EM trace is recorded given trace_l_max."""
-    invariant, cfg, labels, seed, start, stop, inject, trace_l_max = args
+def _compute_chunk(args):
+    """One chunk's statistics; the EM trace is recorded given trace_l_max.
+
+    Given rows, the invariant draws are made once, and the chunk is a
+    _GridChunk that evaluates them at each row's scenario in turn.
+    """
+    invariant, cfg, labels, seed, start, stop, inject, trace_l_max, rows = args
     traced = trace_l_max is not None
-    need_scalars, need_benchmark = _needs(labels, traced)
-    draw = _invariant_chunk if invariant else _data_chunk
-    scalars, benchmark_aux, logdet_s = draw(
-        cfg, seed, start, stop, inject, need_scalars, need_benchmark, traced)
-    return _evaluate(labels, cfg.n, cfg.k, scalars, benchmark_aux, logdet_s,
-                     trace_l_max)
+    if not invariant:
+        return _evaluate(labels, cfg.n, cfg.k,
+                         *_data_chunk(cfg, seed, start, stop, inject,
+                                      *_needs(labels, traced), traced),
+                         trace_l_max)
+    draws = _invariant_draws(cfg.n, cfg.k, seed, start, stop, traced)
+    if rows is None:
+        return _invariant_row(cfg, labels, draws, inject, trace_l_max)
+    return _GridChunk(_invariant_row(row, labels, draws, inject, trace_l_max)
+                      for row in rows)
 
 
 def _simulate_chunks(
@@ -520,6 +574,7 @@ def _simulate_chunks(
     trace_l_max: int | None = None,
     workers: int = 1,
     invariant: bool = False,
+    rows: tuple[ScenarioConfig, ...] | None = None,
 ) -> Iterator[dict[str, np.ndarray]]:
     """n_trials independent trials' statistics, one chunk at a time in order.
 
@@ -530,28 +585,38 @@ def _simulate_chunks(
     Given trace_l_max, each chunk records the EM convergence trace to that
     iteration under TRACE. invariant=True draws each trial's maximal
     invariant instead of its data; the statistics have the same
-    distribution but come from another random stream. With workers > 1
-    and more than one chunk of _CHUNK trials, the chunks run on up to that
-    many threads (numpy releases the GIL in the draws, the colouring
-    products and the factorization); results are bit-identical for fixed
-    seeds regardless of workers or _CHUNK. A chunk's exception reaches the
-    caller unchanged.
+    distribution but come from another random stream. Given rows, the
+    scenarios of one grid with cfg's n and k (invariant path only), each
+    chunk's draws are made once and serve every row, each with its own
+    target: the chunk is keyed (row index, label), and its rows are read
+    in order (_GridChunk); row i is bit for bit the chunk of
+    _simulate_chunks(rows[i], ...) without rows. With workers > 1 and
+    more than one chunk of _CHUNK trials, the chunks run on up to that
+    many threads, and never more than the usable CPUs (numpy releases the
+    GIL in the draws, the colouring products and the factorization);
+    results are bit-identical for fixed seeds regardless of workers or
+    _CHUNK. A chunk's exception reaches the caller unchanged.
     """
     if n_trials <= 0:
         raise ValueError("n_trials must be positive")
-    if inject and cfg.scnr_db is None:
+    if rows is not None and not invariant:
+        raise ValueError("grid rows share their draws only on the invariant "
+                         "path")
+    if inject and any(row.scnr_db is None for row in rows or (cfg,)):
         raise ValueError("injection requires scnr_db")
     labels = tuple(labels)
     starts = range(0, n_trials, _CHUNK)
     args = (
         (invariant, cfg, labels, stream_seed, start,
-         min(start + _CHUNK, n_trials), inject, trace_l_max)
+         min(start + _CHUNK, n_trials), inject, trace_l_max, rows)
         for start in starts
     )
     if workers > 1 and len(starts) > 1:
         # map submits every chunk at once, which starts all the pool's
-        # threads, so it gets no more than there are chunks to run
-        with ThreadPoolExecutor(max_workers=min(workers, len(starts))) as pool:
+        # threads, so it gets no more than there are chunks to run or CPUs
+        # to run them
+        threads = min(workers, len(starts), len(os.sched_getaffinity(0)))
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             yield from pool.map(_compute_chunk, args)
     else:
         yield from map(_compute_chunk, args)

@@ -14,10 +14,13 @@ reference. One loop, _reduce, feeds the reducers, for these phases, for
 the convergence study's EM traces (copied into one reused buffer, so
 their means keep their bits) and for the cube's window blocks. Each
 chunk is a dict of per-trial arrays, and _reduce refuses a NaN or
-infinite value in any of them, naming its trial. The CFAR sweep and the
-Pd grids share one point loop. Every experiment phase works in its own
-derived substream namespace, so trials are independent across phases and
-every result is bit-reproducible for a fixed master seed.
+infinite value in any of them, naming its trial. Every experiment phase
+works in its own derived substream namespace, so trials are independent
+across phases and every result is bit-reproducible for a fixed master
+seed. Each off-nominal row of the CFAR sweep draws in its own substream;
+the rows of a Pd grid (curve or contour) all evaluate one set of trials,
+drawn once in row 0's substream (common random numbers), and each keeps
+its own exceedance counts.
 Calibration, curves, contours and convergence studies draw each trial's
 maximal invariant on one thread, at about 1 us/trial; only the CFAR sweep
 draws data, because CNR and rho drop out of the invariant by
@@ -275,23 +278,26 @@ def _check_calibration(cfg, labels, pfa: float, trials: int) -> None:
         raise ValueError("benchmark calibration requires scnr_db on the scenario")
 
 
-def _reduce(reducers: dict,
-            chunks: Generator[dict[str, np.ndarray], None, None]) -> dict:
+def _reduce(reducers: dict, chunks: Generator) -> dict:
     """Feed each key's reducer its per-trial rows, chunk by chunk.
 
-    chunks is a generator of consecutive runs of trials in order, each a
-    dict of arrays with one row per trial: engine chunks, or a cube bin's
-    window blocks. Each chunk is reduced as it arrives, after a finite
-    check that names a bad statistic by its trial index in the whole run.
-    chunks is closed as soon as a check raises, so a thread pool behind it
-    has shut down by the time the error is seen.
+    chunks is a generator of consecutive runs of trials in order, each
+    mapping reducers' keys to arrays with one row per trial: engine chunks,
+    an injected grid's chunks keyed (row index, label), read in reducers'
+    order, or a cube bin's window blocks. Each chunk is reduced as it
+    arrives, after a finite check that names a bad statistic by its label
+    and its trial index in the whole run. chunks is closed as soon as a
+    check raises, so a thread pool behind it has shut down by the time the
+    error is seen.
     """
     start = 0
     with closing(chunks):
         for part in chunks:
-            for lab, reducer in reducers.items():
-                stats = part[lab]
-                _require_finite(stats, lab, start)
+            for key, reducer in reducers.items():
+                stats = part[key]
+                # a grid row's key is (row, label)
+                _require_finite(stats, key if isinstance(key, str) else key[1],
+                                start)
                 reducer.add(stats)
             start += len(stats)
     return reducers
@@ -328,28 +334,13 @@ def _null_phase(cfg, labels, pfa: float, trials: int, **simulate) -> dict:
                       lambda lab: _TopTail(trials, pfa), **simulate)
 
 
-def _rate_curve(cfg, phase, axis_names, rows, labels, trials, pfa, thresholds,
-                *, nominal=None, **simulate) -> CurveResult:
-    """Rates at each row of scenario overrides, named by axis_names.
-
-    Each row counts the exceedances of trials drawn in its own substream
-    of phase, except the row equal to cfg, which reads the counts of the
-    nominal null phase's reducers when given.
-    """
+def _curve(axis_names, rows, labels, counts, trials) -> CurveResult:
+    """The rates and CIs of counts, each row's exceedances per label."""
     rates = np.empty((len(rows), len(labels)))
     cis = np.empty_like(rates)
-    for i, row in enumerate(rows):
-        point_cfg = replace(cfg, **dict(zip(axis_names, row)))
-        if nominal is not None and point_cfg == cfg:
-            reducers = nominal
-        else:
-            seed = derive_stream_seed(cfg.master_seed, phase, i)
-            reducers = _simulated(point_cfg, labels, pfa, trials, seed,
-                                  lambda lab: _Exceedances(thresholds[lab]),
-                                  **simulate)
-        for j, lab in enumerate(labels):
-            rates[i, j], cis[i, j] = _rate_ci(reducers[lab].count, trials)
-
+    for i, row_counts in enumerate(counts):
+        for j, count in enumerate(row_counts):
+            rates[i, j], cis[i, j] = _rate_ci(count, trials)
     axis_values = np.array(rows, dtype=float).reshape(len(rows), len(axis_names))
     return CurveResult(
         axis_names=axis_names,
@@ -407,13 +398,21 @@ def cfar_sweep(
     labels = order_labels(detectors)
     _check_calibration(cfg, labels, pfa, trials)
     nominal = _null_phase(cfg, labels, pfa, trials, workers=workers)
+    thresholds = {lab: r.threshold for lab, r in nominal.items()}
     points = {(float(c), cfg.rho) for c in cnr_grid}
     points.update((cfg.cnr_db, float(r)) for r in rho_grid)
-    return _rate_curve(
-        _null_config(cfg), _PHASE_SWEEP, ("cnr_db", "rho"), sorted(points),
-        labels, trials, pfa, {lab: r.threshold for lab, r in nominal.items()},
-        nominal=nominal, workers=workers,
-    )
+    points = sorted(points)
+    null_cfg = _null_config(cfg)
+    counts = []
+    for i, (cnr_db, rho) in enumerate(points):
+        point_cfg = replace(null_cfg, cnr_db=cnr_db, rho=rho)
+        # each off-nominal row draws data in its own substream
+        reducers = nominal if point_cfg == null_cfg else _simulated(
+            point_cfg, labels, pfa, trials,
+            derive_stream_seed(cfg.master_seed, _PHASE_SWEEP, i),
+            lambda lab: _Exceedances(thresholds[lab]), workers=workers)
+        counts.append([reducers[lab].count for lab in labels])
+    return _curve(("cnr_db", "rho"), points, labels, counts, trials)
 
 
 def _injected_grid(
@@ -430,17 +429,33 @@ def _injected_grid(
 
     The adaptive thresholds come from one matched null calibration
     (mismatch does not affect the null hypothesis), which draws nothing
-    when the benchmark is the only detector.
+    when the benchmark is the only detector. Then every row evaluates the
+    same trials, drawn once in row 0's substream of phase: on the maximal
+    invariant a row's target is only an offset of the CUT, so each chunk's
+    draws serve every row in turn, and each row keeps its own exceedance
+    counts. A row's rate is thus the one a single-row grid at its value
+    gives, and rows differ only by their targets (common random numbers).
     """
     labels = order_labels(detectors)
     adaptive = [lab for lab in labels if lab != "benchmark"]
     thresholds = calibrate(
         cfg, adaptive, pfa, calibration_trials or required_trials(pfa)
     )
-    return _rate_curve(
-        cfg, phase, axis_names, rows, labels, trials, pfa, thresholds,
-        inject=True, invariant=True,
-    )
+    row_cfgs = tuple(replace(cfg, **dict(zip(axis_names, row))) for row in rows)
+    reducers = {
+        (i, lab): _Exceedances(_benchmark_threshold(row_cfg.scnr_db, pfa)
+                               if lab == "benchmark" else thresholds[lab])
+        for i, row_cfg in enumerate(row_cfgs)
+        for lab in labels
+    }
+    if reducers:
+        seed = derive_stream_seed(cfg.master_seed, phase, 0)
+        _reduce(reducers, _simulate_chunks(cfg, labels, trials,
+                                           stream_seed=seed, inject=True,
+                                           invariant=True, rows=row_cfgs))
+    counts = [[reducers[i, lab].count for lab in labels]
+              for i in range(len(rows))]
+    return _curve(axis_names, rows, labels, counts, trials)
 
 
 def pd_curve(

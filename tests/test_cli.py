@@ -108,6 +108,30 @@ class TestExitCodes:
         assert code == 2
         assert re.fullmatch(r"error: pfa=1e-310 .*\n", stderr)
 
+    # 2^70 + 1, one trial past the block-key space
+    PAST_KEYS = str(2**70 + 1)
+
+    @pytest.mark.parametrize("argv, key", [
+        # without --calibration-trials, 100/pfa = 1e302 calibration trials
+        (["pd-curve", "--pfa", "1e-300", "--scnr-grid", "10", "--trials",
+          "1000"], "pfa"),
+        (["mismatch-contour", "--pfa", "1e-300", "--scnr-grid", "10",
+          "--trials", "1000"], "pfa"),
+        (["pd-curve", "--scnr-grid", "10", "--trials", PAST_KEYS], "trials"),
+        (["calibrate", "--trials", PAST_KEYS], "trials"),
+        (["pd-curve", "--scnr-grid", "10", "--calibration-trials", PAST_KEYS],
+         "calibration_trials"),
+    ], ids=["pd-curve-pfa", "contour-pfa", "pd-curve-trials",
+            "calibrate-trials", "calibration-trials"])
+    def test_trials_past_the_block_keys_are_two_before_any_draw(
+        self, tmp_path, capsys, drawn, argv, key
+    ):
+        code, _, stderr = run_cli(
+            [*argv, "--out", str(tmp_path / "x.csv")], capsys)
+        assert code == 2
+        assert re.fullmatch(rf"error: {key}[ =].*2\^70.*\n", stderr)
+        assert drawn == []
+
     @pytest.mark.parametrize("args, key", [
         (["--scnr", "3100", "--detectors", "benchmark", "amf"], "scnr_db"),
         (["--cnr", "3100"], "cnr_db"),
@@ -516,7 +540,7 @@ class TestBenchmarkOnlyGrid:
                 [*self.GRID, "--detectors", "benchmark",
                  "--calibration-trials", cal_trials, "--out", str(out)], capsys)
             assert code == 0
-            assert len(calls) == 2  # one per grid point, none to calibrate
+            assert len(calls) == 1  # one for the grid's rows, none to calibrate
             texts.append(out.read_bytes())
         assert texts[0] == texts[1]
 
@@ -560,17 +584,17 @@ CSV_DIGESTS = {
     "pd-curve": (
         ["pd-curve", *CURVE, "--scnr-grid", "0", "5", "10", "15",
          "--detectors", "benchmark", "glrt", "amf", "em-bml-d5"],
-        "d8c031673841c38da5467ba186a334392b0881db2ea52ba1f0220ff1095bdd13"),
+        "f973150bf057d4eaa1dc38207efef3d4f661bcd19800124cc564d742896bf3aa"),
     "pd-curve benchmark": (
         ["pd-curve", *CURVE, "--scnr-grid", "0", "5", "10", "15",
          "--detectors", "benchmark"],
-        "9db14dfe8f6f072569e0308b22fd98cc82e13ce88d4d8bf6753d2f7be326ec84"),
+        "2d7ca66b8e42f44daa9e5c81decfd3355717230f4a35d1afdd122424761da816"),
     "mismatch-contour": (
         ["mismatch-contour", "--pfa", "0.01", "--trials", "2000",
          "--calibration-trials", "10000", "--scnr-grid", "12",
          "--cos-sq-phi-grid", "0.25", "0.5", "1", "--detectors", "amf",
          "em-bml-d5", "benchmark"],
-        "5fb945510fcd358b46e38c29fb689cadf5953b6e556934cbad6443e8b723cd7b"),
+        "c4c510c80683a867b1f1cb55ec31ce9e87c8c7fbb2d859179cf1c010e369d1d4"),
     "convergence": (
         ["convergence", "--trials", "5000", "--l-max", "6",
          "--scnr-grid", "10", "15"],

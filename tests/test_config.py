@@ -126,6 +126,22 @@ class TestValidation:
             ExperimentSpec(command="pfa-sweep", pfa=1e-2, trials=100,
                            calibration_trials=4000)
 
+    @pytest.mark.parametrize("fields, key", [
+        ({"command": "calibrate", "trials": 2**70 + 1}, "trials"),
+        ({"command": "pd-curve", "calibration_trials": 2**70 + 1},
+         "calibration_trials"),
+        # 100/pfa = 1.2e21 calibration trials, more than 2^70 = 1.18e21
+        ({"command": "mismatch-contour", "pfa": 100 / 1.2e21}, "pfa"),
+    ])
+    def test_trials_past_the_block_keys_are_refused(self, fields, key):
+        with pytest.raises(ValidationError, match=rf"^{key}\b.*2\^70"):
+            ExperimentSpec(**fields)
+
+    def test_trials_within_the_block_keys_pass(self):
+        # exactly 2^70 trials still have distinct block keys
+        ExperimentSpec(command="pd-curve", trials=2**70,
+                       calibration_trials=2**70)
+
     def test_convergence_skips_calibration_floor(self):
         spec = ExperimentSpec(command="convergence", pfa=1e-3, trials=1000)
         assert spec.trials == 1000

@@ -9,6 +9,7 @@ import hashlib
 import threading
 import time
 import tracemalloc
+from contextlib import closing
 from dataclasses import replace
 
 import numpy as np
@@ -406,15 +407,14 @@ class TestWorkerPool:
         assert 1 <= len(started) <= 8
         assert threading.active_count() == threads
 
-    def test_pool_gets_no_more_workers_than_chunks(self, monkeypatch,
-                                                   chunked):
-        # map submits every chunk at once, which starts every thread, so 64
-        # workers for two chunks would start 62 threads for nothing
+    @pytest.fixture
+    def in_process_pool(self, monkeypatch):
+        """The worker count of every pool the engine builds, on a machine
+        of four usable CPUs; each pool maps lazily in the test's own thread
+        and starts none."""
         built = []
 
         class InProcessPool:
-            """Records its worker count and maps in the test process."""
-
             def __init__(self, max_workers=None, **kwargs):
                 built.append(max_workers)
 
@@ -428,11 +428,29 @@ class TestWorkerPool:
                 return map(fn, iterable)
 
         monkeypatch.setattr(engine, "ThreadPoolExecutor", InProcessPool)
+        monkeypatch.setattr(engine.os, "sched_getaffinity",
+                            lambda pid: {0, 1, 2, 3})
+        return built
+
+    def test_pool_gets_no_more_workers_than_chunks(self, in_process_pool,
+                                                   chunked):
+        # map submits every chunk at once, which starts every thread, so 64
+        # workers for two chunks would start 62 threads for nothing
         cfg = ScenarioConfig(master_seed=216)
         wide = chunked(300, cfg, ("amf",), 600, workers=64)
-        assert built == [2]
+        assert in_process_pool == [2]
         solo = chunked(300, cfg, ("amf",), 600)
         np.testing.assert_array_equal(wide["amf"], solo["amf"])
+
+    def test_pool_gets_no_more_workers_than_usable_cpus(self,
+                                                        in_process_pool):
+        # 10^9 trials are 244 141 chunks; only the first is computed
+        chunks = engine._simulate_chunks(
+            ScenarioConfig(master_seed=218), ("amf",), 10**9, stream_seed=5,
+            workers=100_000, invariant=True)
+        with closing(chunks):
+            assert next(chunks)["amf"].shape == (engine._CHUNK,)
+        assert in_process_pool == [4]
 
 
 SIX = ("glrt", "amf", "rao", "ace", "em-bml-d5", "em-bml-d7")

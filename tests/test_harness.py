@@ -255,6 +255,45 @@ class TestMismatchContour:
         assert lo < hi - 0.1
 
 
+class TestGridRows:
+    """Every row of an injected grid evaluates the same trials, drawn once
+    in row 0's substream, so a row is the single-row run at its value."""
+
+    LABELS = ("glrt", "amf", "benchmark", "em-bml-d3")
+    # 5000 trials are two chunks, the second a partial one
+    TRIALS = 5000
+
+    @staticmethod
+    def rows_of(curve):
+        return [(tuple(axis), tuple(curve.rates[i]), tuple(curve.cis[i]))
+                for i, axis in enumerate(curve.axis_values)]
+
+    def test_pd_curve_row_is_its_single_row_run(self):
+        grid = [-3.0, 4.0, 9.0]
+        multi = pd_curve(SMALL, 0.1, grid, self.LABELS, self.TRIALS,
+                         calibration_trials=1000)
+        singles = [row for scnr in grid for row in self.rows_of(
+            pd_curve(SMALL, 0.1, [scnr], self.LABELS, self.TRIALS,
+                     calibration_trials=1000))]
+        assert self.rows_of(multi) == singles
+
+    def test_mismatch_contour_row_is_its_single_row_run(self):
+        multi = mismatch_contour(SMALL, 0.1, [5.0, 10.0], [0.3, 1.0],
+                                 self.LABELS, self.TRIALS,
+                                 calibration_trials=1000)
+        singles = [row for cos_sq, scnr in multi.axis_values
+                   for row in self.rows_of(mismatch_contour(
+                       SMALL, 0.1, [scnr], [cos_sq], self.LABELS, self.TRIALS,
+                       calibration_trials=1000))]
+        assert self.rows_of(multi) == singles
+
+    def test_repeated_value_gives_identical_rows(self):
+        curve = pd_curve(SMALL, 0.1, [6.0, 6.0], self.LABELS, self.TRIALS,
+                         calibration_trials=1000)
+        np.testing.assert_array_equal(curve.rates[0], curve.rates[1])
+        np.testing.assert_array_equal(curve.cis[0], curve.cis[1])
+
+
 class TestConvergenceStudy:
     def test_requires_thousand_trials(self):
         with pytest.raises(InsufficientTrials):
@@ -488,6 +527,21 @@ class TestFlatMemory:
                 tracemalloc.stop()
 
         assert peak(4 * trials) < 1.5 * peak(trials)
+
+    def test_peak_does_not_grow_with_rows(self):
+        # rows evaluated one at a time peaked at 2.02 and 2.10 MiB for 6
+        # and 60 rows; every row of a chunk held at once, at 3.9 and 24.3
+        def peak(rows):
+            grid = np.linspace(0.0, 15.0, rows)
+            tracemalloc.start()
+            try:
+                pd_curve(FLAT, 0.05, grid, SIX, 10_000)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        pd_curve(FLAT, 0.05, [6.0], SIX, 100)  # first-call allocations
+        assert peak(60) < 1.5 * peak(6)
 
     def test_convergence_holds_one_trace(self):
         # two configurations of 5e4 trials x 10 iterations: a whole trace per
