@@ -21,8 +21,11 @@ feed _evaluate:
   L is Bartlett's p x p factor T, p = min(n, 3). The test suite checks its
   distributions against the data path. A target is only an offset of the
   CUT there, so the draws are target-free (_invariant_draws), and one
-  chunk's draws serve every row of a grid, each adding its own target
-  (_invariant_row) into a _GridChunk.
+  chunk's draws and its target-free CUT, whitened once
+  (_invariant_whitening), serve every row of a grid. Forward substitution
+  is linear, so a row's target moves only b and Kelly's residual
+  r = c - |b|^2 / a, by a few operations per trial (_invariant_row), into
+  a _GridChunk.
 
 A chunk of _CHUNK trials is the unit of work: _compute_chunk has one path
 draw what _needs says the labels read, and _evaluate runs once over it,
@@ -242,21 +245,21 @@ def _scatter(zs: np.ndarray) -> np.ndarray:
 
 
 def _whitened(sol, lower, diag):
-    """(a, |b|^2, c) of a (2, n, trials) stack [v, z], whitened in place.
+    """(a, b, c) of an (m, n, trials) stack [v, z, ...], whitened in place.
 
     The lower factor L of S is given as its strictly lower entries
     lower[i][j] and real diagonal diag[i], one value per trial each.
-    Forward substitution leaves [y, u] = L^-1 [v, z] in sol, and a = |y|^2,
-    b = y^H u and c = |u|^2. Each sum adds the n rows in order, so a
-    trial's values do not depend on how many trials are whitened with it.
+    Forward substitution leaves L^-1 of every column in sol, [y, u, ...]
+    = L^-1 [v, z, ...], and a = |y|^2, b = y^H u and c = |u|^2. Each sum
+    adds the n rows in order, so a trial's values do not depend on how
+    many trials or columns are whitened with it.
     """
     for i in range(len(diag)):
         for j in range(i):
             sol[:, i] -= lower[i][j] * sol[:, j]
         sol[:, i] /= diag[i]
-    y, u = sol
-    return (sum(np.abs(y) ** 2), np.abs(sum(y.conj() * u)) ** 2,
-            sum(np.abs(u) ** 2))
+    y, u = sol[:2]
+    return sum(np.abs(y) ** 2), sum(y.conj() * u), sum(np.abs(u) ** 2)
 
 
 def _stack_invariants(z, zs, v, need_scalars: bool, minv_v, need_logdet: bool):
@@ -277,7 +280,8 @@ def _stack_invariants(z, zs, v, need_scalars: bool, minv_v, need_logdet: bool):
     if need_scalars:
         sol = np.empty((2, *z.T.shape), dtype=np.complex128)
         sol[0], sol[1] = v[:, None], z.T
-        scalars = _whitened(sol, lower, diag)
+        a, b, c = _whitened(sol, lower, diag)
+        scalars = a, np.abs(b) ** 2, c
     return scalars, u, 2.0 * sum(np.log(diag)) if need_logdet else None
 
 
@@ -428,7 +432,7 @@ def _invariant_block(n: int, k: int, rng, record_trace: bool,
 
     Rows: the real then the imaginary parts of z1, z2 and the strictly
     lower entries of T (row by row), the Gamma(k-n+p-i) squares of T's
-    diagonal, Gamma(n-2) for r^2 when n > 2, and with the trace the sum of
+    diagonal, Gamma(n-2) for z3^2 when n > 2, and with the trace the sum of
     log Gamma(k-i), i < n-p. The trace row is drawn last, so the other rows
     do not depend on it. rng is the block's generator.
     """
@@ -449,7 +453,7 @@ def _invariant_draws(n: int, k: int, stream_seed: int, start: int, stop: int,
     invariant path, one column per trial.
 
     w holds the complex normals z1, z2 and the strictly lower entries of
-    Bartlett's T (row by row); gammas the squares of T's diagonal, r^2 when
+    Bartlett's T (row by row); gammas the squares of T's diagonal, z3^2 when
     n > 2 and, given need_logdet, the trace row last. The whole blocks
     covering the range are drawn into one buffer.
     """
@@ -464,55 +468,102 @@ def _invariant_draws(n: int, k: int, stream_seed: int, start: int, stop: int,
                          buf[:, i * _BLOCK : (i + 1) * _BLOCK])
     first = start - blocks[0] * _BLOCK
     draws = buf[:, first : first + stop - start]
-    w = (draws[:m_normal] + 1j * draws[m_normal : 2 * m_normal]) / math.sqrt(2.0)
+    # two real products give the bits of (x + 1j y) / sqrt(2), up to the
+    # sign of a part that is exactly zero
+    w = np.empty((m_normal, stop - start), dtype=np.complex128)
+    np.multiply(draws[:m_normal], 1.0 / np.sqrt(2.0), out=w.real)
+    np.multiply(draws[m_normal : 2 * m_normal], 1.0 / np.sqrt(2.0),
+                out=w.imag)
     return w, draws[2 * m_normal :]
 
 
+def _invariant_whitening(n, draws, mismatched):
+    """What every row of a chunk reads of the invariant draws (w, gammas):
+    the target-free CUT x0 = (z1, z2, z3, 0, ...), whitened once.
+
+    [e1, x0], and e2 when mismatched, are forward-substituted against
+    Bartlett's T, whose strictly lower entries are w[2:], row by row, into
+    y = T^-1 e1, u0 = T^-1 x0 and y2 = T^-1 e2. The result is
+    (a, b0, c0, r0, (f, h, g)): a = |y|^2, b0 = y^H u0, c0 = |u0|^2 and
+    Kelly's residual r0 = c0 - |b0|^2 / a of the target-free CUT; and,
+    only when mismatched, f = y^H y2, h = Re(y2'^H u0) and g = |y2'|^2,
+    where y2' = y2 - (f / a) y is the part of y2 orthogonal to y.
+    """
+    p = min(n, 3)
+    w, gammas = draws
+    sol = np.zeros((2 + mismatched, p, w.shape[1]), dtype=np.complex128)
+    sol[0, 0] = 1.0
+    sol[1, :2] = w[:2]
+    if n > 2:
+        sol[1, 2] = np.sqrt(gammas[p])
+    if mismatched:
+        sol[2, 1] = 1.0
+    off = iter(w[2:])
+    a, b0, c0 = _whitened(sol, [[next(off) for _ in range(i)]
+                                for i in range(p)], np.sqrt(gammas[:p]))
+    mismatch = None
+    if mismatched:
+        y, u0, y2 = sol
+        f = sum(y.conj() * y2)
+        y2 -= (f / a) * y
+        mismatch = (f, sum(y2.conj() * u0).real, sum(np.abs(y2) ** 2))
+    return a, b0, c0, c0 - np.abs(b0) ** 2 / a, mismatch
+
+
 @_quiet
-def _invariant_row(cfg, labels, draws, inject, trace_l_max):
-    """labels' statistics of the invariant draws (w, gammas) with cfg's
-    target; the EM trace is recorded given trace_l_max.
+def _invariant_row(cfg, labels, shared, inject, trace_l_max):
+    """labels' statistics of one chunk's invariant draws with cfg's target;
+    the EM trace is recorded given trace_l_max.
+
+    shared is what every row of the chunk reads: the draws (w, gammas) and
+    their whitened target-free CUT (from _invariant_whitening; None unless
+    the labels read the invariant).
 
     After whitening, a rotation puts v along e1 and the true steering in
     span(e1, e2), and one inside span(e3, ..., en) puts the rest of the CUT
     noise on e3, so the CUT is (z1 + sqrt(s) cos phi, z2 + sqrt(s) sin phi,
-    r, 0, ...) with r^2 ~ Gamma(n-2). The target is only that offset, so
-    the draws serve every scenario of one n and k. S is unitarily
-    invariant, so a, b and c need only the leading p x p block of S^-1,
-    p = min(n, 3): the inverse of W ~ CW(k-n+p, p, I), drawn as T T^H by
-    Bartlett's decomposition, and W's complement gives the rest of
-    log det S. v is taken as e1 itself: every statistic is invariant to the
-    scale of v.
+    z3, 0, ...) with z3^2 ~ Gamma(n-2). S is unitarily invariant, so a, b and
+    c need only the leading p x p block of S^-1, p = min(n, 3): the inverse
+    of W ~ CW(k-n+p, p, I), drawn as T T^H by Bartlett's decomposition, and
+    W's complement gives the rest of log det S. v is taken as e1 itself:
+    every statistic is invariant to the scale of v.
+
+    The target is only the offset o0 e1 + o1 e2 of the target-free CUT x0,
+    o0 = sqrt(s) cos phi and o1 = sqrt(s) sin phi, so the draws serve every
+    scenario of one n and k, and the rows of a chunk share x0 whitened
+    once. Forward substitution is linear, so a row moves only b and
+    Kelly's residual r = c - |b|^2 / a, which does not see the offset
+    along v: b = b0 + o0 a + o1 f and r = r0 + 2 o1 h + o1^2 g (r = r0 for a
+    matched row), and the row's c is |b|^2 / a + r. Without injection the
+    row reads (a, |b0|^2, c0) as whitened.
     """
     n, p = cfg.n, min(cfg.n, 3)
-    w, gammas = draws
+    w, gammas, whitened = shared
     need_logdet = trace_l_max is not None
     need_scalars, need_benchmark = _needs(labels, need_logdet)
     root_s = None if cfg.scnr_db is None else 10.0 ** (cfg.scnr_db / 20.0)
-
-    x = np.zeros((p, w.shape[1]), dtype=np.complex128)
-    x[:2] = w[:2]
-    if n > 2:
-        x[2] = np.sqrt(gammas[p])
     if inject:
-        x[0] += root_s * math.sqrt(cfg.cos_sq_phi)
-        x[1] += root_s * math.sqrt(1.0 - cfg.cos_sq_phi)
+        o0 = root_s * math.sqrt(cfg.cos_sq_phi)
+        o1 = root_s * math.sqrt(1.0 - cfg.cos_sq_phi)
 
     scalars = benchmark_aux = logdet_s = None
     if need_scalars:
-        # [e1, x] whitened by T, whose strictly lower entries are w[2:],
-        # row by row
-        off = iter(w[2:])
-        sol = np.zeros((2, p, x.shape[1]), dtype=np.complex128)
-        sol[0, 0] = 1.0
-        sol[1] = x
-        scalars = _whitened(sol, [[next(off) for _ in range(i)]
-                                  for i in range(p)], np.sqrt(gammas[:p]))
+        a, b0, c0, r0, mismatch = whitened
+        if inject:
+            b, r = b0 + o0 * a, r0
+            if o1:
+                f, h, g = mismatch
+                b += o1 * f
+                r = r0 + o1 * (2.0 * h + o1 * g)
+            b2 = np.abs(b) ** 2
+            scalars = a, b2, b2 / a + r
+        else:
+            scalars = a, np.abs(b0) ** 2, c0
     if need_benchmark:
         # v^H M^-1 z = x1 and v^H M^-1 v = 1 for v = e1, so alpha = sqrt(s)
         if root_s is None:
             raise ValueError("benchmark statistics require an amplitude")
-        benchmark_aux = (x[0], 1.0, root_s)
+        benchmark_aux = (w[0] + o0 if inject else w[0], 1.0, root_s)
     if need_logdet:
         logdet_s = (
             np.log(gammas[:p]).sum(axis=0)
@@ -526,9 +577,11 @@ def _invariant_row(cfg, labels, draws, inject, trace_l_max):
 class _GridChunk:
     """One chunk's statistics at each row of a grid, keyed (row, label).
 
-    The rows share the chunk's draws. A row is evaluated when one of its
-    keys is first read, so the keys must be read in row order; only the
-    current row's statistics are held, whatever the number of rows.
+    The rows share the chunk's draws and its whitened target-free CUT, and
+    each moves only (b, r) by its own target (_invariant_row). A row is
+    evaluated when one of its keys is first read, so the keys must be read
+    in row order; only the current row's statistics are held, whatever the
+    number of rows.
     """
 
     def __init__(self, rows: Iterator[dict[str, np.ndarray]]):
@@ -547,21 +600,27 @@ class _GridChunk:
 def _compute_chunk(args):
     """One chunk's statistics; the EM trace is recorded given trace_l_max.
 
-    Given rows, the invariant draws are made once, and the chunk is a
-    _GridChunk that evaluates them at each row's scenario in turn.
+    On the invariant path the draws are made and whitened once, and one
+    run is a grid of one row; given rows, the chunk is a _GridChunk that
+    evaluates them at each row's scenario in turn.
     """
     invariant, cfg, labels, seed, start, stop, inject, trace_l_max, rows = args
     traced = trace_l_max is not None
+    need_scalars, need_benchmark = _needs(labels, traced)
     if not invariant:
         return _evaluate(labels, cfg.n, cfg.k,
                          *_data_chunk(cfg, seed, start, stop, inject,
-                                      *_needs(labels, traced), traced),
+                                      need_scalars, need_benchmark, traced),
                          trace_l_max)
     draws = _invariant_draws(cfg.n, cfg.k, seed, start, stop, traced)
-    if rows is None:
-        return _invariant_row(cfg, labels, draws, inject, trace_l_max)
-    return _GridChunk(_invariant_row(row, labels, draws, inject, trace_l_max)
-                      for row in rows)
+    grid = (cfg,) if rows is None else rows
+    whitened = None
+    if need_scalars:
+        whitened = _invariant_whitening(
+            cfg.n, draws, inject and any(row.cos_sq_phi < 1.0 for row in grid))
+    evaluated = (_invariant_row(row, labels, (*draws, whitened), inject,
+                                trace_l_max) for row in grid)
+    return next(evaluated) if rows is None else _GridChunk(evaluated)
 
 
 def _simulate_chunks(
@@ -587,9 +646,9 @@ def _simulate_chunks(
     invariant instead of its data; the statistics have the same
     distribution but come from another random stream. Given rows, the
     scenarios of one grid with cfg's n and k (invariant path only), each
-    chunk's draws are made once and serve every row, each with its own
-    target: the chunk is keyed (row index, label), and its rows are read
-    in order (_GridChunk); row i is bit for bit the chunk of
+    chunk's draws are made and whitened once and serve every row, each
+    with its own target: the chunk is keyed (row index, label), and its
+    rows are read in order (_GridChunk); row i is bit for bit the chunk of
     _simulate_chunks(rows[i], ...) without rows. With workers > 1 and
     more than one chunk of _CHUNK trials, the chunks run on up to that
     many threads, and never more than the usable CPUs (numpy releases the

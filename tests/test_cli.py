@@ -598,7 +598,7 @@ CSV_DIGESTS = {
     "convergence": (
         ["convergence", "--trials", "5000", "--l-max", "6",
          "--scnr-grid", "10", "15"],
-        "bf995af8b2477cd7b3a67aa925fbbc760dc41c1b2a56fc95efc8b624412bf2db"),
+        "97819a56c609d6c3e932c1ba02ff4ae0d7ca7dc3da597c8e79eb81afb7ec2ddd"),
     "ingest-run binary": (
         ["ingest-run", *CUBE_RUN, "--cube", "{cube}.bin"],
         "2f5c4f8ccce7494a46d1bc1a358898e668f421c4cc598dae67fa30cd0c03ded8"),

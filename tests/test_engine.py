@@ -6,6 +6,7 @@ output must not depend on chunking or worker count.
 """
 
 import hashlib
+import math
 import threading
 import time
 import tracemalloc
@@ -491,6 +492,72 @@ class TestInjection:
         skewed = joined(replace(cfg, cos_sq_phi=0.3), ("amf",), 400,
                         inject=True)
         assert skewed["amf"].mean() < 0.8 * matched["amf"].mean()
+
+
+def direct_row(cfg, labels, draws, inject):
+    """One invariant row's statistics with its target added to the CUT
+    before whitening: [e1, x0 + o0 e1 + o1 e2] forward-substituted
+    against Bartlett's T, the direct form that a row's update of (b, r)
+    must reproduce."""
+    n, p = cfg.n, min(cfg.n, 3)
+    w, gammas = draws
+    root_s = 10.0 ** (cfg.scnr_db / 20.0)
+    sol = np.zeros((2, p, w.shape[1]), dtype=np.complex128)
+    sol[0, 0] = 1.0
+    sol[1, :2] = w[:2]
+    if n > 2:
+        sol[1, 2] = np.sqrt(gammas[p])
+    if inject:
+        sol[1, 0] += root_s * math.sqrt(cfg.cos_sq_phi)
+        sol[1, 1] += root_s * math.sqrt(1.0 - cfg.cos_sq_phi)
+    x1 = sol[1, 0].copy()
+    off = iter(w[2:])
+    a, b, c = engine._whitened(sol, [[next(off) for _ in range(i)]
+                                     for i in range(p)], np.sqrt(gammas[:p]))
+    return engine._evaluate(labels, n, cfg.k, (a, np.abs(b) ** 2, c),
+                            (x1, 1.0, root_s), None, None)
+
+
+class TestInvariantRows:
+    """A grid row moves only (b, r) of the chunk's target-free CUT,
+    whitened once; that equals whitening the row's own CUT."""
+
+    LABELS = ("glrt", "amf", "rao", "ace", "benchmark", "em-bml-d5")
+    # Rao's a - |b|^2 / (1 + c) cancels at high SCNR in either form
+    RAO_MAX_DB = 13.0
+    TRIALS = 1000
+
+    def rows_and_draws(self, n, inject):
+        cfg = ScenarioConfig(n=n, k=2 * n, master_seed=230 + n)
+        rows = tuple(replace(cfg, scnr_db=scnr, cos_sq_phi=cos_sq)
+                     for cos_sq in (1.0, 0.3, 0.0)
+                     for scnr in (0.0, 13.0, 40.0))
+        chunk = next(engine._simulate_chunks(
+            cfg, self.LABELS, self.TRIALS, stream_seed=19, inject=inject,
+            invariant=True, rows=rows))
+        draws = engine._invariant_draws(n, 2 * n, 19, 0, self.TRIALS, False)
+        return rows, chunk, draws
+
+    @pytest.mark.parametrize("n", [2, 8, 16])
+    def test_injected_row_matches_direct_whitening(self, n):
+        rows, chunk, draws = self.rows_and_draws(n, inject=True)
+        for i, row in enumerate(rows):
+            direct = direct_row(row, self.LABELS, draws, inject=True)
+            for label in self.LABELS:
+                if label == "rao" and row.scnr_db > self.RAO_MAX_DB:
+                    continue
+                np.testing.assert_allclose(
+                    chunk[i, label], direct[label], rtol=1e-12, atol=0,
+                    err_msg=f"{label} at {row.scnr_db} dB, "
+                            f"cos^2 {row.cos_sq_phi}")
+
+    @pytest.mark.parametrize("n", [2, 8, 16])
+    def test_row_without_target_is_direct_whitening(self, n):
+        rows, chunk, draws = self.rows_and_draws(n, inject=False)
+        for i, row in enumerate(rows):
+            direct = direct_row(row, self.LABELS, draws, inject=False)
+            for label in self.LABELS:
+                np.testing.assert_array_equal(chunk[i, label], direct[label])
 
 
 class TestSaturation:

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from embml import harness
+from embml import engine, harness
 from embml.curves import format_curve
 from embml.engine import TRACE, simulate_statistics
 from embml.harness import (
@@ -256,8 +256,9 @@ class TestMismatchContour:
 
 
 class TestGridRows:
-    """Every row of an injected grid evaluates the same trials, drawn once
-    in row 0's substream, so a row is the single-row run at its value."""
+    """Every row of an injected grid evaluates the same trials, drawn and
+    whitened once in row 0's substream, so a row is the single-row run at
+    its value."""
 
     LABELS = ("glrt", "amf", "benchmark", "em-bml-d3")
     # 5000 trials are two chunks, the second a partial one
@@ -286,6 +287,24 @@ class TestGridRows:
                        SMALL, 0.1, [scnr], [cos_sq], self.LABELS, self.TRIALS,
                        calibration_trials=1000))]
         assert self.rows_of(multi) == singles
+
+    def test_rows_share_one_whitening_per_chunk(self, monkeypatch):
+        calls = []
+        whitened = engine._whitened
+
+        def counted(*args):
+            calls.append(1)
+            return whitened(*args)
+
+        monkeypatch.setattr(engine, "_whitened", counted)
+        counts = []
+        for grid in ([-3.0, 0.0, 3.0, 6.0, 9.0, 12.0], [6.0]):
+            calls.clear()
+            pd_curve(SMALL, 0.1, grid, self.LABELS, self.TRIALS,
+                     calibration_trials=1000)
+            counts.append(len(calls))
+        # the one calibration chunk and the grid's two chunks
+        assert counts == [3, 3]
 
     def test_repeated_value_gives_identical_rows(self):
         curve = pd_curve(SMALL, 0.1, [6.0, 6.0], self.LABELS, self.TRIALS,
