@@ -24,38 +24,42 @@ feed _evaluate:
   chunk's draws and its target-free CUT, whitened once
   (_invariant_whitening), serve every row of a grid. Forward substitution
   is linear, so a row's target moves only b and Kelly's residual
-  r = c - |b|^2 / a, by a few operations per trial (_invariant_row), into
-  a _GridChunk.
+  r = c - |b|^2 / a, by a few operations per trial (_invariant_row).
 
-A chunk of _CHUNK trials is the unit of work: _compute_chunk has one path
-draw what _needs says the labels read, and _evaluate runs once over it,
-or once per row of a grid.
-A chunk is a plain dict of per-trial arrays: one (trials,) array per
-detector label, and the (trials, l_max) EM trace under TRACE when it is
-recorded; a grid's chunk is keyed (row, label) instead. _compute_chunk and statistics_from_stacks draw and evaluate
-with numpy's divide, invalid and overflow warnings silenced on the thread
-that runs them, so an undefined or overflowing statistic (0/0, say, or a
-square at an extreme SCNR) is a quiet NaN or inf, which the harness's
-finite check names by its trial.
+A run's labels are parsed once, by _simulate_chunks or
+statistics_from_stacks, into its plan (_Plan): the classical detectors,
+the EM caps, whether the benchmark is read and the EM trace's depth. A
+chunk of _CHUNK trials is the unit of work: _compute_chunk has one path
+draw what the plan reads, and _evaluate runs once over it, or once per
+row of a grid. A chunk is a plain dict of per-trial arrays: one (trials,)
+array per detector label, and the (trials, l_max) EM trace under TRACE
+when it is recorded. A grid's chunk is one such dict per row, keyed
+(row, label), each evaluated when it is read, and _simulate_chunks
+yields those row dicts in turn. _compute_chunk and statistics_from_stacks
+draw and evaluate with numpy's divide, invalid and overflow warnings
+silenced on the thread that runs them, so an undefined or overflowing
+statistic (0/0, say, or a square at an extreme SCNR) is a quiet NaN or
+inf, which the harness's finite check names by its trial.
+
 On both paths each block of _BLOCK trials draws from a generator keyed by
 (stream_seed, block_index), with a tag per path; a chunk builds one Philox
 and re-keys it for each block covering it (_blocks, scenario.block_rngs),
 so each trial's draws depend only on its index, never on where a chunk
 starts. The data path draws, colours and whitens one block at a time and
-keeps only the chunk's part of what the labels read, so a chunk holds one
+keeps only the chunk's part of what the plan reads, so a chunk holds one
 block's matrices, never the chunk's. The invariant path, at O(n) scalars
 per trial, fills the whole covering blocks into one buffer. Results are
 bit-identical for a given stream seed whatever the chunk size or worker
 count, which only set the tasks of a thread pool, one thread per usable
-CPU at most. Threads overlap only
-inside numpy calls that release the GIL, most of a data trial (the Philox
-fill, the colouring products, the batched Cholesky factorization); an
-invariant trial costs about 1 us in short calls that contend for the GIL,
-so the harness runs that path on one thread. The chunk iterator,
-_simulate_chunks, is the package's one entry, and every caller names its
-stream seed: it yields each chunk as it is computed, so the harness
-reduces every phase in flat memory. simulate_statistics joins one null
-data run at the scenario's master seed, for the benchmark.
+CPU at most. Threads overlap only inside numpy calls that release the GIL,
+most of a data trial (the Philox fill, the colouring products, the batched
+Cholesky factorization); an invariant trial costs about 1 us in short
+calls that contend for the GIL, so the harness runs that path on one
+thread. The chunk iterator, _simulate_chunks, is the package's one entry,
+and every caller names its stream seed: it yields each chunk as it is
+computed, so the harness reduces every phase in flat memory.
+simulate_statistics joins one null data run at the scenario's master seed,
+for the benchmark.
 """
 
 from __future__ import annotations
@@ -66,6 +70,9 @@ from collections.abc import Iterator
 # unused here; the benchmark's pool counter patches this name
 from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -178,62 +185,70 @@ def _em_batched(
     return snaps, deltas
 
 
-def _needs(labels: tuple[str, ...], record_em_trace: bool) -> tuple[bool, bool]:
-    """Whether labels need (a, |b|^2, c), and whether they need the benchmark.
-
-    Every classical statistic and the EM recursion read the invariant; the
-    trace (record_em_trace) runs the recursion and also needs log det S.
+class _Plan(NamedTuple):
+    """What a run reads of its trials, fixed by its labels before any draw:
+    the classical detectors, the EM caps (ascending), whether the
+    benchmark is among the labels, and the EM trace's depth (None: no
+    trace).
     """
-    parsed = [parse_detector_label(lab)[0] for lab in labels]
-    need_scalars = record_em_trace or any(
-        det in _CLASSICAL or det is DetectorId.EM_BML_D for det in parsed
+
+    classical: tuple[DetectorId, ...]
+    em_ls: tuple[int, ...]
+    benchmark: bool
+    trace: int | None
+
+    @property
+    def scalars(self) -> bool:
+        """Whether (a, |b|^2, c) is read: by every classical statistic and
+        the EM recursion, whose trace also reads log det S."""
+        return bool(self.classical or self.em_ls) or self.trace is not None
+
+
+def _plan(labels: tuple[str, ...], trace: int | None) -> _Plan:
+    """labels parsed once, into what a run evaluates."""
+    parsed = [parse_detector_label(lab) for lab in labels]
+    return _Plan(
+        tuple(det for det, _ in parsed if det in _CLASSICAL),
+        tuple(sorted({lmax for det, lmax in parsed
+                      if det is DetectorId.EM_BML_D})),
+        any(det is DetectorId.BENCHMARK for det, _ in parsed),
+        trace,
     )
-    return need_scalars, DetectorId.BENCHMARK in parsed
 
 
 def _evaluate(
-    labels: tuple[str, ...],
+    plan: _Plan,
     n: int,
     k: int,
     scalars,
     benchmark_aux,
     logdet_s,
-    trace_l_max: int | None,
 ) -> dict[str, np.ndarray]:
-    """Detector statistics of a trial range, whichever generator drew it.
+    """plan's statistics of a trial range, whichever generator drew it.
 
     scalars is (a, |b|^2, c), benchmark_aux the (u, c, alpha) arguments of
     benchmark_statistic_from_aux and logdet_s log det S; each is None
-    unless _needs asks for it, and the EM trace is recorded, under TRACE,
-    exactly when logdet_s is given. Only the labels' statistics are
-    computed, and its callers run it under _quiet. Every operation is
-    elementwise over trials, so a trial's statistics do not depend on how
-    many trials are evaluated with it. EM variant labels like em-bml-d5
-    share a single EM recursion run to the largest cap.
+    unless the plan reads it, and the EM trace is recorded, under TRACE,
+    exactly when the plan has a trace depth. Its callers run it under
+    _quiet. Every operation is elementwise over trials, so a trial's
+    statistics do not depend on how many trials are evaluated with it. EM
+    variant labels like em-bml-d5 share a single EM recursion run to the
+    largest cap.
     """
-    parsed = [parse_detector_label(lab) for lab in labels]
-    em_ls = sorted({lmax for det, lmax in parsed if det is DetectorId.EM_BML_D})
-
-    stats: dict[str, np.ndarray] = {}
-    for det, _ in parsed:
-        if det in _CLASSICAL:
-            stats[det.value] = _CLASSICAL[det](*scalars)
-
-    if benchmark_aux is not None:
+    stats = {det.value: _CLASSICAL[det](*scalars) for det in plan.classical}
+    if plan.benchmark:
         stats[DetectorId.BENCHMARK.value] = benchmark_statistic_from_aux(
             *benchmark_aux
         )
 
-    if em_ls or logdet_s is not None:
-        l_top = max(em_ls, default=0)
-        if logdet_s is not None:
-            l_top = max(l_top, trace_l_max or 0)
+    if plan.em_ls or plan.trace is not None:
+        l_top = max((*plan.em_ls, plan.trace or 0))
         snaps, em_delta = _em_batched(
-            *scalars, logdet_s, l_top, tuple(em_ls), k, n,
+            *scalars, logdet_s, l_top, plan.em_ls, k, n,
         )
-        for l in em_ls:
+        for l in plan.em_ls:
             stats[detector_label(DetectorId.EM_BML_D, l)] = snaps[l]
-        if logdet_s is not None:
+        if plan.trace is not None:
             stats[TRACE] = em_delta
 
     return stats
@@ -252,37 +267,38 @@ def _whitened(sol, lower, diag):
     Forward substitution leaves L^-1 of every column in sol, [y, u, ...]
     = L^-1 [v, z, ...], and a = |y|^2, b = y^H u and c = |u|^2. Each sum
     adds the n rows in order, so a trial's values do not depend on how
-    many trials or columns are whitened with it.
+    many trials or columns are whitened with it. Each row is divided by
+    the real diagonal as two real products by its reciprocal.
     """
     for i in range(len(diag)):
         for j in range(i):
             sol[:, i] -= lower[i][j] * sol[:, j]
-        sol[:, i] /= diag[i]
+        r = 1.0 / diag[i]
+        sol[:, i].real *= r
+        sol[:, i].imag *= r
     y, u = sol[:2]
     return sum(np.abs(y) ** 2), sum(y.conj() * u), sum(np.abs(u) ** 2)
 
 
-def _stack_invariants(z, zs, v, need_scalars: bool, minv_v, need_logdet: bool):
-    """What the statistics read of a trial stack: (a, |b|^2, c), the
-    benchmark's projection v^H M^-1 z and log det S.
+def _stack_invariants(z, zs, v, plan: _Plan, minv_v):
+    """What plan reads of a trial stack: (a, |b|^2, c), the benchmark's
+    projection v^H M^-1 z and log det S.
 
-    Each is None unless needed; the projection is needed when M^-1 v
-    (minv_v) is given. S is formed and factored only when the invariant or
-    log det S is needed, and then once, S = L L^H by Cholesky: _whitened
-    forward-substitutes [v, z] against L, and log det S = 2 sum log L_ii.
+    Each is None unless read; the projection is read when M^-1 v (minv_v)
+    is given. S is formed and factored only when the invariant is read,
+    and then once, S = L L^H by Cholesky: _whitened forward-substitutes
+    [v, z] against L, and log det S = 2 sum log L_ii.
     """
     u = None if minv_v is None else np.einsum("i,bi->b", minv_v.conj(), z)
-    if not (need_scalars or need_logdet):
+    if not plan.scalars:
         return None, u, None
     lower = np.linalg.cholesky(_scatter(zs)).transpose(1, 2, 0)
     diag = lower.diagonal().real.T
-    scalars = None
-    if need_scalars:
-        sol = np.empty((2, *z.T.shape), dtype=np.complex128)
-        sol[0], sol[1] = v[:, None], z.T
-        a, b, c = _whitened(sol, lower, diag)
-        scalars = a, np.abs(b) ** 2, c
-    return scalars, u, 2.0 * sum(np.log(diag)) if need_logdet else None
+    sol = np.empty((2, *z.T.shape), dtype=np.complex128)
+    sol[0], sol[1] = v[:, None], z.T
+    a, b, c = _whitened(sol, lower, diag)
+    logdet_s = None if plan.trace is None else 2.0 * sum(np.log(diag))
+    return (a, np.abs(b) ** 2, c), u, logdet_s
 
 
 def _benchmark_projection(v, true_m, alpha_hyp):
@@ -318,15 +334,12 @@ def statistics_from_stacks(
     k = zs.shape[2]
     if k < z.shape[1]:
         raise ValueError("stacked trials need k >= n secondary vectors")
-    labels = tuple(labels)
-    need_scalars, need_benchmark = _needs(labels, record_em_trace)
+    plan = _plan(labels, (trace_l_max or 0) if record_em_trace else None)
     minv_v, c, alpha = (_benchmark_projection(v, true_m, alpha_hyp)
-                        if need_benchmark else (None, None, None))
-    scalars, u, logdet_s = _stack_invariants(z, zs, v, need_scalars, minv_v,
-                                             record_em_trace)
-    return _evaluate(labels, z.shape[1], k, scalars,
-                     None if u is None else (u, c, alpha), logdet_s,
-                     trace_l_max)
+                        if plan.benchmark else (None, None, None))
+    scalars, u, logdet_s = _stack_invariants(z, zs, v, plan, minv_v)
+    return _evaluate(plan, z.shape[1], k, scalars,
+                     None if u is None else (u, c, alpha), logdet_s)
 
 
 def benchmark_statistic_from_aux(
@@ -380,14 +393,13 @@ def _coloured_blocks(
         yield lo, hi, block.reshape(n, _BLOCK, cols)[:, lo - first : hi - first]
 
 
-def _data_chunk(cfg, stream_seed, start, stop, inject, need_scalars,
-                need_benchmark, need_logdet):
+def _data_chunk(cfg, stream_seed, start, stop, inject, plan: _Plan):
     """(a, |b|^2, c), the benchmark's arguments and log det S of trials
-    [start, stop) drawn as data, each None unless needed.
+    [start, stop) drawn as data, each None unless plan reads it.
 
     Each block's part of the range is drawn, coloured and whitened on its
-    own, and keeps only those. Needing neither (a, |b|^2, c) nor log det S
-    forms no S.
+    own, and keeps only those. A plan that reads no (a, |b|^2, c) forms no
+    S.
     """
     m = build_covariance(cfg)
     v = steering_vector(cfg.n, cfg.doppler)
@@ -404,20 +416,20 @@ def _data_chunk(cfg, stream_seed, start, stop, inject, need_scalars,
         target = injection_amplitude(v_true, m, cfg.scnr_db) * v_true
 
     minv_v, c, alpha = (_benchmark_projection(v, m, alpha_hyp)
-                        if need_benchmark else (None, None, None))
+                        if plan.benchmark else (None, None, None))
     trials = stop - start
     # one (trials,) row per scalar, filled block by block
     kept = (
-        np.empty((3, trials)) if need_scalars else None,
-        np.empty(trials, dtype=np.complex128) if need_benchmark else None,
-        np.empty(trials) if need_logdet else None,
+        np.empty((3, trials)) if plan.scalars else None,
+        np.empty(trials, dtype=np.complex128) if plan.benchmark else None,
+        np.empty(trials) if plan.trace is not None else None,
     )
     for lo, hi, stack in _coloured_blocks(cfg, m.chol, stream_seed, start, stop):
         z = stack[:, :, 0].T
         if inject:
             z = z + target
         block = _stack_invariants(z, stack[:, :, 1:].transpose(1, 0, 2), v,
-                                  need_scalars, minv_v, need_logdet)
+                                  plan, minv_v)
         for out, part in zip(kept, block):
             if out is not None:
                 out[..., lo - start : hi - start] = part
@@ -511,13 +523,12 @@ def _invariant_whitening(n, draws, mismatched):
 
 
 @_quiet
-def _invariant_row(cfg, labels, shared, inject, trace_l_max):
-    """labels' statistics of one chunk's invariant draws with cfg's target;
-    the EM trace is recorded given trace_l_max.
+def _invariant_row(cfg, plan: _Plan, shared, inject):
+    """plan's statistics of one chunk's invariant draws with cfg's target.
 
     shared is what every row of the chunk reads: the draws (w, gammas) and
     their whitened target-free CUT (from _invariant_whitening; None unless
-    the labels read the invariant).
+    the plan reads the invariant).
 
     After whitening, a rotation puts v along e1 and the true steering in
     span(e1, e2), and one inside span(e3, ..., en) puts the rest of the CUT
@@ -539,15 +550,13 @@ def _invariant_row(cfg, labels, shared, inject, trace_l_max):
     """
     n, p = cfg.n, min(cfg.n, 3)
     w, gammas, whitened = shared
-    need_logdet = trace_l_max is not None
-    need_scalars, need_benchmark = _needs(labels, need_logdet)
     root_s = None if cfg.scnr_db is None else 10.0 ** (cfg.scnr_db / 20.0)
     if inject:
         o0 = root_s * math.sqrt(cfg.cos_sq_phi)
         o1 = root_s * math.sqrt(1.0 - cfg.cos_sq_phi)
 
     scalars = benchmark_aux = logdet_s = None
-    if need_scalars:
+    if plan.scalars:
         a, b0, c0, r0, mismatch = whitened
         if inject:
             b, r = b0 + o0 * a, r0
@@ -559,68 +568,46 @@ def _invariant_row(cfg, labels, shared, inject, trace_l_max):
             scalars = a, b2, b2 / a + r
         else:
             scalars = a, np.abs(b0) ** 2, c0
-    if need_benchmark:
+    if plan.benchmark:
         # v^H M^-1 z = x1 and v^H M^-1 v = 1 for v = e1, so alpha = sqrt(s)
-        if root_s is None:
-            raise ValueError("benchmark statistics require an amplitude")
         benchmark_aux = (w[0] + o0 if inject else w[0], 1.0, root_s)
-    if need_logdet:
+    if plan.trace is not None:
         logdet_s = (
             np.log(gammas[:p]).sum(axis=0)
             + gammas[-1]
             + build_covariance(cfg).log_det()
         )
-    return _evaluate(labels, n, cfg.k, scalars, benchmark_aux, logdet_s,
-                     trace_l_max)
-
-
-class _GridChunk:
-    """One chunk's statistics at each row of a grid, keyed (row, label).
-
-    The rows share the chunk's draws and its whitened target-free CUT, and
-    each moves only (b, r) by its own target (_invariant_row). A row is
-    evaluated when one of its keys is first read, so the keys must be read
-    in row order; only the current row's statistics are held, whatever the
-    number of rows.
-    """
-
-    def __init__(self, rows: Iterator[dict[str, np.ndarray]]):
-        self._rows, self._row, self._stats = rows, -1, {}
-
-    def __getitem__(self, key: tuple[int, str]) -> np.ndarray:
-        row, label = key
-        if row < self._row:
-            raise KeyError(f"row {row} was read and dropped")
-        while self._row < row:
-            self._stats, self._row = next(self._rows), self._row + 1
-        return self._stats[label]
+    return _evaluate(plan, n, cfg.k, scalars, benchmark_aux, logdet_s)
 
 
 @_quiet
-def _compute_chunk(args):
-    """One chunk's statistics; the EM trace is recorded given trace_l_max.
+def _compute_chunk(start, *, cfg, plan, stream_seed, n_trials, inject,
+                   invariant, rows):
+    """The statistics of the chunk of trials from start, in a run of
+    n_trials that _simulate_chunks describes.
 
-    On the invariant path the draws are made and whitened once, and one
-    run is a grid of one row; given rows, the chunk is a _GridChunk that
-    evaluates them at each row's scenario in turn.
+    The data path evaluates the chunk at once. On the invariant path the
+    draws are made and whitened once; given rows, the chunk is an iterator
+    of one dict per row, keyed (row index, label), and a row is evaluated
+    at its own scenario when its dict is read.
     """
-    invariant, cfg, labels, seed, start, stop, inject, trace_l_max, rows = args
-    traced = trace_l_max is not None
-    need_scalars, need_benchmark = _needs(labels, traced)
+    stop = min(start + _CHUNK, n_trials)
     if not invariant:
-        return _evaluate(labels, cfg.n, cfg.k,
-                         *_data_chunk(cfg, seed, start, stop, inject,
-                                      need_scalars, need_benchmark, traced),
-                         trace_l_max)
-    draws = _invariant_draws(cfg.n, cfg.k, seed, start, stop, traced)
-    grid = (cfg,) if rows is None else rows
+        return _evaluate(plan, cfg.n, cfg.k,
+                         *_data_chunk(cfg, stream_seed, start, stop, inject,
+                                      plan))
+    draws = _invariant_draws(cfg.n, cfg.k, stream_seed, start, stop,
+                             plan.trace is not None)
     whitened = None
-    if need_scalars:
-        whitened = _invariant_whitening(
-            cfg.n, draws, inject and any(row.cos_sq_phi < 1.0 for row in grid))
-    evaluated = (_invariant_row(row, labels, (*draws, whitened), inject,
-                                trace_l_max) for row in grid)
-    return next(evaluated) if rows is None else _GridChunk(evaluated)
+    if plan.scalars:
+        whitened = _invariant_whitening(cfg.n, draws, inject and any(
+            row.cos_sq_phi < 1.0 for row in rows or (cfg,)))
+    shared = (*draws, whitened)
+    if rows is None:
+        return _invariant_row(cfg, plan, shared, inject)
+    return ({(i, label): stats for label, stats
+             in _invariant_row(row, plan, shared, inject).items()}
+            for i, row in enumerate(rows))
 
 
 def _simulate_chunks(
@@ -634,51 +621,59 @@ def _simulate_chunks(
     workers: int = 1,
     invariant: bool = False,
     rows: tuple[ScenarioConfig, ...] | None = None,
-) -> Iterator[dict[str, np.ndarray]]:
-    """n_trials independent trials' statistics, one chunk at a time in order.
+) -> Iterator[dict]:
+    """n_trials independent trials' statistics, one part at a time in order.
 
-    The trials draw from stream_seed's substream; harness phases pass
-    derived seeds so different experiment stages never share substreams.
-    Under inject=True the cell under test receives a target along the
-    scenario's true steering (mismatched when cos_sq_phi < 1) at scnr_db.
-    Given trace_l_max, each chunk records the EM convergence trace to that
-    iteration under TRACE. invariant=True draws each trial's maximal
-    invariant instead of its data; the statistics have the same
-    distribution but come from another random stream. Given rows, the
-    scenarios of one grid with cfg's n and k (invariant path only), each
-    chunk's draws are made and whitened once and serve every row, each
-    with its own target: the chunk is keyed (row index, label), and its
-    rows are read in order (_GridChunk); row i is bit for bit the chunk of
-    _simulate_chunks(rows[i], ...) without rows. With workers > 1 and
-    more than one chunk of _CHUNK trials, the chunks run on up to that
-    many threads, and never more than the usable CPUs (numpy releases the
-    GIL in the draws, the colouring products and the factorization);
-    results are bit-identical for fixed seeds regardless of workers or
-    _CHUNK. A chunk's exception reaches the caller unchanged.
+    The labels are parsed once, into the run's plan, and the arguments are
+    checked before any draw. The trials draw from stream_seed's substream;
+    harness phases pass derived seeds so different experiment stages never
+    share substreams. Under inject=True the cell under test receives a
+    target along the scenario's true steering (mismatched when
+    cos_sq_phi < 1) at scnr_db. Given trace_l_max, each chunk records the
+    EM convergence trace to that iteration under TRACE. invariant=True
+    draws each trial's maximal invariant instead of its data; the
+    statistics have the same distribution but come from another random
+    stream. Each part is a plain dict: one chunk's statistics keyed by
+    label, or, given rows, the scenarios of one grid with cfg's n and k
+    (invariant path only), one row's, keyed (row index, label). A grid's
+    chunk draws and whitens once and serves every row, each with its own
+    target, so its parts come row by row, chunk by chunk; row i's parts
+    are bit for bit the chunks of _simulate_chunks(rows[i], ...) without
+    rows. With workers > 1 and more than one chunk of _CHUNK trials, the
+    chunks run on up to that many threads, and never more than the usable
+    CPUs (numpy releases the GIL in the draws, the colouring products and
+    the factorization); results are bit-identical for fixed seeds
+    regardless of workers or _CHUNK. A chunk's exception reaches the
+    caller unchanged.
     """
     if n_trials <= 0:
         raise ValueError("n_trials must be positive")
     if rows is not None and not invariant:
         raise ValueError("grid rows share their draws only on the invariant "
                          "path")
-    if inject and any(row.scnr_db is None for row in rows or (cfg,)):
+    plan = _plan(labels, trace_l_max)
+    scenes = rows or (cfg,)
+    if inject and any(row.scnr_db is None for row in scenes):
         raise ValueError("injection requires scnr_db")
-    labels = tuple(labels)
+    if plan.benchmark and any(row.scnr_db is None for row in scenes):
+        raise ValueError("benchmark statistics require an amplitude")
     starts = range(0, n_trials, _CHUNK)
-    args = (
-        (invariant, cfg, labels, stream_seed, start,
-         min(start + _CHUNK, n_trials), inject, trace_l_max, rows)
-        for start in starts
-    )
+    compute = partial(_compute_chunk, cfg=cfg, plan=plan,
+                      stream_seed=stream_seed, n_trials=n_trials,
+                      inject=inject, invariant=invariant, rows=rows)
+
+    def parts(chunks):
+        return chunks if rows is None else chain.from_iterable(chunks)
+
     if workers > 1 and len(starts) > 1:
         # map submits every chunk at once, which starts all the pool's
         # threads, so it gets no more than there are chunks to run or CPUs
         # to run them
         threads = min(workers, len(starts), len(os.sched_getaffinity(0)))
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            yield from pool.map(_compute_chunk, args)
+            yield from parts(pool.map(compute, starts))
     else:
-        yield from map(_compute_chunk, args)
+        yield from parts(map(compute, starts))
 
 
 def simulate_statistics(

@@ -279,27 +279,32 @@ def _check_calibration(cfg, labels, pfa: float, trials: int) -> None:
 
 
 def _reduce(reducers: dict, chunks: Generator) -> dict:
-    """Feed each key's reducer its per-trial rows, chunk by chunk.
+    """Feed each key's reducer its per-trial rows, part by part.
 
-    chunks is a generator of consecutive runs of trials in order, each
-    mapping reducers' keys to arrays with one row per trial: engine chunks,
-    an injected grid's chunks keyed (row index, label), read in reducers'
-    order, or a cube bin's window blocks. Each chunk is reduced as it
-    arrives, after a finite check that names a bad statistic by its label
-    and its trial index in the whole run. chunks is closed as soon as a
-    check raises, so a thread pool behind it has shut down by the time the
-    error is seen.
+    chunks is a generator of parts, each mapping some of reducers' keys to
+    arrays with one row per trial: engine chunks, an injected grid's row
+    dicts keyed (row index, label), or a cube bin's window blocks. Each
+    key's parts are consecutive runs of its trials in order, so each key
+    keeps its own trial offset. Each part is reduced as it arrives, after a
+    finite check that names a bad statistic by its label and its trial
+    index in the whole run. chunks is closed as soon as a check raises, so
+    a thread pool behind it has shut down by the time the error is seen. A
+    key that no reducer has, or a reducer's key that never arrives, raises
+    KeyError.
     """
-    start = 0
+    offsets = dict.fromkeys(reducers)
     with closing(chunks):
         for part in chunks:
-            for key, reducer in reducers.items():
-                stats = part[key]
+            for key, stats in part.items():
+                start = offsets[key] or 0
                 # a grid row's key is (row, label)
                 _require_finite(stats, key if isinstance(key, str) else key[1],
                                 start)
-                reducer.add(stats)
-            start += len(stats)
+                reducers[key].add(stats)
+                offsets[key] = start + len(stats)
+    missing = [key for key, stop in offsets.items() if stop is None]
+    if missing:
+        raise KeyError(f"no statistics arrived for {missing}")
     return reducers
 
 

@@ -101,9 +101,8 @@ def nan_in_second_chunk(monkeypatch):
     compute = engine._compute_chunk
     bad = 4096 + 17
 
-    def spoiled(args):
-        part = compute(args)
-        start = args[4]  # (invariant, cfg, labels, seed, start, stop, ...)
+    def spoiled(start, **run):
+        part = compute(start, **run)
         if start == 4096 and "amf" in part:
             part["amf"][bad - start] = float("nan")
         return part

@@ -394,9 +394,9 @@ class TestWorkerPool:
         err = RuntimeError("chunk failed")
         started = []
 
-        def chunk(args):
-            started.append(args[4])
-            if args[4] == 0:
+        def chunk(start, **run):
+            started.append(start)
+            if start == 0:
                 raise err
             time.sleep(0.05)
 
@@ -514,8 +514,8 @@ def direct_row(cfg, labels, draws, inject):
     off = iter(w[2:])
     a, b, c = engine._whitened(sol, [[next(off) for _ in range(i)]
                                      for i in range(p)], np.sqrt(gammas[:p]))
-    return engine._evaluate(labels, n, cfg.k, (a, np.abs(b) ** 2, c),
-                            (x1, 1.0, root_s), None, None)
+    return engine._evaluate(engine._plan(labels, None), n, cfg.k,
+                            (a, np.abs(b) ** 2, c), (x1, 1.0, root_s), None)
 
 
 class TestInvariantRows:
@@ -532,9 +532,10 @@ class TestInvariantRows:
         rows = tuple(replace(cfg, scnr_db=scnr, cos_sq_phi=cos_sq)
                      for cos_sq in (1.0, 0.3, 0.0)
                      for scnr in (0.0, 13.0, 40.0))
-        chunk = next(engine._simulate_chunks(
+        # one chunk of trials, so one part per row
+        chunk = {key: stats for part in engine._simulate_chunks(
             cfg, self.LABELS, self.TRIALS, stream_seed=19, inject=inject,
-            invariant=True, rows=rows))
+            invariant=True, rows=rows) for key, stats in part.items()}
         draws = engine._invariant_draws(n, 2 * n, 19, 0, self.TRIALS, False)
         return rows, chunk, draws
 

@@ -306,6 +306,51 @@ class TestGridRows:
         # the one calibration chunk and the grid's two chunks
         assert counts == [3, 3]
 
+    def test_labels_are_parsed_once_per_run(self, monkeypatch):
+        calls = []
+        parse = engine.parse_detector_label
+
+        def counted(label):
+            calls.append(label)
+            return parse(label)
+
+        monkeypatch.setattr(engine, "parse_detector_label", counted)
+        counts = []
+        for grid, trials in (([-3.0, 0.0, 3.0, 6.0, 9.0, 12.0], self.TRIALS),
+                             ([6.0], 1000)):
+            calls.clear()
+            pd_curve(SMALL, 0.1, grid, self.LABELS, trials,
+                     calibration_trials=1000)
+            counts.append(len(calls))
+        # the calibration's three adaptive labels and the grid's four, once
+        # each, however many rows and chunks the grid has
+        assert counts == [7, 7]
+
+    def test_nan_in_a_later_row_and_chunk_is_named_by_its_trial(
+        self, monkeypatch
+    ):
+        # row 2 of 4 holds a NaN AMF statistic 17 trials into the second
+        # chunk; each row counts its own trials, so that is trial 4113
+        compute, bad = engine._compute_chunk, engine._CHUNK + 17
+
+        def plant(part):
+            if (2, "amf") in part:
+                part[2, "amf"][bad - engine._CHUNK] = np.nan
+            return part
+
+        def spoiled(start, **run):
+            chunk = compute(start, **run)
+            if run["rows"] is None or start != engine._CHUNK:
+                return chunk
+            return (plant(part) for part in chunk)
+
+        monkeypatch.setattr(engine, "_compute_chunk", spoiled)
+        with pytest.raises(harness.NonFiniteStatistic,
+                           match=rf"^amf: .* first at trial {bad}$") as raised:
+            pd_curve(SMALL, 0.1, [-3.0, 0.0, 3.0, 6.0], self.LABELS,
+                     self.TRIALS, calibration_trials=1000)
+        assert (raised.value.detector, raised.value.index) == ("amf", bad)
+
     def test_repeated_value_gives_identical_rows(self):
         curve = pd_curve(SMALL, 0.1, [6.0, 6.0], self.LABELS, self.TRIALS,
                          calibration_trials=1000)
@@ -507,6 +552,12 @@ class TestStreamedReduction:
             harness._reduce({TRACE: harness._Rows(trace)},
                             ({TRACE: c} for c in chunks))
         np.testing.assert_array_equal(trace[:5], chunks[0])
+
+    def test_reducer_whose_key_never_arrives_raises(self):
+        with pytest.raises(KeyError, match="amf"):
+            harness._reduce({TRACE: harness._Rows(np.empty((5, 3))),
+                             "amf": harness._Exceedances(0.0)},
+                            ({TRACE: c} for c in [np.ones((5, 3))]))
 
     def test_benchmark_only_calibration_draws_no_chunk(self, monkeypatch):
         calls = []
