@@ -545,12 +545,14 @@ def _invariant_row(cfg, plan: _Plan, shared, inject):
     once. Forward substitution is linear, so a row moves only b and
     Kelly's residual r = c - |b|^2 / a, which does not see the offset
     along v: b = b0 + o0 a + o1 f and r = r0 + 2 o1 h + o1^2 g (r = r0 for a
-    matched row), and the row's c is |b|^2 / a + r. Without injection the
-    row reads (a, |b0|^2, c0) as whitened.
+    matched row), and the row's c is |b|^2 / a + r. Without injection, or
+    without an SCNR, the row is target-free: it reads (a, |b0|^2, c0) as
+    whitened.
     """
     n, p = cfg.n, min(cfg.n, 3)
     w, gammas, whitened = shared
     root_s = None if cfg.scnr_db is None else 10.0 ** (cfg.scnr_db / 20.0)
+    inject = inject and root_s is not None
     if inject:
         o0 = root_s * math.sqrt(cfg.cos_sq_phi)
         o1 = root_s * math.sqrt(1.0 - cfg.cos_sq_phi)
@@ -639,10 +641,11 @@ def _simulate_chunks(
     chunk draws and whitens once and serves every row, each with its own
     target, so its parts come row by row, chunk by chunk; row i's parts
     are bit for bit the chunks of _simulate_chunks(rows[i], ...) without
-    rows. With workers > 1 and more than one chunk of _CHUNK trials, the
-    chunks run on up to that many threads, and never more than the usable
-    CPUs (numpy releases the GIL in the draws, the colouring products and
-    the factorization); results are bit-identical for fixed seeds
+    rows, and without inject for a row whose scnr_db is None, which is
+    target-free. With workers > 1 and more than one chunk of _CHUNK
+    trials, the chunks run on up to that many threads, and never more than
+    the usable CPUs (numpy releases the GIL in the draws, the colouring
+    products and the factorization); results are bit-identical for fixed seeds
     regardless of workers or _CHUNK. A chunk's exception reaches the
     caller unchanged.
     """
@@ -652,10 +655,9 @@ def _simulate_chunks(
         raise ValueError("grid rows share their draws only on the invariant "
                          "path")
     plan = _plan(labels, trace_l_max)
-    scenes = rows or (cfg,)
-    if inject and any(row.scnr_db is None for row in scenes):
+    if inject and rows is None and cfg.scnr_db is None:
         raise ValueError("injection requires scnr_db")
-    if plan.benchmark and any(row.scnr_db is None for row in scenes):
+    if plan.benchmark and any(row.scnr_db is None for row in rows or (cfg,)):
         raise ValueError("benchmark statistics require an amplitude")
     starts = range(0, n_trials, _CHUNK)
     compute = partial(_compute_chunk, cfg=cfg, plan=plan,

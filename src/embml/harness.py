@@ -11,16 +11,16 @@ grid point one exceedance count per detector. Thresholds and rates are
 exactly those of sorting and averaging the whole ensemble, which
 TrialEnsemble, calibrate_threshold and estimate_rate still do as the
 reference. One loop, _reduce, feeds the reducers, for these phases, for
-the convergence study's EM traces (copied into one reused buffer, so
-their means keep their bits) and for the cube's window blocks. Each
-chunk is a dict of per-trial arrays, and _reduce refuses a NaN or
+the convergence study's EM traces (running sums, in two passes, so
+their means and CIs keep their bits) and for the cube's window blocks.
+Each chunk is a dict of per-trial arrays, and _reduce refuses a NaN or
 infinite value in any of them, naming its trial. Every experiment phase
 works in its own derived substream namespace, so trials are independent
 across phases and every result is bit-reproducible for a fixed master
 seed. Each off-nominal row of the CFAR sweep draws in its own substream;
-the rows of a Pd grid (curve or contour) all evaluate one set of trials,
-drawn once in row 0's substream (common random numbers), and each keeps
-its own exceedance counts.
+the rows of a Pd grid (curve or contour) and the configurations of a
+convergence study all evaluate one set of trials, drawn once in row 0's
+substream (common random numbers), and each keeps its own reducers.
 Calibration, curves, contours and convergence studies draw each trial's
 maximal invariant on one thread, at about 1 us/trial; only the CFAR sweep
 draws data, because CNR and rho drop out of the invariant by
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Generator
-from contextlib import closing
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, replace
 from statistics import NormalDist
 
@@ -40,7 +40,7 @@ import numpy as np
 
 from .curves import ConvergenceResult, CurveResult
 from .detectors import DetectorId, parse_detector_label
-from .engine import TRACE, _simulate_chunks
+from .engine import _CHUNK, TRACE, _simulate_chunks
 from .scenario import ScenarioConfig, derive_stream_seed
 
 __all__ = [
@@ -72,21 +72,39 @@ class InsufficientTrials(ValueError):
 
 
 class NonFiniteStatistic(ValueError):
-    """A NaN or infinite statistic, with its detector and trial index."""
+    """A NaN or infinite statistic, with its detector, its trial index and
+    its grid row's index (None outside a grid)."""
 
-    def __init__(self, message: str, detector: str | None, index: int):
+    def __init__(self, message: str, detector: str | None, index: int,
+                 row: int | None = None):
         super().__init__(message)
         self.detector = detector
         self.index = index
+        self.row = row
+
+    def named(self, name: str) -> NonFiniteStatistic:
+        """This error with name, where its statistics were drawn, in front."""
+        return NonFiniteStatistic(f"{name}: {self}", self.detector,
+                                  self.index, self.row)
+
+
+@contextmanager
+def _named(name: str):
+    """Put name in front of a NonFiniteStatistic raised inside."""
+    try:
+        yield
+    except NonFiniteStatistic as err:
+        raise err.named(name) from err
 
 
 def _require_finite(stats: np.ndarray, detector: str | None,
-                    start: int = 0) -> None:
+                    start: int = 0, row: int | None = None) -> None:
     """Reject NaN and infinite statistics, which would sort and count silently.
 
     stats has one row per trial, of trials start, start + 1, ... (a (trials,)
     array, or a (trials, l_max) EM trace); the NonFiniteStatistic raised
-    names the first trial with a bad value by its index.
+    names the first trial with a bad value by its index, and carries the
+    grid row given.
     """
     bad = ~np.isfinite(stats)
     if bad.any():
@@ -98,7 +116,8 @@ def _require_finite(stats: np.ndarray, detector: str | None,
             f"{index}"
         )
         raise NonFiniteStatistic(
-            msg if detector is None else f"{detector}: {msg}", detector, index)
+            msg if detector is None else f"{detector}: {msg}", detector, index,
+            row)
 
 
 @dataclass(frozen=True)
@@ -243,15 +262,27 @@ class _Exceedances:
         self.count += int(np.count_nonzero(values > self.threshold))
 
 
-class _Rows:
-    """Rows as they come, copied in order into one buffer of them all."""
+class _RowSums:
+    """Per-column sums of (trials, width) rows as they come, or, given
+    center, of their squared deviations from it; the last rows added are
+    kept.
 
-    def __init__(self, out: np.ndarray):
-        self._out, self._stop = out, 0
+    Each part is stacked under the running sum and reduced along trials,
+    which repeats numpy's own order for an axis-0 sum of the whole
+    C-ordered array, so the sums keep its bits. (For width 1 numpy sums a
+    whole column pairwise, and the bits may differ.)
+    """
+
+    def __init__(self, width: int, center: np.ndarray | None = None):
+        self.sum = np.zeros(width)
+        self.center = center
+        self.last = None
 
     def add(self, values: np.ndarray) -> None:
-        start, self._stop = self._stop, self._stop + len(values)
-        self._out[start:self._stop] = values
+        self.last = values
+        if self.center is not None:
+            values = np.square(values - self.center)
+        self.sum = np.add.reduce(np.vstack([self.sum[None], values]), axis=0)
 
 
 def _null_config(cfg: ScenarioConfig) -> ScenarioConfig:
@@ -287,10 +318,10 @@ def _reduce(reducers: dict, chunks: Generator) -> dict:
     key's parts are consecutive runs of its trials in order, so each key
     keeps its own trial offset. Each part is reduced as it arrives, after a
     finite check that names a bad statistic by its label and its trial
-    index in the whole run. chunks is closed as soon as a check raises, so
-    a thread pool behind it has shut down by the time the error is seen. A
-    key that no reducer has, or a reducer's key that never arrives, raises
-    KeyError.
+    index in the whole run; the error carries a grid row's index as its
+    row. chunks is closed as soon as a check raises, so a thread pool
+    behind it has shut down by the time the error is seen. A key that no
+    reducer has, or a reducer's key that never arrives, raises KeyError.
     """
     offsets = dict.fromkeys(reducers)
     with closing(chunks):
@@ -298,8 +329,8 @@ def _reduce(reducers: dict, chunks: Generator) -> dict:
             for key, stats in part.items():
                 start = offsets[key] or 0
                 # a grid row's key is (row, label)
-                _require_finite(stats, key if isinstance(key, str) else key[1],
-                                start)
+                row, label = (None, key) if isinstance(key, str) else key
+                _require_finite(stats, label, start, row)
                 reducers[key].add(stats)
                 offsets[key] = start + len(stats)
     missing = [key for key, stop in offsets.items() if stop is None]
@@ -399,10 +430,13 @@ def cfar_sweep(
     construction (up to the order-statistic rank convention). Unlike every
     other experiment, the sweep draws data, not the maximal invariant: the
     CFAR property it checks would hold on the invariant by construction.
+    A non-finite statistic raises NonFiniteStatistic naming the clutter
+    point, cnr_db and rho, where it was drawn, the calibration's included.
     """
     labels = order_labels(detectors)
     _check_calibration(cfg, labels, pfa, trials)
-    nominal = _null_phase(cfg, labels, pfa, trials, workers=workers)
+    with _named(f"cnr_db={cfg.cnr_db}, rho={cfg.rho}"):
+        nominal = _null_phase(cfg, labels, pfa, trials, workers=workers)
     thresholds = {lab: r.threshold for lab, r in nominal.items()}
     points = {(float(c), cfg.rho) for c in cnr_grid}
     points.update((cfg.cnr_db, float(r)) for r in rho_grid)
@@ -412,10 +446,11 @@ def cfar_sweep(
     for i, (cnr_db, rho) in enumerate(points):
         point_cfg = replace(null_cfg, cnr_db=cnr_db, rho=rho)
         # each off-nominal row draws data in its own substream
-        reducers = nominal if point_cfg == null_cfg else _simulated(
-            point_cfg, labels, pfa, trials,
-            derive_stream_seed(cfg.master_seed, _PHASE_SWEEP, i),
-            lambda lab: _Exceedances(thresholds[lab]), workers=workers)
+        with _named(f"cnr_db={cnr_db}, rho={rho}"):
+            reducers = nominal if point_cfg == null_cfg else _simulated(
+                point_cfg, labels, pfa, trials,
+                derive_stream_seed(cfg.master_seed, _PHASE_SWEEP, i),
+                lambda lab: _Exceedances(thresholds[lab]), workers=workers)
         counts.append([reducers[lab].count for lab in labels])
     return _curve(("cnr_db", "rho"), points, labels, counts, trials)
 
@@ -512,11 +547,18 @@ def convergence_study(
     """Mean |relative objective change| per EM iteration, per configuration.
 
     scnr_list entries are SCNRs in dB, or None for the null hypothesis.
-    Each configuration's trace is reduced chunk by chunk into one buffer of
-    trials x l_max, which every configuration reuses. Configurations are
-    named h0 and scnr{:g}, and two with one name raise ValueError before
-    any draw. A non-finite objective change raises NonFiniteStatistic
-    naming the configuration and the first trial with one.
+    The configurations are the rows of one invariant grid: every chunk is
+    drawn and whitened once, in row 0's substream, for all of them, and a
+    row without an SCNR is target-free. Each row's trace is reduced in two
+    passes of running row-order sums (_RowSums): its sum, then its squared
+    deviations from the exact mean. The second pass redraws only the
+    chunks before the last, whose traces the first still holds, so memory
+    does not grow with the trial count, and the means and CIs are bit for
+    bit those of mean(axis=0) and 1.96 std(axis=0) / sqrt(trials) over the
+    whole (trials, l_max) trace (l_max > 1). Configurations are named h0
+    and scnr{:g}, and two with one name raise ValueError before any draw.
+    A non-finite objective change raises NonFiniteStatistic naming the
+    configuration and the first trial with one.
     """
     if trials < 1000:
         raise InsufficientTrials(
@@ -528,22 +570,34 @@ def convergence_study(
     for j, name in enumerate(names):
         if name in names[:j]:
             raise ValueError(f"two convergence configurations are named {name}")
-    means = np.empty((l_max, len(scnr_list)))
-    cis = np.empty_like(means)
-    trace = np.empty((trials, l_max))
-    for j, scnr in enumerate(scnr_list):
-        point_cfg = replace(cfg, scnr_db=None if scnr is None else float(scnr))
-        seed = derive_stream_seed(cfg.master_seed, _PHASE_CONVERGENCE, j)
-        chunks = _simulate_chunks(point_cfg, (), trials, stream_seed=seed,
-                                  inject=scnr is not None, trace_l_max=l_max,
-                                  invariant=True)
+    rows = tuple(replace(cfg, scnr_db=None if scnr is None else float(scnr))
+                 for scnr in scnr_list)
+    seed = derive_stream_seed(cfg.master_seed, _PHASE_CONVERGENCE, 0)
+
+    def traced(reducers: dict, n_trials: int) -> dict:
+        if not reducers:
+            return reducers  # no configurations, nothing to draw
         try:
-            _reduce({TRACE: _Rows(trace)}, chunks)
+            return _reduce(reducers, _simulate_chunks(
+                cfg, (), n_trials, stream_seed=seed, inject=True,
+                trace_l_max=l_max, invariant=True, rows=rows))
         except NonFiniteStatistic as err:
-            raise NonFiniteStatistic(f"{names[j]}: {err}", err.detector,
-                                     err.index) from err
-        means[:, j] = trace.mean(axis=0)
-        cis[:, j] = 1.96 * trace.std(axis=0) / math.sqrt(trials)
+            raise err.named(names[err.row]) from err
+
+    keys = [(j, TRACE) for j in range(len(rows))]
+    sums = traced({key: _RowSums(l_max) for key in keys}, trials)
+    means = np.empty((l_max, len(rows)))
+    for j, key in enumerate(keys):
+        means[:, j] = sums[key].sum / trials
+    squares = {key: _RowSums(l_max, means[:, j]) for j, key in enumerate(keys)}
+    before_last = (trials - 1) // _CHUNK * _CHUNK
+    if before_last:
+        traced(squares, before_last)
+    cis = np.empty_like(means)
+    for j, key in enumerate(keys):
+        squares[key].add(sums[key].last)
+        std = np.sqrt(squares[key].sum / trials)
+        cis[:, j] = 1.96 * std / math.sqrt(trials)
 
     return ConvergenceResult(
         iterations=tuple(range(1, l_max + 1)),

@@ -364,9 +364,10 @@ class TestExitCodes:
         self, tmp_path
     ):
         # at 200 dB the closed-form EM trace loses its precision and is NaN
-        # for about half the trials, trial 0 among them, though the
-        # per-trial reference is finite there. Run in a fresh interpreter,
-        # so that a numpy warning would reach stderr.
+        # for about half the trials, first at trial 2 of the stream that h0
+        # and scnr200 share, though the per-trial reference is finite
+        # there. Run in a fresh interpreter, so that a numpy warning would
+        # reach stderr.
         out = tmp_path / "x.csv"
         src = str(Path(embml.__file__).resolve().parents[1])
         run = subprocess.run(
@@ -378,8 +379,31 @@ class TestExitCodes:
         assert run.returncode == 2
         assert re.fullmatch(
             rf"error: scnr200: {re.escape(engine.TRACE)}: .* first at trial "
-            r"0\n", run.stderr)
+            r"2\n", run.stderr)
         assert not out.exists()
+
+    @pytest.mark.parametrize("power, cnr_grid, point", [
+        # the nominal point: its calibration overflows
+        ("1e306", ["20"], "cnr_db=20.0, rho=0.9"),
+        # an off-nominal row at the nominal rho
+        ("1e300", ["20", "80"], "cnr_db=80.0, rho=0.9")],
+        ids=["calibration", "row"])
+    def test_overflowing_scatter_names_its_clutter_point(
+        self, tmp_path, capsys, power, cnr_grid, point
+    ):
+        # S = Z Z^H sums k products of about the clutter power, 1.01e308 at
+        # noise_power 1e306 and 20 dB, or 1e308 at 1e300 and 80 dB, past the
+        # float range
+        ini = tmp_path / "huge.ini"
+        ini.write_text(f"[scenario]\nnoise_power = {power}\ncnr_db = 20\n")
+        code, _, stderr = run_cli(
+            ["pfa-sweep", "--config", str(ini), "--n", "4", "--k", "8",
+             "--pfa", "0.05", "--trials", "2000", "--cnr-grid", *cnr_grid,
+             "--rho-grid", "0.9", "--out", str(tmp_path / "x.csv")], capsys)
+        assert code == 2
+        assert re.fullmatch(
+            rf"error: {re.escape(point)}: glrt: .* not finite, first at "
+            r"trial \d+\n", stderr)
 
     def test_unrequested_statistic_warns_of_nothing(self, tmp_path, capsys):
         # at 200 dB the Rao statistic divides by zero; pytest turns a
@@ -598,7 +622,7 @@ CSV_DIGESTS = {
     "convergence": (
         ["convergence", "--trials", "5000", "--l-max", "6",
          "--scnr-grid", "10", "15"],
-        "97819a56c609d6c3e932c1ba02ff4ae0d7ca7dc3da597c8e79eb81afb7ec2ddd"),
+        "5f24cc813607c4280c09968f793c7e931fae98fbddd17cc34d120f87c2cdee5b"),
     "ingest-run binary": (
         ["ingest-run", *CUBE_RUN, "--cube", "{cube}.bin"],
         "2f5c4f8ccce7494a46d1bc1a358898e668f421c4cc598dae67fa30cd0c03ded8"),
@@ -725,9 +749,11 @@ class TestWorkerThreads:
         code, _, stderr = run_cli(
             [*SWEEP, "--detectors", "glrt", "amf", "--workers", "2",
              "--out", str(tmp_path / "x.csv")], capsys)
+        # the calibration, at the nominal clutter point, reads it first
         assert code == 2
         assert re.fullmatch(
-            rf"error: amf: .* first at trial {nan_in_second_chunk}\n", stderr)
+            rf"error: cnr_db=30.0, rho=0.9: amf: .* first at trial "
+            rf"{nan_in_second_chunk}\n", stderr)
 
 
 # Every value flag of every subcommand: its config key and a value that

@@ -375,6 +375,44 @@ class TestConvergenceStudy:
         means = res.means[:, 0]
         assert np.all(np.diff(means) < 0)
 
+    SCNRS = [None, 6.0, 13.0, 20.0]
+
+    @pytest.mark.parametrize("scnrs, trials, draws", [
+        (SCNRS, 1000, 1), (SCNRS, 9000, 5), ([], 9000, 0)])
+    def test_configurations_share_their_draws(self, monkeypatch, scnrs,
+                                              trials, draws):
+        # one draw per chunk serves all four configurations: 9000 trials are
+        # three chunks, and the second pass redraws the two before the last;
+        # no configurations draw nothing
+        calls = []
+        draw = engine._invariant_draws
+
+        def counted(*args):
+            calls.append(args)
+            return draw(*args)
+
+        monkeypatch.setattr(engine, "_invariant_draws", counted)
+        convergence_study(SMALL, scnrs, trials, 4)
+        assert len(calls) == draws
+
+    @pytest.mark.parametrize("trials", [1000, 9000])
+    def test_means_and_cis_equal_the_whole_traces(self, trials):
+        l_max = 5
+        res = convergence_study(SMALL, self.SCNRS, trials, l_max)
+        rows = tuple(replace(SMALL, scnr_db=s) for s in self.SCNRS)
+        seed = derive_stream_seed(SMALL.master_seed,
+                                  harness._PHASE_CONVERGENCE, 0)
+        parts = list(engine._simulate_chunks(
+            SMALL, (), trials, stream_seed=seed, inject=True,
+            trace_l_max=l_max, invariant=True, rows=rows))
+        for j in range(len(rows)):
+            trace = np.concatenate([p[j, TRACE] for p in parts
+                                    if (j, TRACE) in p])
+            assert trace.shape == (trials, l_max)
+            np.testing.assert_array_equal(res.means[:, j], trace.mean(axis=0))
+            np.testing.assert_array_equal(
+                res.cis[:, j], 1.96 * trace.std(axis=0) / np.sqrt(trials))
+
 
 # (id, call, error, message): argument checks that must fail loudly
 ARGUMENT_CHECKS = (
@@ -425,7 +463,8 @@ class TestProcessPools:
         for workers in (1, 2):
             threads = threading.active_count()
             with pytest.raises(ValueError, match=(
-                    rf"^amf: .* first at trial {nan_in_second_chunk}$")) as raised:
+                    rf"^cnr_db={SMALL.cnr_db}, rho={SMALL.rho}: amf: .* first "
+                    rf"at trial {nan_in_second_chunk}$")) as raised:
                 cfar_sweep(SMALL, 0.05, [SMALL.cnr_db], [SMALL.rho],
                            2 * self.TRIALS, detectors=("glrt", "amf"),
                            workers=workers)
@@ -532,9 +571,13 @@ class TestStreamedReduction:
         null, row = (clean, bad) if where == "off-nominal row" else (bad, clean)
         monkeypatch.setattr(harness, "_simulate_chunks",
                             chunk_source(null, row))
+        # a sweep's error names its clutter point, the calibration's too
+        point = {"calibrate": "",
+                 "nominal row": f"cnr_db={SMALL.cnr_db}, rho={SMALL.rho}: ",
+                 "off-nominal row": f"cnr_db={SMALL.cnr_db}, rho=0.5: "}[where]
 
-        with pytest.raises(ValueError,
-                           match=rf"^amf: .* first at trial {CHUNK + j}$"):
+        with pytest.raises(ValueError, match=(
+                rf"^{point}amf: .* first at trial {CHUNK + j}$")):
             if where == "calibrate":
                 calibrate(SMALL, ("glrt", "amf"), 0.05, trials)
             else:
@@ -546,16 +589,16 @@ class TestStreamedReduction:
         # the second chunk, so trial 5 + 2 is the first bad one
         chunks = [np.ones((5, 3)), np.ones((5, 3))]
         chunks[1][2, 1] = np.nan
-        trace = np.empty((10, 3))
+        sums = harness._RowSums(3)
         with pytest.raises(ValueError,
                            match=rf"^{TRACE}: 1 of 5 .* first at trial 7$"):
-            harness._reduce({TRACE: harness._Rows(trace)},
-                            ({TRACE: c} for c in chunks))
-        np.testing.assert_array_equal(trace[:5], chunks[0])
+            harness._reduce({TRACE: sums}, ({TRACE: c} for c in chunks))
+        assert sums.last is chunks[0]
+        np.testing.assert_array_equal(sums.sum, [5.0, 5.0, 5.0])
 
     def test_reducer_whose_key_never_arrives_raises(self):
         with pytest.raises(KeyError, match="amf"):
-            harness._reduce({TRACE: harness._Rows(np.empty((5, 3))),
+            harness._reduce({TRACE: harness._RowSums(3),
                              "amf": harness._Exceedances(0.0)},
                             ({TRACE: c} for c in [np.ones((5, 3))]))
 
@@ -628,3 +671,18 @@ class TestFlatMemory:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * trials * l_max * 8
+
+    def test_convergence_peak_does_not_grow_with_trials(self):
+        # two configurations at l_max 4: one buffer of the whole trace
+        # peaked at 6.3 and 24.5 MiB; running sums over two passes, which
+        # hold one chunk's trace per configuration, at 2.3 and 2.3
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                convergence_study(FLAT, [None, 10.0], trials, 4)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        convergence_study(FLAT, [None, 10.0], 1000, 4)  # first-call allocs
+        assert peak(400_000) < 1.1 * peak(100_000)
