@@ -5,26 +5,27 @@ implementations; this module evaluates the same statistics on whole blocks
 of trials at once. The classical statistics and the whole EM recursion are
 closed forms in the maximal invariant a = v^H S^-1 v, |b|^2 = |v^H S^-1 z|^2
 and c = z^H S^-1 z (the EM trace also needs log det S), and one helper,
-_evaluate, computes the requested statistics from it. Each is read off
-the whitened pair L^-1 [v, z], L a lower factor of S, and one forward
-substitution, _whitened, forms that pair on both of the generators that
-feed _evaluate:
+_evaluate, computes the requested statistics from it, whichever of two
+generators drew it:
 
 - the data path draws the (n, k+1) data matrices of each block of trials,
   colours them in place by two real products with chol(M), which is real,
-  and factors each trial's S once by Cholesky, which also gives log det S
-  (_stack_invariants). statistics_from_stacks is its entry for data from
+  factors each trial's S once by Cholesky, which also gives log det S, and
+  forward-substitutes [v, z] against the factor (_whitened,
+  _stack_invariants). statistics_from_stacks is its entry for data from
   outside (cube windows); it is cross-checked to 1e-9 against the
   per-trial reference.
-- the invariant path draws a, |b|^2, c, log det S and the benchmark's
-  projection exactly from O(n) scalars per trial, with no data matrix:
-  L is Bartlett's p x p factor T, p = min(n, 3). The test suite checks its
-  distributions against the data path. A target is only an offset of the
-  CUT there, so the draws are target-free (_invariant_draws), and one
-  chunk's draws and its target-free CUT, whitened once
-  (_invariant_whitening), serve every row of a grid. Forward substitution
-  is linear, so a row's target moves only b and Kelly's residual
-  r = c - |b|^2 / a, by a few operations per trial (_invariant_row).
+- the invariant path draws the maximal invariant, log det S and the
+  benchmark's projection exactly from nine variates per trial (six
+  normals and three Gammas), with no data matrix and no solve: Kelly's
+  partitioned-Wishart representation with v = e1 (_invariant_row). The
+  test suite checks its distributions against the data path and against
+  Kelly's closed-form laws. A target is only an offset of the CUT there, so
+  the draws are target-free (_invariant_draws), and one chunk's draws serve
+  every row of a grid. A row reads the AMF t = |b|^2 / a and Kelly's
+  residual r = c - |b|^2 / a off them, and hands _evaluate (1, t, t + r);
+  a row with no target off v reuses the chunk's residual (_matched), at a
+  few operations per trial.
 
 A run's labels are parsed once, by _simulate_chunks or
 statistics_from_stacks, into its plan (_Plan): the classical detectors,
@@ -47,19 +48,19 @@ and re-keys it for each block covering it (_blocks, scenario.block_rngs),
 so each trial's draws depend only on its index, never on where a chunk
 starts. The data path draws, colours and whitens one block at a time and
 keeps only the chunk's part of what the plan reads, so a chunk holds one
-block's matrices, never the chunk's. The invariant path, at O(n) scalars
-per trial, fills the whole covering blocks into one buffer. Results are
-bit-identical for a given stream seed whatever the chunk size or worker
-count, which only set the tasks of a thread pool, one thread per usable
-CPU at most. Threads overlap only inside numpy calls that release the GIL,
-most of a data trial (the Philox fill, the colouring products, the batched
-Cholesky factorization); an invariant trial costs about 1 us in short
-calls that contend for the GIL, so the harness runs that path on one
-thread. The chunk iterator, _simulate_chunks, is the package's one entry,
-and every caller names its stream seed: it yields each chunk as it is
-computed, so the harness reduces every phase in flat memory.
-simulate_statistics joins one null data run at the scenario's master seed,
-for the benchmark.
+block's matrices, never the chunk's. The invariant path, at nine variates
+per trial (and n-2 more Gammas for the trace), fills the whole covering
+blocks into one buffer. Results are bit-identical for a given stream seed
+whatever the chunk size or worker count, which only set the tasks of a
+thread pool, one thread per usable CPU at most. Threads overlap only
+inside numpy calls that release the GIL, most of a data trial (the Philox
+fill, the colouring products, the batched Cholesky factorization); an
+invariant trial costs about 0.3 us in short calls that contend for the
+GIL, so the harness runs that path on one thread. The chunk iterator,
+_simulate_chunks, is the package's one entry, and every caller names its
+stream seed: it yields each chunk as it is computed, so the harness
+reduces every phase in flat memory. simulate_statistics joins one null
+data run at the scenario's master seed, for the benchmark.
 """
 
 from __future__ import annotations
@@ -152,7 +153,7 @@ def _em_batched(
 
     deltas = None
     if logdet_s is not None:
-        deltas = np.empty((a.shape[0], l_top))
+        deltas = np.empty((len(c), l_top))
         # state after the previous M-step: log det M, tr(M^-1 S),
         # z^H M^-1 z and d^H M^-1 d; initially M = S, d = z - (b / a) v
         logdet_prev, trs_prev, qz_prev, qd_prev = logdet_s, n, c, c - b2 / a
@@ -226,7 +227,8 @@ def _evaluate(
 ) -> dict[str, np.ndarray]:
     """plan's statistics of a trial range, whichever generator drew it.
 
-    scalars is (a, |b|^2, c), benchmark_aux the (u, c, alpha) arguments of
+    scalars is (a, |b|^2, c), a the float 1.0 on the invariant path, and
+    benchmark_aux the (u, c, alpha) arguments of
     benchmark_statistic_from_aux and logdet_s log det S; each is None
     unless the plan reads it, and the EM trace is recorded, under TRACE,
     exactly when the plan has a trace depth. Its callers run it under
@@ -442,156 +444,126 @@ def _invariant_block(n: int, k: int, rng, record_trace: bool,
                      out: np.ndarray) -> None:
     """Raw draws of one block of _BLOCK trials into out, one column per trial.
 
-    Rows: the real then the imaginary parts of z1, z2 and the strictly
-    lower entries of T (row by row), the Gamma(k-n+p-i) squares of T's
-    diagonal, Gamma(n-2) for z3^2 when n > 2, and with the trace the sum of
-    log Gamma(k-i), i < n-p. The trace row is drawn last, so the other rows
-    do not depend on it. rng is the block's generator.
+    Rows: the real then the imaginary parts of z1, w' and w1, G0 ~
+    Gamma(k-n+1), G1 ~ Gamma(k-n+2), Q ~ Gamma(n-2) when n > 2, and with the
+    trace the sum of log Gamma(k-i), i < n-2. The trace row is drawn last,
+    so the other rows do not depend on it. rng is the block's generator.
     """
-    p = min(n, 3)
-    normals = 2 * (2 + p * (p - 1) // 2)
-    out[:normals] = rng.standard_normal((normals, _BLOCK))
-    shapes = [k - n + p - i for i in range(p)] + [n - 2] * (n > 2)
-    out[normals : normals + len(shapes)] = rng.standard_gamma(
-        shapes, (_BLOCK, len(shapes))).T
+    out[:6] = rng.standard_normal((6, _BLOCK))
+    # one call per shape: numpy's scalar-shape loop is about twice as fast
+    # as its broadcast one
+    for row, shape in enumerate([k - n + 1, k - n + 2] + [n - 2] * (n > 2)):
+        rng.standard_gamma(shape, out=out[6 + row])
     if record_trace:
-        rest = rng.standard_gamma(k - np.arange(n - p), (_BLOCK, n - p))
+        rest = rng.standard_gamma(k - np.arange(n - 2), (_BLOCK, n - 2))
         out[-1] = np.log(rest).sum(axis=1)
 
 
 def _invariant_draws(n: int, k: int, stream_seed: int, start: int, stop: int,
-                     need_logdet: bool):
-    """The target-free draws (w, gammas) of trials [start, stop) on the
-    invariant path, one column per trial.
+                     need_logdet: bool) -> np.ndarray:
+    """The target-free draws of trials [start, stop) on the invariant path,
+    _invariant_block's rows with one column per trial.
 
-    w holds the complex normals z1, z2 and the strictly lower entries of
-    Bartlett's T (row by row); gammas the squares of T's diagonal, z3^2 when
-    n > 2 and, given need_logdet, the trace row last. The whole blocks
-    covering the range are drawn into one buffer.
+    The six normal rows are scaled by 1/sqrt(2), to the parts of CN(0, 1)
+    variates. The whole blocks covering the range are drawn into one
+    buffer.
     """
-    p = min(n, 3)
-    m_normal = 2 + p * (p - 1) // 2
     blocks = _blocks(start, stop)
-    buf = np.empty((2 * m_normal + p + (n > 2) + need_logdet,
-                    len(blocks) * _BLOCK))
+    buf = np.empty((8 + (n > 2) + need_logdet, len(blocks) * _BLOCK))
     rngs = block_rngs(stream_seed)
     for i, b in enumerate(blocks):
         _invariant_block(n, k, rngs(b), need_logdet,
                          buf[:, i * _BLOCK : (i + 1) * _BLOCK])
     first = start - blocks[0] * _BLOCK
     draws = buf[:, first : first + stop - start]
-    # two real products give the bits of (x + 1j y) / sqrt(2), up to the
-    # sign of a part that is exactly zero
-    w = np.empty((m_normal, stop - start), dtype=np.complex128)
-    np.multiply(draws[:m_normal], 1.0 / np.sqrt(2.0), out=w.real)
-    np.multiply(draws[m_normal : 2 * m_normal], 1.0 / np.sqrt(2.0),
-                out=w.imag)
-    return w, draws[2 * m_normal :]
+    draws[:6] *= 1.0 / np.sqrt(2.0)
+    return draws
 
 
-def _invariant_whitening(n, draws, mismatched):
-    """What every row of a chunk reads of the invariant draws (w, gammas):
-    the target-free CUT x0 = (z1, z2, z3, 0, ...), whitened once.
-
-    [e1, x0], and e2 when mismatched, are forward-substituted against
-    Bartlett's T, whose strictly lower entries are w[2:], row by row, into
-    y = T^-1 e1, u0 = T^-1 x0 and y2 = T^-1 e2. The result is
-    (a, b0, c0, r0, (f, h, g)): a = |y|^2, b0 = y^H u0, c0 = |u0|^2 and
-    Kelly's residual r0 = c0 - |b0|^2 / a of the target-free CUT; and,
-    only when mismatched, f = y^H y2, h = Re(y2'^H u0) and g = |y2'|^2,
-    where y2' = y2 - (f / a) y is the part of y2 orthogonal to y.
-    """
-    p = min(n, 3)
-    w, gammas = draws
-    sol = np.zeros((2 + mismatched, p, w.shape[1]), dtype=np.complex128)
-    sol[0, 0] = 1.0
-    sol[1, :2] = w[:2]
+def _residual(n: int, draws: np.ndarray, w1_real: np.ndarray) -> np.ndarray:
+    """Kelly's residual r = (|w1 + o1|^2 + Q) / G1 of the draws, given the
+    real part of w1 + o1."""
+    r = w1_real**2 + draws[5] ** 2
     if n > 2:
-        sol[1, 2] = np.sqrt(gammas[p])
-    if mismatched:
-        sol[2, 1] = 1.0
-    off = iter(w[2:])
-    a, b0, c0 = _whitened(sol, [[next(off) for _ in range(i)]
-                                for i in range(p)], np.sqrt(gammas[:p]))
-    mismatch = None
-    if mismatched:
-        y, u0, y2 = sol
-        f = sum(y.conj() * y2)
-        y2 -= (f / a) * y
-        mismatch = (f, sum(y2.conj() * u0).real, sum(np.abs(y2) ** 2))
-    return a, b0, c0, c0 - np.abs(b0) ** 2 / a, mismatch
+        r += draws[8]
+    return r / draws[7]
+
+
+def _matched(n: int, draws: np.ndarray):
+    """What every row without a target off v reads of a chunk's draws:
+    Kelly's residual r0 of the target-free CUT and d0 = z1 - sqrt(r0) w',
+    as (r0, Re d0, (Im d0)^2)."""
+    r0 = _residual(n, draws, draws[2])
+    root = np.sqrt(r0)
+    return r0, draws[0] - root * draws[1], (draws[3] - root * draws[4]) ** 2
 
 
 @_quiet
-def _invariant_row(cfg, plan: _Plan, shared, inject):
+def _invariant_row(cfg, plan: _Plan, shared, inject, logdet_m):
     """plan's statistics of one chunk's invariant draws with cfg's target.
 
-    shared is what every row of the chunk reads: the draws (w, gammas) and
-    their whitened target-free CUT (from _invariant_whitening; None unless
-    the plan reads the invariant).
+    shared is what every row of the chunk reads: the draws, their matched
+    part (from _matched; None unless the plan reads the invariant) and the
+    row-free part of log det S (None without the trace); logdet_m is log det
+    M of cfg's clutter, read only with the trace.
 
-    After whitening, a rotation puts v along e1 and the true steering in
-    span(e1, e2), and one inside span(e3, ..., en) puts the rest of the CUT
-    noise on e3, so the CUT is (z1 + sqrt(s) cos phi, z2 + sqrt(s) sin phi,
-    z3, 0, ...) with z3^2 ~ Gamma(n-2). S is unitarily invariant, so a, b and
-    c need only the leading p x p block of S^-1, p = min(n, 3): the inverse
-    of W ~ CW(k-n+p, p, I), drawn as T T^H by Bartlett's decomposition, and
-    W's complement gives the rest of log det S. v is taken as e1 itself:
-    every statistic is invariant to the scale of v.
-
-    The target is only the offset o0 e1 + o1 e2 of the target-free CUT x0,
-    o0 = sqrt(s) cos phi and o1 = sqrt(s) sin phi, so the draws serve every
-    scenario of one n and k, and the rows of a chunk share x0 whitened
-    once. Forward substitution is linear, so a row moves only b and
-    Kelly's residual r = c - |b|^2 / a, which does not see the offset
-    along v: b = b0 + o0 a + o1 f and r = r0 + 2 o1 h + o1^2 g (r = r0 for a
-    matched row), and the row's c is |b|^2 / a + r. Without injection, or
-    without an SCNR, the row is target-free: it reads (a, |b0|^2, c0) as
-    whitened.
+    This is the partitioned-Wishart representation behind Kelly (1986) and
+    Richmond (2000). After whitening by M, a rotation puts v along e1 and
+    the true steering in span(e1, e2), so the target is the offset
+    o0 e1 + o1 e2 of the CUT, o0 = sqrt(s) cos phi and o1 = sqrt(s) sin phi.
+    Partition S ~ CW(k, n, I) as 1 + (n-1). v is taken as e1 itself, since
+    every statistic is invariant to the scale of v, so a = 1 / G0 with
+    G0 = S11 - S12 S22^-1 S21 ~ Gamma(k-n+1), independent of the rest.
+    Kelly's residual is r = z2^H S22^-1 z2 = (|w1 + o1|^2 + Q) / G1, with z2's
+    other n-2 complex components in Q ~ Gamma(n-2) and G1 ~ Gamma(k-n+2);
+    given r, b / a = z1 + o0 - sqrt(r) w', so t = |b|^2 / a is
+    |z1 + o0 - sqrt(r) w'|^2 / G0 and c = t + r. With v scaled to a = 1, the
+    row hands _evaluate (1, t, t + r). A row with o1 = 0 has the chunk's r0
+    and d0, so it costs a few operations per trial, and such rows see one
+    CUT at different targets; rows with o1 != 0 read the same variates at
+    their own r, a coupling of their CUTs rather than one CUT, each row's
+    law exact. Without injection, or without an SCNR, the row is
+    target-free. The benchmark reads v^H M^-1 z = z1 +
+    o0 and v^H M^-1 v = 1, so alpha = sqrt(s); log det S = log det M +
+    log G0 + log G1 + the sum of log Gamma(k-i), i < n-2.
     """
-    n, p = cfg.n, min(cfg.n, 3)
-    w, gammas, whitened = shared
+    draws, matched, logdet_w = shared
     root_s = None if cfg.scnr_db is None else 10.0 ** (cfg.scnr_db / 20.0)
-    inject = inject and root_s is not None
-    if inject:
+    o0 = o1 = 0.0
+    if inject and root_s is not None:
         o0 = root_s * math.sqrt(cfg.cos_sq_phi)
         o1 = root_s * math.sqrt(1.0 - cfg.cos_sq_phi)
 
     scalars = benchmark_aux = logdet_s = None
     if plan.scalars:
-        a, b0, c0, r0, mismatch = whitened
-        if inject:
-            b, r = b0 + o0 * a, r0
-            if o1:
-                f, h, g = mismatch
-                b += o1 * f
-                r = r0 + o1 * (2.0 * h + o1 * g)
-            b2 = np.abs(b) ** 2
-            scalars = a, b2, b2 / a + r
+        if o1:
+            r = _residual(cfg.n, draws, draws[2] + o1)
+            root = np.sqrt(r)
+            t = ((draws[0] + o0 - root * draws[1]) ** 2
+                 + (draws[3] - root * draws[4]) ** 2) / draws[6]
         else:
-            scalars = a, np.abs(b0) ** 2, c0
+            r, d0_real, d0_imag2 = matched
+            t = ((d0_real + o0) ** 2 + d0_imag2) / draws[6]
+        scalars = 1.0, t, t + r
     if plan.benchmark:
-        # v^H M^-1 z = x1 and v^H M^-1 v = 1 for v = e1, so alpha = sqrt(s)
-        benchmark_aux = (w[0] + o0 if inject else w[0], 1.0, root_s)
+        benchmark_aux = (draws[0] + o0, 1.0, root_s)
     if plan.trace is not None:
-        logdet_s = (
-            np.log(gammas[:p]).sum(axis=0)
-            + gammas[-1]
-            + build_covariance(cfg).log_det()
-        )
-    return _evaluate(plan, n, cfg.k, scalars, benchmark_aux, logdet_s)
+        logdet_s = logdet_w + logdet_m
+    return _evaluate(plan, cfg.n, cfg.k, scalars, benchmark_aux, logdet_s)
 
 
 @_quiet
 def _compute_chunk(start, *, cfg, plan, stream_seed, n_trials, inject,
-                   invariant, rows):
+                   invariant, rows, logdet_m):
     """The statistics of the chunk of trials from start, in a run of
     n_trials that _simulate_chunks describes.
 
     The data path evaluates the chunk at once. On the invariant path the
-    draws are made and whitened once; given rows, the chunk is an iterator
-    of one dict per row, keyed (row index, label), and a row is evaluated
-    at its own scenario when its dict is read.
+    draws, their matched part and the row-free part of log det S are made
+    once; given rows, the chunk is an iterator of one dict per row, keyed
+    (row index, label), and a row is evaluated at its own scenario when its
+    dict is read. logdet_m holds log det M per row (cfg's alone without
+    rows), read only by the invariant path's trace.
     """
     stop = min(start + _CHUNK, n_trials)
     if not invariant:
@@ -600,16 +572,17 @@ def _compute_chunk(start, *, cfg, plan, stream_seed, n_trials, inject,
                                       plan))
     draws = _invariant_draws(cfg.n, cfg.k, stream_seed, start, stop,
                              plan.trace is not None)
-    whitened = None
-    if plan.scalars:
-        whitened = _invariant_whitening(cfg.n, draws, inject and any(
-            row.cos_sq_phi < 1.0 for row in rows or (cfg,)))
-    shared = (*draws, whitened)
+    shared = (
+        draws,
+        _matched(cfg.n, draws) if plan.scalars else None,
+        None if plan.trace is None
+        else np.log(draws[6]) + np.log(draws[7]) + draws[-1],
+    )
     if rows is None:
-        return _invariant_row(cfg, plan, shared, inject)
+        return _invariant_row(cfg, plan, shared, inject, logdet_m[0])
     return ({(i, label): stats for label, stats
-             in _invariant_row(row, plan, shared, inject).items()}
-            for i, row in enumerate(rows))
+             in _invariant_row(row, plan, shared, inject, m).items()}
+            for i, (row, m) in enumerate(zip(rows, logdet_m)))
 
 
 def _simulate_chunks(
@@ -638,8 +611,8 @@ def _simulate_chunks(
     stream. Each part is a plain dict: one chunk's statistics keyed by
     label, or, given rows, the scenarios of one grid with cfg's n and k
     (invariant path only), one row's, keyed (row index, label). A grid's
-    chunk draws and whitens once and serves every row, each with its own
-    target, so its parts come row by row, chunk by chunk; row i's parts
+    chunk draws once and serves every row, each with its own target, so
+    its parts come row by row, chunk by chunk; row i's parts
     are bit for bit the chunks of _simulate_chunks(rows[i], ...) without
     rows, and without inject for a row whose scnr_db is None, which is
     target-free. With workers > 1 and more than one chunk of _CHUNK
@@ -657,12 +630,18 @@ def _simulate_chunks(
     plan = _plan(labels, trace_l_max)
     if inject and rows is None and cfg.scnr_db is None:
         raise ValueError("injection requires scnr_db")
-    if plan.benchmark and any(row.scnr_db is None for row in rows or (cfg,)):
+    scenarios = rows or (cfg,)
+    if plan.benchmark and any(row.scnr_db is None for row in scenarios):
         raise ValueError("benchmark statistics require an amplitude")
+    # the invariant trace's log det M, once per run
+    logdet_m = [None] * len(scenarios)
+    if invariant and plan.trace is not None:
+        logdet_m = [build_covariance(row).log_det() for row in scenarios]
     starts = range(0, n_trials, _CHUNK)
     compute = partial(_compute_chunk, cfg=cfg, plan=plan,
                       stream_seed=stream_seed, n_trials=n_trials,
-                      inject=inject, invariant=invariant, rows=rows)
+                      inject=inject, invariant=invariant, rows=rows,
+                      logdet_m=logdet_m)
 
     def parts(chunks):
         return chunks if rows is None else chain.from_iterable(chunks)

@@ -364,7 +364,7 @@ class TestExitCodes:
         self, tmp_path
     ):
         # at 200 dB the closed-form EM trace loses its precision and is NaN
-        # for about half the trials, first at trial 2 of the stream that h0
+        # for about half the trials, first at trial 0 of the stream that h0
         # and scnr200 share, though the per-trial reference is finite
         # there. Run in a fresh interpreter, so that a numpy warning would
         # reach stderr.
@@ -379,7 +379,7 @@ class TestExitCodes:
         assert run.returncode == 2
         assert re.fullmatch(
             rf"error: scnr200: {re.escape(engine.TRACE)}: .* first at trial "
-            r"2\n", run.stderr)
+            r"0\n", run.stderr)
         assert not out.exists()
 
     @pytest.mark.parametrize("power, cnr_grid, point", [
@@ -592,11 +592,11 @@ CUBE_RUN = ["--pfa", "0.05", "--cut-bin", "8", "--eval-bin", "9",
 CSV_DIGESTS = {
     "calibrate": (
         ["calibrate", "--pfa", "0.01", "--trials", "10000"],
-        "a2a5850b8f8ba517deafb8fe6f6f4123f071eb5c2098748106e3fcebfc209b26"),
+        "e1b25aef55c80c11d06a9f5d011db3143ebf83226272122833fc84e086527777"),
     "calibrate benchmark": (
         ["calibrate", "--pfa", "0.01", "--trials", "10000", "--detectors",
          "glrt", "amf", "benchmark", "--scnr", "10"],
-        "27725ea16ed4d19b27ce2d478377e171df55a7303b0ccb69bbd3287333ec930c"),
+        "323f362d3f6324ba06c406239252b20c28ae830498a041c0f2048b238237118c"),
     "pfa-sweep": (
         ["pfa-sweep", "--pfa", "0.01", "--trials", "10000", *CLUTTER_GRIDS],
         "44ccb5aee516c1d45b9b497f9fdeaa153103eded2b2c7ba89bed4ad62d84a79f"),
@@ -608,7 +608,7 @@ CSV_DIGESTS = {
     "pd-curve": (
         ["pd-curve", *CURVE, "--scnr-grid", "0", "5", "10", "15",
          "--detectors", "benchmark", "glrt", "amf", "em-bml-d5"],
-        "f973150bf057d4eaa1dc38207efef3d4f661bcd19800124cc564d742896bf3aa"),
+        "98f1b64fd71b750b231c6fd6d6dd12519c4d1903dc9e48cfe662c33ab392fffa"),
     "pd-curve benchmark": (
         ["pd-curve", *CURVE, "--scnr-grid", "0", "5", "10", "15",
          "--detectors", "benchmark"],
@@ -618,11 +618,11 @@ CSV_DIGESTS = {
          "--calibration-trials", "10000", "--scnr-grid", "12",
          "--cos-sq-phi-grid", "0.25", "0.5", "1", "--detectors", "amf",
          "em-bml-d5", "benchmark"],
-        "c4c510c80683a867b1f1cb55ec31ce9e87c8c7fbb2d859179cf1c010e369d1d4"),
+        "6fa5e771f5ffd6f185d930814dc514c5735357a8738df4cb4cf4b36c263674cb"),
     "convergence": (
         ["convergence", "--trials", "5000", "--l-max", "6",
          "--scnr-grid", "10", "15"],
-        "5f24cc813607c4280c09968f793c7e931fae98fbddd17cc34d120f87c2cdee5b"),
+        "225a155035d81706e9327bd2a314daf1db5df12d722b1de3a5474199b9812216"),
     "ingest-run binary": (
         ["ingest-run", *CUBE_RUN, "--cube", "{cube}.bin"],
         "2f5c4f8ccce7494a46d1bc1a358898e668f421c4cc598dae67fa30cd0c03ded8"),

@@ -495,32 +495,27 @@ class TestInjection:
 
 
 def direct_row(cfg, labels, draws, inject):
-    """One invariant row's statistics with its target added to the CUT
-    before whitening: [e1, x0 + o0 e1 + o1 e2] forward-substituted
-    against Bartlett's T, the direct form that a row's update of (b, r)
-    must reproduce."""
-    n, p = cfg.n, min(cfg.n, 3)
-    w, gammas = draws
+    """One invariant row's statistics evaluated straight from its drawn
+    variates by Kelly's representation: r = (|w1 + o1|^2 + Q) / G1 and
+    t = |z1 + o0 - sqrt(r) w'|^2 / G0, handed over as (1, t, t + r), the
+    direct form that a row's reuse of the chunk's matched part must
+    reproduce."""
+    zr, wr, w1r, zi, wi, w1i, g0, g1 = draws[:8]
+    q = draws[8] if cfg.n > 2 else 0.0
     root_s = 10.0 ** (cfg.scnr_db / 20.0)
-    sol = np.zeros((2, p, w.shape[1]), dtype=np.complex128)
-    sol[0, 0] = 1.0
-    sol[1, :2] = w[:2]
-    if n > 2:
-        sol[1, 2] = np.sqrt(gammas[p])
+    o0 = o1 = 0.0
     if inject:
-        sol[1, 0] += root_s * math.sqrt(cfg.cos_sq_phi)
-        sol[1, 1] += root_s * math.sqrt(1.0 - cfg.cos_sq_phi)
-    x1 = sol[1, 0].copy()
-    off = iter(w[2:])
-    a, b, c = engine._whitened(sol, [[next(off) for _ in range(i)]
-                                     for i in range(p)], np.sqrt(gammas[:p]))
-    return engine._evaluate(engine._plan(labels, None), n, cfg.k,
-                            (a, np.abs(b) ** 2, c), (x1, 1.0, root_s), None)
+        o0 = root_s * math.sqrt(cfg.cos_sq_phi)
+        o1 = root_s * math.sqrt(1.0 - cfg.cos_sq_phi)
+    r = ((w1r + o1) ** 2 + w1i ** 2 + q) / g1
+    t = ((zr + o0 - np.sqrt(r) * wr) ** 2 + (zi - np.sqrt(r) * wi) ** 2) / g0
+    return engine._evaluate(engine._plan(labels, None), cfg.n, cfg.k,
+                            (1.0, t, t + r), (zr + o0, 1.0, root_s), None)
 
 
 class TestInvariantRows:
-    """A grid row moves only (b, r) of the chunk's target-free CUT,
-    whitened once; that equals whitening the row's own CUT."""
+    """A grid row evaluates the chunk's one draw at its own target; that
+    equals evaluating Kelly's representation of the row's CUT directly."""
 
     LABELS = ("glrt", "amf", "rao", "ace", "benchmark", "em-bml-d5")
     # Rao's a - |b|^2 / (1 + c) cancels at high SCNR in either form
@@ -539,8 +534,8 @@ class TestInvariantRows:
         draws = engine._invariant_draws(n, 2 * n, 19, 0, self.TRIALS, False)
         return rows, chunk, draws
 
-    @pytest.mark.parametrize("n", [2, 8, 16])
-    def test_injected_row_matches_direct_whitening(self, n):
+    @pytest.mark.parametrize("n", [2, 3, 8, 16])
+    def test_injected_row_matches_its_representation(self, n):
         rows, chunk, draws = self.rows_and_draws(n, inject=True)
         for i, row in enumerate(rows):
             direct = direct_row(row, self.LABELS, draws, inject=True)
@@ -552,8 +547,8 @@ class TestInvariantRows:
                     err_msg=f"{label} at {row.scnr_db} dB, "
                             f"cos^2 {row.cos_sq_phi}")
 
-    @pytest.mark.parametrize("n", [2, 8, 16])
-    def test_row_without_target_is_direct_whitening(self, n):
+    @pytest.mark.parametrize("n", [2, 3, 8, 16])
+    def test_row_without_target_is_its_representation(self, n):
         rows, chunk, draws = self.rows_and_draws(n, inject=False)
         for i, row in enumerate(rows):
             direct = direct_row(row, self.LABELS, draws, inject=False)

@@ -288,15 +288,15 @@ class TestGridRows:
                        calibration_trials=1000))]
         assert self.rows_of(multi) == singles
 
-    def test_rows_share_one_whitening_per_chunk(self, monkeypatch):
+    def test_rows_share_one_draw_per_chunk(self, monkeypatch):
         calls = []
-        whitened = engine._whitened
+        draw = engine._invariant_draws
 
         def counted(*args):
             calls.append(1)
-            return whitened(*args)
+            return draw(*args)
 
-        monkeypatch.setattr(engine, "_whitened", counted)
+        monkeypatch.setattr(engine, "_invariant_draws", counted)
         counts = []
         for grid in ([-3.0, 0.0, 3.0, 6.0, 9.0, 12.0], [6.0]):
             calls.clear()
