@@ -2,19 +2,23 @@
 
 The per-trial functions in detectors.py and em.py are the reference
 implementations; this module evaluates the same statistics on whole blocks
-of trials at once. The classical statistics and the whole EM recursion are
-closed forms in the maximal invariant a = v^H S^-1 v, |b|^2 = |v^H S^-1 z|^2
-and c = z^H S^-1 z (the EM trace also needs log det S), and one helper,
-_evaluate, computes the requested statistics from it, whichever of two
-generators drew it:
+of trials at once. Every statistic is a function of the maximal invariant,
+which Kelly (1986) writes as two scalars: the AMF t = |b|^2 / a and Kelly's
+residual r = c - |b|^2 / a, with a = v^H S^-1 v, b = v^H S^-1 z and
+c = z^H S^-1 z = t + r (the EM trace also needs log det S). The classical
+statistics and the whole EM recursion are closed forms in (t, r) with no
+cancelling difference, so they keep their precision at any SCNR, and one
+helper, _evaluate, computes the requested statistics from it, whichever of
+two generators drew it:
 
 - the data path draws the (n, k+1) data matrices of each block of trials,
   colours them in place by two real products with chol(M), which is real,
   factors each trial's S once by Cholesky, which also gives log det S, and
-  forward-substitutes [v, z] against the factor (_whitened,
-  _stack_invariants). statistics_from_stacks is its entry for data from
-  outside (cube windows); it is cross-checked to 1e-9 against the
-  per-trial reference.
+  forward-substitutes [v, z] against the factor; t and r are read off the
+  whitened columns, r as the squared norm of the whitened CUT less its
+  component along the whitened v (_stack_invariants).
+  statistics_from_stacks is its entry for data from outside (cube
+  windows); it is cross-checked to 1e-9 against the per-trial reference.
 - the invariant path draws the maximal invariant, log det S and the
   benchmark's projection exactly from nine variates per trial (six
   normals and three Gammas), with no data matrix and no solve: Kelly's
@@ -22,10 +26,9 @@ generators drew it:
   test suite checks its distributions against the data path and against
   Kelly's closed-form laws. A target is only an offset of the CUT there, so
   the draws are target-free (_invariant_draws), and one chunk's draws serve
-  every row of a grid. A row reads the AMF t = |b|^2 / a and Kelly's
-  residual r = c - |b|^2 / a off them, and hands _evaluate (1, t, t + r);
-  a row with no target off v reuses the chunk's residual (_matched), at a
-  few operations per trial.
+  every row of a grid. A row reads (t, r) off them and hands it to
+  _evaluate as drawn; a row with no target off v reuses the chunk's
+  residual (_matched), at a few operations per trial.
 
 A run's labels are parsed once, by _simulate_chunks or
 statistics_from_stacks, into its plan (_Plan): the classical detectors,
@@ -39,7 +42,7 @@ when it is recorded. A grid's chunk is one such dict per row, keyed
 yields those row dicts in turn. _compute_chunk and statistics_from_stacks
 draw and evaluate with numpy's divide, invalid and overflow warnings
 silenced on the thread that runs them, so an undefined or overflowing
-statistic (0/0, say, or a square at an extreme SCNR) is a quiet NaN or
+statistic (0/0, say, or (k+1) t at an extreme SCNR) is a quiet NaN or
 inf, which the harness's finite check names by its trial.
 
 On both paths each block of _BLOCK trials draws from a generator keyed by
@@ -107,14 +110,14 @@ TRACE = "em-delta"
 # thread, since numpy's error state is per thread
 _quiet = np.errstate(divide="ignore", invalid="ignore", over="ignore")
 
-# the classical statistics from a = v^H S^-1 v, b2 = |v^H S^-1 z|^2 and
-# c = z^H S^-1 z. Rao uses the Sherman-Morrison identity on S + z z^H:
-# v^H T^-1 z = b / (1 + c) and v^H T^-1 v = a - |b|^2 / (1 + c).
+# the classical statistics from (t, r), c = t + r. Rao uses the
+# Sherman-Morrison identity on S + z z^H: v^H T^-1 z = b / (1 + c) and
+# v^H T^-1 v = a (1 + r) / (1 + c).
 _CLASSICAL = {
-    DetectorId.GLRT: lambda a, b2, c: b2 / (a * (1.0 + c)),
-    DetectorId.AMF: lambda a, b2, c: b2 / a,
-    DetectorId.RAO: lambda a, b2, c: (b2 / (1.0 + c)**2) / (a - b2 / (1.0 + c)),
-    DetectorId.ACE: lambda a, b2, c: b2 / (a * c),
+    DetectorId.GLRT: lambda t, r: t / (1.0 + (t + r)),
+    DetectorId.AMF: lambda t, r: t,
+    DetectorId.RAO: lambda t, r: t / ((1.0 + (t + r)) * (1.0 + r)),
+    DetectorId.ACE: lambda t, r: t / (t + r),
 }
 
 
@@ -127,9 +130,8 @@ def _sigmoid_clamped(r: np.ndarray) -> np.ndarray:
 
 
 def _em_batched(
-    a: np.ndarray,
-    b2: np.ndarray,
-    c: np.ndarray,
+    t: np.ndarray,
+    r: np.ndarray,
     logdet_s: np.ndarray | None,
     l_top: int,
     snapshot_ls: tuple[int, ...],
@@ -142,35 +144,38 @@ def _em_batched(
     M-step, log-domain posterior ratio throughout. Each M-step is a
     rank-one update of S, A = S + q0 z z^H and M = (A + q1 d d^H) / (k+1)
     with d = z - alpha v, so Sherman-Morrison and the matrix determinant
-    lemma reduce the whole recursion to the maximal invariant
-    a = v^H S^-1 v, b2 = |v^H S^-1 z|^2, c = z^H S^-1 z (Kelly 1986).
-    logdet_s = log det S is given only when the convergence trace is
-    recorded.
+    lemma reduce the whole recursion to the AMF t and Kelly's residual r
+    (Kelly 1986), c = t + r. With u = 1 + q0 c and e = 1 + q0 r,
+    v^H A^-1 v = a e / u, so the step's gain is g = (k+1) t / (u e) and
+    d^H A^-1 d = r / e, each formed from positive terms with no difference
+    that cancels at high SCNR. logdet_s = log det S is given only when the
+    convergence trace is recorded.
     """
     kp1 = k + 1
-    log_post = b2 / a
+    c = t + r
+    log_post = t
     snaps = {0: log_post} if 0 in snapshot_ls else {}
 
     deltas = None
     if logdet_s is not None:
-        deltas = np.empty((len(c), l_top))
+        deltas = np.empty((len(t), l_top))
         # state after the previous M-step: log det M, tr(M^-1 S),
         # z^H M^-1 z and d^H M^-1 d; initially M = S, d = z - (b / a) v
-        logdet_prev, trs_prev, qz_prev, qd_prev = logdet_s, n, c, c - b2 / a
+        logdet_prev, trs_prev, qz_prev, qd_prev = logdet_s, n, c, r
 
     for l in range(1, l_top + 1):
         q1 = _sigmoid_clamped(log_post)
         q0 = 1.0 - q1
         u = 1.0 + q0 * c
-        a_a = a - q0 * b2 / u  # v^H A^-1 v
+        e = 1.0 + q0 * r
         # g = z^H M^-1 z - d^H M^-1 d; tends to (k+1) AMF as q0 -> 0
-        g = kp1 * b2 / (u**2 * a_a)
+        g = kp1 * t / (u * e)
         log_post = np.log(q1) - np.log(q0) + g
         if l in snapshot_ls:
             snaps[l] = log_post
 
         if logdet_s is not None:
-            delta = (c - b2 / (u * a_a)) / u  # d^H A^-1 d
+            delta = r / e  # d^H A^-1 d
             w = 1.0 + q1 * delta
             qd = kp1 * delta / w
             qz = qd + g
@@ -200,8 +205,8 @@ class _Plan(NamedTuple):
 
     @property
     def scalars(self) -> bool:
-        """Whether (a, |b|^2, c) is read: by every classical statistic and
-        the EM recursion, whose trace also reads log det S."""
+        """Whether (t, r) is read: by every classical statistic and the EM
+        recursion, whose trace also reads log det S."""
         return bool(self.classical or self.em_ls) or self.trace is not None
 
 
@@ -221,14 +226,14 @@ def _evaluate(
     plan: _Plan,
     n: int,
     k: int,
-    scalars,
+    tr,
     benchmark_aux,
     logdet_s,
 ) -> dict[str, np.ndarray]:
     """plan's statistics of a trial range, whichever generator drew it.
 
-    scalars is (a, |b|^2, c), a the float 1.0 on the invariant path, and
-    benchmark_aux the (u, c, alpha) arguments of
+    tr is the AMF t and Kelly's residual r, both paths' one form of the
+    maximal invariant, benchmark_aux the (u, c, alpha) arguments of
     benchmark_statistic_from_aux and logdet_s log det S; each is None
     unless the plan reads it, and the EM trace is recorded, under TRACE,
     exactly when the plan has a trace depth. Its callers run it under
@@ -237,7 +242,7 @@ def _evaluate(
     variant labels like em-bml-d5 share a single EM recursion run to the
     largest cap.
     """
-    stats = {det.value: _CLASSICAL[det](*scalars) for det in plan.classical}
+    stats = {det.value: _CLASSICAL[det](*tr) for det in plan.classical}
     if plan.benchmark:
         stats[DetectorId.BENCHMARK.value] = benchmark_statistic_from_aux(
             *benchmark_aux
@@ -246,7 +251,7 @@ def _evaluate(
     if plan.em_ls or plan.trace is not None:
         l_top = max((*plan.em_ls, plan.trace or 0))
         snaps, em_delta = _em_batched(
-            *scalars, logdet_s, l_top, plan.em_ls, k, n,
+            *tr, logdet_s, l_top, plan.em_ls, k, n,
         )
         for l in plan.em_ls:
             stats[detector_label(DetectorId.EM_BML_D, l)] = snaps[l]
@@ -261,35 +266,19 @@ def _scatter(zs: np.ndarray) -> np.ndarray:
     return zs @ zs.conj().swapaxes(1, 2)
 
 
-def _whitened(sol, lower, diag):
-    """(a, b, c) of an (m, n, trials) stack [v, z, ...], whitened in place.
-
-    The lower factor L of S is given as its strictly lower entries
-    lower[i][j] and real diagonal diag[i], one value per trial each.
-    Forward substitution leaves L^-1 of every column in sol, [y, u, ...]
-    = L^-1 [v, z, ...], and a = |y|^2, b = y^H u and c = |u|^2. Each sum
-    adds the n rows in order, so a trial's values do not depend on how
-    many trials or columns are whitened with it. Each row is divided by
-    the real diagonal as two real products by its reciprocal.
-    """
-    for i in range(len(diag)):
-        for j in range(i):
-            sol[:, i] -= lower[i][j] * sol[:, j]
-        r = 1.0 / diag[i]
-        sol[:, i].real *= r
-        sol[:, i].imag *= r
-    y, u = sol[:2]
-    return sum(np.abs(y) ** 2), sum(y.conj() * u), sum(np.abs(u) ** 2)
-
-
 def _stack_invariants(z, zs, v, plan: _Plan, minv_v):
-    """What plan reads of a trial stack: (a, |b|^2, c), the benchmark's
-    projection v^H M^-1 z and log det S.
+    """What plan reads of a trial stack: (t, r), the benchmark's projection
+    v^H M^-1 z and log det S.
 
     Each is None unless read; the projection is read when M^-1 v (minv_v)
-    is given. S is formed and factored only when the invariant is read,
-    and then once, S = L L^H by Cholesky: _whitened forward-substitutes
-    [v, z] against L, and log det S = 2 sum log L_ii.
+    is given. S is formed and factored only when (t, r) is read, and then
+    once, S = L L^H by Cholesky, which gives log det S = 2 sum log L_ii.
+    Forward substitution against L turns [v, z] into [y, w] = L^-1 [v, z]
+    in place, each row divided by the real diagonal as two real products
+    by its reciprocal. Then a = |y|^2, b = y^H w, t = |b|^2 / a and
+    Kelly's residual r = |w - (b / a) y|^2, w less its component along y.
+    Each sum adds the n rows in order, so a trial's values do not depend on
+    how many trials are whitened with it.
     """
     u = None if minv_v is None else np.einsum("i,bi->b", minv_v.conj(), z)
     if not plan.scalars:
@@ -298,9 +287,17 @@ def _stack_invariants(z, zs, v, plan: _Plan, minv_v):
     diag = lower.diagonal().real.T
     sol = np.empty((2, *z.T.shape), dtype=np.complex128)
     sol[0], sol[1] = v[:, None], z.T
-    a, b, c = _whitened(sol, lower, diag)
+    for i in range(len(diag)):
+        for j in range(i):
+            sol[:, i] -= lower[i][j] * sol[:, j]
+        recip = 1.0 / diag[i]
+        sol[:, i].real *= recip
+        sol[:, i].imag *= recip
+    y, w = sol
+    a, b = sum(np.abs(y) ** 2), sum(y.conj() * w)
+    r = sum(np.abs(w - (b / a) * y) ** 2)
     logdet_s = None if plan.trace is None else 2.0 * sum(np.log(diag))
-    return (a, np.abs(b) ** 2, c), u, logdet_s
+    return (np.abs(b) ** 2 / a, r), u, logdet_s
 
 
 def _benchmark_projection(v, true_m, alpha_hyp):
@@ -339,8 +336,8 @@ def statistics_from_stacks(
     plan = _plan(labels, (trace_l_max or 0) if record_em_trace else None)
     minv_v, c, alpha = (_benchmark_projection(v, true_m, alpha_hyp)
                         if plan.benchmark else (None, None, None))
-    scalars, u, logdet_s = _stack_invariants(z, zs, v, plan, minv_v)
-    return _evaluate(plan, z.shape[1], k, scalars,
+    tr, u, logdet_s = _stack_invariants(z, zs, v, plan, minv_v)
+    return _evaluate(plan, z.shape[1], k, tr,
                      None if u is None else (u, c, alpha), logdet_s)
 
 
@@ -396,12 +393,11 @@ def _coloured_blocks(
 
 
 def _data_chunk(cfg, stream_seed, start, stop, inject, plan: _Plan):
-    """(a, |b|^2, c), the benchmark's arguments and log det S of trials
+    """(t, r), the benchmark's arguments and log det S of trials
     [start, stop) drawn as data, each None unless plan reads it.
 
     Each block's part of the range is drawn, coloured and whitened on its
-    own, and keeps only those. A plan that reads no (a, |b|^2, c) forms no
-    S.
+    own, and keeps only those. A plan that reads no (t, r) forms no S.
     """
     m = build_covariance(cfg)
     v = steering_vector(cfg.n, cfg.doppler)
@@ -422,7 +418,7 @@ def _data_chunk(cfg, stream_seed, start, stop, inject, plan: _Plan):
     trials = stop - start
     # one (trials,) row per scalar, filled block by block
     kept = (
-        np.empty((3, trials)) if plan.scalars else None,
+        np.empty((2, trials)) if plan.scalars else None,
         np.empty(trials, dtype=np.complex128) if plan.benchmark else None,
         np.empty(trials) if plan.trace is not None else None,
     )
@@ -436,8 +432,8 @@ def _data_chunk(cfg, stream_seed, start, stop, inject, plan: _Plan):
             if out is not None:
                 out[..., lo - start : hi - start] = part
 
-    scalars, u, logdet_s = kept
-    return scalars, None if u is None else (u, c, alpha), logdet_s
+    tr, u, logdet_s = kept
+    return tr, None if u is None else (u, c, alpha), logdet_s
 
 
 def _invariant_block(n: int, k: int, rng, record_trace: bool,
@@ -516,16 +512,16 @@ def _invariant_row(cfg, plan: _Plan, shared, inject, logdet_m):
     G0 = S11 - S12 S22^-1 S21 ~ Gamma(k-n+1), independent of the rest.
     Kelly's residual is r = z2^H S22^-1 z2 = (|w1 + o1|^2 + Q) / G1, with z2's
     other n-2 complex components in Q ~ Gamma(n-2) and G1 ~ Gamma(k-n+2);
-    given r, b / a = z1 + o0 - sqrt(r) w', so t = |b|^2 / a is
-    |z1 + o0 - sqrt(r) w'|^2 / G0 and c = t + r. With v scaled to a = 1, the
-    row hands _evaluate (1, t, t + r). A row with o1 = 0 has the chunk's r0
-    and d0, so it costs a few operations per trial, and such rows see one
-    CUT at different targets; rows with o1 != 0 read the same variates at
-    their own r, a coupling of their CUTs rather than one CUT, each row's
-    law exact. Without injection, or without an SCNR, the row is
-    target-free. The benchmark reads v^H M^-1 z = z1 +
-    o0 and v^H M^-1 v = 1, so alpha = sqrt(s); log det S = log det M +
-    log G0 + log G1 + the sum of log Gamma(k-i), i < n-2.
+    given r, b / a = z1 + o0 - sqrt(r) w', so the AMF t = |b|^2 / a is
+    |z1 + o0 - sqrt(r) w'|^2 / G0, and the row hands _evaluate (t, r) as
+    drawn. A row with o1 = 0 has the chunk's r0 and d0, so it costs a few
+    operations per trial, and such rows see one CUT at different targets;
+    rows with o1 != 0 read the same variates at their own r, a coupling of
+    their CUTs rather than one CUT, each row's law exact. Without
+    injection, or without an SCNR, the row is target-free. The benchmark
+    reads v^H M^-1 z = z1 + o0 and v^H M^-1 v = 1, so alpha = sqrt(s);
+    log det S = log det M + log G0 + log G1 + the sum of log Gamma(k-i),
+    i < n-2.
     """
     draws, matched, logdet_w = shared
     root_s = None if cfg.scnr_db is None else 10.0 ** (cfg.scnr_db / 20.0)
@@ -534,7 +530,7 @@ def _invariant_row(cfg, plan: _Plan, shared, inject, logdet_m):
         o0 = root_s * math.sqrt(cfg.cos_sq_phi)
         o1 = root_s * math.sqrt(1.0 - cfg.cos_sq_phi)
 
-    scalars = benchmark_aux = logdet_s = None
+    tr = benchmark_aux = logdet_s = None
     if plan.scalars:
         if o1:
             r = _residual(cfg.n, draws, draws[2] + o1)
@@ -544,12 +540,12 @@ def _invariant_row(cfg, plan: _Plan, shared, inject, logdet_m):
         else:
             r, d0_real, d0_imag2 = matched
             t = ((d0_real + o0) ** 2 + d0_imag2) / draws[6]
-        scalars = 1.0, t, t + r
+        tr = t, r
     if plan.benchmark:
         benchmark_aux = (draws[0] + o0, 1.0, root_s)
     if plan.trace is not None:
         logdet_s = logdet_w + logdet_m
-    return _evaluate(plan, cfg.n, cfg.k, scalars, benchmark_aux, logdet_s)
+    return _evaluate(plan, cfg.n, cfg.k, tr, benchmark_aux, logdet_s)
 
 
 @_quiet

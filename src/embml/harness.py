@@ -75,10 +75,11 @@ class InsufficientTrials(ValueError):
 
 
 class NonFiniteStatistic(ValueError):
-    """A NaN or infinite statistic, with its detector, its trial index and
-    its grid row's index (None outside a grid)."""
+    """A NaN or infinite statistic, with its detector, its trial index (None
+    for a mean or CI over trials) and its grid row's index (None outside a
+    grid)."""
 
-    def __init__(self, message: str, detector: str | None, index: int,
+    def __init__(self, message: str, detector: str | None, index: int | None,
                  row: int | None = None):
         super().__init__(message)
         self.detector = detector
@@ -141,10 +142,6 @@ class TrialEnsemble:
         _require_finite(stats, self.detector)
         object.__setattr__(self, "statistics", np.sort(stats))
 
-    @property
-    def trial_count(self) -> int:
-        return self.statistics.shape[0]
-
 
 def order_labels(labels) -> tuple[str, ...]:
     """Dedupe and order labels canonically (enum order, then iteration cap)."""
@@ -190,7 +187,7 @@ def calibrate_threshold(ensemble: TrialEnsemble, pfa: float) -> float:
     within one trial quantum of pfa. A reference: runs threshold through
     _TopTail, which gives the same value without sorting.
     """
-    rank = _threshold_rank(ensemble.trial_count, pfa)
+    rank = _threshold_rank(len(ensemble.statistics), pfa)
     return float(ensemble.statistics[rank - 1])
 
 
@@ -273,7 +270,8 @@ class _RowSums:
     Each part is stacked under the running sum and reduced along trials,
     which repeats numpy's own order for an axis-0 sum of the whole
     C-ordered array, so the sums keep its bits. (For width 1 numpy sums a
-    whole column pairwise, and the bits may differ.)
+    whole column pairwise, and the bits may differ.) A sum or square past
+    the float range is a quiet inf, for the caller to refuse.
     """
 
     def __init__(self, width: int, center: np.ndarray | None = None):
@@ -281,6 +279,7 @@ class _RowSums:
         self.center = center
         self.last = None
 
+    @np.errstate(over="ignore")
     def add(self, values: np.ndarray) -> None:
         self.last = values
         if self.center is not None:
@@ -561,7 +560,9 @@ def convergence_study(
     whole (trials, l_max) trace (l_max > 1). Configurations are named h0
     and scnr{:g}, and two with one name raise ValueError before any draw.
     A non-finite objective change raises NonFiniteStatistic naming the
-    configuration and the first trial with one.
+    configuration and the first trial with one, and so does a finite trace
+    whose sum or squared deviations pass the float range, naming the
+    configuration and the first iteration whose mean or CI is not finite.
     """
     if trials < 1000:
         raise InsufficientTrials(
@@ -589,18 +590,22 @@ def convergence_study(
 
     keys = [(j, TRACE) for j in range(len(rows))]
     sums = traced({key: _RowSums(l_max) for key in keys}, trials)
-    means = np.empty((l_max, len(rows)))
-    for j, key in enumerate(keys):
-        means[:, j] = sums[key].sum / trials
-    squares = {key: _RowSums(l_max, means[:, j]) for j, key in enumerate(keys)}
+    squares = {key: _RowSums(l_max, sums[key].sum / trials) for key in keys}
     before_last = (trials - 1) // _CHUNK * _CHUNK
     if before_last:
         traced(squares, before_last)
-    cis = np.empty_like(means)
+    means, cis = np.empty((2, l_max, len(rows)))
     for j, key in enumerate(keys):
         squares[key].add(sums[key].last)
+        means[:, j] = squares[key].center
         std = np.sqrt(squares[key].sum / trials)
         cis[:, j] = 1.96 * std / math.sqrt(trials)
+        # an infinite mean has an infinite CI
+        finite = np.isfinite(cis[:, j])
+        if not finite.all():
+            raise NonFiniteStatistic(
+                f"{names[j]}: {TRACE}: the mean or CI is not finite, first "
+                f"at iteration {np.argmin(finite) + 1}", TRACE, None, j)
 
     return ConvergenceResult(
         iterations=tuple(range(1, l_max + 1)),

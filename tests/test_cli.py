@@ -363,23 +363,22 @@ class TestExitCodes:
     def test_non_finite_convergence_trace_is_two_with_one_error_line(
         self, tmp_path
     ):
-        # at 200 dB the closed-form EM trace loses its precision and is NaN
-        # for about half the trials, first at trial 0 of the stream that h0
-        # and scnr200 share, though the per-trial reference is finite
-        # there. Run in a fresh interpreter, so that a numpy warning would
-        # reach stderr.
+        # at 3000 dB every value of the EM trace is finite, but its first
+        # iteration's mean is about 1e283, so the squared deviations behind
+        # its CI pass the float range. Run in a fresh interpreter, so that a
+        # numpy warning would reach stderr.
         out = tmp_path / "x.csv"
         src = str(Path(embml.__file__).resolve().parents[1])
         run = subprocess.run(
             [sys.executable, "-m", "embml.cli", "convergence",
-             "--scnr-grid", "200", "--trials", "1000", "--l-max", "3",
+             "--scnr-grid", "3000", "--trials", "1000", "--l-max", "3",
              "--out", str(out)],
             cwd=src, capture_output=True, text=True,
         )
         assert run.returncode == 2
-        assert re.fullmatch(
-            rf"error: scnr200: {re.escape(engine.TRACE)}: .* first at trial "
-            r"0\n", run.stderr)
+        assert run.stderr == (
+            f"error: scnr3000: {engine.TRACE}: the mean or CI is not finite, "
+            "first at iteration 1\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("power, cnr_grid, point", [
@@ -406,8 +405,9 @@ class TestExitCodes:
             r"trial \d+\n", stderr)
 
     def test_unrequested_statistic_warns_of_nothing(self, tmp_path, capsys):
-        # at 200 dB the Rao statistic divides by zero; pytest turns a
-        # RuntimeWarning into an error, so computing it unasked would fail
+        # 200 dB is far past where Pd saturates, and the run must still
+        # print nothing: pytest turns a RuntimeWarning into an error, so a
+        # statistic that warned, asked for or not, would fail
         code, _, stderr = run_cli(
             ["pd-curve", "--detectors", "amf", "em-bml-d5",
              "--scnr-grid", "200", "--pfa", "0.05", "--trials", "2000",
@@ -418,11 +418,11 @@ class TestExitCodes:
     def test_overflowing_statistic_is_two_with_one_error_line(
         self, tmp_path, capsys
     ):
-        # at 3000 dB the EM recursion squares a value past the float range
-        # for some trials; pytest turns the RuntimeWarning numpy would print
+        # at 3080 dB the EM recursion's (k+1) t passes the float range for
+        # some trials; pytest turns the RuntimeWarning numpy would print
         # into an error
         code, _, stderr = run_cli(
-            ["pd-curve", "--scnr-grid", "3000", "--detectors", "amf", "glrt",
+            ["pd-curve", "--scnr-grid", "3080", "--detectors", "amf", "glrt",
              "em-bml-d5", "--pfa", "0.05", "--trials", "2000",
              "--out", str(tmp_path / "x.csv")], capsys)
         assert code == 2
@@ -592,7 +592,7 @@ CUBE_RUN = ["--pfa", "0.05", "--cut-bin", "8", "--eval-bin", "9",
 CSV_DIGESTS = {
     "calibrate": (
         ["calibrate", "--pfa", "0.01", "--trials", "10000"],
-        "e1b25aef55c80c11d06a9f5d011db3143ebf83226272122833fc84e086527777"),
+        "1c2c0cbdde1805ca75d6bd53f714d27a6bc46df30a3be167c3a85ba3b31090ab"),
     "calibrate benchmark": (
         ["calibrate", "--pfa", "0.01", "--trials", "10000", "--detectors",
          "glrt", "amf", "benchmark", "--scnr", "10"],
@@ -622,7 +622,7 @@ CSV_DIGESTS = {
     "convergence": (
         ["convergence", "--trials", "5000", "--l-max", "6",
          "--scnr-grid", "10", "15"],
-        "225a155035d81706e9327bd2a314daf1db5df12d722b1de3a5474199b9812216"),
+        "8c2ed28309dd9efb28d91d6c6b29dbd0205775feeecab7cf0d431e1eb73a2567"),
     "ingest-run binary": (
         ["ingest-run", *CUBE_RUN, "--cube", "{cube}.bin"],
         "2f5c4f8ccce7494a46d1bc1a358898e668f421c4cc598dae67fa30cd0c03ded8"),

@@ -28,6 +28,7 @@ from embml.detectors import (
 )
 from embml.em import POSTERIOR_FLOOR, em_bml_statistic, run_em
 from embml.engine import statistics_from_stacks
+from embml.harness import pd_curve
 from embml.scenario import (
     DataBatch,
     ScenarioConfig,
@@ -227,8 +228,8 @@ class TestSchedulingInvariance:
 
 
 # Distribution gate between the two generators: (n, k, scnr_db, cos_sq_phi,
-# inject). H0, matched H1, mismatched H1 at n16, k = n, and the p = 2 and
-# p = 3 edges of the invariant draw.
+# inject). H0, matched H1, mismatched H1 at n16, k = n, and the edges of
+# the invariant draw without (n = 2) and with (n = 3) its Q ~ Gamma(n-2).
 INVARIANT_CASES = (
     (8, 16, 13.0, 1.0, False),
     (8, 16, 13.0, 1.0, True),
@@ -497,7 +498,7 @@ class TestInjection:
 def direct_row(cfg, labels, draws, inject):
     """One invariant row's statistics evaluated straight from its drawn
     variates by Kelly's representation: r = (|w1 + o1|^2 + Q) / G1 and
-    t = |z1 + o0 - sqrt(r) w'|^2 / G0, handed over as (1, t, t + r), the
+    t = |z1 + o0 - sqrt(r) w'|^2 / G0, handed over as (t, r), the
     direct form that a row's reuse of the chunk's matched part must
     reproduce."""
     zr, wr, w1r, zi, wi, w1i, g0, g1 = draws[:8]
@@ -510,7 +511,7 @@ def direct_row(cfg, labels, draws, inject):
     r = ((w1r + o1) ** 2 + w1i ** 2 + q) / g1
     t = ((zr + o0 - np.sqrt(r) * wr) ** 2 + (zi - np.sqrt(r) * wi) ** 2) / g0
     return engine._evaluate(engine._plan(labels, None), cfg.n, cfg.k,
-                            (1.0, t, t + r), (zr + o0, 1.0, root_s), None)
+                            (t, r), (zr + o0, 1.0, root_s), None)
 
 
 class TestInvariantRows:
@@ -518,8 +519,6 @@ class TestInvariantRows:
     equals evaluating Kelly's representation of the row's CUT directly."""
 
     LABELS = ("glrt", "amf", "rao", "ace", "benchmark", "em-bml-d5")
-    # Rao's a - |b|^2 / (1 + c) cancels at high SCNR in either form
-    RAO_MAX_DB = 13.0
     TRIALS = 1000
 
     def rows_and_draws(self, n, inject):
@@ -540,8 +539,6 @@ class TestInvariantRows:
         for i, row in enumerate(rows):
             direct = direct_row(row, self.LABELS, draws, inject=True)
             for label in self.LABELS:
-                if label == "rao" and row.scnr_db > self.RAO_MAX_DB:
-                    continue
                 np.testing.assert_allclose(
                     chunk[i, label], direct[label], rtol=1e-12, atol=0,
                     err_msg=f"{label} at {row.scnr_db} dB, "
@@ -554,6 +551,41 @@ class TestInvariantRows:
             direct = direct_row(row, self.LABELS, draws, inject=False)
             for label in self.LABELS:
                 np.testing.assert_array_equal(chunk[i, label], direct[label])
+
+
+class TestHighScnrPrecision:
+    """Every statistic reads Kelly's residual r as carried, never as the
+    difference c - |b|^2 / a, which cancels once the SCNR makes c and
+    |b|^2 / a large beside it."""
+
+    @pytest.mark.parametrize("scnr_db", [0.0, 40.0, 100.0, 200.0])
+    def test_data_path_em_matches_the_reference(self, scnr_db):
+        cfg = ScenarioConfig(n=8, k=16, scnr_db=scnr_db, master_seed=5)
+        m = build_covariance(cfg)
+        v = steering_vector(cfg.n, cfg.doppler)
+        batches = [inject_target(sample_batch(cfg, m, t), v, m, scnr_db)
+                   for t in range(20)]
+        stats = statistics_from_stacks(
+            *stacks_from_batches(batches), v, ("em-bml-d5",),
+            record_em_trace=True, trace_l_max=5)
+        for i, batch in enumerate(batches):
+            trace = run_em(batch, v, 5, sample_covariance(batch))
+            assert stats[engine.TRACE][i, 0] == pytest.approx(
+                trace.delta_l[0], rel=1e-7, abs=0)
+            assert stats["em-bml-d5"][i] == pytest.approx(
+                trace.states[5].log_post_ratio, rel=1e-12, abs=0)
+
+    def test_rao_holds_its_plateau_and_every_detector_is_finite(self):
+        # the rows share one invariant draw; past about 60 dB Rao's
+        # t / ((1 + c)(1 + r)) is 1 / (1 + r) of the target-free residual,
+        # so its Pd stops moving, here at about one half. pd_curve refuses
+        # a non-finite statistic of any detector.
+        scnrs = [60.0, 100.0, 200.0, 1000.0, 3000.0]
+        curve = pd_curve(ScenarioConfig(n=8, k=10, master_seed=43), 0.01,
+                         scnrs, ALL_LABELS, 2000, calibration_trials=10_000)
+        rao = curve.rates[:, curve.detectors.index("rao")]
+        assert 0.3 < rao[0] < 0.7
+        np.testing.assert_array_equal(rao, rao[0])
 
 
 class TestSaturation:
