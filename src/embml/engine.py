@@ -16,8 +16,10 @@ two generators drew it:
   factors each trial's S once by Cholesky, which also gives log det S, and
   forward-substitutes [v, z] against the factor; t and r are read off the
   whitened columns, r as the squared norm of the whitened CUT less its
-  component along the whitened v (_stack_invariants).
-  statistics_from_stacks is its entry for data from outside (cube
+  component along the whitened v (_stack_invariants). The rows of a grid
+  share each block's white normals, drawn once, and each colours,
+  scatters and whitens them by its own scenario (_DataScene, made once per
+  run). statistics_from_stacks is its entry for data from outside (cube
   windows); it is cross-checked to 1e-9 against the per-trial reference.
 - the invariant path draws the maximal invariant, log det S and the
   benchmark's projection exactly from nine variates per trial (six
@@ -38,22 +40,25 @@ draw what the plan reads, and _evaluate runs once over it, or once per
 row of a grid. A chunk is a plain dict of per-trial arrays: one (trials,)
 array per detector label, and the (trials, l_max) EM trace under TRACE
 when it is recorded. A grid's chunk is one such dict per row, keyed
-(row, label), each evaluated when it is read, and _simulate_chunks
-yields those row dicts in turn. _compute_chunk and statistics_from_stacks
-draw and evaluate with numpy's divide, invalid and overflow warnings
-silenced on the thread that runs them, so an undefined or overflowing
-statistic (0/0, say, or (k+1) t at an extreme SCNR) is a quiet NaN or
-inf, which the harness's finite check names by its trial.
+(row, label), and _simulate_chunks yields those row dicts in turn: on the
+invariant path each is evaluated when it is read, and on the data path
+all are evaluated on the thread that computes the chunk. _compute_chunk
+and statistics_from_stacks draw and evaluate with numpy's divide,
+invalid and overflow warnings silenced on the thread that runs them, so
+an undefined or overflowing statistic (0/0, say, or (k+1) t at an
+extreme SCNR) is a quiet NaN or inf, which the harness's finite check
+names by its trial.
 
 On both paths each block of _BLOCK trials draws from a generator keyed by
 (stream_seed, block_index), with a tag per path; a chunk builds one Philox
 and re-keys it for each block covering it (_blocks, scenario.block_rngs),
 so each trial's draws depend only on its index, never on where a chunk
-starts. The data path draws, colours and whitens one block at a time and
-keeps only the chunk's part of what the plan reads, so a chunk holds one
-block's matrices, never the chunk's. The invariant path, at nine variates
-per trial (and n-2 more Gammas for the trace), fills the whole covering
-blocks into one buffer. Results are bit-identical for a given stream seed
+starts. The data path draws one block at a time, colours and whitens it
+for each row in turn and keeps only the chunk's part of what the plan
+reads, so a chunk holds one white and one coloured block, never the
+chunk's matrices. The invariant path, at nine variates per trial (and
+n-2 more Gammas for the trace), fills the whole covering blocks into one
+buffer. Results are bit-identical for a given stream seed
 whatever the chunk size or worker count, which only set the tasks of a
 thread pool, one thread per usable CPU at most. Threads overlap only
 inside numpy calls that release the GIL, most of a data trial (the Philox
@@ -75,7 +80,7 @@ from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
-from itertools import chain
+from itertools import chain, cycle
 from typing import NamedTuple
 
 import numpy as np
@@ -360,24 +365,28 @@ def _coloured_blocks(
     start: int,
     stop: int,
 ) -> Iterator[tuple[int, int, np.ndarray]]:
-    """(lo, hi, Z) per block part [lo, hi) of trials [start, stop), in order.
+    """(lo, hi, Z) per block part [lo, hi) of trials [start, stop) and per
+    colouring factor, in order.
 
-    Z is the (n, hi - lo, k+1) matrices of the block's part, coloured by
-    chol. Each block of _BLOCK trials draws its normals x, y in one call
-    from block_rng(stream_seed, block_index, data=True), re-keyed on one
-    Philox, scales them by 1/sqrt(2) in place and colours them by two real
-    products with chol, written straight into the block's real and
-    imaginary parts. build_covariance is real, so its factor's imaginary
-    part is exactly zero and the complex product chol @ (x + j y) / sqrt(2)
-    splits into those two products bit for bit; a complex factor is refused
-    rather than truncated. Every block reuses the normals and the block
-    buffer, so Z is valid only until the next block is drawn. A trial is
-    regenerated through its block.
+    chol is one factor, or a (rows, n, n) stack of them, one per row of a
+    grid. Z is the (n, hi - lo, k+1) matrices of the block's part, coloured
+    by the factor. Each block of _BLOCK trials draws its normals x, y once,
+    in one call from block_rng(stream_seed, block_index, data=True),
+    re-keyed on one Philox, and scales them by 1/sqrt(2) in place; each
+    factor in turn then colours them by two real products, written straight
+    into the block's real and imaginary parts. build_covariance is real, so
+    its factor's imaginary part is exactly zero and the complex product
+    chol @ (x + j y) / sqrt(2) splits into those two products bit for bit;
+    a complex factor is refused rather than truncated. A factor's Z does
+    not depend on the others given with it. Every block and factor reuses
+    the normals and the block buffer, so Z is valid only until the next is
+    yielded. A trial is regenerated through its block.
     """
     if np.any(chol.imag):
         raise ValueError("the colouring factor must be real")
     n, cols = cfg.n, cfg.k + 1
-    real = np.ascontiguousarray(chol.real)
+    reals = [np.ascontiguousarray(f.real)
+             for f in np.reshape(chol, (-1, n, n))]
     w = np.empty((2, n, _BLOCK * cols))
     block = np.empty((n, _BLOCK * cols), dtype=np.complex128)
     rngs = block_rngs(stream_seed, data=True)
@@ -385,55 +394,78 @@ def _coloured_blocks(
         rngs(b).standard_normal(out=w)
         # the reciprocal gives the bits of numpy's complex division by sqrt(2)
         np.multiply(w, 1.0 / np.sqrt(2.0), out=w)
-        np.matmul(real, w[0], out=block.real)
-        np.matmul(real, w[1], out=block.imag)
         first = b * _BLOCK
         lo, hi = max(start, first), min(stop, first + _BLOCK)
-        yield lo, hi, block.reshape(n, _BLOCK, cols)[:, lo - first : hi - first]
+        for real in reals:
+            np.matmul(real, w[0], out=block.real)
+            np.matmul(real, w[1], out=block.imag)
+            yield lo, hi, block.reshape(n, _BLOCK, cols)[:, lo - first : hi - first]
 
 
-def _data_chunk(cfg, stream_seed, start, stop, inject, plan: _Plan):
-    """(t, r), the benchmark's arguments and log det S of trials
-    [start, stop) drawn as data, each None unless plan reads it.
+class _DataScene(NamedTuple):
+    """What the data path reads of one row's scenario, made once per run:
+    the colouring factor chol(M), the nominal steering v, the CUT's target
+    (None: target-free) and the benchmark's (M^-1 v, v^H M^-1 v, alpha)
+    (None unless the plan reads it)."""
 
-    Each block's part of the range is drawn, coloured and whitened on its
-    own, and keeps only those. A plan that reads no (t, r) forms no S.
-    """
+    chol: np.ndarray
+    v: np.ndarray
+    target: np.ndarray | None
+    projection: tuple | None
+
+
+def _data_scene(cfg: ScenarioConfig, inject: bool, plan: _Plan) -> _DataScene:
+    """cfg's _DataScene; the target is along the true steering at scnr_db,
+    given inject and an SCNR."""
     m = build_covariance(cfg)
     v = steering_vector(cfg.n, cfg.doppler)
-    v_true = (
-        v
-        if cfg.cos_sq_phi == 1.0
-        else mismatched_steering(v, m, cfg.cos_sq_phi, cfg.doppler)
-    )
-    alpha_hyp = None
-    if cfg.scnr_db is not None:
-        # the clairvoyant hypothesizes the target along the nominal steering
-        alpha_hyp = injection_amplitude(v, m, cfg.scnr_db)
-    if inject:
+    target = None
+    if inject and cfg.scnr_db is not None:
+        v_true = (
+            v
+            if cfg.cos_sq_phi == 1.0
+            else mismatched_steering(v, m, cfg.cos_sq_phi, cfg.doppler)
+        )
         target = injection_amplitude(v_true, m, cfg.scnr_db) * v_true
+    projection = None
+    if plan.benchmark:
+        # the clairvoyant hypothesizes the target along the nominal steering
+        projection = _benchmark_projection(
+            v, m, injection_amplitude(v, m, cfg.scnr_db))
+    return _DataScene(m.chol, v, target, projection)
 
-    minv_v, c, alpha = (_benchmark_projection(v, m, alpha_hyp)
-                        if plan.benchmark else (None, None, None))
+
+def _data_chunk(cfg, scenes, stream_seed, start, stop, plan: _Plan):
+    """Per scene, (t, r), the benchmark's arguments and log det S of
+    trials [start, stop) drawn as data, each None unless plan reads it.
+
+    Every scene reads the same white draws: each block's part of the range
+    is drawn once, then coloured by each scene's factor, given its target
+    and whitened in turn, and each scene keeps only its scalars. A plan
+    that reads no (t, r) forms no S.
+    """
     trials = stop - start
-    # one (trials,) row per scalar, filled block by block
-    kept = (
+    # per scene, one (trials,) row per scalar, filled block by block
+    kept = [(
         np.empty((2, trials)) if plan.scalars else None,
         np.empty(trials, dtype=np.complex128) if plan.benchmark else None,
         np.empty(trials) if plan.trace is not None else None,
-    )
-    for lo, hi, stack in _coloured_blocks(cfg, m.chol, stream_seed, start, stop):
+    ) for _ in scenes]
+    blocks = _coloured_blocks(cfg, np.stack([s.chol for s in scenes]),
+                              stream_seed, start, stop)
+    for (lo, hi, stack), (scene, out) in zip(blocks, cycle(zip(scenes, kept))):
         z = stack[:, :, 0].T
-        if inject:
-            z = z + target
-        block = _stack_invariants(z, stack[:, :, 1:].transpose(1, 0, 2), v,
-                                  plan, minv_v)
-        for out, part in zip(kept, block):
-            if out is not None:
-                out[..., lo - start : hi - start] = part
+        if scene.target is not None:
+            z = z + scene.target
+        block = _stack_invariants(
+            z, stack[:, :, 1:].transpose(1, 0, 2), scene.v, plan,
+            None if scene.projection is None else scene.projection[0])
+        for dest, part in zip(out, block):
+            if dest is not None:
+                dest[..., lo - start : hi - start] = part
 
-    tr, u, logdet_s = kept
-    return tr, None if u is None else (u, c, alpha), logdet_s
+    return [(tr, None if u is None else (u, *scene.projection[1:]), logdet_s)
+            for scene, (tr, u, logdet_s) in zip(scenes, kept)]
 
 
 def _invariant_block(n: int, k: int, rng, record_trace: bool,
@@ -548,24 +580,33 @@ def _invariant_row(cfg, plan: _Plan, shared, inject, logdet_m):
     return _evaluate(plan, cfg.n, cfg.k, tr, benchmark_aux, logdet_s)
 
 
+def _keyed(row: int, stats: dict) -> dict:
+    """A grid row's statistics, keyed (row index, label)."""
+    return {(row, label): values for label, values in stats.items()}
+
+
 @_quiet
 def _compute_chunk(start, *, cfg, plan, stream_seed, n_trials, inject,
-                   invariant, rows, logdet_m):
+                   invariant, rows, scenes):
     """The statistics of the chunk of trials from start, in a run of
     n_trials that _simulate_chunks describes.
 
-    The data path evaluates the chunk at once. On the invariant path the
-    draws, their matched part and the row-free part of log det S are made
-    once; given rows, the chunk is an iterator of one dict per row, keyed
-    (row index, label), and a row is evaluated at its own scenario when its
-    dict is read. logdet_m holds log det M per row (cfg's alone without
-    rows), read only by the invariant path's trace.
+    scenes holds what each row (cfg alone without rows) reads of its
+    scenario, made once per run: its _DataScene on the data path, log det
+    M on the invariant path, read only by the trace. Given rows, the chunk
+    is one dict per row, keyed (row index, label). The data path draws and
+    evaluates every row at once, so a grid's chunk is the list of its rows,
+    computed on the thread that runs it. On the invariant path the draws,
+    their matched part and the row-free part of log det S are made once,
+    and a grid's chunk is an iterator that evaluates a row at its own
+    scenario when its dict is read.
     """
     stop = min(start + _CHUNK, n_trials)
     if not invariant:
-        return _evaluate(plan, cfg.n, cfg.k,
-                         *_data_chunk(cfg, stream_seed, start, stop, inject,
-                                      plan))
+        stats = [_evaluate(plan, cfg.n, cfg.k, *scalars) for scalars
+                 in _data_chunk(cfg, scenes, stream_seed, start, stop, plan)]
+        return stats[0] if rows is None else [
+            _keyed(i, part) for i, part in enumerate(stats)]
     draws = _invariant_draws(cfg.n, cfg.k, stream_seed, start, stop,
                              plan.trace is not None)
     shared = (
@@ -575,10 +616,9 @@ def _compute_chunk(start, *, cfg, plan, stream_seed, n_trials, inject,
         else np.log(draws[6]) + np.log(draws[7]) + draws[-1],
     )
     if rows is None:
-        return _invariant_row(cfg, plan, shared, inject, logdet_m[0])
-    return ({(i, label): stats for label, stats
-             in _invariant_row(row, plan, shared, inject, m).items()}
-            for i, (row, m) in enumerate(zip(rows, logdet_m)))
+        return _invariant_row(cfg, plan, shared, inject, scenes[0])
+    return (_keyed(i, _invariant_row(row, plan, shared, inject, logdet_m))
+            for i, (row, logdet_m) in enumerate(zip(rows, scenes)))
 
 
 def _simulate_chunks(
@@ -596,48 +636,53 @@ def _simulate_chunks(
     """n_trials independent trials' statistics, one part at a time in order.
 
     The labels are parsed once, into the run's plan, and the arguments are
-    checked before any draw. The trials draw from stream_seed's substream;
-    harness phases pass derived seeds so different experiment stages never
-    share substreams. Under inject=True the cell under test receives a
-    target along the scenario's true steering (mismatched when
-    cos_sq_phi < 1) at scnr_db. Given trace_l_max, each chunk records the
-    EM convergence trace to that iteration under TRACE. invariant=True
-    draws each trial's maximal invariant instead of its data; the
-    statistics have the same distribution but come from another random
-    stream. Each part is a plain dict: one chunk's statistics keyed by
-    label, or, given rows, the scenarios of one grid with cfg's n and k
-    (invariant path only), one row's, keyed (row index, label). A grid's
-    chunk draws once and serves every row, each with its own target, so
-    its parts come row by row, chunk by chunk; row i's parts
-    are bit for bit the chunks of _simulate_chunks(rows[i], ...) without
-    rows, and without inject for a row whose scnr_db is None, which is
+    checked before any draw; what each row reads of its scenario (its
+    covariance and factor, steering, target and benchmark projection, or
+    log det M for the invariant trace) is made once per run. The trials
+    draw from stream_seed's substream; harness phases pass derived seeds so
+    different experiment stages never share substreams. Under inject=True
+    the cell under test receives a target along the scenario's true
+    steering (mismatched when cos_sq_phi < 1) at scnr_db. Given
+    trace_l_max, each chunk records the EM convergence trace to that
+    iteration under TRACE. invariant=True draws each trial's maximal
+    invariant instead of its data; the statistics have the same
+    distribution but come from another random stream. Each part is a plain
+    dict: one chunk's statistics keyed by label, or, given rows, the
+    scenarios of one grid with cfg's n and k, one row's, keyed (row index,
+    label). A grid's chunk draws once and serves every row (common random
+    numbers): on the invariant path each row has its own target, and on
+    the data path its own colouring, target and whitening of one white
+    draw. So its parts come row by row, chunk by chunk; row i's parts are
+    bit for bit the chunks of _simulate_chunks(rows[i], ...) without rows,
+    and without inject for a row whose scnr_db is None, which is
     target-free. With workers > 1 and more than one chunk of _CHUNK
     trials, the chunks run on up to that many threads, and never more than
     the usable CPUs (numpy releases the GIL in the draws, the colouring
-    products and the factorization); results are bit-identical for fixed seeds
-    regardless of workers or _CHUNK. A chunk's exception reaches the
+    products and the factorization); results are bit-identical for fixed
+    seeds regardless of workers or _CHUNK. A chunk's exception reaches the
     caller unchanged.
     """
     if n_trials <= 0:
         raise ValueError("n_trials must be positive")
-    if rows is not None and not invariant:
-        raise ValueError("grid rows share their draws only on the invariant "
-                         "path")
     plan = _plan(labels, trace_l_max)
+    if rows is not None and not rows:
+        return  # a grid without rows draws nothing
     if inject and rows is None and cfg.scnr_db is None:
         raise ValueError("injection requires scnr_db")
     scenarios = rows or (cfg,)
     if plan.benchmark and any(row.scnr_db is None for row in scenarios):
         raise ValueError("benchmark statistics require an amplitude")
-    # the invariant trace's log det M, once per run
-    logdet_m = [None] * len(scenarios)
-    if invariant and plan.trace is not None:
-        logdet_m = [build_covariance(row).log_det() for row in scenarios]
+    if not invariant:
+        scenes = [_data_scene(row, inject, plan) for row in scenarios]
+    elif plan.trace is not None:
+        scenes = [build_covariance(row).log_det() for row in scenarios]
+    else:
+        scenes = [None] * len(scenarios)
     starts = range(0, n_trials, _CHUNK)
     compute = partial(_compute_chunk, cfg=cfg, plan=plan,
                       stream_seed=stream_seed, n_trials=n_trials,
                       inject=inject, invariant=invariant, rows=rows,
-                      logdet_m=logdet_m)
+                      scenes=scenes)
 
     def parts(chunks):
         return chunks if rows is None else chain.from_iterable(chunks)

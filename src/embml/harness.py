@@ -17,11 +17,15 @@ Each chunk is a dict of per-trial arrays, and _reduce refuses a NaN or
 infinite value in any of them, naming its trial. Every experiment phase
 works in its own derived substream namespace, so trials are independent
 across phases and every result is bit-reproducible for a fixed master
-seed. Each off-nominal row of the CFAR sweep draws in its own substream;
-the rows of a Pd grid (curve or contour) and the configurations of a
-convergence study all evaluate one set of draws, made once in row 0's
-substream (common random numbers), and each keeps its own reducers. Rows
-with no target off the nominal steering read one trial from each draw;
+seed. Within a phase the rows of a grid evaluate one set of draws, made
+once in row 0's substream (common random numbers), and each keeps its
+own reducers (_grid_counts): the off-nominal rows of the CFAR sweep, the
+rows of a Pd grid (curve or contour) and the configurations of a
+convergence study. The sweep's rows each colour, scatter and whiten the
+shared white normals by their own clutter, so each row's law is exact
+and its values are correlated with the other rows'; its nominal row
+reuses the calibration ensemble, drawn in its own phase. Pd rows with no
+target off the nominal steering read one trial from each draw;
 mismatched rows share a coupling of their draws, each row's law exact.
 Calibration, curves, contours and convergence studies draw each trial's
 maximal invariant on one thread, at about 0.3 us/trial for six detectors
@@ -413,6 +417,26 @@ def calibrate(
     }
 
 
+def _grid_counts(cfg, labels, rows, thresholds, trials: int, phase: int,
+                 **simulate) -> list[list[int]]:
+    """Each row's exceedances per label, over one grid of rows drawn once
+    in phase's substream 0 (common random numbers).
+
+    thresholds[i] maps each label to row i's threshold. Nothing is drawn
+    for no rows or no labels.
+    """
+    reducers = {(i, lab): _Exceedances(row_thresholds[lab])
+                for i, row_thresholds in enumerate(thresholds)
+                for lab in labels}
+    if reducers:
+        seed = derive_stream_seed(cfg.master_seed, phase, 0)
+        _reduce(reducers, _simulate_chunks(cfg, labels, trials,
+                                           stream_seed=seed, rows=rows,
+                                           **simulate))
+    return [[reducers[i, lab].count for lab in labels]
+            for i in range(len(rows))]
+
+
 def cfar_sweep(
     cfg: ScenarioConfig,
     pfa: float,
@@ -432,8 +456,14 @@ def cfar_sweep(
     construction (up to the order-statistic rank convention). Unlike every
     other experiment, the sweep draws data, not the maximal invariant: the
     CFAR property it checks would hold on the invariant by construction.
-    A non-finite statistic raises NonFiniteStatistic naming the clutter
-    point, cnr_db and rho, where it was drawn, the calibration's included.
+    The off-nominal points are the rows of one data grid: every block of
+    white normals is drawn once, in the sweep phase's substream 0, and each
+    point colours, scatters and whitens it by its own clutter (common
+    random numbers). Each point's law is exact and its rates are correlated
+    with the other points'; the calibration draws apart, so its threshold
+    is independent of every off-nominal row. A non-finite statistic raises
+    NonFiniteStatistic naming the clutter point, cnr_db and rho, where it
+    was drawn, the calibration's included.
     """
     labels = order_labels(detectors)
     _check_calibration(cfg, labels, pfa, trials)
@@ -444,16 +474,17 @@ def cfar_sweep(
     points.update((cfg.cnr_db, float(r)) for r in rho_grid)
     points = sorted(points)
     null_cfg = _null_config(cfg)
-    counts = []
-    for i, (cnr_db, rho) in enumerate(points):
-        point_cfg = replace(null_cfg, cnr_db=cnr_db, rho=rho)
-        # each off-nominal row draws data in its own substream
-        with _named(f"cnr_db={cnr_db}, rho={rho}"):
-            reducers = nominal if point_cfg == null_cfg else _simulated(
-                point_cfg, labels, pfa, trials,
-                derive_stream_seed(cfg.master_seed, _PHASE_SWEEP, i),
-                lambda lab: _Exceedances(thresholds[lab]), workers=workers)
-        counts.append([reducers[lab].count for lab in labels])
+    point_cfgs = [replace(null_cfg, cnr_db=c, rho=r) for c, r in points]
+    off = [i for i, point in enumerate(point_cfgs) if point != null_cfg]
+    try:
+        off_counts = dict(zip(off, _grid_counts(
+            null_cfg, labels, tuple(point_cfgs[i] for i in off),
+            [thresholds] * len(off), trials, _PHASE_SWEEP, workers=workers)))
+    except NonFiniteStatistic as err:
+        cnr_db, rho = points[off[err.row]]
+        raise err.named(f"cnr_db={cnr_db}, rho={rho}") from err
+    nominal_counts = [nominal[lab].count for lab in labels]
+    counts = [off_counts.get(i, nominal_counts) for i in range(len(points))]
     return _curve(("cnr_db", "rho"), points, labels, counts, trials)
 
 
@@ -484,19 +515,12 @@ def _injected_grid(
         cfg, adaptive, pfa, calibration_trials or required_trials(pfa)
     )
     row_cfgs = tuple(replace(cfg, **dict(zip(axis_names, row))) for row in rows)
-    reducers = {
-        (i, lab): _Exceedances(_benchmark_threshold(row_cfg.scnr_db, pfa)
-                               if lab == "benchmark" else thresholds[lab])
-        for i, row_cfg in enumerate(row_cfgs)
-        for lab in labels
-    }
-    if reducers:
-        seed = derive_stream_seed(cfg.master_seed, phase, 0)
-        _reduce(reducers, _simulate_chunks(cfg, labels, trials,
-                                           stream_seed=seed, inject=True,
-                                           invariant=True, rows=row_cfgs))
-    counts = [[reducers[i, lab].count for lab in labels]
-              for i in range(len(rows))]
+    counts = _grid_counts(
+        cfg, labels, row_cfgs,
+        [{lab: _benchmark_threshold(row_cfg.scnr_db, pfa)
+          if lab == "benchmark" else thresholds[lab] for lab in labels}
+         for row_cfg in row_cfgs],
+        trials, phase, inject=True, invariant=True)
     return _curve(axis_names, rows, labels, counts, trials)
 
 
@@ -579,8 +603,6 @@ def convergence_study(
     seed = derive_stream_seed(cfg.master_seed, _PHASE_CONVERGENCE, 0)
 
     def traced(reducers: dict, n_trials: int) -> dict:
-        if not reducers:
-            return reducers  # no configurations, nothing to draw
         try:
             return _reduce(reducers, _simulate_chunks(
                 cfg, (), n_trials, stream_seed=seed, inject=True,

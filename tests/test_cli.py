@@ -599,12 +599,12 @@ CSV_DIGESTS = {
         "323f362d3f6324ba06c406239252b20c28ae830498a041c0f2048b238237118c"),
     "pfa-sweep": (
         ["pfa-sweep", "--pfa", "0.01", "--trials", "10000", *CLUTTER_GRIDS],
-        "44ccb5aee516c1d45b9b497f9fdeaa153103eded2b2c7ba89bed4ad62d84a79f"),
+        "a5c8f1647cd07767e4f4010dc9fa2f3fa89f4f2ce8bdee44041760279685a1a7"),
     "pfa-sweep benchmark": (
         ["pfa-sweep", "--pfa", "0.01", "--trials", "10000", *CLUTTER_GRIDS,
          "--detectors", "glrt", "amf", "em-bml-d2", "benchmark",
          "--scnr", "6", "--workers", "2"],
-        "912a0bec529f6ec8653497fef3360085f3380bf34e701ce96de86af950a791c2"),
+        "a42c7aecb39e981f6321d5f12f3f169b7c1de746f33024da89c7cffeb23b135b"),
     "pd-curve": (
         ["pd-curve", *CURVE, "--scnr-grid", "0", "5", "10", "15",
          "--detectors", "benchmark", "glrt", "amf", "em-bml-d5"],

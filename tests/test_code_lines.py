@@ -1,6 +1,7 @@
 """Tests for tools/code_lines.py, the code-line counter."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "code_lines.py"
@@ -34,3 +35,25 @@ def test_prints_each_module_and_the_total(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split() for line in lines] == [
         ["4", str(path)], ["4", str(path)], ["8", "total"]]
+
+
+def test_against_a_revision_prints_both_counts_and_the_delta(tmp_path,
+                                                             capsys):
+    def git(*args):
+        subprocess.run(["git", "-C", str(tmp_path), "-c", "user.name=t",
+                        "-c", "user.email=t@example.com", *args],
+                       check=True, capture_output=True)
+
+    kept, added = tmp_path / "kept.py", tmp_path / "added.py"
+    kept.write_text(SNIPPET)
+    git("init", "-q")
+    git("add", "kept.py")
+    git("commit", "-q", "-m", "snippet")
+    kept.write_text(SNIPPET + "\n\nTAU = 2 * math.pi\n")
+    added.write_text(SNIPPET)
+    code_lines.main(["--against", "HEAD", str(kept), str(added)])
+    lines = capsys.readouterr().out.splitlines()
+    # added.py is absent at HEAD, so it counts 0 there
+    assert [line.split() for line in lines] == [
+        ["4", "5", "+1", str(kept)], ["0", "4", "+4", str(added)],
+        ["4", "9", "+5", "total"]]

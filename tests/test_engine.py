@@ -553,6 +553,80 @@ class TestInvariantRows:
                 np.testing.assert_array_equal(chunk[i, label], direct[label])
 
 
+def joined_rows(cfg, labels, n_trials, rows, **kwargs):
+    """A grid's parts joined into one array per (row index, label)."""
+    parts = list(engine._simulate_chunks(cfg, labels, n_trials, rows=rows,
+                                         **kwargs))
+    keys = dict.fromkeys(key for part in parts for key in part)
+    return {key: np.concatenate([p[key] for p in parts if key in p])
+            for key in keys}
+
+
+DATA_GRID = ScenarioConfig(n=8, k=16, scnr_db=9.0, master_seed=250)
+# nominal, high-CNR mismatched, white, and a weakly correlated clutter
+DATA_ROWS = tuple(
+    replace(DATA_GRID, cnr_db=cnr, rho=rho, cos_sq_phi=cos_sq)
+    for cnr, rho, cos_sq in ((30.0, 0.9, 1.0), (110.0, 0.99, 0.4),
+                             (0.0, 0.9, 1.0), (50.0, 0.3, 0.7)))
+
+
+class TestDataRows:
+    """A data grid's rows read one white draw per block, each coloured,
+    given its target and whitened by its own scenario; a row is bit for bit
+    its single-row run."""
+
+    LABELS = ("glrt", "amf", "rao", "ace", "benchmark", "em-bml-d5")
+    # 5000 trials are two chunks, the second a partial one
+    TRIALS = 5000
+
+    def grid(self, **kwargs):
+        return joined_rows(DATA_GRID, self.LABELS, self.TRIALS, DATA_ROWS,
+                           stream_seed=23, trace_l_max=3, **kwargs)
+
+    @pytest.mark.parametrize("inject", [False, True], ids=["h0", "h1"])
+    def test_row_is_its_single_row_run(self, inject):
+        grid = self.grid(inject=inject)
+        for i, row in enumerate(DATA_ROWS):
+            single = joined(row, self.LABELS, self.TRIALS, stream_seed=23,
+                            trace_l_max=3, inject=inject)
+            assert single.keys() == {lab for j, lab in grid if j == i}
+            for lab, values in single.items():
+                np.testing.assert_array_equal(grid[i, lab], values,
+                                              err_msg=f"row {i}, {lab}")
+
+    def test_chunk_size_and_worker_count_do_not_change_results(
+        self, monkeypatch
+    ):
+        runs = []
+        for chunk in (1024, 4096):
+            monkeypatch.setattr(engine, "_CHUNK", chunk)
+            runs.extend(self.grid(inject=True, workers=workers)
+                        for workers in (1, 2))
+        for run in runs[1:]:
+            assert run.keys() == runs[0].keys()
+            for key, values in runs[0].items():
+                np.testing.assert_array_equal(run[key], values)
+
+    @pytest.mark.parametrize("invariant", [False, True],
+                             ids=["data", "invariant"])
+    def test_grid_without_rows_yields_nothing(self, invariant):
+        assert list(engine._simulate_chunks(
+            DATA_GRID, ("amf",), 10, stream_seed=23, rows=(),
+            invariant=invariant)) == []
+
+    def test_grid_chunk_is_evaluated_on_its_thread(self):
+        # a list of row dicts, not a lazy iterator a pool would hand back
+        # unevaluated
+        chunk = engine._compute_chunk(
+            0, cfg=DATA_GRID, plan=engine._plan(("amf",), None),
+            stream_seed=23, n_trials=300, inject=False, invariant=False,
+            rows=DATA_ROWS[:2],
+            scenes=[engine._data_scene(row, False, engine._plan((), None))
+                    for row in DATA_ROWS[:2]])
+        assert isinstance(chunk, list)
+        assert [set(part) for part in chunk] == [{(0, "amf")}, {(1, "amf")}]
+
+
 class TestHighScnrPrecision:
     """Every statistic reads Kelly's residual r as carried, never as the
     difference c - |b|^2 / a, which cancels once the SCNR makes c and

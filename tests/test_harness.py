@@ -177,6 +177,47 @@ class TestCfarSweep:
         assert (50.0, SMALL.rho) in rows
         assert (SMALL.cnr_db, 0.5) in rows
 
+    def test_off_nominal_row_is_its_single_point_sweep(self):
+        # the rows share one draw, so a point's rate does not depend on
+        # which other points are swept with it
+        labels, trials = ("glrt", "amf", "em-bml-d3"), 5000
+        multi = cfar_sweep(SMALL, 0.05, [30.0, 50.0, 70.0], [0.5, 0.7],
+                           trials, detectors=labels)
+        for (cnr_db, rho), rates in zip(multi.axis_values, multi.rates):
+            if (cnr_db, rho) == (SMALL.cnr_db, SMALL.rho):
+                continue
+            grids = ([cnr_db], []) if rho == SMALL.rho else ([], [rho])
+            single = cfar_sweep(SMALL, 0.05, *grids, trials, detectors=labels)
+            assert single.axis_values.tolist() == [[cnr_db, rho]]
+            np.testing.assert_array_equal(single.rates[0], rates)
+
+    def test_white_normals_are_drawn_once_per_block(self, monkeypatch):
+        fills = []
+        block_rngs = engine.block_rngs
+
+        class CountedFills:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def standard_normal(self, *args, **kwargs):
+                fills.append(1)
+                return self.rng.standard_normal(*args, **kwargs)
+
+        def counted(stream_seed, **kwargs):
+            rekeyed = block_rngs(stream_seed, **kwargs)
+            return lambda block: CountedFills(rekeyed(block))
+
+        monkeypatch.setattr(engine, "block_rngs", counted)
+        counts = []
+        for cnr_grid in ([30.0], [30.0, 40.0, 50.0, 60.0, 70.0, 80.0]):
+            fills.clear()
+            cfar_sweep(SMALL, 0.05, cnr_grid, [0.5], 5000,
+                       detectors=("glrt", "amf"))
+            counts.append(len(fills))
+        # the calibration's 20 blocks of 256 trials and the grid's 20, for
+        # one off-nominal row or six
+        assert counts == [40, 40]
+
     def test_glrt_holds_pfa_off_nominal(self):
         # the GLRT is exactly CFAR, so off-nominal rates stay within 3 sigma
         pfa, trials = 0.05, 4000
@@ -497,15 +538,21 @@ def planted_nulls(labels, trials, layout, seed):
 def chunk_source(null, row=None):
     """A stand-in for the engine's chunk iterator that yields the given
     statistics in chunks of CHUNK trials: null in the calibration phase,
-    row (null by default) at every grid row."""
+    row (null by default) at every grid row. A grid call gets each chunk
+    as one part per row, keyed (row index, label)."""
 
-    def chunks(cfg, labels, n_trials, *, stream_seed, **simulate):
+    def chunks(cfg, labels, n_trials, *, stream_seed, rows=None, **simulate):
         calibration = derive_stream_seed(cfg.master_seed,
                                          harness._PHASE_CALIBRATION)
         stats = null if row is None or stream_seed == calibration else row
         assert all(stats[lab].size == n_trials for lab in labels)
         for start in range(0, n_trials, CHUNK):
-            yield {lab: stats[lab][start:start + CHUNK] for lab in labels}
+            part = {lab: stats[lab][start:start + CHUNK] for lab in labels}
+            if rows is None:
+                yield part
+            else:
+                yield from ({(i, lab): values for lab, values in part.items()}
+                            for i in range(len(rows)))
 
     return chunks
 
