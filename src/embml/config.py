@@ -11,13 +11,13 @@ the unknown-key checks, parsing and serialization all read.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .cube import CUBE_FORMATS
 from .detectors import DetectorId, detector_label, parse_detector_label
 from .engine import _MAX_TRIALS
 from .harness import required_trials
-from .scenario import ScenarioConfig, _finite_db
+from .scenario import ScenarioConfig
 
 __all__ = [
     "COMMANDS",
@@ -55,7 +55,13 @@ class ValidationError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A fully validated description of one batch experiment."""
+    """A fully validated description of one batch experiment.
+
+    Each grid value is checked as the ScenarioConfig its rows run, the
+    scenario with that one field replaced, so a value that scenario would
+    refuse (a clutter power whose covariance diagonal overflows, say)
+    raises ValidationError naming the grid before any trial is drawn.
+    """
 
     command: str = "calibrate"
     scenario: ScenarioConfig = field(default_factory=ScenarioConfig)
@@ -124,23 +130,19 @@ class ExperimentSpec:
                 "collide; give calibration_trials")
         if not self.l_max or any(l < 1 for l in self.l_max):
             raise ValidationError("l_max list must be nonempty positive integers")
-        for name in ("scnr_grid_db", "cnr_grid_db", "rho_grid", "cos_sq_phi_grid"):
-            if len(getattr(self, name)) == 0:
+        # each grid value is checked as the scenario of the rows it becomes:
+        # a row changes one scenario field per grid, and the contour's two
+        # fields' checks do not depend on each other
+        for name, key in (("scnr_grid_db", "scnr_db"), ("cnr_grid_db", "cnr_db"),
+                          ("rho_grid", "rho"), ("cos_sq_phi_grid", "cos_sq_phi")):
+            values = getattr(self, name)
+            if len(values) == 0:
                 raise ValidationError(f"{name} must be nonempty")
-        for name in ("scnr_grid_db", "cnr_grid_db"):
-            for db in getattr(self, name):
-                if not _finite_db(db):
-                    raise ValidationError(
-                        f"{name} values must be finite, as must their linear "
-                        f"power 10^(dB/10); got {db}")
-        for r in self.rho_grid:
-            if not 0.0 <= r < 1.0:
-                raise ValidationError(f"rho_grid values must lie in [0, 1); got {r}")
-        for c in self.cos_sq_phi_grid:
-            if not 0.0 <= c <= 1.0:
-                raise ValidationError(
-                    f"cos_sq_phi_grid values must lie in [0, 1]; got {c}"
-                )
+            for value in values:
+                try:
+                    replace(self.scenario, **{key: value})
+                except ValueError as err:
+                    raise ValidationError(f"{name}: {err}") from None
         if self.cube_format not in CUBE_FORMATS:
             raise ValidationError(
                 f"cube_format must be {' or '.join(CUBE_FORMATS)}; "

@@ -44,8 +44,8 @@ from .engine import _BLOCK, _scatter, statistics_from_stacks
 from .harness import (
     _PHASE_CUBE,
     NonFiniteStatistic,
+    _curve,
     _Exceedances,
-    _rate_ci,
     _reduce,
     _TopTail,
     order_labels,
@@ -465,18 +465,10 @@ def sliding_window_run(cube: DataCube, spec) -> CubeRunResult:
     ev = _reduce_bin(cube, n, k, eval_bin, overlap, count, v,
                      {lab: _Exceedances(cal[lab].threshold) for lab in labels},
                      target)
-    rates, cis = zip(*(_rate_ci(ev[lab].count, count) for lab in labels))
-    curve = CurveResult(
-        axis_names=("scnr_db",),
-        axis_values=np.array(
-            [[float("-inf") if scnr_db is None else scnr_db]]
-        ),
-        detectors=labels,
-        rates=rates,
-        cis=cis,
-    )
     return CubeRunResult(
-        curve=curve,
+        curve=_curve(("scnr_db",),
+                     [(float("-inf") if scnr_db is None else scnr_db,)],
+                     labels, [[ev[lab].count for lab in labels]], count),
         window_count=count,
         scnr_db=scnr_db,
     )

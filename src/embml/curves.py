@@ -88,20 +88,27 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _format_pairs(lead, names, suffix, lead_cells, values, cis) -> str:
+    """CSV text: the lead columns, then "<name>_<suffix>,<name>_ci" per
+    name; each row's lead cells, then its value and CI per name."""
+    header = list(lead)
+    for name in names:
+        header += [f"{name}_{suffix}", f"{name}_ci"]
+    lines = [",".join(header)]
+    for cells, row_values, row_cis in zip(lead_cells, values.tolist(),
+                                          cis.tolist()):
+        row = list(cells)
+        for value, ci in zip(row_values, row_cis):
+            row += [_fmt(value), _fmt(ci)]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
 def format_curve(result: CurveResult) -> str:
     """Render the CSV text for a CurveResult (deterministic byte-for-byte)."""
-    header = list(result.axis_names)
-    for lab in result.detectors:
-        header.append(f"{lab}_rate")
-        header.append(f"{lab}_ci")
-    lines = [",".join(header)]
-    for i in range(result.rows):
-        cells = [_fmt(x) for x in result.axis_values[i]]
-        for j in range(len(result.detectors)):
-            cells.append(_fmt(result.rates[i, j]))
-            cells.append(_fmt(result.cis[i, j]))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    return _format_pairs(result.axis_names, result.detectors, "rate",
+                         [[_fmt(x) for x in row] for row in result.axis_values],
+                         result.rates, result.cis)
 
 
 def write_curve(result: CurveResult, path) -> None:
@@ -110,18 +117,11 @@ def write_curve(result: CurveResult, path) -> None:
 
 
 def format_convergence(result: ConvergenceResult) -> str:
-    header = ["iteration"]
-    for name in result.configurations:
-        header.append(f"{name}_mean_delta")
-        header.append(f"{name}_ci")
-    lines = [",".join(header)]
-    for i, l in enumerate(result.iterations):
-        cells = [str(l)]
-        for j in range(len(result.configurations)):
-            cells.append(_fmt(result.means[i, j]))
-            cells.append(_fmt(result.cis[i, j]))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    """Render the CSV text for a ConvergenceResult: the iteration, then
+    "<configuration>_mean_delta,<configuration>_ci" per configuration."""
+    return _format_pairs(("iteration",), result.configurations, "mean_delta",
+                         [[str(l)] for l in result.iterations],
+                         result.means, result.cis)
 
 
 def write_convergence(result: ConvergenceResult, path) -> None:

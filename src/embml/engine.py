@@ -127,11 +127,16 @@ _CLASSICAL = {
 
 
 def _sigmoid_clamped(r: np.ndarray) -> np.ndarray:
-    """Elementwise logistic of a log ratio, clamped inside (0, 1)."""
-    # e <= 1, so neither branch overflows; -|r| is exactly -r or r
-    e = np.exp(-np.abs(r))
-    return np.clip(np.where(r >= 0, 1.0 / (1.0 + e), e / (1.0 + e)),
-                   POSTERIOR_FLOOR, 1.0 - POSTERIOR_FLOOR)
+    """Elementwise logistic of a log ratio r >= 0, clamped inside (0, 1).
+
+    The EM recursion's log ratios are never negative: the first is the AMF
+    t, and each step adds a gain g >= 0 to log q1 - log q0 >= 0, since a
+    logistic of r >= 0 is at least 1/2. So exp(-r) <= 1 cannot overflow,
+    and no branch for r < 0 is kept; r = inf gives the upper clamp, and
+    NaN stays NaN for the finite check to name.
+    """
+    return np.clip(1.0 / (1.0 + np.exp(-r)), POSTERIOR_FLOOR,
+                   1.0 - POSTERIOR_FLOOR)
 
 
 def _em_batched(

@@ -90,19 +90,18 @@ class NonFiniteStatistic(ValueError):
         self.index = index
         self.row = row
 
-    def named(self, name: str) -> NonFiniteStatistic:
-        """This error with name, where its statistics were drawn, in front."""
-        return NonFiniteStatistic(f"{name}: {self}", self.detector,
-                                  self.index, self.row)
-
 
 @contextmanager
-def _named(name: str):
-    """Put name in front of a NonFiniteStatistic raised inside."""
+def _named(names):
+    """Put the name of where its statistics were drawn in front of a
+    NonFiniteStatistic raised inside: names itself, given one name, or,
+    given a grid's names, the one indexed by the error's row."""
     try:
         yield
     except NonFiniteStatistic as err:
-        raise err.named(name) from err
+        name = names if isinstance(names, str) else names[err.row]
+        raise NonFiniteStatistic(f"{name}: {err}", err.detector, err.index,
+                                 err.row) from err
 
 
 def _require_finite(stats: np.ndarray, detector: str | None,
@@ -476,13 +475,10 @@ def cfar_sweep(
     null_cfg = _null_config(cfg)
     point_cfgs = [replace(null_cfg, cnr_db=c, rho=r) for c, r in points]
     off = [i for i, point in enumerate(point_cfgs) if point != null_cfg]
-    try:
+    with _named([f"cnr_db={c}, rho={r}" for c, r in (points[i] for i in off)]):
         off_counts = dict(zip(off, _grid_counts(
             null_cfg, labels, tuple(point_cfgs[i] for i in off),
             [thresholds] * len(off), trials, _PHASE_SWEEP, workers=workers)))
-    except NonFiniteStatistic as err:
-        cnr_db, rho = points[off[err.row]]
-        raise err.named(f"cnr_db={cnr_db}, rho={rho}") from err
     nominal_counts = [nominal[lab].count for lab in labels]
     counts = [off_counts.get(i, nominal_counts) for i in range(len(points))]
     return _curve(("cnr_db", "rho"), points, labels, counts, trials)
@@ -515,12 +511,14 @@ def _injected_grid(
         cfg, adaptive, pfa, calibration_trials or required_trials(pfa)
     )
     row_cfgs = tuple(replace(cfg, **dict(zip(axis_names, row))) for row in rows)
-    counts = _grid_counts(
-        cfg, labels, row_cfgs,
-        [{lab: _benchmark_threshold(row_cfg.scnr_db, pfa)
-          if lab == "benchmark" else thresholds[lab] for lab in labels}
-         for row_cfg in row_cfgs],
-        trials, phase, inject=True, invariant=True)
+    with _named([", ".join(f"{axis}={value}" for axis, value in zip(axis_names, row))
+                 for row in rows]):
+        counts = _grid_counts(
+            cfg, labels, row_cfgs,
+            [{lab: _benchmark_threshold(row_cfg.scnr_db, pfa)
+              if lab == "benchmark" else thresholds[lab] for lab in labels}
+             for row_cfg in row_cfgs],
+            trials, phase, inject=True, invariant=True)
     return _curve(axis_names, rows, labels, counts, trials)
 
 
@@ -603,12 +601,10 @@ def convergence_study(
     seed = derive_stream_seed(cfg.master_seed, _PHASE_CONVERGENCE, 0)
 
     def traced(reducers: dict, n_trials: int) -> dict:
-        try:
+        with _named(names):
             return _reduce(reducers, _simulate_chunks(
                 cfg, (), n_trials, stream_seed=seed, inject=True,
                 trace_l_max=l_max, invariant=True, rows=rows))
-        except NonFiniteStatistic as err:
-            raise err.named(names[err.row]) from err
 
     keys = [(j, TRACE) for j in range(len(rows))]
     sums = traced({key: _RowSums(l_max) for key in keys}, trials)

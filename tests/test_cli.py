@@ -147,19 +147,26 @@ class TestExitCodes:
         assert re.fullmatch(rf"error: scenario: {key} .*3100.*\n", stderr)
         assert drawn == []
 
-    @pytest.mark.parametrize("command", ["calibrate", "pfa-sweep"])
+    @pytest.mark.parametrize("command, cnr_db, grid, key", [
+        ("calibrate", "100", [], "scenario"),
+        ("pfa-sweep", "100", [], "scenario"),
+        # the nominal scenario is in range, but the grid's 100 dB point is
+        # not, and the sweep would draw its calibration before that row
+        ("pfa-sweep", "20", ["--cnr-grid", "20", "100"], "cnr_grid_db"),
+    ], ids=["calibrate", "pfa-sweep", "pfa-sweep-grid"])
     def test_overflowing_clutter_power_is_two_before_any_draw(
-        self, tmp_path, capsys, drawn, command
+        self, tmp_path, capsys, drawn, command, cnr_db, grid, key
     ):
         # each dB value is in range, but M's diagonal 1e300 (1 + 1e10) is not
         ini = write_ini(tmp_path / "loud.ini", {
-            "scenario": {"noise_power": "1e300", "cnr_db": "100"}})
+            "scenario": {"noise_power": "1e300", "cnr_db": cnr_db}})
         code, _, stderr = run_cli(
-            [command, "--config", ini, "--pfa", "0.05", "--trials", "2000",
-             "--out", str(tmp_path / "x.csv")], capsys)
+            [command, "--config", ini, *grid, "--pfa", "0.05", "--trials",
+             "2000", "--out", str(tmp_path / "x.csv")], capsys)
         assert code == 2
         assert re.fullmatch(r"error: .*noise_power.*\n", stderr)
         assert "cnr_db" in stderr
+        assert key in stderr
         assert drawn == []
 
     def test_duplicate_convergence_name_is_two_before_any_draw(
@@ -415,18 +422,26 @@ class TestExitCodes:
         assert code == 0
         assert stderr == ""
 
+    @pytest.mark.parametrize("command, grid, row", [
+        ("pd-curve", ["--scnr-grid", "3080"], "scnr_db=3080.0"),
+        # the 10 dB row is finite, so the error names the other row
+        ("pd-curve", ["--scnr-grid", "10", "3080"], "scnr_db=3080.0"),
+        ("mismatch-contour", ["--scnr-grid", "3080", "--cos-sq-phi-grid",
+                              "0.5"], "cos_sq_phi=0.5, scnr_db=3080.0"),
+    ], ids=["pd-curve", "pd-curve-two-rows", "mismatch-contour"])
     def test_overflowing_statistic_is_two_with_one_error_line(
-        self, tmp_path, capsys
+        self, tmp_path, capsys, command, grid, row
     ):
         # at 3080 dB the EM recursion's (k+1) t passes the float range for
         # some trials; pytest turns the RuntimeWarning numpy would print
         # into an error
         code, _, stderr = run_cli(
-            ["pd-curve", "--scnr-grid", "3080", "--detectors", "amf", "glrt",
-             "em-bml-d5", "--pfa", "0.05", "--trials", "2000",
+            [command, *grid, "--detectors", "amf", "glrt", "em-bml-d5",
+             "--pfa", "0.05", "--trials", "2000",
              "--out", str(tmp_path / "x.csv")], capsys)
         assert code == 2
-        assert re.fullmatch(r"error: em-bml-d5: .* not finite, .*\n", stderr)
+        assert re.fullmatch(
+            rf"error: {re.escape(row)}: em-bml-d5: .* not finite, .*\n", stderr)
 
     def test_non_finite_window_statistic_is_three_with_one_error_line(
         self, tmp_path
@@ -653,7 +668,8 @@ class TestCsvDigests:
             [*(a.format(cube=pinned_cube) for a in argv), *PINNED,
              "--out", str(out)], capsys)
         assert code == 0, stderr
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
+        seen = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert seen == expected, f"{name}: sha256 {seen}"
 
 
 # pfa-sweep is the only subcommand that takes --workers; 8192 trials make

@@ -369,7 +369,8 @@ class TestDataStream:
         # (trials, n, k+1); each part is copied before the next block reuses it
         stack = np.concatenate([part.transpose(1, 0, 2).copy()
                                 for _, _, part in blocks])
-        assert sha256(stack) == GOLDEN_STACKS[case]
+        seen = sha256(stack)
+        assert seen == GOLDEN_STACKS[case], f"GOLDEN_STACKS {case}: sha256 {seen}"
 
     def test_complex_factor_is_refused(self):
         cfg = ScenarioConfig()
@@ -382,7 +383,8 @@ class TestDataStream:
         sim = engine.simulate_statistics(
             ScenarioConfig(master_seed=242),
             ("glrt", "amf", "rao", "ace", "em-bml-d5", "em-bml-d7"), 600)
-        assert sha256(sim["amf"]) == GOLDEN_AMF
+        seen = sha256(sim["amf"])
+        assert seen == GOLDEN_AMF, f"GOLDEN_AMF: sha256 {seen}"
 
 
 class TestWorkerPool:
@@ -680,3 +682,39 @@ class TestSaturation:
         np.testing.assert_allclose(
             stats["em-bml-d5"][saturated],
             l_sat + (cfg.k + 1) * stats["amf"][saturated], rtol=1e-8)
+
+
+class TestNonNegativeLogRatio:
+    """The EM posterior's logistic keeps one branch, exact for log ratios
+    r >= 0, so every log ratio of the recursion must be non-negative."""
+
+    EM = tuple(f"em-bml-d{l}" for l in range(8))
+
+    @pytest.mark.parametrize("invariant", [False, True],
+                             ids=["data", "invariant"])
+    @pytest.mark.parametrize("scnr_db", [None, 13.0], ids=["h0", "13dB"])
+    def test_every_em_statistic_is_non_negative(self, invariant, scnr_db):
+        # em-bml-d0 is the AMF t, the recursion's first log ratio
+        cfg = ScenarioConfig(n=8, k=16, scnr_db=scnr_db, master_seed=213)
+        stats = joined(cfg, self.EM, 8192, inject=scnr_db is not None,
+                       invariant=invariant)
+        for lab in self.EM:
+            assert stats[lab].min() >= 0.0, lab
+
+    @staticmethod
+    def two_branch(r):
+        """The logistic in the form that never overflows for any sign of r."""
+        e = np.exp(-np.abs(r))
+        return np.clip(np.where(r >= 0, 1.0 / (1.0 + e), e / (1.0 + e)),
+                       POSTERIOR_FLOOR, 1.0 - POSTERIOR_FLOOR)
+
+    def test_one_branch_has_the_bits_of_the_two_branch_form(self):
+        rng = np.random.default_rng(214)
+        r = np.concatenate([
+            [0.0, 5e-324, 1.0, 36.7, 709.0, 710.0, 1e308, np.inf, np.nan],
+            rng.exponential(20.0, 2048),
+            10.0 ** rng.uniform(-320.0, 308.0, 2048),
+        ])
+        np.testing.assert_array_equal(
+            engine._sigmoid_clamped(r).view(np.int64),
+            self.two_branch(r).view(np.int64))

@@ -386,11 +386,15 @@ class TestGridRows:
             return (plant(part) for part in chunk)
 
         monkeypatch.setattr(engine, "_compute_chunk", spoiled)
-        with pytest.raises(harness.NonFiniteStatistic,
-                           match=rf"^amf: .* first at trial {bad}$") as raised:
+        # the error also names the row by its axis value
+        with pytest.raises(
+            harness.NonFiniteStatistic,
+            match=rf"^scnr_db=3\.0: amf: .* first at trial {bad}$",
+        ) as raised:
             pd_curve(SMALL, 0.1, [-3.0, 0.0, 3.0, 6.0], self.LABELS,
                      self.TRIALS, calibration_trials=1000)
-        assert (raised.value.detector, raised.value.index) == ("amf", bad)
+        assert (raised.value.detector, raised.value.index,
+                raised.value.row) == ("amf", bad, 2)
 
     def test_repeated_value_gives_identical_rows(self):
         curve = pd_curve(SMALL, 0.1, [6.0, 6.0], self.LABELS, self.TRIALS,
