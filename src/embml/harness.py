@@ -504,6 +504,8 @@ def _injected_grid(
     draws serve every row in turn, and each row keeps its own exceedance
     counts. A row's rate is thus the one a single-row grid at its value
     gives, and rows differ only by their targets (common random numbers).
+    A non-finite statistic in a row raises NonFiniteStatistic naming the
+    row by its axes (scnr_db=3080.0, say).
     """
     labels = order_labels(detectors)
     adaptive = [lab for lab in labels if lab != "benchmark"]
