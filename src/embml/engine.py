@@ -34,19 +34,21 @@ two generators drew it:
 
 A run's labels are parsed once, by _simulate_chunks or
 statistics_from_stacks, into its plan (_Plan): the classical detectors,
-the EM caps, whether the benchmark is read and the EM trace's depth. A
-chunk of _CHUNK trials is the unit of work: _compute_chunk has one path
-draw what the plan reads, and _evaluate runs once over it, or once per
-row of a grid. A chunk is a plain dict of per-trial arrays: one (trials,)
-array per detector label, and the (trials, l_max) EM trace under TRACE
-when it is recorded. A grid's chunk is one such dict per row, keyed
-(row, label), and _simulate_chunks yields those row dicts in turn: on the
-invariant path each is evaluated when it is read, and on the data path
-all are evaluated on the thread that computes the chunk. _compute_chunk
-and statistics_from_stacks draw and evaluate with numpy's divide,
-invalid and overflow warnings silenced on the thread that runs them, so
-an undefined or overflowing statistic (0/0, say, or (k+1) t at an
-extreme SCNR) is a quiet NaN or inf, which the harness's finite check
+the EM caps, whether the benchmark is read and the EM trace's depth.
+Every simulated run is a grid: a tuple of row scenarios of one n and k,
+a single scenario being the one-row grid (cfg,). A chunk of _CHUNK
+trials is the unit of work: _compute_chunk has one path draw what the
+plan reads, and _evaluate runs once per row over it. Each row's part of
+a chunk is a plain dict of per-trial arrays keyed (row index, label):
+one (trials,) array per detector label, and the (trials, l_max) EM trace
+under TRACE when it is recorded. _simulate_chunks yields those row dicts
+in turn: on the invariant path each is evaluated when it is read, and on
+the data path all are evaluated on the thread that computes the chunk.
+statistics_from_stacks returns its one stack's dict keyed by label.
+_compute_chunk and statistics_from_stacks draw and evaluate with numpy's
+divide, invalid and overflow warnings silenced on the thread that runs
+them, so an undefined or overflowing statistic (0/0, say, or (k+1) t at
+an extreme SCNR) is a quiet NaN or inf, which the harness's finite check
 names by its trial.
 
 On both paths each block of _BLOCK trials draws from a generator keyed by
@@ -67,8 +69,8 @@ invariant trial costs about 0.3 us in short calls that contend for the
 GIL, so the harness runs that path on one thread. The chunk iterator,
 _simulate_chunks, is the package's one entry, and every caller names its
 stream seed: it yields each chunk as it is computed, so the harness
-reduces every phase in flat memory. simulate_statistics joins one null
-data run at the scenario's master seed, for the benchmark.
+reduces every phase in flat memory. simulate_statistics joins row 0 of one
+null data run at the scenario's master seed, for the benchmark.
 """
 
 from __future__ import annotations
@@ -591,43 +593,40 @@ def _keyed(row: int, stats: dict) -> dict:
 
 
 @_quiet
-def _compute_chunk(start, *, cfg, plan, stream_seed, n_trials, inject,
-                   invariant, rows, scenes):
+def _compute_chunk(start, *, plan, stream_seed, n_trials, inject, invariant,
+                   rows, scenes):
     """The statistics of the chunk of trials from start, in a run of
-    n_trials that _simulate_chunks describes.
+    n_trials that _simulate_chunks describes, one dict per row keyed (row
+    index, label).
 
-    scenes holds what each row (cfg alone without rows) reads of its
-    scenario, made once per run: its _DataScene on the data path, log det
-    M on the invariant path, read only by the trace. Given rows, the chunk
-    is one dict per row, keyed (row index, label). The data path draws and
-    evaluates every row at once, so a grid's chunk is the list of its rows,
-    computed on the thread that runs it. On the invariant path the draws,
-    their matched part and the row-free part of log det S are made once,
-    and a grid's chunk is an iterator that evaluates a row at its own
-    scenario when its dict is read.
+    scenes holds what each row reads of its scenario, made once per run:
+    its _DataScene on the data path, log det M on the invariant path, read
+    only by the trace. The data path draws and evaluates every row at once,
+    so the chunk is the list of its rows, computed on the thread that runs
+    it. On the invariant path the draws, their matched part and the
+    row-free part of log det S are made once, and the chunk is an iterator
+    that evaluates a row at its own scenario when its dict is read.
     """
     stop = min(start + _CHUNK, n_trials)
+    n, k = rows[0].n, rows[0].k
     if not invariant:
-        stats = [_evaluate(plan, cfg.n, cfg.k, *scalars) for scalars
-                 in _data_chunk(cfg, scenes, stream_seed, start, stop, plan)]
-        return stats[0] if rows is None else [
-            _keyed(i, part) for i, part in enumerate(stats)]
-    draws = _invariant_draws(cfg.n, cfg.k, stream_seed, start, stop,
+        return [_keyed(i, _evaluate(plan, n, k, *scalars)) for i, scalars
+                in enumerate(_data_chunk(rows[0], scenes, stream_seed, start,
+                                         stop, plan))]
+    draws = _invariant_draws(n, k, stream_seed, start, stop,
                              plan.trace is not None)
     shared = (
         draws,
-        _matched(cfg.n, draws) if plan.scalars else None,
+        _matched(n, draws) if plan.scalars else None,
         None if plan.trace is None
         else np.log(draws[6]) + np.log(draws[7]) + draws[-1],
     )
-    if rows is None:
-        return _invariant_row(cfg, plan, shared, inject, scenes[0])
     return (_keyed(i, _invariant_row(row, plan, shared, inject, logdet_m))
             for i, (row, logdet_m) in enumerate(zip(rows, scenes)))
 
 
 def _simulate_chunks(
-    cfg: ScenarioConfig,
+    rows: tuple[ScenarioConfig, ...],
     labels: tuple[str, ...],
     n_trials: int,
     *,
@@ -636,71 +635,63 @@ def _simulate_chunks(
     trace_l_max: int | None = None,
     workers: int = 1,
     invariant: bool = False,
-    rows: tuple[ScenarioConfig, ...] | None = None,
 ) -> Iterator[dict]:
-    """n_trials independent trials' statistics, one part at a time in order.
+    """n_trials independent trials' statistics at each of a grid's rows,
+    one part at a time in order.
 
-    The labels are parsed once, into the run's plan, and the arguments are
-    checked before any draw; what each row reads of its scenario (its
-    covariance and factor, steering, target and benchmark projection, or
-    log det M for the invariant trace) is made once per run. The trials
-    draw from stream_seed's substream; harness phases pass derived seeds so
-    different experiment stages never share substreams. Under inject=True
-    the cell under test receives a target along the scenario's true
-    steering (mismatched when cos_sq_phi < 1) at scnr_db. Given
-    trace_l_max, each chunk records the EM convergence trace to that
-    iteration under TRACE. invariant=True draws each trial's maximal
-    invariant instead of its data; the statistics have the same
-    distribution but come from another random stream. Each part is a plain
-    dict: one chunk's statistics keyed by label, or, given rows, the
-    scenarios of one grid with cfg's n and k, one row's, keyed (row index,
-    label). A grid's chunk draws once and serves every row (common random
-    numbers): on the invariant path each row has its own target, and on
-    the data path its own colouring, target and whitening of one white
-    draw. So its parts come row by row, chunk by chunk; row i's parts are
-    bit for bit the chunks of _simulate_chunks(rows[i], ...) without rows,
-    and without inject for a row whose scnr_db is None, which is
-    target-free. With workers > 1 and more than one chunk of _CHUNK
-    trials, the chunks run on up to that many threads, and never more than
-    the usable CPUs (numpy releases the GIL in the draws, the colouring
-    products and the factorization); results are bit-identical for fixed
-    seeds regardless of workers or _CHUNK. A chunk's exception reaches the
-    caller unchanged.
+    rows are the grid's scenarios, all of one n and k; a single scenario is
+    the one-row grid (cfg,), and no rows draw nothing. The labels are
+    parsed once, into the run's plan, and the arguments are checked before
+    any draw; what each row reads of its scenario (its covariance and
+    factor, steering, target and benchmark projection, or log det M for the
+    invariant trace) is made once per run. The trials draw from
+    stream_seed's substream; harness phases pass derived seeds so different
+    experiment stages never share substreams. Under inject=True the cell
+    under test of each row with an scnr_db receives a target along the
+    row's true steering (mismatched when cos_sq_phi < 1) at that SCNR; a
+    row whose scnr_db is None is target-free. Given trace_l_max, each chunk
+    records the EM convergence trace to that iteration under TRACE.
+    invariant=True draws each trial's maximal invariant instead of its
+    data; the statistics have the same distribution but come from another
+    random stream. Each part is a plain dict of one row's statistics over
+    one chunk, keyed (row index, label). A chunk draws once and serves
+    every row (common random numbers): on the invariant path each row has
+    its own target, and on the data path its own colouring, target and
+    whitening of one white draw. So the parts come row by row, chunk by
+    chunk, and row i's parts are bit for bit those of its one-row grid
+    (rows[i],) in the same stream. With workers > 1 and more than one chunk
+    of _CHUNK trials, the chunks run on up to that many threads, and never
+    more than the usable CPUs (numpy releases the GIL in the draws, the
+    colouring products and the factorization); results are bit-identical
+    for fixed seeds regardless of workers or _CHUNK. A chunk's exception
+    reaches the caller unchanged.
     """
     if n_trials <= 0:
         raise ValueError("n_trials must be positive")
     plan = _plan(labels, trace_l_max)
-    if rows is not None and not rows:
-        return  # a grid without rows draws nothing
-    if inject and rows is None and cfg.scnr_db is None:
-        raise ValueError("injection requires scnr_db")
-    scenarios = rows or (cfg,)
-    if plan.benchmark and any(row.scnr_db is None for row in scenarios):
+    if not rows:
+        return
+    if plan.benchmark and any(row.scnr_db is None for row in rows):
         raise ValueError("benchmark statistics require an amplitude")
     if not invariant:
-        scenes = [_data_scene(row, inject, plan) for row in scenarios]
+        scenes = [_data_scene(row, inject, plan) for row in rows]
     elif plan.trace is not None:
-        scenes = [build_covariance(row).log_det() for row in scenarios]
+        scenes = [build_covariance(row).log_det() for row in rows]
     else:
-        scenes = [None] * len(scenarios)
+        scenes = [None] * len(rows)
     starts = range(0, n_trials, _CHUNK)
-    compute = partial(_compute_chunk, cfg=cfg, plan=plan,
-                      stream_seed=stream_seed, n_trials=n_trials,
-                      inject=inject, invariant=invariant, rows=rows,
-                      scenes=scenes)
-
-    def parts(chunks):
-        return chunks if rows is None else chain.from_iterable(chunks)
-
+    compute = partial(_compute_chunk, plan=plan, stream_seed=stream_seed,
+                      n_trials=n_trials, inject=inject, invariant=invariant,
+                      rows=rows, scenes=scenes)
     if workers > 1 and len(starts) > 1:
         # map submits every chunk at once, which starts all the pool's
         # threads, so it gets no more than there are chunks to run or CPUs
         # to run them
         threads = min(workers, len(starts), len(os.sched_getaffinity(0)))
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            yield from parts(pool.map(compute, starts))
+            yield from chain.from_iterable(pool.map(compute, starts))
     else:
-        yield from parts(map(compute, starts))
+        yield from chain.from_iterable(map(compute, starts))
 
 
 def simulate_statistics(
@@ -709,11 +700,13 @@ def simulate_statistics(
     n_trials: int,
 ) -> dict[str, np.ndarray]:
     """The null statistics of n_trials data trials at cfg.master_seed, each
-    label's chunks joined into one (n_trials,) array.
+    label's parts of the one-row grid (cfg,) joined into one (n_trials,)
+    array keyed by the label.
 
     The package reduces _simulate_chunks' chunks as they come instead;
     this whole-array form is kept for the benchmark's generate layer.
     """
-    parts = list(_simulate_chunks(cfg, labels, n_trials,
+    parts = list(_simulate_chunks((cfg,), labels, n_trials,
                                   stream_seed=cfg.master_seed))
-    return {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
+    return {label: np.concatenate([p[0, label] for p in parts])
+            for _, label in parts[0]}

@@ -13,15 +13,17 @@ TrialEnsemble, calibrate_threshold and estimate_rate still do as the
 reference. One loop, _reduce, feeds the reducers, for these phases, for
 the convergence study's EM traces (running sums, in two passes, so
 their means and CIs keep their bits) and for the cube's window blocks.
-Each chunk is a dict of per-trial arrays, and _reduce refuses a NaN or
+Each part is a dict of per-trial arrays, and _reduce refuses a NaN or
 infinite value in any of them, naming its trial. Every experiment phase
 works in its own derived substream namespace, so trials are independent
 across phases and every result is bit-reproducible for a fixed master
-seed. Within a phase the rows of a grid evaluate one set of draws, made
-once in row 0's substream (common random numbers), and each keeps its
-own reducers (_grid_counts): the off-nominal rows of the CFAR sweep, the
-rows of a Pd grid (curve or contour) and the configurations of a
-convergence study. The sweep's rows each colour, scatter and whiten the
+seed. Every simulated phase is a grid of rows: the rows evaluate one set
+of draws, made once in the phase's substream (common random numbers),
+and each row keeps its own reducers per label, keyed (row index, label)
+as the engine keys its parts. One function, _grid, builds and feeds
+them for a calibration (a one-row grid), the off-nominal rows of the
+CFAR sweep and the rows of a Pd grid (curve or contour); the
+configurations of a convergence study are the rows of its trace grid. The sweep's rows each colour, scatter and whiten the
 shared white normals by their own clutter, so each row's law is exact
 and its values are correlated with the other rows'; its nominal row
 reuses the calibration ensemble, drawn in its own phase. Pd rows with no
@@ -94,14 +96,13 @@ class NonFiniteStatistic(ValueError):
 @contextmanager
 def _named(names):
     """Put the name of where its statistics were drawn in front of a
-    NonFiniteStatistic raised inside: names itself, given one name, or,
-    given a grid's names, the one indexed by the error's row."""
+    NonFiniteStatistic raised inside: of a grid's names, the one indexed by
+    the error's row."""
     try:
         yield
     except NonFiniteStatistic as err:
-        name = names if isinstance(names, str) else names[err.row]
-        raise NonFiniteStatistic(f"{name}: {err}", err.detector, err.index,
-                                 err.row) from err
+        raise NonFiniteStatistic(f"{names[err.row]}: {err}", err.detector,
+                                 err.index, err.row) from err
 
 
 def _require_finite(stats: np.ndarray, detector: str | None,
@@ -318,8 +319,8 @@ def _reduce(reducers: dict, chunks: Generator) -> dict:
     """Feed each key's reducer its per-trial rows, part by part.
 
     chunks is a generator of parts, each mapping some of reducers' keys to
-    arrays with one row per trial: engine chunks, an injected grid's row
-    dicts keyed (row index, label), or a cube bin's window blocks. Each
+    arrays with one row per trial: the engine's row dicts, keyed (row
+    index, label), or a cube bin's window blocks, keyed by label. Each
     key's parts are consecutive runs of its trials in order, so each key
     keeps its own trial offset. Each part is reduced as it arrives, after a
     finite check that names a bad statistic by its label and its trial
@@ -344,35 +345,35 @@ def _reduce(reducers: dict, chunks: Generator) -> dict:
     return reducers
 
 
-def _simulated(cfg, labels, pfa: float, trials: int, seed: int, adaptive,
-               **simulate) -> dict:
-    """Each label's reducer, fed its statistics over trials as simulated.
+def _grid(labels, rows, trials: int, seed: int, reducer, **simulate) -> dict:
+    """Each row's reducer per label, keyed (row index, label), fed that
+    row's statistics over trials as simulated in seed's stream.
 
-    The benchmark counts its exceedances of its exact threshold at
-    cfg.scnr_db; every other label gets the reducer adaptive(label).
-    Nothing is drawn for no labels.
+    rows is one grid of scenarios, drawn once (common random numbers); a
+    calibration is a one-row grid. reducer(i, label) makes row i's reducer
+    of label. Nothing is drawn for no rows or no labels.
     """
-    reducers = {
-        lab: _Exceedances(_benchmark_threshold(cfg.scnr_db, pfa))
-        if lab == "benchmark"
-        else adaptive(lab)
-        for lab in labels
-    }
-    if not labels:
-        return reducers
-    return _reduce(reducers, _simulate_chunks(cfg, labels, trials,
-                                              stream_seed=seed, **simulate))
+    reducers = {(i, lab): reducer(i, lab)
+                for i in range(len(rows)) for lab in labels}
+    if reducers:
+        _reduce(reducers, _simulate_chunks(rows, labels, trials,
+                                           stream_seed=seed, **simulate))
+    return reducers
 
 
 def _null_phase(cfg, labels, pfa: float, trials: int, **simulate) -> dict:
-    """Each label's reducer over the calibration phase's null ensemble.
+    """Each label's reducer over the calibration phase's null ensemble, a
+    one-row grid, keyed (0, label) as _grid keys it.
 
-    Every label but the benchmark keeps the top of its statistics for its
+    The benchmark counts its exceedances of its exact threshold at
+    cfg.scnr_db; every other label keeps the top of its statistics for its
     order-statistic threshold.
     """
     seed = derive_stream_seed(cfg.master_seed, _PHASE_CALIBRATION)
-    return _simulated(_null_config(cfg), labels, pfa, trials, seed,
-                      lambda lab: _TopTail(trials, pfa), **simulate)
+    return _grid(
+        labels, (_null_config(cfg),), trials, seed,
+        lambda i, lab: _Exceedances(_benchmark_threshold(cfg.scnr_db, pfa))
+        if lab == "benchmark" else _TopTail(trials, pfa), **simulate)
 
 
 def _curve(axis_names, rows, labels, counts, trials) -> CurveResult:
@@ -409,29 +410,23 @@ def calibrate(
     adaptive = tuple(lab for lab in labels if lab != "benchmark")
     reducers = _null_phase(cfg, adaptive, pfa, trials, invariant=True)
     return {
-        lab: reducers[lab].threshold
-        if lab in reducers
+        lab: reducers[0, lab].threshold
+        if lab in adaptive
         else _benchmark_threshold(cfg.scnr_db, pfa)
         for lab in labels
     }
 
 
-def _grid_counts(cfg, labels, rows, thresholds, trials: int, phase: int,
+def _grid_counts(labels, rows, thresholds, trials: int, seed: int,
                  **simulate) -> list[list[int]]:
-    """Each row's exceedances per label, over one grid of rows drawn once
-    in phase's substream 0 (common random numbers).
+    """Each row's exceedances per label, over one grid of rows drawn in
+    seed's stream.
 
-    thresholds[i] maps each label to row i's threshold. Nothing is drawn
-    for no rows or no labels.
+    thresholds[i] maps each label to row i's threshold.
     """
-    reducers = {(i, lab): _Exceedances(row_thresholds[lab])
-                for i, row_thresholds in enumerate(thresholds)
-                for lab in labels}
-    if reducers:
-        seed = derive_stream_seed(cfg.master_seed, phase, 0)
-        _reduce(reducers, _simulate_chunks(cfg, labels, trials,
-                                           stream_seed=seed, rows=rows,
-                                           **simulate))
+    reducers = _grid(labels, rows, trials, seed,
+                     lambda i, lab: _Exceedances(thresholds[i][lab]),
+                     **simulate)
     return [[reducers[i, lab].count for lab in labels]
             for i in range(len(rows))]
 
@@ -466,9 +461,9 @@ def cfar_sweep(
     """
     labels = order_labels(detectors)
     _check_calibration(cfg, labels, pfa, trials)
-    with _named(f"cnr_db={cfg.cnr_db}, rho={cfg.rho}"):
+    with _named([f"cnr_db={cfg.cnr_db}, rho={cfg.rho}"]):
         nominal = _null_phase(cfg, labels, pfa, trials, workers=workers)
-    thresholds = {lab: r.threshold for lab, r in nominal.items()}
+    thresholds = {lab: nominal[0, lab].threshold for lab in labels}
     points = {(float(c), cfg.rho) for c in cnr_grid}
     points.update((cfg.cnr_db, float(r)) for r in rho_grid)
     points = sorted(points)
@@ -477,9 +472,11 @@ def cfar_sweep(
     off = [i for i, point in enumerate(point_cfgs) if point != null_cfg]
     with _named([f"cnr_db={c}, rho={r}" for c, r in (points[i] for i in off)]):
         off_counts = dict(zip(off, _grid_counts(
-            null_cfg, labels, tuple(point_cfgs[i] for i in off),
-            [thresholds] * len(off), trials, _PHASE_SWEEP, workers=workers)))
-    nominal_counts = [nominal[lab].count for lab in labels]
+            labels, tuple(point_cfgs[i] for i in off),
+            [thresholds] * len(off), trials,
+            derive_stream_seed(cfg.master_seed, _PHASE_SWEEP, 0),
+            workers=workers)))
+    nominal_counts = [nominal[0, lab].count for lab in labels]
     counts = [off_counts.get(i, nominal_counts) for i in range(len(points))]
     return _curve(("cnr_db", "rho"), points, labels, counts, trials)
 
@@ -516,11 +513,12 @@ def _injected_grid(
     with _named([", ".join(f"{axis}={value}" for axis, value in zip(axis_names, row))
                  for row in rows]):
         counts = _grid_counts(
-            cfg, labels, row_cfgs,
+            labels, row_cfgs,
             [{lab: _benchmark_threshold(row_cfg.scnr_db, pfa)
               if lab == "benchmark" else thresholds[lab] for lab in labels}
              for row_cfg in row_cfgs],
-            trials, phase, inject=True, invariant=True)
+            trials, derive_stream_seed(cfg.master_seed, phase, 0),
+            inject=True, invariant=True)
     return _curve(axis_names, rows, labels, counts, trials)
 
 
@@ -605,8 +603,8 @@ def convergence_study(
     def traced(reducers: dict, n_trials: int) -> dict:
         with _named(names):
             return _reduce(reducers, _simulate_chunks(
-                cfg, (), n_trials, stream_seed=seed, inject=True,
-                trace_l_max=l_max, invariant=True, rows=rows))
+                rows, (), n_trials, stream_seed=seed, inject=True,
+                trace_l_max=l_max, invariant=True))
 
     keys = [(j, TRACE) for j in range(len(rows))]
     sums = traced({key: _RowSums(l_max) for key in keys}, trials)

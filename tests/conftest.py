@@ -94,18 +94,18 @@ def counted_pools(monkeypatch):
 @pytest.fixture
 def nan_in_second_chunk(monkeypatch):
     """Every engine chunk that starts at trial 4096, the second of the
-    default size, returns a NaN AMF statistic 17 trials in, on whichever
-    thread computes it. Returns that trial's index."""
+    default size, returns a NaN AMF statistic 17 trials in at its row 0,
+    on whichever thread computes it. Returns that trial's index."""
     from embml import engine
 
     compute = engine._compute_chunk
     bad = 4096 + 17
 
     def spoiled(start, **run):
-        part = compute(start, **run)
-        if start == 4096 and "amf" in part:
-            part["amf"][bad - start] = float("nan")
-        return part
+        parts = list(compute(start, **run))
+        if start == 4096 and (0, "amf") in parts[0]:
+            parts[0][0, "amf"][bad - start] = float("nan")
+        return parts
 
     monkeypatch.setattr(engine, "_compute_chunk", spoiled)
     return bad

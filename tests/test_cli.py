@@ -5,6 +5,7 @@ import hashlib
 import re
 import subprocess
 import sys
+from contextlib import closing
 from pathlib import Path
 
 import numpy as np
@@ -770,6 +771,47 @@ class TestWorkerThreads:
         assert re.fullmatch(
             rf"error: cnr_db=30.0, rho=0.9: amf: .* first at trial "
             rf"{nan_in_second_chunk}\n", stderr)
+
+
+# one run of each subcommand that simulates trials
+SIMULATING_RUNS = {
+    "calibrate": ["calibrate", *FAST],
+    "pfa-sweep": ["pfa-sweep", *FAST, "--cnr-grid", "30", "70",
+                  "--rho-grid", "0.5"],
+    "pd-curve": ["pd-curve", *FAST, "--scnr-grid", "0", "6"],
+    "mismatch-contour": ["mismatch-contour", *FAST, "--scnr-grid", "6",
+                         "--cos-sq-phi-grid", "0.5", "1"],
+    "convergence": ["convergence", "--n", "4", "--k", "8", "--trials",
+                    "1000", "--l-max", "3", "--scnr-grid", "10"],
+}
+
+
+class TestEveryRunIsAGrid:
+    @pytest.mark.parametrize("name", SIMULATING_RUNS)
+    def test_engine_gets_rows_and_yields_row_keyed_parts(
+        self, tmp_path, capsys, monkeypatch, name
+    ):
+        calls = []
+        simulate = harness._simulate_chunks
+
+        def recorded(rows, *args, **kwargs):
+            calls.append(rows)
+            with closing(simulate(rows, *args, **kwargs)) as parts:
+                for part in parts:
+                    assert all(isinstance(key, tuple) and len(key) == 2
+                               and isinstance(key[0], int)
+                               and isinstance(key[1], str) for key in part)
+                    yield part
+
+        monkeypatch.setattr(harness, "_simulate_chunks", recorded)
+        code, _, stderr = run_cli(
+            [*SIMULATING_RUNS[name], "--out", str(tmp_path / "x.csv")], capsys)
+        assert code == 0, stderr
+        assert calls
+        for rows in calls:
+            assert isinstance(rows, tuple) and rows
+            assert all(isinstance(row, ScenarioConfig) for row in rows)
+            assert len({(row.n, row.k) for row in rows}) == 1
 
 
 # Every value flag of every subcommand: its config key and a value that

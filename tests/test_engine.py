@@ -43,12 +43,20 @@ ALL_LABELS = ("glrt", "amf", "rao", "ace", "benchmark", "em-bml-d5",
               "em-bml-d7")
 
 
+def joined_rows(rows, labels, n_trials, **kwargs):
+    """A grid's parts joined into one array per (row index, label)."""
+    parts = list(engine._simulate_chunks(rows, labels, n_trials, **kwargs))
+    keys = dict.fromkeys(key for part in parts for key in part)
+    return {key: np.concatenate([p[key] for p in parts if key in p])
+            for key in keys}
+
+
 def joined(cfg, labels, n_trials, **kwargs):
-    """engine._simulate_chunks' chunks joined into one array per key, drawn
-    from the scenario's master seed unless a stream_seed is given."""
+    """The one-row grid (cfg,) joined, read off row 0: one array per label,
+    drawn from the scenario's master seed unless a stream_seed is given."""
     kwargs.setdefault("stream_seed", cfg.master_seed)
-    parts = list(engine._simulate_chunks(cfg, labels, n_trials, **kwargs))
-    return {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
+    return {label: values for (_, label), values
+            in joined_rows((cfg,), labels, n_trials, **kwargs).items()}
 
 
 @pytest.fixture
@@ -450,10 +458,10 @@ class TestWorkerPool:
                                                         in_process_pool):
         # 10^9 trials are 244 141 chunks; only the first is computed
         chunks = engine._simulate_chunks(
-            ScenarioConfig(master_seed=218), ("amf",), 10**9, stream_seed=5,
-            workers=100_000, invariant=True)
+            (ScenarioConfig(master_seed=218),), ("amf",), 10**9,
+            stream_seed=5, workers=100_000, invariant=True)
         with closing(chunks):
-            assert next(chunks)["amf"].shape == (engine._CHUNK,)
+            assert next(chunks)[0, "amf"].shape == (engine._CHUNK,)
         assert in_process_pool == [4]
 
 
@@ -485,9 +493,18 @@ class TestInjection:
         assert hit["glrt"].mean() > 5 * null["glrt"].mean()
 
     def test_injection_requires_scnr(self):
+        # a row without an SCNR is target-free: injected, it gives the bits
+        # of its uninjected one-row grid, on either path
         cfg = ScenarioConfig(master_seed=208)
-        with pytest.raises(ValueError):
-            joined(cfg, ("glrt",), 10, inject=True)
+        for invariant in (False, True):
+            injected, null = (
+                joined(cfg, ("glrt", "em-bml-d3"), 300, inject=inject,
+                       trace_l_max=3, invariant=invariant)
+                for inject in (True, False))
+            assert injected.keys() == null.keys()
+            for key, values in null.items():
+                np.testing.assert_array_equal(injected[key], values,
+                                              err_msg=f"{invariant=}, {key}")
 
     def test_mismatched_injection_lowers_matched_response(self):
         cfg = ScenarioConfig(scnr_db=20.0, master_seed=209)
@@ -530,8 +547,8 @@ class TestInvariantRows:
                      for scnr in (0.0, 13.0, 40.0))
         # one chunk of trials, so one part per row
         chunk = {key: stats for part in engine._simulate_chunks(
-            cfg, self.LABELS, self.TRIALS, stream_seed=19, inject=inject,
-            invariant=True, rows=rows) for key, stats in part.items()}
+            rows, self.LABELS, self.TRIALS, stream_seed=19, inject=inject,
+            invariant=True) for key, stats in part.items()}
         draws = engine._invariant_draws(n, 2 * n, 19, 0, self.TRIALS, False)
         return rows, chunk, draws
 
@@ -555,15 +572,6 @@ class TestInvariantRows:
                 np.testing.assert_array_equal(chunk[i, label], direct[label])
 
 
-def joined_rows(cfg, labels, n_trials, rows, **kwargs):
-    """A grid's parts joined into one array per (row index, label)."""
-    parts = list(engine._simulate_chunks(cfg, labels, n_trials, rows=rows,
-                                         **kwargs))
-    keys = dict.fromkeys(key for part in parts for key in part)
-    return {key: np.concatenate([p[key] for p in parts if key in p])
-            for key in keys}
-
-
 DATA_GRID = ScenarioConfig(n=8, k=16, scnr_db=9.0, master_seed=250)
 # nominal, high-CNR mismatched, white, and a weakly correlated clutter
 DATA_ROWS = tuple(
@@ -575,14 +583,14 @@ DATA_ROWS = tuple(
 class TestDataRows:
     """A data grid's rows read one white draw per block, each coloured,
     given its target and whitened by its own scenario; a row is bit for bit
-    its single-row run."""
+    its one-row grid."""
 
     LABELS = ("glrt", "amf", "rao", "ace", "benchmark", "em-bml-d5")
     # 5000 trials are two chunks, the second a partial one
     TRIALS = 5000
 
     def grid(self, **kwargs):
-        return joined_rows(DATA_GRID, self.LABELS, self.TRIALS, DATA_ROWS,
+        return joined_rows(DATA_ROWS, self.LABELS, self.TRIALS,
                            stream_seed=23, trace_l_max=3, **kwargs)
 
     @pytest.mark.parametrize("inject", [False, True], ids=["h0", "h1"])
@@ -613,14 +621,13 @@ class TestDataRows:
                              ids=["data", "invariant"])
     def test_grid_without_rows_yields_nothing(self, invariant):
         assert list(engine._simulate_chunks(
-            DATA_GRID, ("amf",), 10, stream_seed=23, rows=(),
-            invariant=invariant)) == []
+            (), ("amf",), 10, stream_seed=23, invariant=invariant)) == []
 
     def test_grid_chunk_is_evaluated_on_its_thread(self):
         # a list of row dicts, not a lazy iterator a pool would hand back
         # unevaluated
         chunk = engine._compute_chunk(
-            0, cfg=DATA_GRID, plan=engine._plan(("amf",), None),
+            0, plan=engine._plan(("amf",), None),
             stream_seed=23, n_trials=300, inject=False, invariant=False,
             rows=DATA_ROWS[:2],
             scenes=[engine._data_scene(row, False, engine._plan((), None))

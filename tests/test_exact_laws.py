@@ -74,9 +74,9 @@ class TestLossFactor:
         cfg = ScenarioConfig(n=n, k=k, scnr_db=scnr_db,
                              master_seed=440 + n + k)
         parts = list(engine._simulate_chunks(
-            cfg, ("glrt", "amf"), LOSS_TRIALS, stream_seed=cfg.master_seed,
+            (cfg,), ("glrt", "amf"), LOSS_TRIALS, stream_seed=cfg.master_seed,
             inject=scnr_db is not None, invariant=invariant))
-        glrt, amf = (np.concatenate([p[lab] for p in parts])
+        glrt, amf = (np.concatenate([p[0, lab] for p in parts])
                      for lab in ("glrt", "amf"))
         beta = glrt / (amf * (1.0 - glrt))
         pvalue = sps.kstest(beta, sps.beta(k - n + 2, n - 1).cdf).pvalue
@@ -159,9 +159,9 @@ def cfar_failures(monkeypatch) -> dict:
 
     def exact_null_phase(cfg, labels, pfa, trials, **simulate):
         seed = derive_stream_seed(cfg.master_seed, harness._PHASE_CALIBRATION)
-        return harness._simulated(
-            harness._null_config(cfg), labels, pfa, trials, seed,
-            lambda lab: harness._Exceedances(thresholds[lab]), **simulate)
+        return harness._grid(
+            labels, (harness._null_config(cfg),), trials, seed,
+            lambda i, lab: harness._Exceedances(thresholds[lab]), **simulate)
 
     monkeypatch.setattr(harness, "_null_phase", exact_null_phase)
     curve = cfar_sweep(cfg, CFAR_PFA, CFAR_CNRS, CFAR_RHOS, CFAR_TRIALS,

@@ -381,7 +381,7 @@ class TestGridRows:
 
         def spoiled(start, **run):
             chunk = compute(start, **run)
-            if run["rows"] is None or start != engine._CHUNK:
+            if start != engine._CHUNK:
                 return chunk
             return (plant(part) for part in chunk)
 
@@ -448,8 +448,8 @@ class TestConvergenceStudy:
         seed = derive_stream_seed(SMALL.master_seed,
                                   harness._PHASE_CONVERGENCE, 0)
         parts = list(engine._simulate_chunks(
-            SMALL, (), trials, stream_seed=seed, inject=True,
-            trace_l_max=l_max, invariant=True, rows=rows))
+            rows, (), trials, stream_seed=seed, inject=True,
+            trace_l_max=l_max, invariant=True))
         for j in range(len(rows)):
             trace = np.concatenate([p[j, TRACE] for p in parts
                                     if (j, TRACE) in p])
@@ -542,21 +542,17 @@ def planted_nulls(labels, trials, layout, seed):
 def chunk_source(null, row=None):
     """A stand-in for the engine's chunk iterator that yields the given
     statistics in chunks of CHUNK trials: null in the calibration phase,
-    row (null by default) at every grid row. A grid call gets each chunk
-    as one part per row, keyed (row index, label)."""
+    row (null by default) at every grid row. Each chunk comes as one part
+    per row, keyed (row index, label)."""
 
-    def chunks(cfg, labels, n_trials, *, stream_seed, rows=None, **simulate):
-        calibration = derive_stream_seed(cfg.master_seed,
+    def chunks(rows, labels, n_trials, *, stream_seed, **simulate):
+        calibration = derive_stream_seed(rows[0].master_seed,
                                          harness._PHASE_CALIBRATION)
         stats = null if row is None or stream_seed == calibration else row
         assert all(stats[lab].size == n_trials for lab in labels)
         for start in range(0, n_trials, CHUNK):
-            part = {lab: stats[lab][start:start + CHUNK] for lab in labels}
-            if rows is None:
-                yield part
-            else:
-                yield from ({(i, lab): values for lab, values in part.items()}
-                            for i in range(len(rows)))
+            yield from ({(i, lab): stats[lab][start:start + CHUNK]
+                         for lab in labels} for i in range(len(rows)))
 
     return chunks
 
