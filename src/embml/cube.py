@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import CurveResult
-from .engine import _BLOCK, _scatter, statistics_from_stacks
+from .engine import _BLOCK, _keyed, _scatter, statistics_from_stacks
 from .harness import (
     _PHASE_CUBE,
     NonFiniteStatistic,
@@ -342,16 +342,17 @@ def _region_target(cube: DataCube, n: int, k: int, eval_bin: int,
 
 
 def _reduce_bin(cube: DataCube, n: int, k: int, range_bin: int, overlap: int,
-                count: int, v: np.ndarray, reducers: dict,
-                target: np.ndarray | None = None) -> dict:
+                count: int, v: np.ndarray, labels: tuple[str, ...],
+                reducers: dict, target: np.ndarray | None = None) -> dict:
     """Each label's reducer, fed its statistics over one bin's windows.
 
-    The windows are gathered and, with target (if any) added to every
-    CUT, evaluated one block of _BLOCK at a time, each block reduced
-    before the next is gathered. A non-finite statistic (0/0 at an
-    all-zero CUT, say, which the engine computes without a warning)
-    raises FormatError naming the cube, the range bin, the window and the
-    detector.
+    The bin's windows are the one row of a grid, so reducers is keyed (0,
+    label) for each of labels, as _reduce keys every part. The windows are
+    gathered and, with target (if any) added to every CUT, evaluated one
+    block of _BLOCK at a time, each block reduced before the next is
+    gathered. A non-finite statistic (0/0 at an all-zero CUT, say, which
+    the engine computes without a warning) raises FormatError naming the
+    cube, the range bin, the window and the detector.
     """
     def blocks():
         for start in range(0, count, _BLOCK):
@@ -360,7 +361,7 @@ def _reduce_bin(cube: DataCube, n: int, k: int, range_bin: int, overlap: int,
             if target is not None:
                 z += target
             with _singular_windows_named(cube, zs, range_bin, start):
-                part = statistics_from_stacks(z, zs, v, tuple(reducers))
+                part = _keyed(0, statistics_from_stacks(z, zs, v, labels))
             # outside the with, so it does not hold while the consumer runs
             yield part
 
@@ -460,15 +461,15 @@ def sliding_window_run(cube: DataCube, spec) -> CubeRunResult:
     target = None
     if scnr_db is not None:
         target = _region_target(cube, n, k, eval_bin, overlap, count, v, scnr_db)
-    cal = _reduce_bin(cube, n, k, cut_bin, overlap, count, v,
-                      {lab: _TopTail(count, spec.pfa) for lab in labels})
-    ev = _reduce_bin(cube, n, k, eval_bin, overlap, count, v,
-                     {lab: _Exceedances(cal[lab].threshold) for lab in labels},
-                     target)
+    cal = _reduce_bin(cube, n, k, cut_bin, overlap, count, v, labels,
+                      {(0, lab): _TopTail(count, spec.pfa) for lab in labels})
+    ev = _reduce_bin(cube, n, k, eval_bin, overlap, count, v, labels,
+                     {(0, lab): _Exceedances(cal[0, lab].threshold)
+                      for lab in labels}, target)
     return CubeRunResult(
         curve=_curve(("scnr_db",),
                      [(float("-inf") if scnr_db is None else scnr_db,)],
-                     labels, [[ev[lab].count for lab in labels]], count),
+                     labels, [[ev[0, lab].count for lab in labels]], count),
         window_count=count,
         scnr_db=scnr_db,
     )

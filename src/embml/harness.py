@@ -11,24 +11,26 @@ grid point one exceedance count per detector. Thresholds and rates are
 exactly those of sorting and averaging the whole ensemble, which
 TrialEnsemble, calibrate_threshold and estimate_rate still do as the
 reference. One loop, _reduce, feeds the reducers, for these phases, for
-the convergence study's EM traces (running sums, in two passes, so
-their means and CIs keep their bits) and for the cube's window blocks.
-Each part is a dict of per-trial arrays, and _reduce refuses a NaN or
-infinite value in any of them, naming its trial. Every experiment phase
-works in its own derived substream namespace, so trials are independent
-across phases and every result is bit-reproducible for a fixed master
-seed. Every simulated phase is a grid of rows: the rows evaluate one set
-of draws, made once in the phase's substream (common random numbers),
-and each row keeps its own reducers per label, keyed (row index, label)
-as the engine keys its parts. One function, _grid, builds and feeds
-them for a calibration (a one-row grid), the off-nominal rows of the
-CFAR sweep and the rows of a Pd grid (curve or contour); the
-configurations of a convergence study are the rows of its trace grid. The sweep's rows each colour, scatter and whiten the
-shared white normals by their own clutter, so each row's law is exact
-and its values are correlated with the other rows'; its nominal row
-reuses the calibration ensemble, drawn in its own phase. Pd rows with no
-target off the nominal steering read one trial from each draw;
-mismatched rows share a coupling of their draws, each row's law exact.
+the convergence study's EM traces (running sums in one pass, whose means
+and CIs do not depend on the chunk size) and for the cube's window
+blocks. Each part is a dict of per-trial arrays keyed (row index, label),
+and _reduce refuses a NaN or infinite value in any of them, naming its
+trial. Every experiment phase works in its own derived substream
+namespace, so trials are independent across phases and every result is
+bit-reproducible for a fixed master seed. Every simulated phase is a grid
+of rows: the rows evaluate one set of draws, made once in the phase's
+substream (common random numbers), and each row keeps its own reducers
+per label, keyed as the engine keys its parts. One function, _grid,
+builds and feeds them for a calibration (a one-row grid), the
+off-nominal rows of the CFAR sweep and the rows of a Pd grid (curve or
+contour); the configurations of a convergence study are the rows of its
+trace grid, and a cube bin's windows the one row of theirs. The sweep's
+rows each colour, scatter and whiten the shared white normals by their
+own clutter, so each row's law is exact and its values are correlated
+with the other rows'; its nominal row reuses the calibration ensemble,
+drawn in its own phase. Pd rows with no target off the nominal steering
+read one trial from each draw; mismatched rows share a coupling of their
+draws, each row's law exact.
 Calibration, curves, contours and convergence studies draw each trial's
 maximal invariant on one thread, at about 0.3 us/trial for six detectors
 (the EM trace doubles that and more); only the CFAR sweep
@@ -49,7 +51,7 @@ import numpy as np
 
 from .curves import ConvergenceResult, CurveResult
 from .detectors import DetectorId, parse_detector_label
-from .engine import _CHUNK, TRACE, _simulate_chunks
+from .engine import TRACE, _simulate_chunks
 from .scenario import ScenarioConfig, derive_stream_seed
 
 __all__ = [
@@ -266,29 +268,46 @@ class _Exceedances:
         self.count += int(np.count_nonzero(values > self.threshold))
 
 
-class _RowSums:
-    """Per-column sums of (trials, width) rows as they come, or, given
-    center, of their squared deviations from it; the last rows added are
-    kept.
+class _Moments:
+    """The mean and 95% CI per column of (trials, width) rows, in one pass.
 
-    Each part is stacked under the running sum and reduced along trials,
-    which repeats numpy's own order for an axis-0 sum of the whole
-    C-ordered array, so the sums keep its bits. (For width 1 numpy sums a
-    whole column pairwise, and the bits may differ.) A sum or square past
-    the float range is a quiet inf, for the caller to refuse.
+    Keeps row-order running sums of the rows and of their squared
+    deviations from the first row added, x0: the shifted-data sums of
+    Chan, Golub & LeVeque (1983), which keep the variance from cancelling
+    when the rows sit far from zero. Each part is added to the running
+    sums strictly row by row (np.cumsum, the sums added to its first row),
+    so the sums, and with them the mean and CI, do not depend on where the
+    parts split, at any width; for width > 1 the mean keeps the bits of
+    mean(axis=0) over the whole array. A sum or square past the float
+    range is a quiet inf or NaN in the mean or CI, for the caller to
+    refuse.
     """
 
-    def __init__(self, width: int, center: np.ndarray | None = None):
-        self.sum = np.zeros(width)
-        self.center = center
-        self.last = None
+    def __init__(self, width: int):
+        self.count = 0
+        self.sums = np.zeros((2, width))
+        self.first = None
 
-    @np.errstate(over="ignore")
+    @np.errstate(over="ignore", invalid="ignore")
     def add(self, values: np.ndarray) -> None:
-        self.last = values
-        if self.center is not None:
-            values = np.square(values - self.center)
-        self.sum = np.add.reduce(np.vstack([self.sum[None], values]), axis=0)
+        if self.first is None:
+            # a copy, so that the first part is not held
+            self.first = values[0].copy()
+        self.count += len(values)
+        deviations = values - self.first
+        for total, rows in zip(self.sums, (
+                values.copy(), np.square(deviations, out=deviations))):
+            rows[0] += total
+            total[:] = np.cumsum(rows, axis=0, out=rows)[-1]
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def mean_ci(self) -> tuple[np.ndarray, np.ndarray]:
+        """The mean, and its 95% CI half-width 1.96 std / sqrt(count),
+        std being the standard deviation over the count."""
+        mean, squares = self.sums / self.count
+        # rounding can leave a zero variance a hair below zero
+        std = np.sqrt(np.maximum(squares - np.square(mean - self.first), 0))
+        return mean, 1.96 * std / math.sqrt(self.count)
 
 
 def _null_config(cfg: ScenarioConfig) -> ScenarioConfig:
@@ -318,27 +337,26 @@ def _check_calibration(cfg, labels, pfa: float, trials: int) -> None:
 def _reduce(reducers: dict, chunks: Generator) -> dict:
     """Feed each key's reducer its per-trial rows, part by part.
 
-    chunks is a generator of parts, each mapping some of reducers' keys to
-    arrays with one row per trial: the engine's row dicts, keyed (row
-    index, label), or a cube bin's window blocks, keyed by label. Each
-    key's parts are consecutive runs of its trials in order, so each key
-    keeps its own trial offset. Each part is reduced as it arrives, after a
-    finite check that names a bad statistic by its label and its trial
-    index in the whole run; the error carries a grid row's index as its
-    row. chunks is closed as soon as a check raises, so a thread pool
-    behind it has shut down by the time the error is seen. A key that no
-    reducer has, or a reducer's key that never arrives, raises KeyError.
+    chunks is a generator of parts, each mapping some of reducers' keys,
+    (row index, label) pairs, to arrays with one row per trial: the
+    engine's row dicts, or a cube bin's window blocks as the one-row grid
+    0. Each key's parts are consecutive runs of its trials in order, so
+    each key keeps its own trial offset. Each part is reduced as it
+    arrives, after a finite check that names a bad statistic by its label
+    and its trial index in the whole run; the error carries the key's row
+    index as its row. chunks is closed as soon as a check raises, so a
+    thread pool behind it has shut down by the time the error is seen. A
+    key that no reducer has, or a reducer's key that never arrives, raises
+    KeyError.
     """
     offsets = dict.fromkeys(reducers)
     with closing(chunks):
         for part in chunks:
-            for key, stats in part.items():
-                start = offsets[key] or 0
-                # a grid row's key is (row, label)
-                row, label = (None, key) if isinstance(key, str) else key
+            for (row, label), stats in part.items():
+                start = offsets[row, label] or 0
                 _require_finite(stats, label, start, row)
-                reducers[key].add(stats)
-                offsets[key] = start + len(stats)
+                reducers[row, label].add(stats)
+                offsets[row, label] = start + len(stats)
     missing = [key for key, stop in offsets.items() if stop is None]
     if missing:
         raise KeyError(f"no statistics arrived for {missing}")
@@ -572,19 +590,18 @@ def convergence_study(
 
     scnr_list entries are SCNRs in dB, or None for the null hypothesis.
     The configurations are the rows of one invariant grid: every chunk is
-    drawn once, in row 0's substream, for all of them, and a
-    row without an SCNR is target-free. Each row's trace is reduced in two
-    passes of running row-order sums (_RowSums): its sum, then its squared
-    deviations from the exact mean. The second pass redraws only the
-    chunks before the last, whose traces the first still holds, so memory
-    does not grow with the trial count, and the means and CIs are bit for
-    bit those of mean(axis=0) and 1.96 std(axis=0) / sqrt(trials) over the
-    whole (trials, l_max) trace (l_max > 1). Configurations are named h0
-    and scnr{:g}, and two with one name raise ValueError before any draw.
-    A non-finite objective change raises NonFiniteStatistic naming the
-    configuration and the first trial with one, and so does a finite trace
-    whose sum or squared deviations pass the float range, naming the
-    configuration and the first iteration whose mean or CI is not finite.
+    drawn once, in row 0's substream, for all of them, and a row without
+    an SCNR is target-free. Each row's trace is reduced in one pass of
+    running row-order sums (_Moments), so memory does not grow with the
+    trial count. The means are bit for bit those of mean(axis=0) over the
+    whole (trials, l_max) trace (l_max > 1), and the CIs, 1.96 std / sqrt
+    (trials), those of std(axis=0) to the rounding of the sums. Neither
+    depends on the chunk size. Configurations are named h0 and scnr{:g},
+    and two with one name raise ValueError before any draw. A non-finite
+    objective change raises NonFiniteStatistic naming the configuration
+    and the first trial with one, and so does a finite trace whose sums or
+    squared deviations pass the float range, naming the configuration and
+    the first iteration whose mean or CI is not finite.
     """
     if trials < 1000:
         raise InsufficientTrials(
@@ -599,26 +616,15 @@ def convergence_study(
     rows = tuple(replace(cfg, scnr_db=None if scnr is None else float(scnr))
                  for scnr in scnr_list)
     seed = derive_stream_seed(cfg.master_seed, _PHASE_CONVERGENCE, 0)
-
-    def traced(reducers: dict, n_trials: int) -> dict:
-        with _named(names):
-            return _reduce(reducers, _simulate_chunks(
-                rows, (), n_trials, stream_seed=seed, inject=True,
-                trace_l_max=l_max, invariant=True))
-
-    keys = [(j, TRACE) for j in range(len(rows))]
-    sums = traced({key: _RowSums(l_max) for key in keys}, trials)
-    squares = {key: _RowSums(l_max, sums[key].sum / trials) for key in keys}
-    before_last = (trials - 1) // _CHUNK * _CHUNK
-    if before_last:
-        traced(squares, before_last)
+    with _named(names):
+        moments = _reduce(
+            {(j, TRACE): _Moments(l_max) for j in range(len(rows))},
+            _simulate_chunks(rows, (), trials, stream_seed=seed, inject=True,
+                             trace_l_max=l_max, invariant=True))
     means, cis = np.empty((2, l_max, len(rows)))
-    for j, key in enumerate(keys):
-        squares[key].add(sums[key].last)
-        means[:, j] = squares[key].center
-        std = np.sqrt(squares[key].sum / trials)
-        cis[:, j] = 1.96 * std / math.sqrt(trials)
-        # an infinite mean has an infinite CI
+    for j in range(len(rows)):
+        means[:, j], cis[:, j] = moments[j, TRACE].mean_ci()
+        # an infinite mean has an infinite or NaN CI
         finite = np.isfinite(cis[:, j])
         if not finite.all():
             raise NonFiniteStatistic(

@@ -638,7 +638,7 @@ CSV_DIGESTS = {
     "convergence": (
         ["convergence", "--trials", "5000", "--l-max", "6",
          "--scnr-grid", "10", "15"],
-        "8c2ed28309dd9efb28d91d6c6b29dbd0205775feeecab7cf0d431e1eb73a2567"),
+        "0bdfb6eafc6a19a9462b0b8704294011b47d3b6d00a9f004d769dc78fa95fe9a"),
     "ingest-run binary": (
         ["ingest-run", *CUBE_RUN, "--cube", "{cube}.bin"],
         "2f5c4f8ccce7494a46d1bc1a358898e668f421c4cc598dae67fa30cd0c03ded8"),

@@ -423,12 +423,11 @@ class TestConvergenceStudy:
     SCNRS = [None, 6.0, 13.0, 20.0]
 
     @pytest.mark.parametrize("scnrs, trials, draws", [
-        (SCNRS, 1000, 1), (SCNRS, 9000, 5), ([], 9000, 0)])
+        (SCNRS, 1000, 1), (SCNRS, 9000, 3), ([], 9000, 0)])
     def test_configurations_share_their_draws(self, monkeypatch, scnrs,
                                               trials, draws):
         # one draw per chunk serves all four configurations: 9000 trials are
-        # three chunks, and the second pass redraws the two before the last;
-        # no configurations draw nothing
+        # three chunks, each drawn once; no configurations draw nothing
         calls = []
         draw = engine._invariant_draws
 
@@ -455,8 +454,32 @@ class TestConvergenceStudy:
                                     if (j, TRACE) in p])
             assert trace.shape == (trials, l_max)
             np.testing.assert_array_equal(res.means[:, j], trace.mean(axis=0))
-            np.testing.assert_array_equal(
-                res.cis[:, j], 1.96 * trace.std(axis=0) / np.sqrt(trials))
+            # the CI's variance is the shifted sum of squares over trials
+            # less the squared shift, mean - x0 for the first trial's x0:
+            # row-order sums of n terms round by up to about n u of the
+            # variance (1 + z^2), z being x0's distance from the mean in
+            # standard deviations; the sqrt halves that, and std's own
+            # row-order sums round about as much again
+            std = trace.std(axis=0)
+            z = (trace[0] - trace.mean(axis=0)) / std
+            bound = trials * np.finfo(float).eps / 2 * (1 + z ** 2)
+            error = np.abs(res.cis[:, j] / (1.96 * std / np.sqrt(trials)) - 1)
+            assert np.all(error <= bound), error / bound
+
+    @pytest.mark.parametrize("l_max", [1, 5])
+    def test_means_and_cis_do_not_depend_on_the_chunk_size(
+            self, monkeypatch, l_max):
+        # at width 1 a whole-column sum is pairwise, so the sums run row by
+        # row at every width; the harness reads the engine's chunk size
+        # nowhere
+        seen = []
+        for chunk in (600, 1000, 4096):
+            monkeypatch.setattr(engine, "_CHUNK", chunk)
+            res = convergence_study(SMALL, self.SCNRS, 9000, l_max)
+            seen.append((res.means, res.cis))
+        for means, cis in seen[1:]:
+            np.testing.assert_array_equal(means, seen[0][0])
+            np.testing.assert_array_equal(cis, seen[0][1])
 
 
 # (id, call, error, message): argument checks that must fail loudly
@@ -636,18 +659,19 @@ class TestStreamedReduction:
         # the second chunk, so trial 5 + 2 is the first bad one
         chunks = [np.ones((5, 3)), np.ones((5, 3))]
         chunks[1][2, 1] = np.nan
-        sums = harness._RowSums(3)
+        moments = harness._Moments(3)
         with pytest.raises(ValueError,
                            match=rf"^{TRACE}: 1 of 5 .* first at trial 7$"):
-            harness._reduce({TRACE: sums}, ({TRACE: c} for c in chunks))
-        assert sums.last is chunks[0]
-        np.testing.assert_array_equal(sums.sum, [5.0, 5.0, 5.0])
+            harness._reduce({(0, TRACE): moments},
+                            ({(0, TRACE): c} for c in chunks))
+        assert moments.count == 5
+        np.testing.assert_array_equal(moments.sums, [[5.0] * 3, [0.0] * 3])
 
     def test_reducer_whose_key_never_arrives_raises(self):
         with pytest.raises(KeyError, match="amf"):
-            harness._reduce({TRACE: harness._RowSums(3),
-                             "amf": harness._Exceedances(0.0)},
-                            ({TRACE: c} for c in [np.ones((5, 3))]))
+            harness._reduce({(0, TRACE): harness._Moments(3),
+                             (0, "amf"): harness._Exceedances(0.0)},
+                            ({(0, TRACE): c} for c in [np.ones((5, 3))]))
 
     def test_benchmark_only_calibration_draws_no_chunk(self, monkeypatch):
         calls = []
@@ -707,7 +731,7 @@ class TestFlatMemory:
         # two configurations of 5e4 trials x 10 iterations: a whole trace per
         # configuration, the last still held while the next was drawn,
         # peaked at 3.0 traces; one buffer read chunk by chunk, and the
-        # copy std makes of it, leave 2.0
+        # copy std makes of it, left 2.0; one-pass running sums leave 0.48
         cfg = ScenarioConfig(n=8, k=16, master_seed=404)
         trials, l_max = 50_000, 10
         convergence_study(cfg, [None, 10.0], 1000, l_max)
@@ -721,8 +745,8 @@ class TestFlatMemory:
 
     def test_convergence_peak_does_not_grow_with_trials(self):
         # two configurations at l_max 4: one buffer of the whole trace
-        # peaked at 6.3 and 24.5 MiB; running sums over two passes, which
-        # hold one chunk's trace per configuration, at 2.3 and 2.3
+        # peaked at 6.3 and 24.5 MiB; running sums, which hold one chunk's
+        # trace at a time, at 1.5 and 1.5
         def peak(trials):
             tracemalloc.start()
             try:
