@@ -28,14 +28,14 @@ trace grid, and a cube bin's windows the one row of theirs. The sweep's
 rows each colour, scatter and whiten the shared white normals by their
 own clutter, so each row's law is exact and its values are correlated
 with the other rows'; its nominal row reuses the calibration ensemble,
-drawn in its own phase. Pd rows with no target off the nominal steering
-read one trial from each draw; mismatched rows share a coupling of their
-draws, each row's law exact.
-Calibration, curves, contours and convergence studies draw each trial's
-maximal invariant on one thread, at about 0.3 us/trial for six detectors
-(the EM trace doubles that and more); only the CFAR sweep
-draws data, because CNR and rho drop out of the invariant by
-construction, and only it takes a worker count, whose results do not
+drawn in its own phase as every calibration is. Pd rows with no target
+off the nominal steering read one trial from each draw; mismatched rows
+share a coupling of their draws, each row's law exact.
+Every calibration, curve, contour and convergence study draws each
+trial's maximal invariant on one thread, at about 0.3 us/trial for six
+detectors (the EM trace doubles that and more); only the CFAR sweep's
+off-nominal rows draw data, because CNR and rho drop out of the invariant
+by construction, and only they take a worker count, whose results do not
 depend on it.
 """
 
@@ -379,19 +379,21 @@ def _grid(labels, rows, trials: int, seed: int, reducer, **simulate) -> dict:
     return reducers
 
 
-def _null_phase(cfg, labels, pfa: float, trials: int, **simulate) -> dict:
+def _null_phase(cfg, labels, pfa: float, trials: int) -> dict:
     """Each label's reducer over the calibration phase's null ensemble, a
-    one-row grid, keyed (0, label) as _grid keys it.
+    one-row grid drawn through the maximal invariant, keyed (0, label) as
+    _grid keys it.
 
     The benchmark counts its exceedances of its exact threshold at
     cfg.scnr_db; every other label keeps the top of its statistics for its
-    order-statistic threshold.
+    order-statistic threshold. The draws do not depend on the labels, so
+    every label's threshold is the one calibrate reads for it.
     """
     seed = derive_stream_seed(cfg.master_seed, _PHASE_CALIBRATION)
     return _grid(
         labels, (_null_config(cfg),), trials, seed,
         lambda i, lab: _Exceedances(_benchmark_threshold(cfg.scnr_db, pfa))
-        if lab == "benchmark" else _TopTail(trials, pfa), **simulate)
+        if lab == "benchmark" else _TopTail(trials, pfa), invariant=True)
 
 
 def _curve(axis_names, rows, labels, counts, trials) -> CurveResult:
@@ -426,7 +428,7 @@ def calibrate(
     labels = order_labels(detectors)
     _check_calibration(cfg, labels, pfa, trials)
     adaptive = tuple(lab for lab in labels if lab != "benchmark")
-    reducers = _null_phase(cfg, adaptive, pfa, trials, invariant=True)
+    reducers = _null_phase(cfg, adaptive, pfa, trials)
     return {
         lab: reducers[0, lab].threshold
         if lab in adaptive
@@ -463,24 +465,25 @@ def cfar_sweep(
 
     The sweep covers two one-parameter families: CNR varies at the nominal
     rho, and rho varies at the nominal CNR. Rows are the deduplicated union
-    in lexicographic (cnr_db, rho) order. The nominal point reuses the
-    calibration ensemble, so its rate reproduces the target Pfa by
-    construction (up to the order-statistic rank convention). Unlike every
-    other experiment, the sweep draws data, not the maximal invariant: the
-    CFAR property it checks would hold on the invariant by construction.
-    The off-nominal points are the rows of one data grid: every block of
-    white normals is drawn once, in the sweep phase's substream 0, and each
+    in lexicographic (cnr_db, rho) order. The thresholds are calibrate's,
+    read off the maximal invariant's null ensemble; the nominal point
+    reuses that ensemble, so its rate reproduces the target Pfa by
+    construction (up to the order-statistic rank convention). Only the
+    off-nominal points draw data, because the CFAR property the sweep
+    checks would hold on the invariant by construction. They are the rows
+    of one data grid, which alone reads workers: every block of white
+    normals is drawn once, in the sweep phase's substream 0, and each
     point colours, scatters and whitens it by its own clutter (common
     random numbers). Each point's law is exact and its rates are correlated
-    with the other points'; the calibration draws apart, so its threshold
-    is independent of every off-nominal row. A non-finite statistic raises
-    NonFiniteStatistic naming the clutter point, cnr_db and rho, where it
-    was drawn, the calibration's included.
+    with the other points'; the calibration draws apart, so its thresholds
+    are independent of every off-nominal row. A non-finite statistic raises
+    NonFiniteStatistic naming the clutter point, cnr_db and rho, of its
+    row, the calibration's being the nominal point's.
     """
     labels = order_labels(detectors)
     _check_calibration(cfg, labels, pfa, trials)
     with _named([f"cnr_db={cfg.cnr_db}, rho={cfg.rho}"]):
-        nominal = _null_phase(cfg, labels, pfa, trials, workers=workers)
+        nominal = _null_phase(cfg, labels, pfa, trials)
     thresholds = {lab: nominal[0, lab].threshold for lab in labels}
     points = {(float(c), cfg.rho) for c in cnr_grid}
     points.update((cfg.cnr_db, float(r)) for r in rho_grid)

@@ -15,7 +15,7 @@ import embml
 from embml import cli, engine, harness
 from embml.cli import _spec_from_args, build_parser, main
 from embml.cube import DataCube, synthesize_cube, write_cube
-from embml.scenario import ScenarioConfig
+from embml.scenario import ScenarioConfig, derive_stream_seed
 
 FAST = ["--n", "4", "--k", "8", "--pfa", "0.05", "--trials", "2000",
         "--detectors", "glrt", "amf"]
@@ -389,12 +389,41 @@ class TestExitCodes:
             "first at iteration 1\n")
         assert not out.exists()
 
+    def test_nominal_point_at_an_overflowing_power_forms_no_scatter(
+        self, tmp_path, capsys
+    ):
+        # S = Z Z^H would sum k products of about 1.01e308 at noise_power
+        # 1e306 and 20 dB, but the calibration draws the maximal invariant
+        # and forms no S, so a sweep of the nominal point alone writes the
+        # rates of its null ensemble at calibrate's thresholds (called
+        # here through the API: the CLI's calibrate refuses this INI, whose
+        # default CNR grid overflows)
+        ini = tmp_path / "huge.ini"
+        ini.write_text("[scenario]\nnoise_power = 1e306\ncnr_db = 20\n")
+        out = tmp_path / "x.csv"
+        argv = ["pfa-sweep", "--config", str(ini), "--n", "4", "--k", "8",
+                "--pfa", "0.05", "--trials", "2000", "--cnr-grid", "20",
+                "--rho-grid", "0.9", "--out", str(out)]
+        code, _, stderr = run_cli(argv, capsys)
+        assert code == 0, stderr
+        spec = spec_of(argv)
+        thresholds = harness.calibrate(spec.scenario, spec.detectors,
+                                       spec.pfa, spec.trials)
+        null = list(harness._simulate_chunks(
+            (harness._null_config(spec.scenario),), spec.detectors,
+            spec.trials, invariant=True, stream_seed=derive_stream_seed(
+                spec.scenario.master_seed, harness._PHASE_CALIBRATION)))
+        expected = [20.0, 0.9]
+        for lab in spec.detectors:
+            stats = np.concatenate([part[0, lab] for part in null])
+            expected += harness.estimate_rate(stats, thresholds[lab])
+        np.testing.assert_array_equal(
+            np.loadtxt(out, delimiter=",", skiprows=1), expected)
+
     @pytest.mark.parametrize("power, cnr_grid, point", [
-        # the nominal point: its calibration overflows
-        ("1e306", ["20"], "cnr_db=20.0, rho=0.9"),
         # an off-nominal row at the nominal rho
         ("1e300", ["20", "80"], "cnr_db=80.0, rho=0.9")],
-        ids=["calibration", "row"])
+        ids=["row"])
     def test_overflowing_scatter_names_its_clutter_point(
         self, tmp_path, capsys, power, cnr_grid, point
     ):
@@ -615,12 +644,12 @@ CSV_DIGESTS = {
         "323f362d3f6324ba06c406239252b20c28ae830498a041c0f2048b238237118c"),
     "pfa-sweep": (
         ["pfa-sweep", "--pfa", "0.01", "--trials", "10000", *CLUTTER_GRIDS],
-        "a5c8f1647cd07767e4f4010dc9fa2f3fa89f4f2ce8bdee44041760279685a1a7"),
+        "d0281a8c187cf94086694f8f2bf778a2a12032feec10ee81b4e5cf7bfd47fc1c"),
     "pfa-sweep benchmark": (
         ["pfa-sweep", "--pfa", "0.01", "--trials", "10000", *CLUTTER_GRIDS,
          "--detectors", "glrt", "amf", "em-bml-d2", "benchmark",
          "--scnr", "6", "--workers", "2"],
-        "a42c7aecb39e981f6321d5f12f3f169b7c1de746f33024da89c7cffeb23b135b"),
+        "f707e75b1e51efb238efbe737cce8ffca054d4ea06eddb37a37ccc8047e21533"),
     "pd-curve": (
         ["pd-curve", *CURVE, "--scnr-grid", "0", "5", "10", "15",
          "--detectors", "benchmark", "glrt", "amf", "em-bml-d5"],
@@ -766,10 +795,10 @@ class TestWorkerThreads:
         code, _, stderr = run_cli(
             [*SWEEP, "--detectors", "glrt", "amf", "--workers", "2",
              "--out", str(tmp_path / "x.csv")], capsys)
-        # the calibration, at the nominal clutter point, reads it first
+        # the off-nominal row, the one whose chunks run on the threads
         assert code == 2
         assert re.fullmatch(
-            rf"error: cnr_db=30.0, rho=0.9: amf: .* first at trial "
+            rf"error: cnr_db=30.0, rho=0.5: amf: .* first at trial "
             rf"{nan_in_second_chunk}\n", stderr)
 
 
@@ -812,6 +841,33 @@ class TestEveryRunIsAGrid:
             assert isinstance(rows, tuple) and rows
             assert all(isinstance(row, ScenarioConfig) for row in rows)
             assert len({(row.n, row.k) for row in rows}) == 1
+
+    @pytest.mark.parametrize("name", [*SIMULATING_RUNS, "pfa-sweep nominal"])
+    def test_only_the_sweeps_off_nominal_rows_draw_data(
+        self, tmp_path, capsys, monkeypatch, name
+    ):
+        argv = SIMULATING_RUNS.get(name) or [
+            "pfa-sweep", *FAST, "--cnr-grid", "30", "--rho-grid", "0.9"]
+        calls = []
+        simulate = harness._simulate_chunks
+
+        def recorded(rows, labels, n_trials, *, stream_seed, invariant=False,
+                     **kwargs):
+            calls.append((stream_seed, invariant))
+            return simulate(rows, labels, n_trials, stream_seed=stream_seed,
+                            invariant=invariant, **kwargs)
+
+        monkeypatch.setattr(harness, "_simulate_chunks", recorded)
+        code, _, stderr = run_cli([*argv, "--out", str(tmp_path / "x.csv")],
+                                  capsys)
+        assert code == 0, stderr
+        seed = spec_of(argv).scenario.master_seed
+        calibration = derive_stream_seed(seed, harness._PHASE_CALIBRATION)
+        assert ((calibration, True) in calls) == (name != "convergence")
+        assert (calibration, False) not in calls
+        data = [stream for stream, invariant in calls if not invariant]
+        assert data == ([derive_stream_seed(seed, harness._PHASE_SWEEP, 0)]
+                        if name == "pfa-sweep" else [])
 
 
 # Every value flag of every subcommand: its config key and a value that

@@ -195,28 +195,44 @@ class TestCfarSweep:
         fills = []
         block_rngs = engine.block_rngs
 
-        class CountedFills:
-            def __init__(self, rng):
-                self.rng = rng
+        def counted(stream_seed, *, data=False):
+            rekeyed = block_rngs(stream_seed, data=data)
 
-            def standard_normal(self, *args, **kwargs):
-                fills.append(1)
-                return self.rng.standard_normal(*args, **kwargs)
+            def rng(block):
+                fills.append(data)
+                return rekeyed(block)
 
-        def counted(stream_seed, **kwargs):
-            rekeyed = block_rngs(stream_seed, **kwargs)
-            return lambda block: CountedFills(rekeyed(block))
+            return rng
 
         monkeypatch.setattr(engine, "block_rngs", counted)
         counts = []
-        for cnr_grid in ([30.0], [30.0, 40.0, 50.0, 60.0, 70.0, 80.0]):
+        for grids in (([SMALL.cnr_db], []), ([30.0], [0.5]),
+                      ([30.0, 40.0, 50.0, 60.0, 70.0, 80.0], [0.5])):
             fills.clear()
-            cfar_sweep(SMALL, 0.05, cnr_grid, [0.5], 5000,
-                       detectors=("glrt", "amf"))
-            counts.append(len(fills))
-        # the calibration's 20 blocks of 256 trials and the grid's 20, for
-        # one off-nominal row or six
-        assert counts == [40, 40]
+            cfar_sweep(SMALL, 0.05, *grids, 5000, detectors=("glrt", "amf"))
+            counts.append((fills.count(False), fills.count(True)))
+        # the calibration's 20 invariant blocks of 256 trials, and the
+        # grid's 20 data blocks for one off-nominal row or six; the nominal
+        # row alone draws no data
+        assert counts == [(20, 0), (20, 20), (20, 20)]
+
+    def test_thresholds_are_calibrates_bit_for_bit(self, monkeypatch):
+        labels = ("glrt", "amf", "rao", "ace", "em-bml-d5", "em-bml-d7",
+                  "benchmark")
+        cfg = replace(SMALL, scnr_db=10.0, master_seed=77)
+        expected = calibrate(cfg, labels, 0.05, 2000)
+        used = []
+
+        class Recorded(harness._Exceedances):
+            def __init__(self, threshold):
+                used.append(threshold)
+                super().__init__(threshold)
+
+        monkeypatch.setattr(harness, "_Exceedances", Recorded)
+        cfar_sweep(cfg, 0.05, [], [0.5], 2000, detectors=labels)
+        # the off-nominal row's reducers are built last, one per label
+        ordered = order_labels(labels)
+        assert dict(zip(ordered, used[-len(ordered):])) == expected
 
     def test_glrt_holds_pfa_off_nominal(self):
         # the GLRT is exactly CFAR, so off-nominal rates stay within 3 sigma
@@ -531,9 +547,9 @@ class TestProcessPools:
         for workers in (1, 2):
             threads = threading.active_count()
             with pytest.raises(ValueError, match=(
-                    rf"^cnr_db={SMALL.cnr_db}, rho={SMALL.rho}: amf: .* first "
+                    rf"^cnr_db={SMALL.cnr_db}, rho=0.5: amf: .* first "
                     rf"at trial {nan_in_second_chunk}$")) as raised:
-                cfar_sweep(SMALL, 0.05, [SMALL.cnr_db], [SMALL.rho],
+                cfar_sweep(SMALL, 0.05, [SMALL.cnr_db], [0.5],
                            2 * self.TRIALS, detectors=("glrt", "amf"),
                            workers=workers)
             messages.append(str(raised.value))
