@@ -807,6 +807,8 @@ SIMULATING_RUNS = {
     "calibrate": ["calibrate", *FAST],
     "pfa-sweep": ["pfa-sweep", *FAST, "--cnr-grid", "30", "70",
                   "--rho-grid", "0.5"],
+    "pfa-sweep nominal": ["pfa-sweep", *FAST, "--cnr-grid", "30",
+                          "--rho-grid", "0.9"],
     "pd-curve": ["pd-curve", *FAST, "--scnr-grid", "0", "6"],
     "mismatch-contour": ["mismatch-contour", *FAST, "--scnr-grid", "6",
                          "--cos-sq-phi-grid", "0.5", "1"],
@@ -823,9 +825,12 @@ class TestEveryRunIsAGrid:
         calls = []
         simulate = harness._simulate_chunks
 
-        def recorded(rows, *args, **kwargs):
-            calls.append(rows)
-            with closing(simulate(rows, *args, **kwargs)) as parts:
+        def recorded(rows, labels, n_trials, *, stream_seed, invariant=False,
+                     **kwargs):
+            calls.append((rows, stream_seed, invariant))
+            with closing(simulate(rows, labels, n_trials,
+                                  stream_seed=stream_seed,
+                                  invariant=invariant, **kwargs)) as parts:
                 for part in parts:
                     assert all(isinstance(key, tuple) and len(key) == 2
                                and isinstance(key[0], int)
@@ -833,39 +838,23 @@ class TestEveryRunIsAGrid:
                     yield part
 
         monkeypatch.setattr(harness, "_simulate_chunks", recorded)
+        argv = SIMULATING_RUNS[name]
         code, _, stderr = run_cli(
-            [*SIMULATING_RUNS[name], "--out", str(tmp_path / "x.csv")], capsys)
+            [*argv, "--out", str(tmp_path / "x.csv")], capsys)
         assert code == 0, stderr
         assert calls
-        for rows in calls:
+        for rows, _, _ in calls:
             assert isinstance(rows, tuple) and rows
             assert all(isinstance(row, ScenarioConfig) for row in rows)
             assert len({(row.n, row.k) for row in rows}) == 1
-
-    @pytest.mark.parametrize("name", [*SIMULATING_RUNS, "pfa-sweep nominal"])
-    def test_only_the_sweeps_off_nominal_rows_draw_data(
-        self, tmp_path, capsys, monkeypatch, name
-    ):
-        argv = SIMULATING_RUNS.get(name) or [
-            "pfa-sweep", *FAST, "--cnr-grid", "30", "--rho-grid", "0.9"]
-        calls = []
-        simulate = harness._simulate_chunks
-
-        def recorded(rows, labels, n_trials, *, stream_seed, invariant=False,
-                     **kwargs):
-            calls.append((stream_seed, invariant))
-            return simulate(rows, labels, n_trials, stream_seed=stream_seed,
-                            invariant=invariant, **kwargs)
-
-        monkeypatch.setattr(harness, "_simulate_chunks", recorded)
-        code, _, stderr = run_cli([*argv, "--out", str(tmp_path / "x.csv")],
-                                  capsys)
-        assert code == 0, stderr
+        # every calibration draws the maximal invariant; only the sweep's
+        # off-nominal grid draws data, and a nominal-only sweep draws none
         seed = spec_of(argv).scenario.master_seed
         calibration = derive_stream_seed(seed, harness._PHASE_CALIBRATION)
-        assert ((calibration, True) in calls) == (name != "convergence")
-        assert (calibration, False) not in calls
-        data = [stream for stream, invariant in calls if not invariant]
+        streams = [(stream, invariant) for _, stream, invariant in calls]
+        assert ((calibration, True) in streams) == (name != "convergence")
+        assert (calibration, False) not in streams
+        data = [stream for stream, invariant in streams if not invariant]
         assert data == ([derive_stream_seed(seed, harness._PHASE_SWEEP, 0)]
                         if name == "pfa-sweep" else [])
 

@@ -150,18 +150,20 @@ def cfar_failures(monkeypatch) -> dict:
     """Each (point, detector) of the sweep whose exceedance count of its
     exact threshold has a two-sided binomial p below CFAR_ALPHA.
 
-    The sweep runs as it stands, but its calibration counts its own null
-    ensemble against the exact thresholds instead of ranking it, so the
-    nominal row still reuses the calibration's draws."""
+    The sweep's off-nominal rows run as they stand. Its calibration is
+    replaced: it draws a data-path null ensemble, where the sweep draws the
+    maximal invariant, and counts it against the exact thresholds instead
+    of ranking it, so the nominal row, which reuses the calibration's
+    draws, checks the data path there too."""
     cfg = ScenarioConfig(**CFAR_SCENE)
     thresholds = {lab: exact_threshold(lab, CFAR_PFA, cfg.n, cfg.k)
                   for lab in CFAR_LABELS}
 
-    def exact_null_phase(cfg, labels, pfa, trials, **simulate):
+    def exact_null_phase(cfg, labels, pfa, trials):
         seed = derive_stream_seed(cfg.master_seed, harness._PHASE_CALIBRATION)
         return harness._grid(
             labels, (harness._null_config(cfg),), trials, seed,
-            lambda i, lab: harness._Exceedances(thresholds[lab]), **simulate)
+            lambda i, lab: harness._Exceedances(thresholds[lab]))
 
     monkeypatch.setattr(harness, "_null_phase", exact_null_phase)
     curve = cfar_sweep(cfg, CFAR_PFA, CFAR_CNRS, CFAR_RHOS, CFAR_TRIALS,

@@ -195,14 +195,20 @@ class TestCfarSweep:
         fills = []
         block_rngs = engine.block_rngs
 
+        class CountedFills:
+            def __init__(self, rng, data):
+                self.rng, self.data = rng, data
+
+            def standard_normal(self, *args, **kwargs):
+                fills.append(self.data)
+                return self.rng.standard_normal(*args, **kwargs)
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
         def counted(stream_seed, *, data=False):
             rekeyed = block_rngs(stream_seed, data=data)
-
-            def rng(block):
-                fills.append(data)
-                return rekeyed(block)
-
-            return rng
+            return lambda block: CountedFills(rekeyed(block), data)
 
         monkeypatch.setattr(engine, "block_rngs", counted)
         counts = []
@@ -211,9 +217,9 @@ class TestCfarSweep:
             fills.clear()
             cfar_sweep(SMALL, 0.05, *grids, 5000, detectors=("glrt", "amf"))
             counts.append((fills.count(False), fills.count(True)))
-        # the calibration's 20 invariant blocks of 256 trials, and the
-        # grid's 20 data blocks for one off-nominal row or six; the nominal
-        # row alone draws no data
+        # one normal fill for each of the calibration's 20 invariant blocks
+        # of 256 trials, and one for each of the grid's 20 data blocks, for
+        # one off-nominal row or six; the nominal row alone fills no data
         assert counts == [(20, 0), (20, 20), (20, 20)]
 
     def test_thresholds_are_calibrates_bit_for_bit(self, monkeypatch):
